@@ -67,36 +67,31 @@ class NormingRecord:
     extraction_b: str
 
 
+def _norms(mesh, mus, sin_v: float, cos_v: float, forward: bool) -> np.ndarray:
+    _, _, acc = propagate_with_norm(mesh, mus, sin_v, -cos_v, forward=forward)
+    return acc
+
+
 def norming_a(q: Potential, bc: BoundaryParams, pair: Eigenpair,
               grid_size: int = DEFAULT_GRID_SIZE) -> float:
     """Squared L2 norm of the left-normalized eigenfunction."""
-    mesh = build_mesh(q, grid_size)
-    _, _, acc = propagate_with_norm(mesh, [pair.mu], bc.sin_alpha, -bc.cos_alpha,
-                                    forward=True)
-    return float(acc[0])
+    return float(norming_a_batch(q, bc, [pair.mu], grid_size)[0])
 
 
 def norming_b(q: Potential, bc: BoundaryParams, pair: Eigenpair,
               grid_size: int = DEFAULT_GRID_SIZE) -> float:
     """Squared L2 norm of the right-normalized eigenfunction."""
-    mesh = build_mesh(q, grid_size)
-    _, _, acc = propagate_with_norm(mesh, [pair.mu], bc.sin_beta, -bc.cos_beta,
-                                    forward=False)
-    return float(acc[0])
+    return float(norming_b_batch(q, bc, [pair.mu], grid_size)[0])
 
 
 def norming_a_batch(q: Potential, bc: BoundaryParams, mus,
                     grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    mesh = build_mesh(q, grid_size)
-    _, _, acc = propagate_with_norm(mesh, mus, bc.sin_alpha, -bc.cos_alpha, forward=True)
-    return acc
+    return _norms(build_mesh(q, grid_size), mus, bc.sin_alpha, bc.cos_alpha, True)
 
 
 def norming_b_batch(q: Potential, bc: BoundaryParams, mus,
                     grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    mesh = build_mesh(q, grid_size)
-    _, _, acc = propagate_with_norm(mesh, mus, bc.sin_beta, -bc.cos_beta, forward=False)
-    return acc
+    return _norms(build_mesh(q, grid_size), mus, bc.sin_beta, bc.cos_beta, False)
 
 
 def ae_n(q: Potential, delta, n: int, tol: float = DEFAULT_AE_TOL) -> float:
@@ -180,8 +175,9 @@ def norming_records(q: Potential, bc: BoundaryParams, pairs,
         pairs = pairs.pairs
     pairs = list(pairs)
     mus = np.array([p.mu for p in pairs])
-    a_vals = norming_a_batch(q, bc, mus, grid_size)
-    b_vals = norming_b_batch(q, bc, mus, grid_size)
+    mesh = build_mesh(q, grid_size)
+    a_vals = _norms(mesh, mus, bc.sin_alpha, bc.cos_alpha, True)
+    b_vals = _norms(mesh, mus, bc.sin_beta, bc.cos_beta, False)
 
     records = []
     for p, a_v, b_v in zip(pairs, a_vals, b_vals):

@@ -7,8 +7,9 @@ The propagator is exact in mu, so phase accuracy does not degrade for
 highly oscillatory solutions; the only discretization error comes from the
 midpoint freezing of q, and that vanishes for potentials that are constant
 on mesh intervals (zero, constant, and step potentials with the jump on a
-mesh node).  Each step also has a closed form for the integral of y^2
-across the interval, which spectral norm computations accumulate for free.
+mesh node).  The propagator is also differentiable in mu in closed form, and
+for the discrete solution (y y_mu' - y' y_mu)' = -y^2, so the integral of
+y^2 over [0, pi] comes from endpoint values of y and y_mu alone.
 
 Batches of spectral parameters propagate together: the transfer matrices of
 all intervals are built as one array and contracted by pairwise products,
@@ -34,6 +35,8 @@ BLOWUP_BOUND = 1e12
 
 _SERIES_Z = 1e-4
 _CHUNK = 256
+_NORM_CHUNK = 64
+_NORM_BLOCK = 256
 
 
 @dataclass
@@ -122,25 +125,6 @@ def _step_coeffs(w, h):
     return C, S
 
 
-def _norm_weights(w, h, C, S):
-    """Quadratic-form weights for the exact integral of y^2 over one step.
-
-    With left values (y, y') the step contributes
-        ICC y^2 + 2 ICS y y' + ISS y'^2.
-    The identities ICC = h/2 + CS/2 and ICS = S^2/2 hold in every branch;
-    ISS needs a series fallback near w = 0.
-    """
-    z = w * h * h
-    ICC = h / 2.0 + C * S / 2.0
-    ICS = S * S / 2.0
-    small = np.abs(z) < _SERIES_Z
-    wsafe = np.where(small, 1.0, w)
-    closed = (h / 2.0 - C * S / 2.0) / wsafe
-    series = h * h * h * (1.0 / 3.0 - 2.0 * z / 15.0 + 4.0 * z * z / 315.0)
-    ISS = np.where(small, series, closed)
-    return ICC, ICS, ISS
-
-
 def _step_coeffs_scalar(w: float, h: float) -> tuple[float, float]:
     z = w * h * h
     if abs(z) < _SERIES_Z:
@@ -217,29 +201,88 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
     return ys, yps
 
 
-def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
-    """Endpoint values plus the exact accumulated integral of y^2 over [0, pi].
+def _dS_dw(w, h, C, S):
+    """Derivative of the propagator entry S in the coefficient w.
 
-    Vectorized over a batch of mu values.
+    The closed form (h C - S) / (2 w) is 0/0 at w = 0 and cancels near it,
+    so small |z| takes the series of h sin(sqrt(w) h)/sqrt(w).
+    """
+    z = w * h * h
+    small = np.abs(z) < _SERIES_Z
+    wsafe = np.where(small, 1.0, w)
+    closed = (h * C - S) / (2.0 * wsafe)
+    series = h * h * h * (-1.0 / 6.0 + z / 60.0 - z * z / 1680.0)
+    return np.where(small, series, closed)
+
+
+def _mul2(B, A):
+    """Product B A of 2x2 matrices stored as entry tuples (m00, m01, m10, m11)."""
+    return tuple(B[2 * i] * A[j] + B[2 * i + 1] * A[2 + j] for i in (0, 1) for j in (0, 1))
+
+
+def _compose(B, A):
+    """(B, dB)(A, dA) = (BA, dB A + B dA), each pair an 8-tuple of entries."""
+    dBA = zip(_mul2(B[4:], A[:4]), _mul2(B[:4], A[4:]))
+    return _mul2(B[:4], A[:4]) + tuple(x + y for x, y in dBA)
+
+
+def _norm_block(h, qmid, mus, sign):
+    """Product of one block's transfer matrices with its mu-derivative.
+
+    sign = -1 gives the inverse propagators.  Zero-width intervals pad the
+    block to a power of two; their propagator is exactly the identity with
+    zero derivative, so the pairwise tree never meets an odd level.
+    """
+    pad = (1 << (h.size - 1).bit_length()) - h.size
+    hcol = np.concatenate([h, np.zeros(pad)])[:, None]
+    w = mus[None, :] - np.concatenate([qmid, np.zeros(pad)])[:, None]
+    C, S = _step_coeffs(w, hcol)
+    dC = -0.5 * hcol * S
+    M = (C, sign * S, -sign * w * S, C,
+         dC, sign * _dS_dw(w, hcol, C, S), -0.5 * sign * (S + hcol * C), dC)
+    while M[0].shape[0] > 1:
+        M = _compose([t[1::2] for t in M], [t[0::2] for t in M])
+    return [t[0] for t in M]
+
+
+def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
+    """Endpoint values plus the integral of y^2 over [0, pi] for a batch of mu.
+
+    The propagated y solves -y'' + q~ y = mu y with the midpoint-frozen q~,
+    and for that equation (y y_mu' - y' y_mu)' = -y^2.  Starting data do not
+    depend on mu, so the forward sweep gives
+        int_0^pi y^2 = y'(pi) y_mu(pi) - y(pi) y_mu'(pi),
+    and the backward sweep y(0) y_mu'(0) - y'(0) y_mu(0).  This is the exact
+    integral of the discrete solution, not a further approximation.  Each
+    interval contributes its propagator T and dT/dmu in closed form; the
+    pairs are contracted by a pairwise tree, (B, dB)(A, dA) = (BA, dB A + B dA),
+    block by block, and the block products compose in order.
+
+    Memory: mu runs in chunks of _NORM_CHUNK and the mesh in blocks of
+    _NORM_BLOCK intervals, so the transient arrays of one block stay near
+    2 MB whatever the batch or mesh size.
+
+    Returns (y, y', acc) at x = pi when forward, at x = 0 otherwise.  Raises
+    BlowUpError if any returned value is non-finite or |y| exceeds
+    BLOWUP_BOUND.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    y = np.full(mus.shape, float(y0))
-    yp = np.full(mus.shape, float(yp0))
-    acc = np.zeros(mus.shape)
-    idx = range(len(mesh.h)) if forward else range(len(mesh.h) - 1, -1, -1)
-    for i in idx:
-        w = mus - mesh.qmid[i]
-        hi = mesh.h[i]
-        C, S = _step_coeffs(w, hi)
-        if forward:
-            ICC, ICS, ISS = _norm_weights(w, hi, C, S)
-            acc += ICC * y * y + 2.0 * ICS * y * yp + ISS * yp * yp
-            y, yp = C * y + S * yp, -w * S * y + C * yp
-        else:
-            y, yp = C * y - S * yp, w * S * y + C * yp
-            ICC, ICS, ISS = _norm_weights(w, hi, C, S)
-            acc += ICC * y * y + 2.0 * ICS * y * yp + ISS * yp * yp
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_BOUND:
+    if forward:
+        h, qmid, sign = mesh.h, mesh.qmid, 1.0
+    else:
+        h, qmid, sign = mesh.h[::-1], mesh.qmid[::-1], -1.0
+    y = np.empty_like(mus)
+    yp = np.empty_like(mus)
+    acc = np.empty_like(mus)
+    for lo in range(0, mus.size, _NORM_CHUNK):
+        sl = slice(lo, lo + _NORM_CHUNK)
+        M = None
+        for b in range(0, h.size, _NORM_BLOCK):
+            B = _norm_block(h[b:b + _NORM_BLOCK], qmid[b:b + _NORM_BLOCK], mus[sl], sign)
+            M = B if M is None else _compose(B, M)
+        y[sl], yp[sl], dy, dyp = (M[i] * y0 + M[i + 1] * yp0 for i in (0, 2, 4, 6))
+        acc[sl] = sign * (yp[sl] * dy - y[sl] * dyp)
+    if not all(np.all(np.isfinite(v)) for v in (y, yp, acc)) or np.max(np.abs(y)) > BLOWUP_BOUND:
         raise BlowUpError("solution exceeded the overflow guard in norm propagation")
     return y, yp, acc
 

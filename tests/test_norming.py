@@ -5,6 +5,7 @@ import pytest
 
 from slspectra import (
     BoundaryParams,
+    Potential,
     ae_n,
     ae_tilde_n,
     extract_remainders,
@@ -17,7 +18,9 @@ from slspectra import (
     norming_records,
     solve_delta,
 )
+from slspectra import norming as norming_module
 from slspectra.fitting import fit_loglog_slope, window_max_ratio
+from slspectra.norming import norming_a_batch, norming_b_batch
 
 PI = math.pi
 
@@ -56,6 +59,35 @@ class TestMeasuredNorms:
             a0 = norming_a(q_step, bc_nn, p0, 1024)
             a3 = norming_a(q_step.shifted(3.0), bc_nn, p3, 1024)
             assert abs(a3 - a0) < 1e-6
+
+
+class TestClosedFormNorms:
+    # mu = (k + 0.37)^2 spans the small-z series region ((mu - q) h^2 < 1e-4
+    # below mu ~ 170 on the default mesh) and the trigonometric branch above it
+    lam = np.arange(40) + 0.37
+
+    def test_zero_potential_dirichlet(self, q_zero, bc_dd):
+        lam = self.lam
+        exact = (PI / 2 - np.sin(2 * lam * PI) / (4 * lam)) / lam ** 2
+        for norms in (norming_a_batch, norming_b_batch):
+            got = norms(q_zero, bc_dd, lam ** 2)
+            assert np.max(np.abs(got / exact - 1.0)) <= 1e-11
+
+    def test_zero_potential_neumann(self, q_zero, bc_nn):
+        lam = self.lam
+        exact = PI / 2 + np.sin(2 * lam * PI) / (4 * lam)
+        for norms in (norming_a_batch, norming_b_batch):
+            got = norms(q_zero, bc_nn, lam ** 2)
+            assert np.max(np.abs(got / exact - 1.0)) <= 1e-11
+
+    def test_constant_hyperbolic_neumann(self, bc_nn):
+        mus = np.array([0.1, 2.9, -20.0])
+        kappa = np.sqrt(3.0 - mus)
+        exact = PI / 2 + np.sinh(2 * kappa * PI) / (4 * kappa)
+        q = Potential.constant(3.0)
+        for norms in (norming_a_batch, norming_b_batch):
+            got = norms(q, bc_nn, mus)
+            assert np.max(np.abs(got / exact - 1.0)) <= 1e-11
 
 
 class TestCorrectionIntegral:
@@ -151,6 +183,20 @@ class TestRemainderExtraction:
 
 
 class TestRecords:
+    def test_one_mesh_per_batch(self, q_step, bc_nn, step_nn_spectrum60, monkeypatch):
+        built = []
+        build_mesh = norming_module.build_mesh
+
+        def counting_build_mesh(*args, **kwargs):
+            built.append(args)
+            return build_mesh(*args, **kwargs)
+
+        monkeypatch.setattr(norming_module, "build_mesh", counting_build_mesh)
+        records = norming_records(q_step, bc_nn, step_nn_spectrum60.pairs[:5])
+        assert len(built) == 1
+        assert [r.a_n for r in records] == list(
+            norming_a_batch(q_step, bc_nn, [p.mu for p in step_nn_spectrum60.pairs[:5]]))
+
     def test_bookkeeping_identity(self, q_step, bc_nn, step_nn_spectrum60):
         records = norming_records(q_step, bc_nn, step_nn_spectrum60)
         for rec in records:

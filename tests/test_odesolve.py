@@ -16,7 +16,13 @@ from slspectra import (
     psi,
     solve_ivp,
 )
-from slspectra.odesolve import build_mesh, y_values_batch
+from slspectra.odesolve import (
+    _NORM_CHUNK,
+    build_mesh,
+    endpoint_values,
+    propagate_with_norm,
+    y_values_batch,
+)
 
 from conftest import pool_potentials
 
@@ -67,6 +73,73 @@ class TestSolveIvp:
         for j, mu in enumerate(mus):
             tr = solve_ivp(q_step, float(mu), True, 1.0, 0.5, 256)
             assert np.max(np.abs(batch[:, j] - tr.y)) < 1e-11
+
+
+def _sequential_norm(mesh, mus, y0, yp0, forward):
+    """Interval-by-interval reference: exact integral of y^2 on each step.
+
+    With left values (y, y') an interval contributes
+    ICC y^2 + 2 ICS y y' + ISS y'^2, where ICC = h/2 + CS/2, ICS = S^2/2 and
+    ISS = (h/2 - CS/2)/w, or h^3 (1/3 - z/15 + 2 z^2/315) near w = 0.
+    """
+    y = np.full(mus.shape, float(y0))
+    yp = np.full(mus.shape, float(yp0))
+    acc = np.zeros(mus.shape)
+    order = range(len(mesh.h)) if forward else range(len(mesh.h) - 1, -1, -1)
+    for i in order:
+        h, w = mesh.h[i], mus - mesh.qmid[i]
+        z = w * h * h
+        r = np.sqrt(np.abs(w))
+        rs = np.where(r > 0, r, 1.0)
+        C = np.where(w > 0, np.cos(r * h), np.cosh(r * h))
+        S = np.where(r > 0, np.where(w > 0, np.sin(r * h), np.sinh(r * h)) / rs, h)
+        if not forward:
+            y, yp = C * y - S * yp, w * S * y + C * yp
+        ISS = np.where(np.abs(z) < 1e-4,
+                       h ** 3 * (1 / 3 - z / 15 + 2 * z * z / 315),
+                       (h / 2 - C * S / 2) / np.where(w != 0, w, 1.0))
+        acc += (h / 2 + C * S / 2) * y * y + S * S * y * yp + ISS * yp * yp
+        if forward:
+            y, yp = C * y + S * yp, -w * S * y + C * yp
+    return acc
+
+
+class TestNormSweep:
+    # mu = 0 and mu = 2 put w = 0 exactly on one side of the step
+    mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, _NORM_CHUNK - 2)])
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("mesh_case", ["step-4097", "cos-64", "cos-1024"])
+    def test_matches_endpoints_and_sequential_sum(self, mesh_case, forward):
+        if mesh_case == "step-4097":
+            mesh = build_mesh(Potential.step(2.0, 1.3))
+            assert len(mesh.h) == 4097
+        else:
+            mesh = build_mesh(Potential.smooth_test([1.0, -0.5]), int(mesh_case[4:]))
+        y0, yp0 = 0.6, -0.8
+        ref = _sequential_norm(mesh, self.mus, y0, yp0, forward)
+        # both sweeps round like N eps |P| |(y0, yp0)| with P the whole-mesh
+        # propagator; against a 40-digit product the Phi sweep is itself off
+        # by 2.3e-12 of |(y, y')| at mu = 0 on the 4097-interval step mesh
+        cols = [endpoint_values(mesh, self.mus, *e, forward=forward, guard=False)
+                for e in ((1.0, 0.0), (0.0, 1.0))]
+        prop_norm = np.sqrt(sum(c * c for col in cols for c in col))
+        for size in (1, _NORM_CHUNK - 1, _NORM_CHUNK, _NORM_CHUNK + 1):
+            mus = self.mus[:size]
+            y, yp, acc = propagate_with_norm(mesh, mus, y0, yp0, forward=forward)
+            ye, ype = endpoint_values(mesh, mus, y0, yp0, forward=forward, guard=False)
+            scale = prop_norm[:size] * math.hypot(y0, yp0)
+            assert np.max(np.abs(y - ye) / scale) <= 1e-12
+            assert np.max(np.abs(yp - ype) / scale) <= 1e-12
+            assert np.max(np.abs(acc / ref[:size] - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("start", [(0.0, 1.0), (1.0, 0.0)])
+    def test_deep_hyperbolic_guard(self, q_zero, forward, start):
+        mesh = build_mesh(q_zero, 512)
+        for mus in ([-1e6], [4.0, -1e6, 9.0], [-5e4]):
+            with pytest.raises(BlowUpError):
+                propagate_with_norm(mesh, mus, *start, forward=forward)
 
 
 class TestBoundaryNormalizedSolutions:
