@@ -11,9 +11,16 @@ mesh node).  The propagator is also differentiable in mu in closed form, and
 for the discrete solution (y y_mu' - y' y_mu)' = -y^2, so the integral of
 y^2 over [0, pi] comes from endpoint values of y and y_mu alone.
 
-Batches of spectral parameters propagate together: the transfer matrices of
-all intervals are built as one array and contracted by pairwise products,
-which is how characteristic-function scans and bisection sweeps stay cheap.
+Batches of spectral parameters propagate together.  Every sweep reads the
+per-interval coefficients from one block generator, which evaluates them a
+block of consecutive intervals at a time, in propagation order.  The block
+length follows from the batch size and one fixed budget of (interval, mu)
+entries: 256 intervals at 64 mu, the whole default mesh for one or two mu.
+The characteristic-function and norm sweeps contract each block's
+propagators by a pairwise tree and compose the block products in order;
+the node sweep steps through each block's rows.  The transient arrays of
+a block stay near 2 MB whatever the batch or mesh size, and short batches
+still run few, long vectorised passes.
 
 The independent oracle is the successive-approximation series for the
 solution vanishing at the origin, built from iterated Volterra integrals
@@ -34,9 +41,15 @@ DEFAULT_GRID_SIZE = 4096
 BLOWUP_BOUND = 1e12
 
 _SERIES_Z = 1e-4
-_CHUNK = 256
-_NORM_CHUNK = 64
-_NORM_BLOCK = 256
+# One coefficient block holds _BLOCK_ELEMS (interval, mu) entries: 256
+# intervals at a batch of _BLOCK_MUS spectral parameters, longer blocks for
+# smaller batches and shorter ones, down to a single interval, for larger.
+_BLOCK_MUS = 64
+_BLOCK_ELEMS = 256 * _BLOCK_MUS
+
+# Deep hyperbolic sweeps overflow to inf and nan; the overflow guards turn
+# that into BlowUpError, so numpy's floating-point warnings stay silent.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass
@@ -125,82 +138,6 @@ def _step_coeffs(w, h):
     return C, S
 
 
-def _step_coeffs_scalar(w: float, h: float) -> tuple[float, float]:
-    z = w * h * h
-    if abs(z) < _SERIES_Z:
-        C = 1.0 - z / 2.0 + z * z / 24.0 - z * z * z / 720.0
-        S = h * (1.0 - z / 6.0 + z * z / 120.0 - z * z * z / 5040.0)
-    elif z > 0.0:
-        th = math.sqrt(z)
-        C = math.cos(th)
-        S = h * math.sin(th) / th
-    else:
-        th = math.sqrt(-z)
-        C = math.cosh(th)
-        S = h * math.sinh(th) / th
-    return C, S
-
-
-def _transfer_reduce(T: np.ndarray) -> np.ndarray:
-    """Contract per-interval transfer matrices; T[0] is applied first."""
-    while T.shape[0] > 1:
-        n = T.shape[0]
-        paired = np.matmul(T[1 : n - (n % 2) : 2], T[0 : n - (n % 2) : 2])
-        if n % 2:
-            T = np.concatenate([paired, T[-1:]], axis=0)
-        else:
-            T = paired
-    return T[0]
-
-
-def _endpoint_chunk(h, qmid, mus, y0, yp0, forward):
-    w = mus[None, :] - qmid[:, None]
-    hcol = h[:, None]
-    C, S = _step_coeffs(w, hcol)
-    n_int, m = w.shape
-    T = np.empty((n_int, m, 2, 2))
-    if forward:
-        T[:, :, 0, 0] = C
-        T[:, :, 0, 1] = S
-        T[:, :, 1, 0] = -w * S
-        T[:, :, 1, 1] = C
-    else:
-        # inverse propagators, applied from the last interval backwards
-        T[:, :, 0, 0] = C[::-1]
-        T[:, :, 0, 1] = -S[::-1]
-        T[:, :, 1, 0] = (w * S)[::-1]
-        T[:, :, 1, 1] = C[::-1]
-    P = _transfer_reduce(T)
-    y = P[:, 0, 0] * y0 + P[:, 0, 1] * yp0
-    yp = P[:, 1, 0] * y0 + P[:, 1, 1] * yp0
-    return y, yp
-
-
-def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True,
-                    guard: bool = True):
-    """Propagate (y0, yp0) across the whole mesh for a batch of mu values.
-
-    Returns (y, y') at x = pi when forward, at x = 0 otherwise.  With guard
-    set, raises BlowUpError if any final value escapes the overflow bound;
-    scans that only need signs of deeply hyperbolic values run unguarded.
-    """
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    ys = np.empty_like(mus)
-    yps = np.empty_like(mus)
-    for lo in range(0, mus.size, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, mus.size))
-        ys[sl], yps[sl] = _endpoint_chunk(mesh.h, mesh.qmid, mus[sl], y0, yp0, forward)
-    if guard and (
-        not np.all(np.isfinite(ys)) or not np.all(np.isfinite(yps))
-        or np.max(np.abs(ys)) > BLOWUP_BOUND or np.max(np.abs(yps)) > BLOWUP_BOUND
-    ):
-        raise BlowUpError(
-            "solution exceeded the overflow guard; spectral parameter far outside "
-            "the admissible range"
-        )
-    return ys, yps
-
-
 def _dS_dw(w, h, C, S):
     """Derivative of the propagator entry S in the coefficient w.
 
@@ -215,6 +152,33 @@ def _dS_dw(w, h, C, S):
     return np.where(small, series, closed)
 
 
+def _blocks(mesh: Mesh, mus: np.ndarray, forward: bool):
+    """Per-interval (h, w, C, S) of the mesh, block by block in propagation order.
+
+    w, C and S have shape (intervals, mus) and h has shape (intervals, 1).
+    A block holds about _BLOCK_ELEMS entries, so its length follows from the
+    batch size.  Backward propagation starts at the last interval.
+    """
+    h, qmid = (mesh.h, mesh.qmid) if forward else (mesh.h[::-1], mesh.qmid[::-1])
+    size = max(1, _BLOCK_ELEMS // max(1, mus.size))
+    for lo in range(0, h.size, size):
+        hb = h[lo:lo + size, None]
+        w = mus - qmid[lo:lo + size, None]
+        yield (hb, w, *_step_coeffs(w, hb))
+
+
+def _transfer(h, w, C, S, sign):
+    """Propagator entries (m00, m01, m10, m11); sign = -1 gives the inverses."""
+    return (C, sign * S, -sign * w * S, C)
+
+
+def _transfer_dmu(h, w, C, S, sign):
+    """Propagator entries followed by the entries of their mu-derivative."""
+    dC = -0.5 * h * S
+    return _transfer(h, w, C, S, sign) + (
+        dC, sign * _dS_dw(w, h, C, S), -0.5 * sign * (S + h * C), dC)
+
+
 def _mul2(B, A):
     """Product B A of 2x2 matrices stored as entry tuples (m00, m01, m10, m11)."""
     return tuple(B[2 * i] * A[j] + B[2 * i + 1] * A[2 + j] for i in (0, 1) for j in (0, 1))
@@ -226,25 +190,56 @@ def _compose(B, A):
     return _mul2(B[:4], A[:4]) + tuple(x + y for x, y in dBA)
 
 
-def _norm_block(h, qmid, mus, sign):
-    """Product of one block's transfer matrices with its mu-derivative.
+def _sweep(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
+           entries, mul):
+    """Whole-mesh product of the interval matrices, applied to (y0, yp0).
 
-    sign = -1 gives the inverse propagators.  Zero-width intervals pad the
-    block to a power of two; their propagator is exactly the identity with
-    zero derivative, so the pairwise tree never meets an odd level.
+    entries builds one block's matrices from (h, w, C, S, sign) and mul(B, A)
+    multiplies two stacks of them.  Each block is contracted by a pairwise
+    tree, an odd level carrying its last matrix up unpaired, and the block
+    products compose in propagation order.  Returns the product's rows
+    applied to the start: (y, y') for _transfer, and (y, y', y_mu, y_mu')
+    for _transfer_dmu.
     """
-    pad = (1 << (h.size - 1).bit_length()) - h.size
-    hcol = np.concatenate([h, np.zeros(pad)])[:, None]
-    w = mus[None, :] - np.concatenate([qmid, np.zeros(pad)])[:, None]
-    C, S = _step_coeffs(w, hcol)
-    dC = -0.5 * hcol * S
-    M = (C, sign * S, -sign * w * S, C,
-         dC, sign * _dS_dw(w, hcol, C, S), -0.5 * sign * (S + hcol * C), dC)
-    while M[0].shape[0] > 1:
-        M = _compose([t[1::2] for t in M], [t[0::2] for t in M])
-    return [t[0] for t in M]
+    sign = 1.0 if forward else -1.0
+    M = None
+    for block in _blocks(mesh, mus, forward):
+        E = entries(*block, sign)
+        while len(E[0]) > 1:
+            n = len(E[0])
+            P = mul([t[1:n:2] for t in E], [t[0:n - 1:2] for t in E])
+            E = P if n % 2 == 0 else [np.concatenate((p, t[-1:])) for p, t in zip(P, E)]
+        M = E if M is None else mul(E, M)
+    return [M[i][0] * y0 + M[i + 1][0] * yp0 for i in range(0, len(M), 2)]
 
 
+@_quiet
+def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True,
+                    guard: bool = True):
+    """Propagate (y0, yp0) across the whole mesh for a batch of mu values.
+
+    Returns (y, y') at x = pi when forward, at x = 0 otherwise.  With guard
+    set, raises BlowUpError if any final value escapes the overflow bound;
+    scans that only need signs of deeply hyperbolic values run unguarded.
+
+    Memory: the mesh runs in blocks of about _BLOCK_ELEMS (interval, mu)
+    entries, so the transient arrays of one block stay near 2 MB whatever
+    the batch or mesh size.
+    """
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    ys, yps = _sweep(mesh, mus, y0, yp0, forward, _transfer, _mul2)
+    if guard and (
+        not np.all(np.isfinite(ys)) or not np.all(np.isfinite(yps))
+        or np.max(np.abs(ys)) > BLOWUP_BOUND or np.max(np.abs(yps)) > BLOWUP_BOUND
+    ):
+        raise BlowUpError(
+            "solution exceeded the overflow guard; spectral parameter far outside "
+            "the admissible range"
+        )
+    return ys, yps
+
+
+@_quiet
 def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
     """Endpoint values plus the integral of y^2 over [0, pi] for a batch of mu.
 
@@ -258,66 +253,52 @@ def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool
     pairs are contracted by a pairwise tree, (B, dB)(A, dA) = (BA, dB A + B dA),
     block by block, and the block products compose in order.
 
-    Memory: mu runs in chunks of _NORM_CHUNK and the mesh in blocks of
-    _NORM_BLOCK intervals, so the transient arrays of one block stay near
-    2 MB whatever the batch or mesh size.
+    Memory: the mesh runs in blocks of about _BLOCK_ELEMS (interval, mu)
+    entries, so the transient arrays of one block stay near 2 MB whatever
+    the batch or mesh size.
 
     Returns (y, y', acc) at x = pi when forward, at x = 0 otherwise.  Raises
     BlowUpError if any returned value is non-finite or |y| exceeds
     BLOWUP_BOUND.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    if forward:
-        h, qmid, sign = mesh.h, mesh.qmid, 1.0
-    else:
-        h, qmid, sign = mesh.h[::-1], mesh.qmid[::-1], -1.0
-    y = np.empty_like(mus)
-    yp = np.empty_like(mus)
-    acc = np.empty_like(mus)
-    for lo in range(0, mus.size, _NORM_CHUNK):
-        sl = slice(lo, lo + _NORM_CHUNK)
-        M = None
-        for b in range(0, h.size, _NORM_BLOCK):
-            B = _norm_block(h[b:b + _NORM_BLOCK], qmid[b:b + _NORM_BLOCK], mus[sl], sign)
-            M = B if M is None else _compose(B, M)
-        y[sl], yp[sl], dy, dyp = (M[i] * y0 + M[i + 1] * yp0 for i in (0, 2, 4, 6))
-        acc[sl] = sign * (yp[sl] * dy - y[sl] * dyp)
+    y, yp, dy, dyp = _sweep(mesh, mus, y0, yp0, forward, _transfer_dmu, _compose)
+    acc = (yp * dy - y * dyp) if forward else (y * dyp - yp * dy)
     if not all(np.all(np.isfinite(v)) for v in (y, yp, acc)) or np.max(np.abs(y)) > BLOWUP_BOUND:
         raise BlowUpError("solution exceeded the overflow guard in norm propagation")
     return y, yp, acc
 
 
+@_quiet
+def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool):
+    """y and y' at every node for a batch of mu, each of shape (nodes, mus).
+
+    Steps from x = 0 when forward and from x = pi otherwise, one interval at
+    a time through each block's propagator rows.  Rows come back in
+    increasing node order either way.
+    """
+    Y = np.empty((len(mesh.h) + 1, mus.size))
+    YP = np.empty_like(Y)
+    Y[0], YP[0] = y0, yp0
+    y, yp, k = Y[0], YP[0], 0
+    for block in _blocks(mesh, mus, forward):
+        m00, m01, m10, _ = _transfer(*block, 1.0 if forward else -1.0)
+        for a, b, c in zip(m00, m01, m10):
+            y, yp = a * y + b * yp, c * y + a * yp
+            k += 1
+            Y[k], YP[k] = y, yp
+    return (Y, YP) if forward else (Y[::-1], YP[::-1])
+
+
 def _trace(mesh: Mesh, mu: float, y0: float, yp0: float, forward: bool) -> SolutionTrace:
-    n = len(mesh.h)
-    h = mesh.h
-    qmid = mesh.qmid
-    ys = np.empty(n + 1)
-    yps = np.empty(n + 1)
-    if forward:
-        ys[0], yps[0] = y0, yp0
-        y, yp = float(y0), float(yp0)
-        for i in range(n):
-            w = mu - qmid[i]
-            C, S = _step_coeffs_scalar(w, h[i])
-            y, yp = C * y + S * yp, -w * S * y + C * yp
-            if abs(y) > BLOWUP_BOUND or abs(yp) > BLOWUP_BOUND:
-                raise BlowUpError(
-                    f"solution blew up at x = {mesh.nodes[i + 1]:.6f} for mu = {mu}"
-                )
-            ys[i + 1], yps[i + 1] = y, yp
-    else:
-        ys[n], yps[n] = y0, yp0
-        y, yp = float(y0), float(yp0)
-        for i in range(n - 1, -1, -1):
-            w = mu - qmid[i]
-            C, S = _step_coeffs_scalar(w, h[i])
-            y, yp = C * y - S * yp, w * S * y + C * yp
-            if abs(y) > BLOWUP_BOUND or abs(yp) > BLOWUP_BOUND:
-                raise BlowUpError(
-                    f"solution blew up at x = {mesh.nodes[i]:.6f} for mu = {mu}"
-                )
-            ys[i], yps[i] = y, yp
-    return SolutionTrace(grid=mesh.nodes.copy(), y=ys, yprime=yps, mu=float(mu))
+    Y, YP = _nodes(mesh, np.array([float(mu)]), y0, yp0, forward)
+    y, yp = Y[:, 0], YP[:, 0]
+    bad = ~((np.abs(y) <= BLOWUP_BOUND) & (np.abs(yp) <= BLOWUP_BOUND))
+    if bad.any():
+        # report the first node past the bound in propagation order
+        i = np.flatnonzero(bad)[0 if forward else -1]
+        raise BlowUpError(f"solution blew up at x = {mesh.nodes[i]:.6f} for mu = {mu}")
+    return SolutionTrace(grid=mesh.nodes.copy(), y=y, yprime=yp, mu=float(mu))
 
 
 def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
@@ -326,15 +307,7 @@ def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
     Used for oscillation counting across a whole spectrum in one sweep.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    y = np.full(mus.shape, float(y0))
-    yp = np.full(mus.shape, float(yp0))
-    out = np.empty((len(mesh.h) + 1, mus.size))
-    out[0] = y
-    for i in range(len(mesh.h)):
-        w = mus - mesh.qmid[i]
-        C, S = _step_coeffs(w, mesh.h[i])
-        y, yp = C * y + S * yp, -w * S * y + C * yp
-        out[i + 1] = y
+    out, _ = _nodes(mesh, mus, y0, yp0, True)
     if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > BLOWUP_BOUND:
         raise BlowUpError("solution exceeded the overflow guard in batched trace")
     return out
@@ -499,20 +472,27 @@ def picard_y2(q: Potential, lam: float, K: int,
         total_prime += cos_l * ck + sin_l * dk
         s_prev = s_k
 
-    sigma0_pi = q.norm1()
+    trace = SolutionTrace(grid=nodes, y=total, yprime=total_prime, mu=lam * lam)
+    return PicardResult(trace=trace, tail_bound=_picard_tail(q.norm1(), lam, K), terms=K)
+
+
+def _picard_tail(sigma0: float, lam: float, K: int) -> float:
+    """Bound on the series terms past K at x = pi.
+
+    Sums sigma0^k / (lam^(k+1) k!) over k > K until the terms fall below
+    1e-18 of the sum, with sigma0 the L1 norm of q.
+    """
     tail = 0.0
-    term = sigma0_pi ** (K + 1) / (lam ** (K + 2) * math.factorial(K + 1))
+    term = sigma0 ** (K + 1) / (lam ** (K + 2) * math.factorial(K + 1))
     k = K + 1
     while term > 0.0 and k < K + 200:
         tail += term
-        term *= sigma0_pi / (lam * (k + 1))
+        term *= sigma0 / (lam * (k + 1))
         if term < tail * 1e-18:
             tail += term
             break
         k += 1
-
-    trace = SolutionTrace(grid=nodes, y=total, yprime=total_prime, mu=lam * lam)
-    return PicardResult(trace=trace, tail_bound=float(tail), terms=K)
+    return float(tail)
 
 
 # ---------------------------------------------------------------------------

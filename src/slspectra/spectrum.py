@@ -32,7 +32,7 @@ from .odesolve import (
     DEFAULT_GRID_SIZE,
     Mesh,
     SolutionTrace,
-    _step_coeffs_scalar,
+    _blocks,
     _trace,
     build_mesh,
     endpoint_values,
@@ -128,11 +128,20 @@ def char_function_right(q: Potential, bc: BoundaryParams, mu: float,
 
 def count_interior_zeros(trace: SolutionTrace) -> int:
     """Sign changes of the trace strictly inside (0, pi)."""
-    interior = trace.y[1:-1]
-    s = interior[interior != 0.0]
-    if s.size < 2:
-        return 0
-    return int(np.sum(s[:-1] * s[1:] < 0.0))
+    return int(_zero_counts(trace.y[:, None])[0])
+
+
+def _zero_counts(values: np.ndarray) -> np.ndarray:
+    """Interior sign changes per column of a (nodes, columns) value array.
+
+    Exact zeros are skipped: each takes the sign of the last nonzero value
+    above it in its column, so it neither adds nor splits a sign change.
+    """
+    signs = np.sign(values[1:-1])
+    rows = np.arange(signs.shape[0])[:, None]
+    last = np.maximum.accumulate(np.where(signs != 0.0, rows, 0), axis=0)
+    signs = np.take_along_axis(signs, last, axis=0)
+    return np.sum(signs[:-1] * signs[1:] < 0.0, axis=0)
 
 
 def eigenfunction(pair: Eigenpair, q: Potential, bc: BoundaryParams,
@@ -166,23 +175,21 @@ def _oscillation_index(engine: _CharEngine, mu: float) -> int:
     state (zeros and the terminal direction are scale-invariant), then adds
     one if the terminal phase fragment has passed the right boundary angle.
     """
-    mesh = engine.mesh
     y, yp = engine.y0, engine.yp0
     zeros = 0
     prev_sign = 1.0 if y > 0 else (-1.0 if y < 0 else 0.0)
-    for i in range(len(mesh.h)):
-        w = mu - mesh.qmid[i]
-        C, S = _step_coeffs_scalar(w, mesh.h[i])
-        y, yp = C * y + S * yp, -w * S * y + C * yp
-        scale = max(abs(y), abs(yp))
-        if scale > 1e100:
-            y /= scale
-            yp /= scale
-        if y != 0.0:
-            s = 1.0 if y > 0 else -1.0
-            if prev_sign != 0.0 and s != prev_sign:
-                zeros += 1
-            prev_sign = s
+    for _, w, C, S in _blocks(engine.mesh, np.array([float(mu)]), True):
+        for c, s, ws in zip(C[:, 0].tolist(), S[:, 0].tolist(), (w * S)[:, 0].tolist()):
+            y, yp = c * y + s * yp, -ws * y + c * yp
+            scale = max(abs(y), abs(yp))
+            if scale > 1e100:
+                y /= scale
+                yp /= scale
+            if y != 0.0:
+                sgn = 1.0 if y > 0 else -1.0
+                if prev_sign != 0.0 and sgn != prev_sign:
+                    zeros += 1
+                prev_sign = sgn
     angle = math.atan2(y, yp)
     if angle <= 0.0:
         angle += PI
@@ -342,9 +349,9 @@ def _recovery_bracket(engine: _CharEngine, n: int, meanq: float) -> tuple[float,
     return _bracket_by_counting(engine, n, lam_hi * lam_hi)
 
 
-def _certify(engine: _CharEngine, mu: float, n: int) -> int:
-    tr = _trace(engine.mesh, float(mu), engine.y0, engine.yp0, forward=True)
-    return count_interior_zeros(tr)
+def _certify(engine: _CharEngine, mus: np.ndarray) -> np.ndarray:
+    """Interior zero count of the shooting solution at each mu."""
+    return _zero_counts(y_values_batch(engine.mesh, mus, engine.y0, engine.yp0))
 
 
 def _build_pair(n: int, mu: float, residual: float, bracket: tuple[float, float],
@@ -353,8 +360,35 @@ def _build_pair(n: int, mu: float, residual: float, bracket: tuple[float, float]
     return Eigenpair(
         n=n, mu=mu, lam=sqrt(abs(mu)), mu_negative=mu < 0.0, delta=delta,
         bracket=(float(bracket[0]), float(bracket[1])),
-        char_residual=float(residual), zeros=zeros,
+        char_residual=float(residual), zeros=int(zeros),
     )
+
+
+def _certified_pairs(engine: _CharEngine, ns, brackets, deltas, meanq: float,
+                     tol: float) -> list[Eigenpair]:
+    """Refined, certified eigenpairs for the indices ns from their brackets.
+
+    All brackets refine and certify as one batch.  An index whose root
+    miscounts is bracketed again by index bisection, refined and certified
+    on its own, and raises OscillationMismatchError if it still miscounts.
+    """
+    lo = np.array([b[0] for b in brackets], dtype=float)
+    hi = np.array([b[1] for b in brackets], dtype=float)
+    mus, residuals, lo, hi = _refine_batch(engine, lo, hi, tol)
+    zeros = _certify(engine, mus)
+    pairs = []
+    for j, n in enumerate(ns):
+        if zeros[j] != n:
+            a, b = _recovery_bracket(engine, n, meanq)
+            mus[j:j + 1], residuals[j:j + 1], lo[j:j + 1], hi[j:j + 1] = _refine_batch(
+                engine, np.array([a]), np.array([b]), tol)
+            zeros[j] = _certify(engine, mus[j:j + 1])[0]
+            if zeros[j] != n:
+                raise OscillationMismatchError(
+                    f"eigenfunction {n} at mu = {mus[j]:.9f} has {zeros[j]} interior "
+                    f"zeros, expected {n}")
+        pairs.append(_build_pair(n, mus[j], residuals[j], (lo[j], hi[j]), deltas[j], zeros[j]))
+    return pairs
 
 
 def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
@@ -382,24 +416,12 @@ def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
         except BracketError:
             bracket = _recovery_bracket(engine, n, meanq)
 
-    mu_arr, res_arr, lo, hi = _refine_batch(
-        engine, np.array([bracket[0]]), np.array([bracket[1]]), tol)
-    mu, residual = float(mu_arr[0]), float(res_arr[0])
-    zeros = _certify(engine, mu, n)
-    if zeros != n:
-        bracket = _recovery_bracket(engine, n, meanq)
-        mu_arr, res_arr, lo, hi = _refine_batch(
-            engine, np.array([bracket[0]]), np.array([bracket[1]]), tol)
-        mu, residual = float(mu_arr[0]), float(res_arr[0])
-        zeros = _certify(engine, mu, n)
-        if zeros != n:
-            raise OscillationMismatchError(
-                f"eigenfunction at mu = {mu:.9f} has {zeros} interior zeros, expected {n}")
-    if n >= 2 and mu <= 0.0:
+    [pair] = _certified_pairs(engine, [n], [bracket], [delta], meanq, tol)
+    if n >= 2 and pair.mu <= 0.0:
         raise UnsupportedRegimeError(
-            f"mu_{n} = {mu:.6f} <= 0; asymptotic indexing assumes positive "
+            f"mu_{n} = {pair.mu:.6f} <= 0; asymptotic indexing assumes positive "
             "eigenvalues from index 2 on")
-    return _build_pair(n, mu, residual, (float(lo[0]), float(hi[0])), delta, zeros)
+    return pair
 
 
 def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
@@ -429,40 +451,9 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
         except BracketError:
             brackets.append(_recovery_bracket(engine, n, meanq))
 
-    lo = np.array([b[0] for b in brackets])
-    hi = np.array([b[1] for b in brackets])
-    mus, residuals, lo_f, hi_f = _refine_batch(engine, lo, hi, tol)
-
-    traces = y_values_batch(engine.mesh, mus, engine.y0, engine.yp0)
-    zero_counts = _batch_zero_counts(traces)
-
-    pairs: list[Eigenpair] = []
-    for n in range(n_max + 1):
-        mu, residual, zeros = float(mus[n]), float(residuals[n]), int(zero_counts[n])
-        bracket = (float(lo_f[n]), float(hi_f[n]))
-        if zeros != n:
-            rb = _recovery_bracket(engine, n, meanq)
-            mu_a, res_a, lo_a, hi_a = _refine_batch(
-                engine, np.array([rb[0]]), np.array([rb[1]]), tol)
-            mu, residual = float(mu_a[0]), float(res_a[0])
-            bracket = (float(lo_a[0]), float(hi_a[0]))
-            zeros = _certify(engine, mu, n)
-            if zeros != n:
-                raise OscillationMismatchError(
-                    f"eigenfunction at index {n} has {zeros} interior zeros")
-        pairs.append(_build_pair(n, mu, residual, bracket, deltas[n], zeros))
-
+    pairs = _certified_pairs(engine, range(n_max + 1), brackets, deltas, meanq, tol)
     if n_max >= 2 and pairs[2].mu <= 0.0:
         raise UnsupportedRegimeError(
             f"mu_2 = {pairs[2].mu:.6f} <= 0; potential outside the supported regime")
     return Spectrum(q=q, bc=bc, pairs=pairs)
 
-
-def _batch_zero_counts(traces: np.ndarray) -> np.ndarray:
-    """Interior sign changes per column of a (nodes, mus) value array."""
-    counts = np.empty(traces.shape[1], dtype=int)
-    for j in range(traces.shape[1]):
-        col = traces[1:-1, j]
-        s = col[col != 0.0]
-        counts[j] = int(np.sum(s[:-1] * s[1:] < 0.0)) if s.size >= 2 else 0
-    return counts

@@ -17,7 +17,7 @@ from .delta import delta_asymptotic, solve_delta
 from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import ae_n, model_a, norming_a_batch
-from .odesolve import kernel_A, picard_y2, solve_ivp
+from .odesolve import _picard_tail, kernel_A, picard_y2, solve_ivp
 from .potential import PI, BoundaryParams, Potential, mean_q
 from .spectrum import (
     Spectrum,
@@ -236,20 +236,6 @@ def _criterion_08(ctx: VerificationContext):
     return ok, f"|n l_n| ratios n=60 vs n=10: {', '.join(details)} (max {factor})"
 
 
-def _tail_bound(sigma0: float, lam: float, K: int) -> float:
-    tail = 0.0
-    term = sigma0 ** (K + 1) / (lam ** (K + 2) * math.factorial(K + 1))
-    k = K + 1
-    while term > 0.0 and k < K + 200:
-        tail += term
-        term *= sigma0 / (lam * (k + 1))
-        if term < tail * 1e-18:
-            tail += term
-            break
-        k += 1
-    return tail
-
-
 def _criterion_09(ctx: VerificationContext):
     """Series construction matches the solver; remainder halves with frequency."""
     agree_extra = ctx.tol("c9_abs", 1e-8)
@@ -260,7 +246,7 @@ def _criterion_09(ctx: VerificationContext):
         q = ctx.potential(qname)
         sigma0 = q.norm1()
         for lam in (5.0, 10.0, 20.0):
-            K = next(k for k in range(2, 41) if _tail_bound(sigma0, lam, k) <= 1e-9)
+            K = next(k for k in range(2, 41) if _picard_tail(sigma0, lam, k) <= 1e-9)
             pr = picard_y2(q, lam, K)
             ref = solve_ivp(q, lam * lam, True, 0.0, 1.0, ctx.grid_size)
             err = abs(pr.trace.y[-1] - ref.y[-1])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from slspectra import (
     solve_ivp,
 )
 from slspectra.odesolve import (
-    _NORM_CHUNK,
+    _BLOCK_MUS,
+    _nodes,
+    _step_coeffs,
     build_mesh,
     endpoint_values,
     propagate_with_norm,
@@ -106,7 +109,7 @@ def _sequential_norm(mesh, mus, y0, yp0, forward):
 
 class TestNormSweep:
     # mu = 0 and mu = 2 put w = 0 exactly on one side of the step
-    mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, _NORM_CHUNK - 2)])
+    mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, _BLOCK_MUS - 2)])
 
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("mesh_case", ["step-4097", "cos-64", "cos-1024"])
@@ -119,12 +122,12 @@ class TestNormSweep:
         y0, yp0 = 0.6, -0.8
         ref = _sequential_norm(mesh, self.mus, y0, yp0, forward)
         # both sweeps round like N eps |P| |(y0, yp0)| with P the whole-mesh
-        # propagator; against a 40-digit product the Phi sweep is itself off
-        # by 2.3e-12 of |(y, y')| at mu = 0 on the 4097-interval step mesh
+        # propagator; against a 40-digit product both are off by 1.6e-13 of
+        # |(y, y')| at mu = 0 on the 4097-interval step mesh
         cols = [endpoint_values(mesh, self.mus, *e, forward=forward, guard=False)
                 for e in ((1.0, 0.0), (0.0, 1.0))]
         prop_norm = np.sqrt(sum(c * c for col in cols for c in col))
-        for size in (1, _NORM_CHUNK - 1, _NORM_CHUNK, _NORM_CHUNK + 1):
+        for size in (1, _BLOCK_MUS - 1, _BLOCK_MUS, _BLOCK_MUS + 1):
             mus = self.mus[:size]
             y, yp, acc = propagate_with_norm(mesh, mus, y0, yp0, forward=forward)
             ye, ype = endpoint_values(mesh, mus, y0, yp0, forward=forward, guard=False)
@@ -140,6 +143,89 @@ class TestNormSweep:
         for mus in ([-1e6], [4.0, -1e6, 9.0], [-5e4]):
             with pytest.raises(BlowUpError):
                 propagate_with_norm(mesh, mus, *start, forward=forward)
+
+
+class TestBlockedKernel:
+    """The coefficient blocks shorten as the mu batch grows.
+
+    A batch of _BLOCK_MUS puts 256 intervals in a block; smaller batches
+    take longer blocks, larger ones shorter, so these meshes and batch sizes
+    give partial last blocks and odd levels in every pairwise tree.
+    """
+
+    mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, 298)])
+    sizes = (1, 2, _BLOCK_MUS - 1, _BLOCK_MUS, _BLOCK_MUS + 1, 301)
+    y0, yp0 = 0.6, -0.8
+
+    @pytest.fixture(params=[4096, 1024, 64], ids=lambda g: f"grid{g}")
+    def mesh(self, request):
+        mesh = build_mesh(Potential.step(2.0, 1.3), request.param)
+        assert len(mesh.h) == request.param + 1
+        return mesh
+
+    def _scale(self, mesh, forward):
+        """|P| |(y0, yp0)| per mu, with P the whole-mesh propagator."""
+        cols = [endpoint_values(mesh, self.mus, *e, forward=forward)
+                for e in ((1.0, 0.0), (0.0, 1.0))]
+        return np.sqrt(sum(c * c for col in cols for c in col)) * math.hypot(self.y0, self.yp0)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_columns_independent_of_batch_size(self, mesh, forward):
+        scale = self._scale(mesh, forward)
+        start = (self.y0, self.yp0)
+        ref = endpoint_values(mesh, self.mus, *start, forward=forward)
+        ref_norm = propagate_with_norm(mesh, self.mus, *start, forward=forward)
+        for size in self.sizes:
+            mus, sc = self.mus[:size], scale[:size]
+            for got, want in zip(endpoint_values(mesh, mus, *start, forward=forward), ref):
+                assert np.max(np.abs(got - want[:size]) / sc) <= 1e-13
+            y, yp, acc = propagate_with_norm(mesh, mus, *start, forward=forward)
+            for got, want in zip((y, yp), ref_norm):
+                assert np.max(np.abs(got - want[:size]) / sc) <= 1e-13
+            assert np.max(np.abs(acc / ref_norm[2][:size] - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_node_sweep_ends_at_endpoint_values(self, mesh, forward):
+        # the node sweep steps one interval at a time, so it rounds like
+        # N eps |P| |(y0, yp0)| where the pairwise trees round like log N eps
+        scale = self._scale(mesh, forward)
+        Y, YP = _nodes(mesh, self.mus, self.y0, self.yp0, forward)
+        first, last = (0, -1) if forward else (-1, 0)
+        assert np.all(Y[first] == self.y0) and np.all(YP[first] == self.yp0)
+        y, yp = endpoint_values(mesh, self.mus, self.y0, self.yp0, forward=forward)
+        assert np.max(np.abs(Y[last] - y) / scale) <= 1e-12
+        assert np.max(np.abs(YP[last] - yp) / scale) <= 1e-12
+
+    def test_phi_sweep_against_mpmath_product(self):
+        # the same float propagators multiplied out in 40-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        mesh = build_mesh(Potential.step(2.0, 1.3))
+        assert len(mesh.h) == 4097
+        for mu in (0.0, 2.0, 37.5, 900.0):
+            w = mu - mesh.qmid
+            C, S = _step_coeffs(w, mesh.h)
+            with mpmath.workdps(40):
+                y, yp = mpmath.mpf(self.y0), mpmath.mpf(self.yp0)
+                for c, s, ws in zip(C.tolist(), S.tolist(), (w * S).tolist()):
+                    y, yp = c * y + s * yp, -ws * y + c * yp
+                bound = 1e-12 * float(mpmath.sqrt(y * y + yp * yp))
+                y, yp = float(y), float(yp)
+            ye, ype = endpoint_values(mesh, [mu], self.y0, self.yp0)
+            assert abs(ye[0] - y) <= bound
+            assert abs(ype[0] - yp) <= bound
+
+    def test_blow_up_raises_without_warnings(self, q_zero):
+        mesh = build_mesh(q_zero, 512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError):
+                propagate_with_norm(mesh, [-1e6], 1.0, 0.0)
+            with pytest.raises(BlowUpError):
+                endpoint_values(mesh, [-1e6], 1.0, 0.0, guard=True)
+            with pytest.raises(BlowUpError):
+                y_values_batch(mesh, [-1e6], 1.0, 0.0)
+            with pytest.raises(BlowUpError):
+                solve_ivp(q_zero, -4000.0, True, 1.0, 0.0, 512)
 
 
 class TestBoundaryNormalizedSolutions:

@@ -20,6 +20,8 @@ from slspectra import (
     find_spectrum,
     mean_q,
 )
+from slspectra.odesolve import SolutionTrace
+from slspectra.spectrum import _zero_counts
 
 PI = math.pi
 
@@ -122,6 +124,22 @@ class TestEigenfunctions:
             p = find_eigenvalue(q_step, bc_nn, n, grid_size=1024)
             tr = eigenfunction(p, q_step, bc_nn, 1024)
             assert count_interior_zeros(tr) == n == p.zeros
+
+    def test_zero_counts_skip_exact_zeros(self):
+        # reference: drop the exact zeros of each column, count sign flips
+        rng = np.random.default_rng(7)
+        values = rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0], size=(40, 200))
+        values[:, :3] = 0.0
+        values[1:6, 3] = 0.0
+        values[1, 4], values[-2, 4] = 5.0, -5.0
+        expect = []
+        for col in values[1:-1].T:
+            s = col[col != 0.0]
+            expect.append(int(np.sum(s[:-1] * s[1:] < 0.0)) if s.size >= 2 else 0)
+        assert _zero_counts(values).tolist() == expect
+        trace = SolutionTrace(grid=np.linspace(0, PI, 40), y=values[:, 5], yprime=values[:, 5],
+                              mu=1.0)
+        assert count_interior_zeros(trace) == expect[5]
 
     def test_right_eigenfunction_proportional(self, q_step):
         bc = BoundaryParams(PI / 3, PI / 4)
