@@ -132,7 +132,7 @@ def _cmd_norming(args) -> int:
     q = load_potential(args.potential)
     _check_range(args)
     spec = find_spectrum(q, bc, args.n_max, tol=args.tol, grid_size=args.grid_size)
-    records = norming_records(q, bc, spec, grid_size=args.grid_size, tol=args.tol)
+    records = norming_records(q, bc, spec, grid_size=args.grid_size)
     columns = ["n", "a_n", "b_n", "ae_n", "model_a", "defect", "n2_defect"]
     rows = []
     for rec in records[args.n_min:]:
@@ -165,7 +165,7 @@ def _cmd_kseries(args) -> int:
     a, b = (float(seg[0]), float(seg[1]))
     if not (0.0 < a < b < 2.0 * math.pi):
         raise ConfigError(f"segment must satisfy 0 < a < b < 2 pi, got [{a}, {b}]")
-    res = k_partial_sum(q, bc, args.N, tol=args.tol)
+    res = k_partial_sum(q, bc, args.N)
     report = ac_diagnostic(res.grid, res.k_partial, res.N_list, a, b)
     columns = ["x", "k", "k1", "k2"]
     cols = [res.grid, res.k_partial[-1], res.k1_partial[-1], res.k2_partial[-1]]
@@ -220,13 +220,14 @@ def _check_range(args) -> None:
         raise ConfigError("tolerance must be positive")
 
 
-def _add_common(parser, potential=True):
+def _add_common(parser, potential=True, tol=True):
     if potential:
         parser.add_argument("--potential", required=True,
                             help="inline JSON or path to a JSON potential spec")
     parser.add_argument("--alpha", required=True, help="left boundary angle, (0, pi]")
     parser.add_argument("--beta", required=True, help="right boundary angle, [0, pi)")
-    parser.add_argument("--tol", type=float, default=1e-10)
+    if tol:
+        parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--grid-size", type=int, default=4096)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_delta)
 
     p = sub.add_parser("kseries", help="series partial sums and stability report")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.add_argument("--N", type=int, default=100, help="largest truncation order")
     p.add_argument("--segment", default="0.5,5.783185307179586",
                    help="'a,b' segment for the variation report")

@@ -28,6 +28,10 @@ terms removed.  That closed form is the convergence oracle; absolute
 continuity itself is not machine-decidable from finitely many terms, so
 the diagnostic reports total-variation stability across a truncation
 ladder instead.
+
+ae_n, int sigma cos(2 nu t) and the closed-form harmonics come from the
+moment rule ``potential.fourier_moments``, one call per integrand for all
+frequencies, exact for zero, constant, step and grid potentials.
 """
 
 from __future__ import annotations
@@ -39,19 +43,19 @@ import numpy as np
 
 from .delta import sin_two_pi, solve_delta
 from .errors import CaseError
+from .norming import ae_tilde_n
 from .potential import (
     PI,
     BoundaryParams,
     CumulativeIntegrals,
     Potential,
-    _GAUSS_OFFSET,
-    integrate,
+    fourier_moments,
     sigma_functions,
 )
+from .potential import integrate  # noqa: F401  (binding kept for perfbench tracing)
 
 TRUNCATION_CAP = 400
 DEFAULT_GRID_POINTS = 2048
-DEFAULT_SERIES_TOL = 1e-10
 
 CASE_INTERIOR = "interior"
 CASE_DIRICHLET_DIRICHLET = "dirichlet-dirichlet"
@@ -103,76 +107,26 @@ def case_tag(bc: BoundaryParams) -> str:
         f"got alpha = {bc.alpha}, beta = {bc.beta}")
 
 
-def _shared_gauss(panels: int, breakpoints) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(0.0, PI, panels + 1)
-    interior = [b for b in breakpoints if 0.0 < b < PI]
-    if interior:
-        edges = np.unique(np.concatenate([edges, np.asarray(interior, dtype=float)]))
-    a, b = edges[:-1], edges[1:]
-    c = 0.5 * (a + b)
-    d = (b - a) * _GAUSS_OFFSET
-    nodes = np.concatenate([c - d, c + d])
-    weights = np.concatenate([0.5 * (b - a), 0.5 * (b - a)])
-    return nodes, weights
-
-
 def series_coefficients(q: Potential, bc: BoundaryParams, N: int,
-                        tol: float = DEFAULT_SERIES_TOL,
                         cumulative: CumulativeIntegrals | None = None):
     """Per-term data for indices 2..N.
 
     Returns (nus, k_coefs, k1_coefs, k2_coefs) where the term of each series
     at index n is coef * cos(nu x).  The integration-by-parts identity
-    k_coef = k1_coef + k2_coef holds per term up to quadrature tolerance.
-
-    Both oscillatory integrals are taken on one shared Gauss grid sized for
-    the largest frequency (128 panels per period), with an embedded
-    half-density grid giving a per-coefficient error estimate; coefficients
-    the shared grid cannot certify fall back to adaptive quadrature.
+    k_coef = k1_coef + k2_coef holds per term to about 1e-12.
     """
     case_tag(bc)
     if not (2 <= N <= TRUNCATION_CAP):
         raise ValueError(f"truncation must lie in [2, {TRUNCATION_CAP}], got {N}")
     ci = cumulative if cumulative is not None else sigma_functions(q)
-    sigma_pi = ci.sigma(PI)
-
-    nodes_f, w_f = _shared_gauss(128 * max(N, 8), q.breakpoints)
-    nodes_c, w_c = _shared_gauss(64 * max(N, 8), q.breakpoints)
-    u_f = w_f * (PI - nodes_f) * q(nodes_f)
-    u_c = w_c * (PI - nodes_c) * q(nodes_c)
-    s_f = w_f * ci.sigma(nodes_f)
-    s_c = w_c * ci.sigma(nodes_c)
-
     ns = np.arange(2, N + 1)
-    nus = np.empty(ns.size)
-    k_coefs = np.empty(ns.size)
-    k1_coefs = np.empty(ns.size)
-    k2_coefs = np.empty(ns.size)
-    for i, n in enumerate(ns):
-        d = solve_delta(int(n), bc)
-        nu = n + d.value
-        sin_f = np.sin(2.0 * nu * nodes_f)
-        cos_f = np.cos(2.0 * nu * nodes_f)
-        ae = -0.5 * float(u_f @ sin_f)
-        inner = float(s_f @ cos_f)
-        ae_est = abs(ae + 0.5 * float(u_c @ np.sin(2.0 * nu * nodes_c))) / 15.0
-        inner_est = abs(inner - float(s_c @ np.cos(2.0 * nu * nodes_c))) / 15.0
-        if ae_est > tol:
-            ae = -0.5 * integrate(lambda t: (PI - t) * q(t) * np.sin(2.0 * nu * t),
-                                  0.0, PI, tol, freq=2.0 * nu,
-                                  breakpoints=q.breakpoints)
-        if inner_est > tol:
-            inner = integrate(lambda t: ci.sigma(t) * np.cos(2.0 * nu * t),
-                              0.0, PI, tol, freq=2.0 * nu,
-                              breakpoints=q.breakpoints)
-        c_n = sin_two_pi(d.value) / (2.0 * nu)
-        nus[i] = nu
-        k_coefs[i] = ae / nu
-        k1_coefs[i] = -sigma_pi * c_n
-        # the half from substituting t -> t/2 in the sigma_tilde integral
-        # over [0, 2 pi]: (1/2) int sigma_tilde cos(nu t) = int sigma cos(2 nu s)
-        k2_coefs[i] = inner
-    return nus, k_coefs, k1_coefs, k2_coefs
+    deltas = [solve_delta(int(n), bc).value for n in ns]
+    nus = ns + np.array(deltas)
+    # the half from substituting t -> t/2 in the sigma_tilde integral
+    # over [0, 2 pi]: (1/2) int sigma_tilde cos(nu t) = int sigma cos(2 nu s)
+    k2_coefs, _ = fourier_moments(ci.sigma, 2.0 * nus, q.breakpoints)
+    k1_coefs = -ci.sigma(PI) * np.array([sin_two_pi(d) for d in deltas]) / (2.0 * nus)
+    return nus, ae_tilde_n(q, nus) / nus, k1_coefs, k2_coefs
 
 
 def _default_grid(grid):
@@ -206,7 +160,7 @@ def _partial_rows(nus, coefs, grid, ladder):
 
 
 def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
-                  truncations=None, tol: float = DEFAULT_SERIES_TOL) -> KSeriesResult:
+                  truncations=None) -> KSeriesResult:
     """Partial sums of k, its split pieces, and the closed-form oracle.
 
     The default truncation ladder is {N/4, N/2, N}.
@@ -215,7 +169,7 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
     grid = _default_grid(grid)
     ladder = _truncation_ladder(N, truncations)
     ci = sigma_functions(q)
-    nus, k_coefs, k1_coefs, k2_coefs = series_coefficients(q, bc, N, tol, cumulative=ci)
+    nus, k_coefs, k1_coefs, k2_coefs = series_coefficients(q, bc, N, cumulative=ci)
     result = KSeriesResult(
         case_tag=tag,
         grid=grid,
@@ -223,44 +177,39 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
         k_partial=_partial_rows(nus, k_coefs, grid, ladder),
         k1_partial=_partial_rows(nus, k1_coefs, grid, ladder),
         k2_partial=_partial_rows(nus, k2_coefs, grid, ladder),
-        closed_form=(k2_closed_form_dd(q, grid, tol, cumulative=ci)
+        closed_form=(k2_closed_form_dd(q, grid, cumulative=ci)
                      if tag == CASE_DIRICHLET_DIRICHLET else None),
     )
     return result
 
 
-def k1_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
-                   tol: float = DEFAULT_SERIES_TOL) -> np.ndarray:
+def k1_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None) -> np.ndarray:
     """Partial sum through N of the boundary-term piece k1."""
     grid = _default_grid(grid)
-    nus, _, k1_coefs, _ = series_coefficients(q, bc, N, tol)
+    nus, _, k1_coefs, _ = series_coefficients(q, bc, N)
     return _partial_rows(nus, k1_coefs, grid, (N,))[0]
 
 
-def k2_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
-                   tol: float = DEFAULT_SERIES_TOL) -> np.ndarray:
+def k2_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None) -> np.ndarray:
     """Partial sum through N of the Fourier-coefficient piece k2."""
     grid = _default_grid(grid)
-    nus, _, _, k2_coefs = series_coefficients(q, bc, N, tol)
+    nus, _, _, k2_coefs = series_coefficients(q, bc, N)
     return _partial_rows(nus, k2_coefs, grid, (N,))[0]
 
 
-def k2_closed_form_dd(q: Potential, grid=None, tol: float = DEFAULT_SERIES_TOL,
+def k2_closed_form_dd(q: Potential, grid=None,
                       cumulative: CumulativeIntegrals | None = None) -> np.ndarray:
     """Closed form of k2 in the Dirichlet-Dirichlet case.
 
     pi/2 times the even part of the Fourier series of sigma_tilde,
     (sigma_tilde(x) + sigma_tilde(2 pi - x)) / 2, with the mean and the
     first two cosine harmonics removed (the series starts at frequency 3).
+    The m-th cosine coefficient (1/pi) int_0^{2 pi} sigma_tilde(t) cos(m t) dt
+    is (2/pi) int_0^pi sigma(s) cos(2 m s) ds.
     """
     grid = _default_grid(grid)
     ci = cumulative if cumulative is not None else sigma_functions(q)
-    tilde_breaks = tuple(2.0 * b for b in q.breakpoints)
-    coeffs = []
-    for m in range(3):
-        val = integrate(lambda t: ci.sigma_tilde(t) * np.cos(m * t), 0.0, 2.0 * PI,
-                        tol, freq=float(m), breakpoints=tilde_breaks) / PI
-        coeffs.append(val)
+    coeffs = (2.0 / PI) * fourier_moments(ci.sigma, [0.0, 2.0, 4.0], q.breakpoints)[0]
     even = (ci.sigma_tilde(grid) + ci.sigma_tilde(2.0 * PI - grid)) / 2.0
     return (PI / 2.0) * (even - coeffs[0] / 2.0 - coeffs[1] * np.cos(grid)
                          - coeffs[2] * np.cos(2.0 * grid))

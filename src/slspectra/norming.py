@@ -18,6 +18,9 @@ with nu = n + delta_n; the defect a_n - model_a decays like 1/n^2.  Both
 bracket denominators use delta_n itself.  b_n satisfies the mirrored model
 with beta in place of alpha and the same ae_n.
 
+ae_n comes from the moment rule ``potential.fourier_moments``, one call for
+a whole batch of indices, exact for zero, constant, step and grid potentials.
+
 Remainder extraction divides the measured defect by the active bracket
 weight.  When sin(alpha) and cos(alpha) are both nonzero the two bracket
 remainders cannot be separated from a_n alone; extraction then reports the
@@ -33,14 +36,13 @@ import numpy as np
 
 from .delta import DeltaValue
 from .odesolve import DEFAULT_GRID_SIZE, build_mesh, propagate_with_norm
-from .potential import PI, BoundaryParams, Potential, integrate
+from .potential import PI, BoundaryParams, Potential, fourier_moments
+from .potential import integrate  # noqa: F401  (binding kept for perfbench tracing)
 from .spectrum import Eigenpair, Spectrum
 
-DEFAULT_AE_TOL = 1e-10
 
-
-def _delta_value(delta) -> float:
-    return float(delta.value) if isinstance(delta, DeltaValue) else float(delta)
+def _delta_value(delta):
+    return delta.value if isinstance(delta, DeltaValue) else np.asarray(delta, dtype=float)
 
 
 @dataclass
@@ -94,21 +96,18 @@ def norming_b_batch(q: Potential, bc: BoundaryParams, mus,
     return _norms(build_mesh(q, grid_size), mus, bc.sin_beta, bc.cos_beta, False)
 
 
-def ae_n(q: Potential, delta, n: int, tol: float = DEFAULT_AE_TOL) -> float:
-    """Correction integral at the asymptotic frequency 2 (n + delta_n)."""
-    if n < 2:
+def ae_n(q: Potential, delta, n):
+    """Correction integral at 2 (n + delta_n); n and delta (plain floats) may be arrays."""
+    n = np.asarray(n)
+    if np.any(n < 2):
         raise ValueError(f"correction integral is defined for n >= 2, got {n}")
-    nu = n + _delta_value(delta)
-    val = integrate(lambda t: (PI - t) * q(t) * np.sin(2.0 * nu * t), 0.0, PI, tol,
-                    freq=2.0 * nu, breakpoints=q.breakpoints)
-    return -0.5 * val
+    return ae_tilde_n(q, n + _delta_value(delta))
 
 
-def ae_tilde_n(q: Potential, lam: float, tol: float = DEFAULT_AE_TOL) -> float:
-    """Correction integral at the true eigenfrequency 2 lambda_n."""
-    val = integrate(lambda t: (PI - t) * q(t) * np.sin(2.0 * lam * t), 0.0, PI, tol,
-                    freq=2.0 * lam, breakpoints=q.breakpoints)
-    return -0.5 * val
+def ae_tilde_n(q: Potential, lam):
+    """Correction integral at the true eigenfrequency 2 lambda_n (lam may be an array)."""
+    ae = -0.5 * fourier_moments(lambda t: (PI - t) * q(t), np.multiply(2.0, lam), q.breakpoints)[1]
+    return float(ae) if ae.ndim == 0 else ae
 
 
 def _model(sin_v: float, cos_v: float, delta, ae: float, n: int) -> float:
@@ -157,15 +156,13 @@ def extract_remainders(a_value: float, ae: float, delta, bc: BoundaryParams, n: 
 
 
 def norming_record(q: Potential, bc: BoundaryParams, pair: Eigenpair,
-                   grid_size: int = DEFAULT_GRID_SIZE,
-                   tol: float = DEFAULT_AE_TOL) -> NormingRecord:
+                   grid_size: int = DEFAULT_GRID_SIZE) -> NormingRecord:
     """Assemble the full measured-versus-model record for one eigenpair."""
-    return norming_records(q, bc, [pair], grid_size=grid_size, tol=tol)[0]
+    return norming_records(q, bc, [pair], grid_size=grid_size)[0]
 
 
 def norming_records(q: Potential, bc: BoundaryParams, pairs,
-                    grid_size: int = DEFAULT_GRID_SIZE,
-                    tol: float = DEFAULT_AE_TOL) -> list[NormingRecord]:
+                    grid_size: int = DEFAULT_GRID_SIZE) -> list[NormingRecord]:
     """Batched records for eigenpairs (or a whole Spectrum).
 
     Indices below 2 get the measured norms with the model fields set to
@@ -178,9 +175,12 @@ def norming_records(q: Potential, bc: BoundaryParams, pairs,
     mesh = build_mesh(q, grid_size)
     a_vals = _norms(mesh, mus, bc.sin_alpha, bc.cos_alpha, True)
     b_vals = _norms(mesh, mus, bc.sin_beta, bc.cos_beta, False)
+    ns = np.array([p.n for p in pairs], dtype=int)
+    aes = np.full(ns.size, math.nan)
+    aes[ns >= 2] = ae_n(q, [p.delta.value for p in pairs if p.n >= 2], ns[ns >= 2])
 
     records = []
-    for p, a_v, b_v in zip(pairs, a_vals, b_vals):
+    for p, a_v, b_v, ae in zip(pairs, a_vals, b_vals, aes.tolist()):
         if p.n < 2:
             records.append(NormingRecord(
                 n=p.n, a_n=float(a_v), b_n=float(b_v), ae_n=math.nan,
@@ -188,7 +188,6 @@ def norming_records(q: Potential, bc: BoundaryParams, pairs,
                 r_n=math.nan, rtilde_n=math.nan, p_n=math.nan, ptilde_n=math.nan,
                 extraction_a="none", extraction_b="none"))
             continue
-        ae = ae_n(q, p.delta, p.n, tol)
         ma = model_a(bc, p.delta, ae, p.n)
         mb = model_b(bc, p.delta, ae, p.n)
         nu = p.n + p.delta.value

@@ -270,15 +270,17 @@ def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool
 
 
 @_quiet
-def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool):
+def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
+           with_yprime: bool = True):
     """y and y' at every node for a batch of mu, each of shape (nodes, mus).
 
     Steps from x = 0 when forward and from x = pi otherwise, one interval at
     a time through each block's propagator rows.  Rows come back in
-    increasing node order either way.
+    increasing node order either way; y' is None without with_yprime.
     """
     Y = np.empty((len(mesh.h) + 1, mus.size))
-    YP = np.empty_like(Y)
+    # without with_yprime, every y' row lands in one scratch row
+    YP = np.empty_like(Y) if with_yprime else np.empty((1, mus.size))
     Y[0], YP[0] = y0, yp0
     y, yp, k = Y[0], YP[0], 0
     for block in _blocks(mesh, mus, forward):
@@ -286,8 +288,9 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool):
         for a, b, c in zip(m00, m01, m10):
             y, yp = a * y + b * yp, c * y + a * yp
             k += 1
-            Y[k], YP[k] = y, yp
-    return (Y, YP) if forward else (Y[::-1], YP[::-1])
+            Y[k], YP[k * with_yprime] = y, yp
+    flip = slice(None, None, 1 if forward else -1)
+    return Y[flip], (YP[flip] if with_yprime else None)
 
 
 def _trace(mesh: Mesh, mu: float, y0: float, yp0: float, forward: bool) -> SolutionTrace:
@@ -307,8 +310,9 @@ def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
     Used for oscillation counting across a whole spectrum in one sweep.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    out, _ = _nodes(mesh, mus, y0, yp0, True)
-    if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > BLOWUP_BOUND:
+    out, _ = _nodes(mesh, mus, y0, yp0, True, with_yprime=False)
+    # reductions only, no full-size temporary; a NaN fails the comparison too
+    if not max(out.max(), -out.min()) <= BLOWUP_BOUND:
         raise BlowUpError("solution exceeded the overflow guard in batched trace")
     return out
 

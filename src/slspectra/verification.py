@@ -182,15 +182,12 @@ def _criterion_06(ctx: VerificationContext):
     q = ctx.potential("step")
     a_vals = norming_a_batch(q, s.bc, s.mus, ctx.grid_size)
     ns = np.arange(10, 61)
-    with_corr = []
-    without_corr = []
-    for n in ns:
-        p = s.pair(int(n))
-        ae = ae_n(q, p.delta, int(n), ctx.quad_tol)
-        m1 = model_a(s.bc, p.delta, ae, int(n))
-        m0 = model_a(s.bc, p.delta, 0.0, int(n))
-        with_corr.append(n * n * abs(a_vals[n] - m1))
-        without_corr.append(n * n * abs(a_vals[n] - m0))
+    deltas = [s.pair(int(n)).delta for n in ns]
+    aes = ae_n(q, [d.value for d in deltas], ns)
+    with_corr = [n * n * abs(a_vals[n] - model_a(s.bc, d, ae, int(n)))
+                 for n, d, ae in zip(ns, deltas, aes)]
+    without_corr = [n * n * abs(a_vals[n] - model_a(s.bc, d, 0.0, int(n)))
+                    for n, d in zip(ns, deltas)]
     r1, w1a, w1b = window_max_ratio(ns, with_corr, 10, 30, 60)
     r0, w0a, w0b = window_max_ratio(ns, without_corr, 10, 30, 60)
     clause1 = r1 <= factor
@@ -207,10 +204,11 @@ def _criterion_07(ctx: VerificationContext):
     """Correction integral against its constant-potential antiderivative."""
     tol = ctx.tol("c7_abs", 1e-8)
     q = ctx.potential("one")
-    worst_nn = max(abs(ae_n(q, solve_delta(n, ctx.bc("nn")), n, ctx.quad_tol)
-                       + PI / (4.0 * n)) for n in range(2, 51))
-    worst_dd = max(abs(ae_n(q, solve_delta(n, ctx.bc("dd")), n, ctx.quad_tol)
-                       + PI / (4.0 * (n + 1))) for n in range(2, 51))
+    ns = np.arange(2, 51)
+    worst_nn, worst_dd = (
+        float(np.max(np.abs(ae_n(q, [solve_delta(int(n), ctx.bc(key)).value for n in ns], ns)
+                            + PI / (4.0 * (ns + shift)))))
+        for key, shift in (("nn", 0), ("dd", 1)))
     ok = worst_nn <= tol and worst_dd <= tol
     return ok, f"max defect neumann {worst_nn:.2e}, dirichlet {worst_dd:.2e} (tol {tol:.0e})"
 
@@ -275,8 +273,7 @@ def _criterion_10(ctx: VerificationContext):
     """Dirichlet-Dirichlet series piece converges to its closed form."""
     rel = ctx.tol("c10_rel", 0.01)
     q = ctx.potential("one")
-    res = k_partial_sum(q, ctx.bc("dd"), 400, truncations=(50, 100, 200, 400),
-                        tol=ctx.quad_tol)
+    res = k_partial_sum(q, ctx.bc("dd"), 400, truncations=(50, 100, 200, 400))
     mask = (res.grid >= 1.0) & (res.grid <= 2.0 * PI - 1.0)
     sup_closed = float(np.max(np.abs(res.closed_form[mask])))
     errs = [float(np.max(np.abs(row[mask] - res.closed_form[mask])))
@@ -290,8 +287,7 @@ def _criterion_11(ctx: VerificationContext):
     """Interior-case partial sums are Cauchy with stable total variation."""
     tv_tol = ctx.tol("c11_tv", 0.05)
     q = ctx.potential("step")
-    res = k_partial_sum(q, ctx.bc("third-third"), 400,
-                        truncations=(50, 100, 200, 400), tol=ctx.quad_tol)
+    res = k_partial_sum(q, ctx.bc("third-third"), 400, truncations=(50, 100, 200, 400))
     mask = (res.grid >= 0.5) & (res.grid <= 2.0 * PI - 0.5)
     sups = [float(np.max(np.abs(res.k_partial[i + 1][mask] - res.k_partial[i][mask])))
             for i in range(3)]

@@ -141,6 +141,16 @@ class TestKseriesCommand:
         assert code == 1
         assert "error in kseries" in err
 
+    def test_no_tolerance_flag(self, capsys):
+        # the series coefficients come from an exact moment rule; spectrum keeps --tol
+        base = ["--potential", CONST_ONE, "--alpha", "pi", "--beta", "0"]
+        code, _, err = run_cli(["kseries", *base, "--N", "8", "--tol", "1e-8"], capsys)
+        assert code == 2
+        assert "unrecognized arguments: --tol" in err
+        code, _, _ = run_cli(["spectrum", *base, "--n-max", "2", "--tol", "1e-8",
+                              "--grid-size", "256"], capsys)
+        assert code == 0
+
     def test_bad_segment(self, capsys):
         code, _, _ = run_cli([
             "kseries", "--potential", CONST_ONE, "--alpha", "pi", "--beta", "0",

@@ -104,6 +104,18 @@ class TestCorrectionIntegral:
     def test_index_validation(self, q_one):
         with pytest.raises(ValueError):
             ae_n(q_one, 0.0, 1)
+        with pytest.raises(ValueError):
+            ae_n(q_one, [0.0, 0.0], [2, 1])
+
+    def test_array_matches_scalar(self, q_step):
+        ns = np.array([2, 5, 17, 40, 300])
+        deltas = np.array([0.25, -0.1, 0.0, 1.0, 0.37])
+        batch = ae_n(q_step, deltas, ns)
+        assert batch.shape == ns.shape
+        for n, d, got in zip(ns, deltas, batch):
+            want = ae_n(q_step, float(d), int(n))
+            assert isinstance(want, float)
+            assert abs(got - want) <= 1e-15
 
     def test_tilde_matches_at_true_frequency(self, q_one, bc_nn):
         # lambda_n = sqrt(n^2 + 1) for the constant potential
@@ -196,6 +208,25 @@ class TestRecords:
         assert len(built) == 1
         assert [r.a_n for r in records] == list(
             norming_a_batch(q_step, bc_nn, [p.mu for p in step_nn_spectrum60.pairs[:5]]))
+
+    def test_one_correction_call_per_batch(self, q_step, bc_nn, step_nn_spectrum60,
+                                           monkeypatch):
+        calls = []
+        ae_n_fn = norming_module.ae_n
+
+        def counting_ae_n(*args, **kwargs):
+            calls.append(args)
+            return ae_n_fn(*args, **kwargs)
+
+        monkeypatch.setattr(norming_module, "ae_n", counting_ae_n)
+        pairs = step_nn_spectrum60.pairs[:12]
+        records = norming_records(q_step, bc_nn, pairs)
+        assert len(calls) == 1
+        for rec, p in zip(records, pairs):
+            if p.n < 2:
+                assert math.isnan(rec.ae_n)
+            else:
+                assert rec.ae_n == ae_n_fn(q_step, p.delta, p.n)
 
     def test_bookkeeping_identity(self, q_step, bc_nn, step_nn_spectrum60):
         records = norming_records(q_step, bc_nn, step_nn_spectrum60)

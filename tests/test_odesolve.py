@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -213,6 +214,18 @@ class TestBlockedKernel:
             ye, ype = endpoint_values(mesh, [mu], self.y0, self.yp0)
             assert abs(ye[0] - y) <= bound
             assert abs(ype[0] - yp) <= bound
+
+    def test_node_batch_holds_one_node_array(self, q_step):
+        mesh = build_mesh(q_step)
+        mus = (np.arange(301) + 0.5) ** 2
+        tracemalloc.start()
+        try:
+            out = y_values_batch(mesh, mus, 0.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (len(mesh.nodes), 301)
+        assert peak <= 1.5 * out.nbytes
 
     def test_blow_up_raises_without_warnings(self, q_zero):
         mesh = build_mesh(q_zero, 512)

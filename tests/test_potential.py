@@ -14,6 +14,7 @@ from slspectra import (
     mean_q,
     sigma_functions,
 )
+from slspectra.potential import fourier_moments
 
 PI = math.pi
 
@@ -62,6 +63,88 @@ class TestIntegrate:
         whole = integrate(f, 0.0, PI, tol=1e-11)
         parts = integrate(f, 0.0, split, tol=1e-11) + integrate(f, split, PI, tol=1e-11)
         assert whole == pytest.approx(parts, abs=2e-11)
+
+
+def _polynomial_moments(pieces, omega):
+    """Exact (cos, sin) moments of a piecewise polynomial at omega != 0.
+
+    pieces holds (a, b, Polynomial); int p e^{i w t} = e^{i w t} sum_m
+    (-1)^m p^(m) / (i w)^(m + 1) by repeated integration by parts.
+    """
+    total = 0j
+    for a, b, p in pieces:
+        for t, sign in ((b, 1.0), (a, -1.0)):
+            term, d = 0j, p
+            for m in range(p.degree() + 1):
+                term += (-1) ** m * d(t) / (1j * omega) ** (m + 1)
+                d = d.deriv()
+            total += sign * np.exp(1j * omega * t) * term
+    return total.real, total.imag
+
+
+class TestFourierMoments:
+    # 2.37 and 80.9 are off the integers; 5000.3 needs more than the
+    # 2048 default panels (at most 2 / max|w| wide)
+    OMEGAS = np.array([2.37, 80.9, 5000.3])
+
+    def _check(self, f, breakpoints, pieces):
+        cos_m, sin_m = fourier_moments(f, np.concatenate([[0.0], self.OMEGAS]), breakpoints)
+        assert cos_m[0] == pytest.approx(sum(p.integ()(b) - p.integ()(a) for a, b, p in pieces),
+                                         abs=1e-12)
+        assert sin_m[0] == 0.0
+        for i, w in enumerate(self.OMEGAS, start=1):
+            want_c, want_s = _polynomial_moments(pieces, w)
+            assert abs(cos_m[i] - want_c) <= 1e-12
+            assert abs(sin_m[i] - want_s) <= 1e-12
+
+    def test_zero_is_exactly_zero(self):
+        cos_m, sin_m = fourier_moments(Potential.zero(), self.OMEGAS)
+        assert np.all(cos_m == 0.0) and np.all(sin_m == 0.0)
+
+    @pytest.mark.parametrize("q", [Potential.constant(1.7), Potential.constant(1.0).shifted(0.5)],
+                             ids=["constant", "offset"])
+    def test_constant(self, q):
+        c = float(q(0.0))
+        self._check(q, q.breakpoints, [(0.0, PI, np.polynomial.Polynomial([c]))])
+
+    def test_step_on_panel_edge_with_weight(self):
+        # pi/2 is already an edge of the uniform panels; (pi - t) q is linear
+        q = Potential.step(2.0, PI / 2)
+        P = np.polynomial.Polynomial
+        self._check(lambda t: (PI - t) * q(t), q.breakpoints,
+                    [(0.0, PI / 2, 2.0 * P([PI, -1.0])), (PI / 2, PI, P([0.0]))])
+
+    def test_grid_with_weight(self):
+        # piecewise linear q on an irregular grid: (pi - t) q is piecewise quadratic
+        xs = np.concatenate([[0.0], np.sort(np.random.default_rng(3).uniform(0.1, 3.0, 11)), [PI]])
+        qs = np.random.default_rng(4).normal(size=xs.size)
+        q = Potential.from_grid(xs, qs)
+        P = np.polynomial.Polynomial
+        pieces = []
+        for a, b, qa, qb in zip(xs[:-1], xs[1:], qs[:-1], qs[1:]):
+            line = P([qa - a * (qb - qa) / (b - a), (qb - qa) / (b - a)])
+            pieces.append((a, b, P([PI, -1.0]) * line))
+        self._check(lambda t: (PI - t) * q(t), q.breakpoints, pieces)
+
+    def test_cosine_sum(self):
+        # cos(j t) cos(w t) and cos(j t) sin(w t) by product-to-sum
+        coeffs = [1.0, -0.5, 0.3]
+        q = Potential.smooth_test(coeffs)
+        cos_m, sin_m = fourier_moments(q, self.OMEGAS)
+        for i, w in enumerate(self.OMEGAS):
+            want_c = want_s = 0.0
+            for j, c in enumerate(coeffs, start=1):
+                for k in (w + j, w - j):
+                    want_c += 0.5 * c * math.sin(k * PI) / k
+                    want_s += 0.5 * c * (1.0 - math.cos(k * PI)) / k
+            assert abs(cos_m[i] - want_c) <= 1e-12
+            assert abs(sin_m[i] - want_s) <= 1e-12
+
+    def test_shape_follows_omegas(self):
+        cos_m, sin_m = fourier_moments(Potential.constant(1.0), 3.0)
+        assert cos_m.shape == () and sin_m.shape == ()
+        cos_m, _ = fourier_moments(Potential.constant(1.0), np.ones((2, 3)))
+        assert cos_m.shape == (2, 3)
 
 
 class TestPotential:
