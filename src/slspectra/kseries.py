@@ -145,17 +145,18 @@ def _truncation_ladder(N: int, truncations):
     return tuple(ladder)
 
 
-def _partial_rows(nus, coefs, grid, ladder):
-    """Partial sums at the requested truncations, summed in ascending n."""
-    rows = np.empty((len(ladder), grid.size))
-    acc = np.zeros(grid.size)
+def _partial_rows(nus, coef_sets, grid, ladder):
+    """Partial sums of each coefficient set at the truncations, summed in ascending n."""
+    coefs = np.array(coef_sets)
+    rows = np.empty((len(coefs), len(ladder), grid.size))
+    acc = np.zeros((len(coefs), grid.size))
     pos = 0
     for i, n_stop in enumerate(ladder):
         count = n_stop - 1  # indices 2..n_stop
         while pos < count:
-            acc += coefs[pos] * np.cos(nus[pos] * grid)
+            acc += coefs[:, pos, None] * np.cos(nus[pos] * grid)
             pos += 1
-        rows[i] = acc
+        rows[:, i] = acc
     return rows
 
 
@@ -169,14 +170,15 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
     grid = _default_grid(grid)
     ladder = _truncation_ladder(N, truncations)
     ci = sigma_functions(q)
-    nus, k_coefs, k1_coefs, k2_coefs = series_coefficients(q, bc, N, cumulative=ci)
+    nus, *coefs = series_coefficients(q, bc, N, cumulative=ci)
+    k_rows, k1_rows, k2_rows = _partial_rows(nus, coefs, grid, ladder)
     result = KSeriesResult(
         case_tag=tag,
         grid=grid,
         N_list=ladder,
-        k_partial=_partial_rows(nus, k_coefs, grid, ladder),
-        k1_partial=_partial_rows(nus, k1_coefs, grid, ladder),
-        k2_partial=_partial_rows(nus, k2_coefs, grid, ladder),
+        k_partial=k_rows,
+        k1_partial=k1_rows,
+        k2_partial=k2_rows,
         closed_form=(k2_closed_form_dd(q, grid, cumulative=ci)
                      if tag == CASE_DIRICHLET_DIRICHLET else None),
     )
@@ -187,14 +189,14 @@ def k1_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None) -> np.nd
     """Partial sum through N of the boundary-term piece k1."""
     grid = _default_grid(grid)
     nus, _, k1_coefs, _ = series_coefficients(q, bc, N)
-    return _partial_rows(nus, k1_coefs, grid, (N,))[0]
+    return _partial_rows(nus, [k1_coefs], grid, (N,))[0, 0]
 
 
 def k2_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None) -> np.ndarray:
     """Partial sum through N of the Fourier-coefficient piece k2."""
     grid = _default_grid(grid)
     nus, _, _, k2_coefs = series_coefficients(q, bc, N)
-    return _partial_rows(nus, k2_coefs, grid, (N,))[0]
+    return _partial_rows(nus, [k2_coefs], grid, (N,))[0, 0]
 
 
 def k2_closed_form_dd(q: Potential, grid=None,

@@ -7,15 +7,16 @@ left-normalized solution,
 
 whose zeros are the eigenvalues mu_0 < mu_1 < ... of the problem.  Indices
 n >= 2 are bracketed around the asymptotic frequency
-n + delta_n + [q] / (2 (n + delta_n)).  The two lowest indices, and any
-index whose asymptotic bracket misbehaves, are isolated by bisection on the
-oscillation index: the count of interior zeros of the shooting solution
-plus its terminal phase fragment equals the number of eigenvalues below mu,
-so a handful of renormalized traces pins each index exactly even when the
-lower spectral bound is very deep.  Roots are then refined by bisection
-followed by guarded secant steps, vectorized over whole index ranges, and
-every returned eigenpair is certified by the interior zero count of its
-eigenfunction (the n-th eigenfunction has exactly n of them).
+n + delta_n + [q] / (2 (n + delta_n)), one batch of Phi evaluations per
+widening rung.  The two lowest indices, and any index whose asymptotic
+bracket misbehaves, are isolated by bisection on the oscillation index: the
+count of interior zeros of the shooting solution plus its terminal phase
+fragment equals the number of eigenvalues below mu, so a handful of
+renormalized traces pins each index exactly even when the lower spectral
+bound is very deep.  Roots are then refined by bracketed Anderson-Bjorck
+regula falsi steps, vectorized over whole index ranges, and every returned
+eigenpair is certified by the interior zero count of its eigenfunction (the
+n-th eigenfunction has exactly n of them).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .odesolve import (
 from .potential import PI, BoundaryParams, Potential, mean_q
 
 DEFAULT_ROOT_TOL = 1e-10
-BISECT_WIDTH = 1e-6
 BRACKET_HALF_WIDTHS = (0.4, 0.45, 0.49)
 MAX_INDEX = 300
 
@@ -196,32 +196,34 @@ def _oscillation_index(engine: _CharEngine, mu: float) -> int:
     return zeros + (1 if angle > PI - engine.bc.beta else 0)
 
 
-def _bracket_by_counting(engine: _CharEngine, n: int, hint_hi: float) -> tuple[float, float]:
-    """Interval holding exactly the n-th eigenvalue, found by index bisection."""
+def _brackets_by_counting(engine: _CharEngine, ns, hint_hi: float) -> list[tuple[float, float]]:
+    """Index-bisection brackets of the ascending indices ns, sharing every count."""
     floor = _scan_floor(engine.q)
-    if _oscillation_index(engine, floor) != 0:
+    known = {floor: _oscillation_index(engine, floor)}
+    if known[floor] != 0:
         raise BracketError(
             f"lower spectral bound {floor:.3f} is not below the whole spectrum")
-    hi = max(hint_hi, floor + 1.0)
-    for _ in range(64):
-        if _oscillation_index(engine, hi) >= n + 1:
-            break
-        hi = (sqrt(max(hi, 0.0)) + 1.5) ** 2
-    else:
-        raise BracketError(f"could not find {n + 1} eigenvalues below mu = {hi:.3f}")
-    a, na = floor, 0
-    b, nb = hi, _oscillation_index(engine, hi)
-    while not (na == n and nb == n + 1):
-        if b - a <= 1e-8:
-            raise BracketError(
-                f"eigenvalues cluster below resolution near mu = {a:.9f}")
-        mid = 0.5 * (a + b)
-        nm = _oscillation_index(engine, mid)
-        if nm <= n:
-            a, na = mid, nm
-        else:
-            b, nb = mid, nm
-    return (a, b)
+    hi, tries = max(hint_hi, floor + 1.0), 1
+    known[hi] = _oscillation_index(engine, hi)
+    brackets = []
+    for n in ns:
+        while known[hi] < n + 1:
+            hi = (sqrt(max(hi, 0.0)) + 1.5) ** 2
+            if tries == 64:
+                raise BracketError(f"could not find {n + 1} eigenvalues below mu = {hi:.3f}")
+            tries += 1
+            known[hi] = _oscillation_index(engine, hi)
+        a = max(mu for mu, k in known.items() if k <= n)
+        b = min(mu for mu, k in known.items() if k > n)
+        while not (known[a] == n and known[b] == n + 1):
+            if b - a <= 1e-8:
+                raise BracketError(
+                    f"eigenvalues cluster below resolution near mu = {a:.9f}")
+            mid = 0.5 * (a + b)
+            known[mid] = _oscillation_index(engine, mid)
+            a, b = (mid, b) if known[mid] <= n else (a, mid)
+        brackets.append((a, b))
+    return brackets
 
 
 def _asymptotic_center(n: int, delta_value: float, meanq: float) -> float:
@@ -245,27 +247,63 @@ def bracket_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
     engine = _CharEngine(q, bc, grid_size)
     meanq = mean_q(q)
     if n < 2:
-        return _bracket_by_counting(engine, n, _low_hint(engine, meanq))
-    d = delta_for_index(n, bc)
-    return _asymptotic_bracket(engine, n, d.value, meanq)
-
-
-def _asymptotic_bracket(engine: _CharEngine, n: int, delta_value: float,
-                        meanq: float) -> tuple[float, float]:
-    lam_c = _asymptotic_center(n, delta_value, meanq)
-    if lam_c < 0.5:
+        return _brackets_by_counting(engine, [n], _low_hint(engine, meanq))[0]
+    lam_c = _asymptotic_center(n, delta_for_index(n, bc).value, meanq)
+    lo, hi, _, _ = _asymptotic_brackets(engine, np.array([lam_c]))[:, 0]
+    if np.isnan(lo):
         raise BracketError(
             f"asymptotic frequency {lam_c:.3f} too small for index {n}; "
-            "potential outside the asymptotic regime")
+            "potential outside the asymptotic regime" if lam_c < 0.5 else
+            f"no sign change around index {n} within the widening limit "
+            f"(lambda center {lam_c:.6f})")
+    return (float(lo), float(hi))
+
+
+def _asymptotic_brackets(engine: _CharEngine, lam_c: np.ndarray):
+    """Sign-change brackets of Phi around the asymptotic frequencies lam_c.
+
+    Each rung of BRACKET_HALF_WIDTHS evaluates Phi at both ends of every
+    index still unbracketed, in one batch.  Returns (lo, hi, Phi(lo),
+    Phi(hi)), all NaN where no rung brackets or lam_c < 0.5 (outside the
+    asymptotic regime).
+    """
+    out = np.full((4, lam_c.size), np.nan)
+    todo = np.flatnonzero(lam_c >= 0.5)
     for w in BRACKET_HALF_WIDTHS:
-        lo = max(lam_c - w, 1e-3) ** 2
-        hi = (lam_c + w) ** 2
-        vals = engine.phi_batch([lo, hi])
-        if vals[0] == 0.0 or vals[1] == 0.0 or vals[0] * vals[1] < 0.0:
-            return (lo, hi)
-    raise BracketError(
-        f"no sign change around index {n} within the widening limit "
-        f"(lambda center {lam_c:.6f})")
+        if todo.size == 0:
+            break
+        lo = np.maximum(lam_c[todo] - w, 1e-3) ** 2
+        hi = (lam_c[todo] + w) ** 2
+        flo, fhi = np.split(engine.phi_batch(np.concatenate((lo, hi))), 2)
+        hit = (flo == 0.0) | (fhi == 0.0) | (flo * fhi < 0.0)
+        out[:, todo[hit]] = np.array([lo, hi, flo, fhi])[:, hit]
+        todo = todo[~hit]
+    return out
+
+
+def _recovery_bracket(engine: _CharEngine, n: int, meanq: float) -> tuple[float, float]:
+    """Index-exact bracket used when the asymptotic one misses or miscounts."""
+    lam_hi = n + 2.5 + sqrt(abs(meanq) + 1.0)
+    return _brackets_by_counting(engine, [n], lam_hi * lam_hi)[0]
+
+
+def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float) -> np.ndarray:
+    """Rows lo, hi, Phi(lo), Phi(hi) for the ascending indices ns.
+
+    Indices 0 and 1 share one oscillation-index bisection, the others take
+    batched asymptotic brackets, and an asymptotic miss takes the recovery
+    bracket.  Phi is NaN at the ends of counted brackets.
+    """
+    low = [n for n in ns if n < 2]
+    out = np.full((4, len(ns)), np.nan)
+    if low:
+        out[:2, :len(low)] = np.transpose(
+            _brackets_by_counting(engine, low, _low_hint(engine, meanq)))
+    out[:, len(low):] = _asymptotic_brackets(engine, np.array(
+        [_asymptotic_center(n, d.value, meanq) for n, d in zip(ns, deltas) if n >= 2]))
+    for j in np.flatnonzero(np.isnan(out[0])):
+        out[:2, j] = _recovery_bracket(engine, ns[j], meanq)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,80 +311,67 @@ def _asymptotic_bracket(engine: _CharEngine, n: int, delta_value: float,
 # ---------------------------------------------------------------------------
 
 
-def _refine_batch(engine: _CharEngine, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """Bisection to a narrow window, then guarded secant, per column.
+def _refine_batch(engine: _CharEngine, lo, hi, flo, fhi, tol: float):
+    """Bracketed Anderson-Bjorck iteration per column, bisection as fallback.
 
-    Returns (mu, residual, bracket_lo, bracket_hi).
+    [lo, hi] brackets a sign change of Phi; flo, fhi are Phi at its ends,
+    NaN where not yet evaluated (those ends are swept first).  Each step
+    evaluates Phi in one batch at one point inside every bracket still
+    wider than tol with a float inside it: the regula falsi point of the
+    ends' values, kept tol/2 inside, or the midpoint where that point is
+    not inside or the bracket did not halve over the last two steps (so at
+    most three times the cost of bisection).  When an interpolated point
+    replaces the same end as the previous one, the value at the other end
+    is scaled by 1 - f_new / f_replaced, or halved when that is not
+    positive (Anderson & Bjorck, BIT 13, 1973).
+
+    Returns (mu, residual, bracket_lo, bracket_hi): mu is the bracket end
+    with the smaller true |Phi| and residual that |Phi|.
     """
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    flo = engine.phi_batch(lo)
-    fhi = engine.phi_batch(hi)
-    collapse = flo == 0.0
-    hi = np.where(collapse, lo, hi)
-    fhi = np.where(collapse, 0.0, fhi)
-    collapse = fhi == 0.0
-    lo = np.where(collapse, hi, lo)
-    flo = np.where(collapse, 0.0, flo)
+    lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
+    fresh = np.isnan(flo)
+    if fresh.any():
+        flo[fresh], fhi[fresh] = np.split(
+            engine.phi_batch(np.concatenate((lo[fresh], hi[fresh]))), 2)
+    # an exact zero at an end collapses the bracket onto that end
+    hi, fhi = np.where(flo == 0.0, lo, hi), np.where(flo == 0.0, 0.0, fhi)
+    lo, flo = np.where(fhi == 0.0, hi, lo), np.where(fhi == 0.0, 0.0, flo)
 
-    for _ in range(80):
-        if np.max(hi - lo) <= BISECT_WIDTH:
-            break
+    glo, ghi = flo.copy(), fhi.copy()  # interpolation values, scaled
+    last = np.zeros(lo.shape)  # end the last interpolated point replaced: -1 lo, +1 hi
+    back = np.full((2, lo.size), np.inf)  # bracket widths two and one steps back
+    while True:
         mid = 0.5 * (lo + hi)
-        fm = engine.phi_batch(mid)
-        zero = fm == 0.0
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-        fhi = np.where(same, fm, fhi)
-        lo = np.where(zero, mid, lo)
-        hi = np.where(zero, mid, hi)
-        flo = np.where(zero, 0.0, flo)
-        fhi = np.where(zero, 0.0, fhi)
-
-    x0, f0 = lo.copy(), flo.copy()
-    x1, f1 = hi.copy(), fhi.copy()
-    for _ in range(60):
-        done = (hi - lo) <= tol
-        if np.all(done):
+        j = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
+        if j.size == 0:
             break
-        denom = f1 - f0
-        safe = denom != 0.0
-        step = np.where(safe, f1 * (x1 - x0) / np.where(safe, denom, 1.0), 0.0)
-        x2 = x1 - step
-        bad = ~np.isfinite(x2) | (x2 <= lo) | (x2 >= hi)
-        x2 = np.where(bad, 0.5 * (lo + hi), x2)
-        x2 = np.where(done, x1, x2)
-        f2 = engine.phi_batch(x2)
-        zero = (f2 == 0.0) & ~done
-        same = (np.sign(f2) == np.sign(flo)) & ~done
-        lo = np.where(same, x2, lo)
-        flo = np.where(same, f2, flo)
-        hi = np.where(~same & ~done, x2, hi)
-        fhi = np.where(~same & ~done, f2, fhi)
-        lo = np.where(zero, x2, lo)
-        hi = np.where(zero, x2, hi)
-        flo = np.where(zero, 0.0, flo)
-        fhi = np.where(zero, 0.0, fhi)
-        x0, f0 = x1, f1
-        x1, f1 = x2, f2
+        a, b, width = lo[j], hi[j], hi[j] - lo[j]
+        x = np.clip(a - glo[j] * width / (ghi[j] - glo[j]), a + 0.5 * tol, b - 0.5 * tol)
+        bisect = ~((a < x) & (x < b)) | (width > 0.5 * back[0, j])
+        x = np.where(bisect, mid[j], x)
+        fx = engine.phi_batch(x)
+        back[:, j] = back[1, j], width
+
+        to_lo, zero = np.sign(fx) == np.sign(flo[j]), fx == 0.0
+        side = np.where(to_lo, -1.0, 1.0)
+        scale = np.where((side == last[j]) & ~bisect,
+                         1.0 - fx / np.where(to_lo, flo[j], fhi[j]), 1.0)
+        scale = np.where(scale > 0.0, scale, 0.5)
+        # a bisection point restarts the interpolation from true values
+        glo[j] = np.where(to_lo, fx, np.where(bisect, flo[j], glo[j] * scale))
+        ghi[j] = np.where(to_lo, np.where(bisect, fhi[j], ghi[j] * scale), fx)
+        # an exact zero collapses the bracket onto it
+        lo[j], flo[j] = np.where(to_lo | zero, x, a), np.where(to_lo | zero, fx, flo[j])
+        hi[j], fhi[j] = np.where(to_lo, b, x), np.where(to_lo, fhi[j], fx)
+        last[j] = np.where(bisect, last[j], side)
 
     pick_lo = np.abs(flo) <= np.abs(fhi)
-    mu = np.where(pick_lo, lo, hi)
-    residual = np.where(pick_lo, np.abs(flo), np.abs(fhi))
-    return mu, residual, lo, hi
+    return np.where(pick_lo, lo, hi), np.minimum(np.abs(flo), np.abs(fhi)), lo, hi
 
 
 # ---------------------------------------------------------------------------
 # assembled searches
 # ---------------------------------------------------------------------------
-
-
-def _recovery_bracket(engine: _CharEngine, n: int, meanq: float) -> tuple[float, float]:
-    """Index-exact bracket used when the asymptotic one misses or miscounts."""
-    lam_hi = n + 2.5 + sqrt(abs(meanq) + 1.0)
-    return _bracket_by_counting(engine, n, lam_hi * lam_hi)
 
 
 def _certify(engine: _CharEngine, mus: np.ndarray) -> np.ndarray:
@@ -364,24 +389,22 @@ def _build_pair(n: int, mu: float, residual: float, bracket: tuple[float, float]
     )
 
 
-def _certified_pairs(engine: _CharEngine, ns, brackets, deltas, meanq: float,
+def _certified_pairs(engine: _CharEngine, ns: list[int], deltas, meanq: float,
                      tol: float) -> list[Eigenpair]:
-    """Refined, certified eigenpairs for the indices ns from their brackets.
+    """Bracketed, refined, certified eigenpairs for the ascending indices ns.
 
     All brackets refine and certify as one batch.  An index whose root
     miscounts is bracketed again by index bisection, refined and certified
     on its own, and raises OscillationMismatchError if it still miscounts.
     """
-    lo = np.array([b[0] for b in brackets], dtype=float)
-    hi = np.array([b[1] for b in brackets], dtype=float)
-    mus, residuals, lo, hi = _refine_batch(engine, lo, hi, tol)
+    mus, residuals, lo, hi = _refine_batch(engine, *_brackets(engine, ns, deltas, meanq), tol)
     zeros = _certify(engine, mus)
     pairs = []
     for j, n in enumerate(ns):
         if zeros[j] != n:
             a, b = _recovery_bracket(engine, n, meanq)
             mus[j:j + 1], residuals[j:j + 1], lo[j:j + 1], hi[j:j + 1] = _refine_batch(
-                engine, np.array([a]), np.array([b]), tol)
+                engine, [a], [b], [np.nan], [np.nan], tol)
             zeros[j] = _certify(engine, mus[j:j + 1])[0]
             if zeros[j] != n:
                 raise OscillationMismatchError(
@@ -405,18 +428,7 @@ def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     engine = _CharEngine(q, bc, grid_size)
-    meanq = mean_q(q)
-    delta = delta_for_index(n, bc)
-
-    if n < 2:
-        bracket = _bracket_by_counting(engine, n, _low_hint(engine, meanq))
-    else:
-        try:
-            bracket = _asymptotic_bracket(engine, n, delta.value, meanq)
-        except BracketError:
-            bracket = _recovery_bracket(engine, n, meanq)
-
-    [pair] = _certified_pairs(engine, [n], [bracket], [delta], meanq, tol)
+    [pair] = _certified_pairs(engine, [n], [delta_for_index(n, bc)], mean_q(q), tol)
     if n >= 2 and pair.mu <= 0.0:
         raise UnsupportedRegimeError(
             f"mu_{n} = {pair.mu:.6f} <= 0; asymptotic indexing assumes positive "
@@ -437,23 +449,9 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     engine = _CharEngine(q, bc, grid_size)
-    meanq = mean_q(q)
     deltas = [delta_for_index(n, bc) for n in range(n_max + 1)]
-
-    brackets: list[tuple[float, float]] = []
-    hint = _low_hint(engine, meanq)
-    for n in range(min(2, n_max + 1)):
-        brackets.append(_bracket_by_counting(engine, n, hint))
-
-    for n in range(2, n_max + 1):
-        try:
-            brackets.append(_asymptotic_bracket(engine, n, deltas[n].value, meanq))
-        except BracketError:
-            brackets.append(_recovery_bracket(engine, n, meanq))
-
-    pairs = _certified_pairs(engine, range(n_max + 1), brackets, deltas, meanq, tol)
+    pairs = _certified_pairs(engine, list(range(n_max + 1)), deltas, mean_q(q), tol)
     if n_max >= 2 and pairs[2].mu <= 0.0:
         raise UnsupportedRegimeError(
             f"mu_2 = {pairs[2].mu:.6f} <= 0; potential outside the supported regime")
     return Spectrum(q=q, bc=bc, pairs=pairs)
-

@@ -112,6 +112,26 @@ class TestClosedForm:
         assert d2 < d1
 
 
+class TestPartialRows:
+    @pytest.mark.parametrize("bc", [BoundaryParams(PI, 0.0), BoundaryParams(2.0, 0.5)])
+    def test_rows_equal_termwise_accumulation(self, q_step, bc):
+        # reference: one series at a time, each term added in ascending n
+        grid = np.linspace(0, 2 * PI, 301)
+        ladder = (7, 20, 45)
+        res = k_partial_sum(q_step, bc, 45, grid=grid, truncations=ladder)
+        nus, *coef_sets = series_coefficients(q_step, bc, 45)
+        for rows, coefs in zip((res.k_partial, res.k1_partial, res.k2_partial), coef_sets):
+            acc = np.zeros(grid.size)
+            expect = []
+            for pos, (nu, c) in enumerate(zip(nus, coefs)):
+                acc += c * np.cos(nu * grid)
+                if pos + 2 in ladder:
+                    expect.append(acc.copy())
+            assert np.array_equal(rows, np.array(expect))
+        assert np.array_equal(k1_partial_sum(q_step, bc, 45, grid), res.k1_partial[-1])
+        assert np.array_equal(k2_partial_sum(q_step, bc, 45, grid), res.k2_partial[-1])
+
+
 class TestACDiagnostic:
     def test_zero_potential_variation(self, q_zero, bc_dd):
         res = k_partial_sum(q_zero, bc_dd, 12)

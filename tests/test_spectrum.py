@@ -20,6 +20,7 @@ from slspectra import (
     find_spectrum,
     mean_q,
 )
+from slspectra import spectrum
 from slspectra.odesolve import SolutionTrace
 from slspectra.spectrum import _zero_counts
 
@@ -74,6 +75,24 @@ class TestBracketing:
         root = 0.5 * (a + b)
         assert lo < root < hi
         assert abs(root - 26.01) < 0.5
+
+    def test_low_indices_by_counting(self, q_zero, bc_dd):
+        for n in (0, 1):
+            lo, hi = bracket_eigenvalue(q_zero, bc_dd, n, 512)
+            assert lo < (n + 1) ** 2 < hi
+
+    def test_counts_are_never_repeated(self, q_step, bc_nn, monkeypatch):
+        # indices 0 and 1 share one index bisection that reuses every count
+        counted = []
+        count = spectrum._oscillation_index
+
+        def recording(engine, mu):
+            counted.append(mu)
+            return count(engine, mu)
+
+        monkeypatch.setattr(spectrum, "_oscillation_index", recording)
+        find_spectrum(q_step, bc_nn, 4, grid_size=1024)
+        assert 0 < len(counted) == len(set(counted))
 
 
 class TestFindEigenvalue:
@@ -195,3 +214,58 @@ class TestSpectrum:
             Spectrum(q=q_zero, bc=bc_dd, pairs=[s.pairs[0], s.pairs[0]])
         with pytest.raises(ValueError):
             find_spectrum(q_zero, bc_dd, -1)
+
+
+class TestRefinement:
+    CASES = {
+        "step-NN": (Potential.step(2.0, PI / 2), BoundaryParams(PI / 2, PI / 2)),
+        "cos-DD": (Potential.smooth_test([1.0]), BoundaryParams(PI, 0.0)),
+        "constant-generic": (Potential.constant(1.0), BoundaryParams(2.3, 0.7)),
+    }
+
+    @staticmethod
+    def _phi_rounding(mu):
+        # columns of one Phi sweep round differently in different batches
+        return 1e-12 * max(1.0, math.sqrt(abs(mu)))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bracket_contract(self, case):
+        q, bc = self.CASES[case]
+        tol = 1e-10
+        for p in find_spectrum(q, bc, 20, tol=tol).pairs:
+            lo, hi = p.bracket
+            assert 0.0 <= hi - lo <= tol
+            assert p.mu in (lo, hi)
+            flo, fhi = char_function(q, bc, lo), char_function(q, bc, hi)
+            assert flo * fhi <= 0.0 or min(abs(flo), abs(fhi)) <= self._phi_rounding(p.mu)
+            # the true |Phi| at mu, not an interpolation value
+            assert p.char_residual == pytest.approx(abs(char_function(q, bc, p.mu)),
+                                                    abs=1e-2 * self._phi_rounding(p.mu))
+
+    @pytest.mark.parametrize("bc,exact", [(BoundaryParams(PI, 0.0), lambda n: (n + 1) ** 2),
+                                          (BoundaryParams(PI / 2, PI / 2), lambda n: n ** 2)])
+    def test_zero_potential_exact(self, q_zero, bc, exact):
+        for p in find_spectrum(q_zero, bc, 30).pairs:
+            assert p.mu == pytest.approx(exact(p.n), abs=1e-10)
+
+    def test_tolerance_below_float_spacing(self, q_step, bc_nn):
+        # no float lies strictly inside a bracket of width tol near mu_60
+        p = find_eigenvalue(q_step, bc_nn, 60, tol=1e-14)
+        lo, hi = p.bracket
+        assert lo < hi <= np.nextafter(lo, np.inf)
+        assert p.mu in (lo, hi)
+        flo, fhi = char_function(q_step, bc_nn, lo), char_function(q_step, bc_nn, hi)
+        assert flo * fhi <= 0.0 or min(abs(flo), abs(fhi)) <= self._phi_rounding(p.mu)
+
+    def test_phi_evaluation_budget(self, q_step, bc_nn, monkeypatch):
+        sweeps = []
+        sweep = spectrum.endpoint_values
+
+        def counting(mesh, mus, *args, **kwargs):
+            sweeps.append(np.size(mus))
+            return sweep(mesh, mus, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "endpoint_values", counting)
+        s = find_spectrum(q_step, bc_nn, 60)
+        assert sum(sweeps) <= 9 * len(s.pairs)
+        assert len(sweeps) <= 25
