@@ -13,14 +13,18 @@ y^2 over [0, pi] comes from endpoint values of y and y_mu alone.
 
 Batches of spectral parameters propagate together.  Every sweep reads the
 per-interval coefficients from one block generator, which evaluates them a
-block of consecutive intervals at a time, in propagation order.  The block
-length follows from the batch size and one fixed budget of (interval, mu)
-entries: 256 intervals at 64 mu, the whole default mesh for one or two mu.
-The characteristic-function and norm sweeps contract each block's
-propagators by a pairwise tree and compose the block products in order;
-the node sweep steps through each block's rows.  The transient arrays of
-a block stay near 2 MB whatever the batch or mesh size, and short batches
-still run few, long vectorised passes.
+block of consecutive intervals at a time, in propagation order, each entry
+in its own branch only.  The block length follows from the batch size and
+one fixed budget of (interval, mu) entries: 256 intervals at 64 mu, the
+whole default mesh for one or two mu.  The characteristic-function and norm
+sweeps contract each block's propagators by a pairwise tree and compose the
+block products in order.  The node sweep cuts each block of L intervals
+into chunks of about sqrt(L) intervals: it forms the chunk propagators
+side by side, chains them for the chunk start states, and then steps all
+chunks at once, so a block costs about 3 sqrt(L) vectorised steps instead
+of L.  The transient arrays of a block, chunk propagators included, stay
+near 2 MB whatever the batch or mesh size, and short batches still run
+few, long vectorised passes.
 
 The independent oracle is the successive-approximation series for the
 solution vanishing at the origin, built from iterated Volterra integrals
@@ -116,25 +120,29 @@ def _step_coeffs(w, h):
     """Propagator entries C, S for one interval of width h and coefficient w.
 
     C and S solve u'' = -w u with (C, C') = (1, 0) and (S, S') = (0, 1) at
-    the interval start, evaluated at the end.  Series branch keeps the
-    formulas smooth through w = 0.
+    the interval start, evaluated at the end: cos th and h sin(th)/th for
+    z = w h^2 = th^2 >= _SERIES_Z, cosh th and h sinh(th)/th for
+    z <= -_SERIES_Z, and their series in z in between, which keeps the
+    formulas smooth through w = 0.  Each entry evaluates its own branch only.
     """
     z = w * h * h
-    small = np.abs(z) < _SERIES_Z
-    zsafe_p = np.where(z >= _SERIES_Z, z, 1.0)
-    zsafe_m = np.where(z <= -_SERIES_Z, -z, 1.0)
-    th_p = np.sqrt(zsafe_p)
-    th_m = np.sqrt(zsafe_m)
-    C = np.where(
-        small,
-        1.0 - z / 2.0 + z * z / 24.0 - z * z * z / 720.0,
-        np.where(z > 0, np.cos(th_p), np.cosh(th_m)),
-    )
-    S = np.where(
-        small,
-        h * (1.0 - z / 6.0 + z * z / 120.0 - z * z * z / 5040.0),
-        np.where(z > 0, h * np.sin(th_p) / th_p, h * np.sinh(th_m) / th_m),
-    )
+    th = np.sqrt(np.abs(z))
+    osc = z >= _SERIES_Z
+    hyp = z <= -_SERIES_Z
+    big = osc | hyp
+    C, S = np.empty_like(z), np.empty_like(z)
+    np.cos(th, out=C, where=osc)
+    np.cosh(th, out=C, where=hyp)
+    np.sin(th, out=S, where=osc)
+    np.sinh(th, out=S, where=hyp)
+    np.multiply(h, S, out=S, where=big)
+    np.divide(S, th, out=S, where=big)
+    small = ~big
+    if small.any():
+        z, h = z[small], np.broadcast_to(h, small.shape)[small]
+        z2 = z * z
+        C[small] = 1.0 - z / 2.0 + z2 / 24.0 - z2 * z / 720.0
+        S[small] = h * (1.0 - z / 6.0 + z2 / 120.0 - z2 * z / 5040.0)
     return C, S
 
 
@@ -274,23 +282,67 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
            with_yprime: bool = True):
     """y and y' at every node for a batch of mu, each of shape (nodes, mus).
 
-    Steps from x = 0 when forward and from x = pi otherwise, one interval at
-    a time through each block's propagator rows.  Rows come back in
-    increasing node order either way; y' is None without with_yprime.
+    Steps from x = 0 when forward and from x = pi otherwise.  A block of L
+    intervals splits into chunks of k = isqrt(L) consecutive rows, the last
+    one possibly shorter.  Stepping all chunks at once forms the propagator
+    of every chunk but the last in k vectorised steps; chaining those gives
+    each chunk's start state, and k more steps through all chunks at once
+    give every node.  That is about 3 sqrt(L) numpy steps per block instead
+    of L, on arrays of L/k rows, and the transients stay within a block.
+    Rows come back in increasing node order either way; y' is None without
+    with_yprime.
     """
     Y = np.empty((len(mesh.h) + 1, mus.size))
-    # without with_yprime, every y' row lands in one scratch row
-    YP = np.empty_like(Y) if with_yprime else np.empty((1, mus.size))
-    Y[0], YP[0] = y0, yp0
-    y, yp, k = Y[0], YP[0], 0
+    YP = np.empty_like(Y) if with_yprime else None
+    y, yp = np.full(mus.size, float(y0)), np.full(mus.size, float(yp0))
+    Y[0] = y
+    if with_yprime:
+        YP[0] = yp
+    lo = 1
     for block in _blocks(mesh, mus, forward):
-        m00, m01, m10, _ = _transfer(*block, 1.0 if forward else -1.0)
-        for a, b, c in zip(m00, m01, m10):
-            y, yp = a * y + b * yp, c * y + a * yp
-            k += 1
-            Y[k], YP[k * with_yprime] = y, yp
+        a, b, c, _ = _transfer(*block, 1.0 if forward else -1.0)
+        L = len(a)
+        k = math.isqrt(L)
+        ys, yps = _chunk_starts(a, b, c, y, yp, k)
+        last = L - 1 - (len(ys) - 1) * k
+        for j in range(k):
+            rows = slice(j, L, k)
+            ra = a[rows]
+            m = len(ra)
+            ys, yps = ra * ys[:m] + b[rows] * yps[:m], c[rows] * ys[:m] + ra * yps[:m]
+            Y[lo + j:lo + L:k] = ys
+            if with_yprime:
+                YP[lo + j:lo + L:k] = yps
+            if j == last:
+                y, yp = ys[-1], yps[-1]
+        lo += L
     flip = slice(None, None, 1 if forward else -1)
     return Y[flip], (YP[flip] if with_yprime else None)
+
+
+def _chunk_starts(a, b, c, y, yp, k):
+    """States at the start of each k-row chunk of one block's propagator rows.
+
+    a, b, c are the rows' entries m00 = m11, m01 and m10, and (y, yp) the
+    block's start state.  The propagators of the full chunks, all but the
+    last, are formed together, row j of every chunk in one step, and then
+    chained in order.  Returns two arrays of shape (chunks, mus).
+    """
+    full = (len(a) - 1) // k
+    ys, yps = np.empty((full + 1, y.size)), np.empty((full + 1, y.size))
+    ys[0], yps[0] = y, yp
+    if full:
+        p00, p01, p10 = a[0:full * k:k], b[0:full * k:k], c[0:full * k:k]
+        p11 = p00
+        for j in range(1, k):
+            rows = slice(j, full * k, k)
+            ra, rb, rc = a[rows], b[rows], c[rows]
+            p00, p01, p10, p11 = (ra * p00 + rb * p10, ra * p01 + rb * p11,
+                                  rc * p00 + ra * p10, rc * p01 + ra * p11)
+        for i in range(full):
+            ys[i + 1] = p00[i] * ys[i] + p01[i] * yps[i]
+            yps[i + 1] = p10[i] * ys[i] + p11[i] * yps[i]
+    return ys, yps
 
 
 def _trace(mesh: Mesh, mu: float, y0: float, yp0: float, forward: bool) -> SolutionTrace:

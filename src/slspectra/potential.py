@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -434,15 +435,26 @@ class CumulativeIntegrals:
 
     Built on a node table with two-point Gauss panels, so piecewise-linear
     potentials (and steps, whose jumps are table nodes) are integrated
-    exactly up to rounding.
+    exactly up to rounding.  Only the weighted table, which sigma and
+    sigma_tilde read, is built up front; cum_abs, cum_plain and mean_q are
+    built on first access and cached.
     """
 
     q: Potential
     nodes: np.ndarray
     cum_weighted: np.ndarray
-    cum_abs: np.ndarray
-    cum_plain: np.ndarray
-    mean_q: float
+
+    @cached_property
+    def cum_abs(self) -> np.ndarray:
+        return _cumulative_table(lambda t: np.abs(self.q(t)), self.nodes)
+
+    @cached_property
+    def cum_plain(self) -> np.ndarray:
+        return _cumulative_table(self.q, self.nodes)
+
+    @cached_property
+    def mean_q(self) -> float:
+        return float(self.cum_plain[-1] / PI)
 
     def _partial(self, g: Callable[[np.ndarray], np.ndarray], cum: np.ndarray, x):
         arr = np.asarray(x, dtype=float)
@@ -470,31 +482,19 @@ class CumulativeIntegrals:
         return self.sigma(np.clip(arr, 0.0, 2.0 * PI) / 2.0)
 
 
+def _cumulative_table(g: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """Integrals of g from 0 to every node, by two-point Gauss panels."""
+    return np.concatenate([[0.0], np.cumsum(_gauss2(g, nodes[:-1], nodes[1:]))])
+
+
 def sigma_functions(q: Potential, table_points: int = 2048) -> CumulativeIntegrals:
     """Build the cumulative integrals of q on a shared node table."""
     nodes = np.linspace(0.0, PI, table_points + 1)
     bps = [b for b in q.breakpoints if 0.0 < b < PI]
     if bps:
         nodes = np.unique(np.concatenate([nodes, np.asarray(bps, dtype=float)]))
-
-    a = nodes[:-1]
-    b = nodes[1:]
-
-    def table(g):
-        vals = _gauss2(g, a, b)
-        return np.concatenate([[0.0], np.cumsum(vals)])
-
-    cum_weighted = table(lambda t: (PI - t) * q(t))
-    cum_abs = table(lambda t: np.abs(q(t)))
-    cum_plain = table(lambda t: q(t))
     return CumulativeIntegrals(
-        q=q,
-        nodes=nodes,
-        cum_weighted=cum_weighted,
-        cum_abs=cum_abs,
-        cum_plain=cum_plain,
-        mean_q=float(cum_plain[-1] / PI),
-    )
+        q=q, nodes=nodes, cum_weighted=_cumulative_table(lambda t: (PI - t) * q(t), nodes))
 
 
 def mean_q(q: Potential, tol: float = DEFAULT_QUAD_TOL) -> float:

@@ -51,9 +51,12 @@ class Eigenpair:
     """One certified eigenvalue with its index evidence.
 
     lam is sqrt(|mu|); mu_negative records the hyperbolic case mu < 0.
-    bracket is the interval the root was isolated in, char_residual the
-    characteristic-function magnitude at the returned mu, zeros the counted
-    interior zeros of the eigenfunction (equal to n).
+    bracket is the interval the root was isolated in: a sign change of Phi
+    in the arithmetic of the batch that found it.  Its converged end often
+    has |Phi| near rounding, and the rounding of a Phi sweep depends on the
+    batch size, so char_function at that end alone may show the other sign.
+    char_residual is the characteristic-function magnitude at the returned
+    mu, zeros the counted interior zeros of the eigenfunction (equal to n).
     """
 
     n: int

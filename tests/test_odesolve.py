@@ -22,11 +22,13 @@ from slspectra.odesolve import (
     _BLOCK_MUS,
     _nodes,
     _step_coeffs,
+    _trace,
     build_mesh,
     endpoint_values,
     propagate_with_norm,
     y_values_batch,
 )
+from slspectra.spectrum import _zero_counts
 
 from conftest import pool_potentials
 
@@ -108,6 +110,57 @@ def _sequential_norm(mesh, mus, y0, yp0, forward):
     return acc
 
 
+def _all_branch_coeffs(w, h):
+    """Reference C, S: every branch evaluated on every entry, then selected."""
+    z = w * h * h
+    small = np.abs(z) < 1e-4
+    th_p = np.sqrt(np.where(z >= 1e-4, z, 1.0))
+    th_m = np.sqrt(np.where(z <= -1e-4, -z, 1.0))
+    C = np.where(
+        small,
+        1.0 - z / 2.0 + z * z / 24.0 - z * z * z / 720.0,
+        np.where(z > 0, np.cos(th_p), np.cosh(th_m)),
+    )
+    S = np.where(
+        small,
+        h * (1.0 - z / 6.0 + z * z / 120.0 - z * z * z / 5040.0),
+        np.where(z > 0, h * np.sin(th_p) / th_p, h * np.sinh(th_m) / th_m),
+    )
+    return C, S
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sequential_nodes(mesh, mus, y0, yp0, forward):
+    """Node values stepped one interval at a time, in increasing node order."""
+    sign = 1.0 if forward else -1.0
+    h, qmid = (mesh.h, mesh.qmid) if forward else (mesh.h[::-1], mesh.qmid[::-1])
+    w = mus - qmid[:, None]
+    C, S = _step_coeffs(w, h[:, None])
+    b, c = sign * S, -sign * w * S
+    Y, YP = np.empty((len(h) + 1, mus.size)), np.empty((len(h) + 1, mus.size))
+    Y[0], YP[0] = y0, yp0
+    for i in range(len(h)):
+        Y[i + 1] = C[i] * Y[i] + b[i] * YP[i]
+        YP[i + 1] = c[i] * Y[i] + C[i] * YP[i]
+    flip = slice(None, None, 1 if forward else -1)
+    return Y[flip], YP[flip]
+
+
+class TestLiveBranchCoefficients:
+    def test_bitwise_equal_to_all_branch_formula(self):
+        # h = 1 and h = 1/2 put z = +-1e-4 exactly on the branch limits
+        h = np.array([1.0, 0.5, PI / 4096, 1e-3, 0.37])[:, None]
+        targets = np.array([0.0, 1e-4, -1e-4, np.nextafter(1e-4, 0.0), np.nextafter(-1e-4, 0.0),
+                            5e-5, -5e-5, 1e-12, -3e-9, 2e-4, -2e-4, 0.3, -0.3, 2.5,
+                            40.0, 900.0, -25.0, -399.0, -400.0, -401.0])
+        w = targets / (h * h)
+        z = w * h * h
+        assert np.any(z == 1e-4) and np.any(z == -1e-4) and np.any(z == 0.0)
+        C, S = _step_coeffs(w, h)
+        Cr, Sr = _all_branch_coeffs(w, h)
+        assert np.array_equal(C, Cr) and np.array_equal(S, Sr)
+
+
 class TestNormSweep:
     # mu = 0 and mu = 2 put w = 0 exactly on one side of the step
     mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, _BLOCK_MUS - 2)])
@@ -151,7 +204,8 @@ class TestBlockedKernel:
 
     A batch of _BLOCK_MUS puts 256 intervals in a block; smaller batches
     take longer blocks, larger ones shorter, so these meshes and batch sizes
-    give partial last blocks and odd levels in every pairwise tree.
+    give partial last blocks, odd levels in every pairwise tree and, in most
+    node-sweep blocks, a short last chunk.
     """
 
     mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, 298)])
@@ -187,8 +241,9 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_node_sweep_ends_at_endpoint_values(self, mesh, forward):
-        # the node sweep steps one interval at a time, so it rounds like
-        # N eps |P| |(y0, yp0)| where the pairwise trees round like log N eps
+        # the node sweep multiplies the propagators in sequence, through chunk
+        # products of about sqrt(L) intervals, so its rounding grows with the
+        # interval count where the pairwise trees round like log N eps
         scale = self._scale(mesh, forward)
         Y, YP = _nodes(mesh, self.mus, self.y0, self.yp0, forward)
         first, last = (0, -1) if forward else (-1, 0)
@@ -196,6 +251,37 @@ class TestBlockedKernel:
         y, yp = endpoint_values(mesh, self.mus, self.y0, self.yp0, forward=forward)
         assert np.max(np.abs(Y[last] - y) / scale) <= 1e-12
         assert np.max(np.abs(YP[last] - yp) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_node_values_match_sequential_steps(self, mesh, forward):
+        scale = self._scale(mesh, forward)
+        start = (self.y0, self.yp0)
+        Yr, YPr = _sequential_nodes(mesh, self.mus, *start, forward)
+        first = 0 if forward else -1
+        for size in (21,) + self.sizes:
+            Y, YP = _nodes(mesh, self.mus[:size], *start, forward)
+            assert np.all(Y[first] == self.y0) and np.all(YP[first] == self.yp0)
+            assert np.max(np.abs(Y - Yr[:, :size]) / scale[:size]) <= 1e-12
+            assert np.max(np.abs(YP - YPr[:, :size]) / scale[:size]) <= 1e-12
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("mu", [-400.0, -4000.0, -1e5, -1e6])
+    def test_blow_up_at_sequential_first_node(self, mesh, forward, mu):
+        Yr, YPr = _sequential_nodes(mesh, np.array([mu]), 1.0, 0.5, forward)
+        bad = ~((np.abs(Yr[:, 0]) <= 1e12) & (np.abs(YPr[:, 0]) <= 1e12))
+        i = np.flatnonzero(bad)[0 if forward else -1]
+        with pytest.raises(BlowUpError) as err:
+            _trace(mesh, mu, 1.0, 0.5, forward)
+        assert str(err.value) == f"solution blew up at x = {mesh.nodes[i]:.6f} for mu = {mu}"
+
+    def test_certificate_counts_match_sequential_steps(self, q_step, bc_nn, step_nn_spectrum60):
+        mesh = build_mesh(q_step)
+        mus = np.array([p.mu for p in step_nn_spectrum60.pairs])
+        start = (bc_nn.sin_alpha, -bc_nn.cos_alpha)
+        counts = _zero_counts(y_values_batch(mesh, mus, *start))
+        Yr, _ = _sequential_nodes(mesh, mus, *start, True)
+        assert np.array_equal(counts, _zero_counts(Yr))
+        assert np.array_equal(counts, np.arange(61))
 
     def test_phi_sweep_against_mpmath_product(self):
         # the same float propagators multiplied out in 40-digit arithmetic
