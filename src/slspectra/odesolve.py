@@ -11,20 +11,27 @@ mesh node).  The propagator is also differentiable in mu in closed form, and
 for the discrete solution (y y_mu' - y' y_mu)' = -y^2, so the integral of
 y^2 over [0, pi] comes from endpoint values of y and y_mu alone.
 
+A run is a maximal stretch of consecutive mesh intervals with equal
+midpoint q.  The frozen propagator is exact across a whole run, so the
+characteristic-function and norm sweeps take one step per run: two steps
+on a step potential, one on a constant, and one per interval on a smooth
+potential, where runs and intervals coincide.  Node values need every
+node and step the full mesh.
+
 Batches of spectral parameters propagate together.  Every sweep reads the
-per-interval coefficients from one block generator, which evaluates them a
-block of consecutive intervals at a time, in propagation order, each entry
-in its own branch only.  The block length follows from the batch size and
-one fixed budget of (interval, mu) entries: 256 intervals at 64 mu, the
-whole default mesh for one or two mu.  The characteristic-function and norm
-sweeps contract each block's propagators by a pairwise tree and compose the
-block products in order.  The node sweep cuts each block of L intervals
-into chunks of about sqrt(L) intervals: it forms the chunk propagators
-side by side, chains them for the chunk start states, and then steps all
-chunks at once, so a block costs about 3 sqrt(L) vectorised steps instead
-of L.  The transient arrays of a block, chunk propagators included, stay
-near 2 MB whatever the batch or mesh size, and short batches still run
-few, long vectorised passes.
+per-step coefficients from one block generator, which evaluates them a
+block of consecutive steps at a time, in propagation order, each entry in
+its own branch only.  The block length follows from the batch size and
+one fixed budget of (step, mu) entries: 256 steps at 64 mu, the whole
+default mesh for one or two mu.  The characteristic-function and norm
+sweeps contract each block's run propagators by a pairwise tree and
+compose the block products in order.  The node sweep cuts each block of L
+intervals into chunks of about sqrt(L) intervals: it forms the chunk
+propagators side by side, chains them for the chunk start states, and
+then steps all chunks at once, so a block costs about 3 sqrt(L) vectorised
+steps instead of L.  The transient arrays of a block, chunk propagators
+included, stay near 2 MB whatever the batch or mesh size, and short
+batches still run few, long vectorised passes.
 
 The independent oracle is the successive-approximation series for the
 solution vanishing at the origin, built from iterated Volterra integrals
@@ -94,11 +101,19 @@ class PicardResult:
 
 @dataclass
 class Mesh:
-    """Propagation mesh: nodes, interval widths, midpoint potential values."""
+    """Propagation mesh: nodes, interval widths, midpoint potential values.
+
+    run_h and run_q describe the runs, the maximal stretches of consecutive
+    intervals with equal qmid: each run's length, the difference of its end
+    nodes, and its q.  A mesh whose qmid never repeats has one run per
+    interval, and then run_h equals h bit for bit.
+    """
 
     nodes: np.ndarray
     h: np.ndarray
     qmid: np.ndarray
+    run_h: np.ndarray
+    run_q: np.ndarray
 
 
 def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
@@ -113,7 +128,9 @@ def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
             nodes = np.unique(np.concatenate([nodes, np.asarray(extra)]))
     h = np.diff(nodes)
     qmid = np.asarray(q((nodes[:-1] + nodes[1:]) / 2.0), dtype=float)
-    return Mesh(nodes=nodes, h=h, qmid=qmid)
+    starts = np.flatnonzero(np.concatenate(([True], qmid[1:] != qmid[:-1])))
+    run_h = np.diff(nodes[np.append(starts, h.size)])
+    return Mesh(nodes=nodes, h=h, qmid=qmid, run_h=run_h, run_q=qmid[starts])
 
 
 def _step_coeffs(w, h):
@@ -160,18 +177,21 @@ def _dS_dw(w, h, C, S):
     return np.where(small, series, closed)
 
 
-def _blocks(mesh: Mesh, mus: np.ndarray, forward: bool):
-    """Per-interval (h, w, C, S) of the mesh, block by block in propagation order.
+def _blocks(h: np.ndarray, q: np.ndarray, mus: np.ndarray, forward: bool):
+    """Per-step (h, w, C, S) of steps of widths h and potential values q.
 
-    w, C and S have shape (intervals, mus) and h has shape (intervals, 1).
-    A block holds about _BLOCK_ELEMS entries, so its length follows from the
-    batch size.  Backward propagation starts at the last interval.
+    The steps are a mesh's intervals (mesh.h, mesh.qmid) or its runs
+    (mesh.run_h, mesh.run_q); they come block by block in propagation
+    order, and backward propagation starts at the last step.  w, C and S
+    have shape (steps, mus) and h has shape (steps, 1).  A block holds
+    about _BLOCK_ELEMS entries, so its length follows from the batch size.
     """
-    h, qmid = (mesh.h, mesh.qmid) if forward else (mesh.h[::-1], mesh.qmid[::-1])
+    if not forward:
+        h, q = h[::-1], q[::-1]
     size = max(1, _BLOCK_ELEMS // max(1, mus.size))
     for lo in range(0, h.size, size):
         hb = h[lo:lo + size, None]
-        w = mus - qmid[lo:lo + size, None]
+        w = mus - q[lo:lo + size, None]
         yield (hb, w, *_step_coeffs(w, hb))
 
 
@@ -200,18 +220,18 @@ def _compose(B, A):
 
 def _sweep(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
            entries, mul):
-    """Whole-mesh product of the interval matrices, applied to (y0, yp0).
+    """Whole-mesh product of the run matrices, applied to (y0, yp0).
 
-    entries builds one block's matrices from (h, w, C, S, sign) and mul(B, A)
-    multiplies two stacks of them.  Each block is contracted by a pairwise
-    tree, an odd level carrying its last matrix up unpaired, and the block
-    products compose in propagation order.  Returns the product's rows
-    applied to the start: (y, y') for _transfer, and (y, y', y_mu, y_mu')
-    for _transfer_dmu.
+    One exact step per run of constant q: entries builds one block's
+    matrices from (h, w, C, S, sign) and mul(B, A) multiplies two stacks of
+    them.  Each block is contracted by a pairwise tree, an odd level
+    carrying its last matrix up unpaired, and the block products compose in
+    propagation order.  Returns the product's rows applied to the start:
+    (y, y') for _transfer, and (y, y', y_mu, y_mu') for _transfer_dmu.
     """
     sign = 1.0 if forward else -1.0
     M = None
-    for block in _blocks(mesh, mus, forward):
+    for block in _blocks(mesh.run_h, mesh.run_q, mus, forward):
         E = entries(*block, sign)
         while len(E[0]) > 1:
             n = len(E[0])
@@ -230,9 +250,9 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
     set, raises BlowUpError if any final value escapes the overflow bound;
     scans that only need signs of deeply hyperbolic values run unguarded.
 
-    Memory: the mesh runs in blocks of about _BLOCK_ELEMS (interval, mu)
-    entries, so the transient arrays of one block stay near 2 MB whatever
-    the batch or mesh size.
+    Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
+    so the transient arrays of one block stay near 2 MB whatever the batch
+    or mesh size.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     ys, yps = _sweep(mesh, mus, y0, yp0, forward, _transfer, _mul2)
@@ -257,13 +277,14 @@ def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool
         int_0^pi y^2 = y'(pi) y_mu(pi) - y(pi) y_mu'(pi),
     and the backward sweep y(0) y_mu'(0) - y'(0) y_mu(0).  This is the exact
     integral of the discrete solution, not a further approximation.  Each
-    interval contributes its propagator T and dT/dmu in closed form; the
-    pairs are contracted by a pairwise tree, (B, dB)(A, dA) = (BA, dB A + B dA),
-    block by block, and the block products compose in order.
+    run of constant q contributes its propagator T and dT/dmu in closed
+    form; the pairs are contracted by a pairwise tree,
+    (B, dB)(A, dA) = (BA, dB A + B dA), block by block, and the block
+    products compose in order.
 
-    Memory: the mesh runs in blocks of about _BLOCK_ELEMS (interval, mu)
-    entries, so the transient arrays of one block stay near 2 MB whatever
-    the batch or mesh size.
+    Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
+    so the transient arrays of one block stay near 2 MB whatever the batch
+    or mesh size.
 
     Returns (y, y', acc) at x = pi when forward, at x = 0 otherwise.  Raises
     BlowUpError if any returned value is non-finite or |y| exceeds
@@ -299,7 +320,7 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     if with_yprime:
         YP[0] = yp
     lo = 1
-    for block in _blocks(mesh, mus, forward):
+    for block in _blocks(mesh.h, mesh.qmid, mus, forward):
         a, b, c, _ = _transfer(*block, 1.0 if forward else -1.0)
         L = len(a)
         k = math.isqrt(L)

@@ -11,12 +11,16 @@ n + delta_n + [q] / (2 (n + delta_n)), one batch of Phi evaluations per
 widening rung.  The two lowest indices, and any index whose asymptotic
 bracket misbehaves, are isolated by bisection on the oscillation index: the
 count of interior zeros of the shooting solution plus its terminal phase
-fragment equals the number of eigenvalues below mu, so a handful of
-renormalized traces pins each index exactly even when the lower spectral
-bound is very deep.  Roots are then refined by bracketed Anderson-Bjorck
-regula falsi steps, vectorized over whole index ranges, and every returned
-eigenpair is certified by the interior zero count of its eigenfunction (the
-n-th eigenfunction has exactly n of them).
+fragment equals the number of eigenvalues below mu.  The index comes from a
+walk over the mesh's runs of constant q that counts zeros by phase: a run
+contributes its whole half-turns floor(sqrt(mu - q) h / pi) and a sign test
+for the last zero, and hyperbolic runs are scaled so the walk never
+overflows, so a handful of walks pins each index exactly even when the
+lower spectral bound is very deep.  Roots are then refined by bracketed
+Anderson-Bjorck regula falsi steps, vectorized over whole index ranges, and
+every returned eigenpair is certified by the interior zero count of its
+eigenfunction on the full mesh (the n-th eigenfunction has exactly n of
+them).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .odesolve import (
     Mesh,
     SolutionTrace,
     _blocks,
+    _quiet,
     _trace,
     build_mesh,
     endpoint_values,
@@ -171,28 +176,50 @@ def _scan_floor(q: Potential) -> float:
     return -n1 * (1.0 + n1) - 1.0
 
 
+@_quiet
 def _oscillation_index(engine: _CharEngine, mu: float) -> int:
     """Number of eigenvalues strictly below mu.
 
-    Counts interior zeros of the shooting solution while renormalizing the
-    state (zeros and the terminal direction are scale-invariant), then adds
-    one if the terminal phase fragment has passed the right boundary angle.
+    Walks the shooting solution across the mesh's runs of constant q and
+    counts its interior zeros by phase.  A run with w = mu - q > 0 turns
+    the phase by th = sqrt(w) h: it holds floor(th / pi) whole half-turns,
+    one zero each, plus one zero exactly when the sign of y at its end
+    disagrees with their parity.  An odd count negates the run's step, so
+    the sign test sees only that last zero.  A run with w < 0 holds at most
+    one zero and steps by its propagator divided by cosh th, with entries
+    1, tanh(th)/sqrt(-w) and sqrt(-w) tanh(th), which never overflow.  The
+    state is renormalized when it grows; zeros and the terminal direction
+    depend on neither its scale nor its sign.  One is added if the terminal
+    phase fragment has passed the right boundary angle.
     """
     y, yp = engine.y0, engine.yp0
     zeros = 0
-    prev_sign = 1.0 if y > 0 else (-1.0 if y < 0 else 0.0)
-    for _, w, C, S in _blocks(engine.mesh, np.array([float(mu)]), True):
+    prev = y  # only its sign is read: that of the last nonzero y
+    mesh = engine.mesh
+    for h, w, C, S in _blocks(mesh.run_h, mesh.run_q, np.array([float(mu)]), True):
+        hyp = w < 0.0
+        if hyp.any():
+            r = np.sqrt(-w, out=np.ones_like(w), where=hyp)
+            C, S = np.where(hyp, 1.0, C), np.where(hyp, np.tanh(r * h) / r, S)
+        turns = np.floor(np.sqrt(np.maximum(w * h * h, 0.0)) / PI)
+        if turns.any():
+            zeros += int(turns.sum())
+            sign = 1.0 - 2.0 * (turns % 2.0)
+            C, S = C * sign, S * sign
         for c, s, ws in zip(C[:, 0].tolist(), S[:, 0].tolist(), (w * S)[:, 0].tolist()):
             y, yp = c * y + s * yp, -ws * y + c * yp
-            scale = max(abs(y), abs(yp))
-            if scale > 1e100:
+            if not (-1e100 < y < 1e100 and -1e100 < yp < 1e100):
+                scale = max(abs(y), abs(yp))
                 y /= scale
                 yp /= scale
-            if y != 0.0:
-                sgn = 1.0 if y > 0 else -1.0
-                if prev_sign != 0.0 and sgn != prev_sign:
+            if y > 0.0:
+                if prev < 0.0:
                     zeros += 1
-                prev_sign = sgn
+                prev = 1.0
+            elif y < 0.0:
+                if prev > 0.0:
+                    zeros += 1
+                prev = -1.0
     angle = math.atan2(y, yp)
     if angle <= 0.0:
         angle += PI

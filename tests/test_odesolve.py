@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from slspectra import (
     BlowUpError,
+    BoundaryParams,
     Potential,
+    find_spectrum,
     fundamental_system,
     kernel_A,
     kernel_B,
@@ -166,7 +168,7 @@ class TestNormSweep:
     mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, _BLOCK_MUS - 2)])
 
     @pytest.mark.parametrize("forward", [True, False])
-    @pytest.mark.parametrize("mesh_case", ["step-4097", "cos-64", "cos-1024"])
+    @pytest.mark.parametrize("mesh_case", ["step-4097", "cos-64", "cos-1024", "cos-4096"])
     def test_matches_endpoints_and_sequential_sum(self, mesh_case, forward):
         if mesh_case == "step-4097":
             mesh = build_mesh(Potential.step(2.0, 1.3))
@@ -202,20 +204,28 @@ class TestNormSweep:
 class TestBlockedKernel:
     """The coefficient blocks shorten as the mu batch grows.
 
-    A batch of _BLOCK_MUS puts 256 intervals in a block; smaller batches
-    take longer blocks, larger ones shorter, so these meshes and batch sizes
-    give partial last blocks, odd levels in every pairwise tree and, in most
-    node-sweep blocks, a short last chunk.
+    A batch of _BLOCK_MUS puts 256 steps in a block; smaller batches take
+    longer blocks, larger ones shorter.  The Phi and norm sweeps step the
+    two runs of a step mesh at once, so the smooth meshes, one run per
+    interval, give partial last blocks and odd levels in every pairwise
+    tree; both kinds give, in most node-sweep blocks, a short last chunk.
     """
 
     mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, 298)])
     sizes = (1, 2, _BLOCK_MUS - 1, _BLOCK_MUS, _BLOCK_MUS + 1, 301)
     y0, yp0 = 0.6, -0.8
 
-    @pytest.fixture(params=[4096, 1024, 64], ids=lambda g: f"grid{g}")
+    @pytest.fixture(params=[("step", 4096), ("step", 1024), ("step", 64),
+                            ("cos", 4096), ("cos", 1024), ("cos", 64)],
+                    ids=lambda p: f"grid{p[1]}" if p[0] == "step" else f"cos-grid{p[1]}")
     def mesh(self, request):
-        mesh = build_mesh(Potential.step(2.0, 1.3), request.param)
-        assert len(mesh.h) == request.param + 1
+        kind, grid = request.param
+        if kind == "step":
+            mesh = build_mesh(Potential.step(2.0, 1.3), grid)
+            assert len(mesh.h) == grid + 1 and len(mesh.run_h) == 2
+        else:
+            mesh = build_mesh(Potential.smooth_test([1.0, -0.5]), grid)
+            assert len(mesh.h) == len(mesh.run_h) == grid
         return mesh
 
     def _scale(self, mesh, forward):
@@ -284,22 +294,25 @@ class TestBlockedKernel:
         assert np.array_equal(counts, np.arange(61))
 
     def test_phi_sweep_against_mpmath_product(self):
-        # the same float propagators multiplied out in 40-digit arithmetic
+        # the float per-interval propagators multiplied out in 40-digit
+        # arithmetic; on the smooth mesh the sweep multiplies the same ones,
+        # on the step mesh it takes one exact step per run instead
         mpmath = pytest.importorskip("mpmath")
-        mesh = build_mesh(Potential.step(2.0, 1.3))
-        assert len(mesh.h) == 4097
-        for mu in (0.0, 2.0, 37.5, 900.0):
-            w = mu - mesh.qmid
-            C, S = _step_coeffs(w, mesh.h)
-            with mpmath.workdps(40):
-                y, yp = mpmath.mpf(self.y0), mpmath.mpf(self.yp0)
-                for c, s, ws in zip(C.tolist(), S.tolist(), (w * S).tolist()):
-                    y, yp = c * y + s * yp, -ws * y + c * yp
-                bound = 1e-12 * float(mpmath.sqrt(y * y + yp * yp))
-                y, yp = float(y), float(yp)
-            ye, ype = endpoint_values(mesh, [mu], self.y0, self.yp0)
-            assert abs(ye[0] - y) <= bound
-            assert abs(ype[0] - yp) <= bound
+        for q in (Potential.step(2.0, 1.3), Potential.smooth_test([1.0, -0.5])):
+            mesh = build_mesh(q)
+            assert len(mesh.h) == (4097 if q.name == "step" else 4096)
+            for mu in (0.0, 2.0, 37.5, 900.0):
+                w = mu - mesh.qmid
+                C, S = _step_coeffs(w, mesh.h)
+                with mpmath.workdps(40):
+                    y, yp = mpmath.mpf(self.y0), mpmath.mpf(self.yp0)
+                    for c, s, ws in zip(C.tolist(), S.tolist(), (w * S).tolist()):
+                        y, yp = c * y + s * yp, -ws * y + c * yp
+                    bound = 1e-12 * float(mpmath.sqrt(y * y + yp * yp))
+                    y, yp = float(y), float(yp)
+                ye, ype = endpoint_values(mesh, [mu], self.y0, self.yp0)
+                assert abs(ye[0] - y) <= bound
+                assert abs(ype[0] - yp) <= bound
 
     def test_node_batch_holds_one_node_array(self, q_step):
         mesh = build_mesh(q_step)
@@ -325,6 +338,74 @@ class TestBlockedKernel:
                 y_values_batch(mesh, [-1e6], 1.0, 0.0)
             with pytest.raises(BlowUpError):
                 solve_ivp(q_zero, -4000.0, True, 1.0, 0.0, 512)
+
+
+def _two_piece_norm(c, x0, mu, y0, yp0, forward):
+    """Closed-form int_0^pi y^2 for q = c on [0, x0], 0 on (x0, pi].
+
+    On a piece of length L with w = mu - q and start (y, y'), the integral is
+    y^2 (L/2 + CS/2) + y y' S^2 + y'^2 (L/2 - CS/2)/w, with C, S the
+    trigonometric or hyperbolic propagator entries; the backward sweep is
+    the forward one of the reflected problem.
+    """
+    pieces = [(x0, c), (PI - x0, 0.0)]
+    if not forward:
+        pieces, yp0 = pieces[::-1], -yp0
+    y, yp, total = y0, yp0, 0.0
+    for length, qc in pieces:
+        w = mu - qc
+        r = math.sqrt(abs(w))
+        if w > 0.0:
+            C, S = math.cos(r * length), math.sin(r * length) / r
+        else:
+            C, S = math.cosh(r * length), math.sinh(r * length) / r
+        total += (y * y * (length + C * S) / 2.0 + y * yp * S * S
+                  + yp * yp * (length - C * S) / (2.0 * w))
+        y, yp = C * y + S * yp, -w * S * y + C * yp
+    return total
+
+
+class TestRuns:
+    @pytest.mark.parametrize("q", [Potential.zero(), Potential.constant(-2.5)], ids=["zero", "const"])
+    def test_constant_potential_is_one_run(self, q):
+        for grid in (64, 4096):
+            mesh = build_mesh(q, grid)
+            assert mesh.run_h.tolist() == [PI]
+            assert mesh.run_q.tolist() == [mesh.qmid[0]]
+
+    def test_step_runs_meet_at_breakpoint(self):
+        mesh = build_mesh(Potential.step(2.0, 1.3))
+        assert mesh.run_q.tolist() == [2.0, 0.0]
+        assert mesh.run_h.tolist() == [1.3, PI - 1.3]
+        assert 1.3 in mesh.nodes
+
+    def test_grid_flat_segment_merges(self):
+        q = Potential.from_grid([0.0, 1.0, 2.0, PI], [0.5, 1.0, 1.0, -0.5])
+        mesh = build_mesh(q, 256)
+        flat = (mesh.nodes[:-1] >= 1.0) & (mesh.nodes[1:] <= 2.0)
+        assert np.all(mesh.qmid[flat] == 1.0)
+        assert len(mesh.run_h) == len(mesh.h) - np.count_nonzero(flat) + 1
+        [k] = np.flatnonzero(mesh.run_q == 1.0)
+        assert mesh.run_h[k] == 1.0
+        assert np.array_equal(np.delete(mesh.run_h, k), mesh.h[~flat])
+
+    def test_smooth_potential_has_one_run_per_interval(self):
+        mesh = build_mesh(Potential.smooth_test([1.0, -0.5]))
+        assert np.array_equal(mesh.run_h, mesh.h)
+        assert np.array_equal(mesh.run_q, mesh.qmid)
+
+    @pytest.mark.parametrize("c,x0,alpha,beta", [(2.0, PI / 2, PI / 2, PI / 2),
+                                                 (2.0, 1.3, 1.1, 2.0),
+                                                 (-1.5, 1.0, 2.4, 0.6)])
+    def test_step_norms_match_closed_form(self, c, x0, alpha, beta):
+        q = Potential.step(c, x0)
+        spec = find_spectrum(q, BoundaryParams(alpha, beta), 60)
+        mesh = build_mesh(q)
+        for forward, angle in ((True, alpha), (False, beta)):
+            y0, yp0 = math.sin(angle), -math.cos(angle)
+            _, _, acc = propagate_with_norm(mesh, spec.mus, y0, yp0, forward=forward)
+            exact = [_two_piece_norm(c, x0, mu, y0, yp0, forward) for mu in spec.mus]
+            assert np.max(np.abs(acc / exact - 1.0)) <= 1e-13
 
 
 class TestBoundaryNormalizedSolutions:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from slspectra import (
     mean_q,
 )
 from slspectra import spectrum
-from slspectra.odesolve import SolutionTrace
+from slspectra.odesolve import SolutionTrace, _step_coeffs
 from slspectra.spectrum import _zero_counts
 
 PI = math.pi
@@ -269,3 +270,95 @@ class TestRefinement:
         s = find_spectrum(q_step, bc_nn, 60)
         assert sum(sweeps) <= 9 * len(s.pairs)
         assert len(sweeps) <= 25
+
+
+def _free_eigenvalues(bc, n_max):
+    """mu_0..mu_n_max of the zero potential from its closed-form Phi.
+
+    With s the signed square root of mu, the left-normalized solution is
+    sin(alpha) cos(s x) - cos(alpha) sin(s x)/s for s > 0 and the cosh/sinh
+    form for s < 0.  Sign changes of Phi on a fine grid of s, from below
+    every bound state, are bisected to rounding.
+    """
+    sa, ca, sb, cb = bc.sin_alpha, bc.cos_alpha, bc.sin_beta, bc.cos_beta
+
+    def char(s):
+        r = np.abs(s)
+        osc = s > 0.0
+        rr = np.where(r > 0.0, r, 1.0)
+        c = np.where(osc, np.cos(r * PI), np.cosh(r * PI))
+        sn = np.where(r > 0.0, np.where(osc, np.sin(r * PI), np.sinh(r * PI)) / rr, PI)
+        y = sa * c - ca * sn
+        yp = np.where(osc, -r * r, r * r) * sn * sa - ca * c
+        return y * cb + yp * sb
+
+    bound = max(abs(ca / sa) if sa else 0.0, abs(cb / sb) if sb else 0.0)
+    s = np.arange(-(bound + 3.0), n_max + 3.0, 1e-3)
+    f = char(s)
+    lo = s[:-1][f[:-1] * f[1:] < 0.0][:n_max + 1]
+    hi = lo + 1e-3
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = char(mid) * char(lo) > 0.0
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    assert lo.size == n_max + 1
+    return lo * np.abs(lo)
+
+
+def _node_sign_walk(engine, mu):
+    """Number of eigenvalues below mu from y's sign changes at every mesh node."""
+    mesh = engine.mesh
+    w = mu - mesh.qmid
+    C, S = _step_coeffs(w, mesh.h)
+    y, yp = engine.y0, engine.yp0
+    zeros, prev = 0, np.sign(y)
+    for c, s, ws in zip(C.tolist(), S.tolist(), (w * S).tolist()):
+        y, yp = c * y + s * yp, -ws * y + c * yp
+        scale = max(abs(y), abs(yp))
+        if scale > 1e100:
+            y, yp = y / scale, yp / scale
+        if y != 0.0:
+            zeros += int(prev != 0.0 and np.sign(y) != prev)
+            prev = np.sign(y)
+    angle = math.atan2(y, yp)
+    angle += PI if angle <= 0.0 else 0.0
+    return zeros + int(angle > PI - engine.bc.beta)
+
+
+class TestOscillationIndex:
+    BCS = {"DD": BoundaryParams(PI, 0.0), "NN": BoundaryParams(PI / 2, PI / 2),
+           "robin": BoundaryParams(2.0, 0.9), "robin-bound": BoundaryParams(0.2, 2.9)}
+
+    @pytest.mark.parametrize("grid", [4096, 64])
+    @pytest.mark.parametrize("bc_name", sorted(BCS))
+    @pytest.mark.parametrize("c", [0.0, 3.5, -2.0])
+    def test_counts_between_exact_eigenvalues(self, c, bc_name, grid):
+        # constant potentials shift the zero potential's closed-form spectrum
+        bc = self.BCS[bc_name]
+        mus = _free_eigenvalues(bc, 100) + c
+        engine = spectrum._CharEngine(Potential.constant(c), bc, grid)
+        probes = np.concatenate(([mus[0] - 1.0], 0.5 * (mus[:-1] + mus[1:])))
+        counts = [spectrum._oscillation_index(engine, mu) for mu in probes]
+        assert counts == list(range(101))
+
+    @pytest.mark.parametrize("q,bc", [(Potential.step(2.0, PI / 2), BoundaryParams(PI / 2, PI / 2)),
+                                      (Potential.step(2.0, 1.3), BoundaryParams(1.1, 2.0)),
+                                      (Potential.step(-1.5, 1.0), BoundaryParams(PI, 0.0)),
+                                      (Potential.step(40.0, 0.2), BoundaryParams(2.3, 0.7))],
+                             ids=["step-NN", "step-generic", "step-DD", "thin-tall"])
+    def test_step_counts_equal_node_sign_walk(self, q, bc):
+        engine = spectrum._CharEngine(q, bc, 4096)
+        mus = np.concatenate(([spectrum._scan_floor(q), -3.0, 0.0, 2.0],
+                              np.linspace(-1.0, 3600.0, 97)))
+        for mu in mus:
+            assert spectrum._oscillation_index(engine, mu) == _node_sign_walk(engine, mu)
+
+    def test_no_warning_where_a_merged_cosh_overflows(self, bc_nn):
+        q = Potential.constant(100.0)
+        engine = spectrum._CharEngine(q, bc_nn, 4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectrum._oscillation_index(engine, spectrum._scan_floor(q)) == 0
+            p = find_eigenvalue(q, bc_nn, 0)
+        assert p.mu == pytest.approx(100.0, abs=1e-8)
+
