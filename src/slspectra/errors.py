@@ -23,7 +23,7 @@ class BlowUpError(SpectralError):
 
 
 class BracketError(SpectralError):
-    """No sign change of the characteristic function within the widening limit."""
+    """The eigenvalue count could not isolate an index within its limits."""
 
 
 class OscillationMismatchError(SpectralError):

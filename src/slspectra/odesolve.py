@@ -52,6 +52,7 @@ DEFAULT_GRID_SIZE = 4096
 BLOWUP_BOUND = 1e12
 
 _SERIES_Z = 1e-4
+_DS_SERIES_Z = 0.1
 # One coefficient block holds _BLOCK_ELEMS (interval, mu) entries: 256
 # intervals at a batch of _BLOCK_MUS spectral parameters, longer blocks for
 # smaller batches and shorter ones, down to a single interval, for larger.
@@ -166,14 +167,18 @@ def _step_coeffs(w, h):
 def _dS_dw(w, h, C, S):
     """Derivative of the propagator entry S in the coefficient w.
 
-    The closed form (h C - S) / (2 w) is 0/0 at w = 0 and cancels near it,
-    so small |z| takes the series of h sin(sqrt(w) h)/sqrt(w).
+    The closed form (h C - S) / (2 w) is 0/0 at w = 0 and loses about
+    6 eps / |z| to cancellation, so |z| < _DS_SERIES_Z takes the series of
+    h sin(sqrt(w) h)/sqrt(w) in z = w h^2 through z^6, whose truncation
+    error stays below rounding there.
     """
     z = w * h * h
-    small = np.abs(z) < _SERIES_Z
+    small = np.abs(z) < _DS_SERIES_Z
     wsafe = np.where(small, 1.0, w)
     closed = (h * C - S) / (2.0 * wsafe)
-    series = h * h * h * (-1.0 / 6.0 + z / 60.0 - z * z / 1680.0)
+    series = h * h * h * (-1.0 / 6.0 + z * (1.0 / 60.0 + z * (-1.0 / 1680.0 + z * (
+        1.0 / 90720.0 + z * (-1.0 / 7983360.0 + z * (
+            1.0 / 1037836800.0 - z / 186810624000.0))))))
     return np.where(small, series, closed)
 
 
@@ -300,7 +305,7 @@ def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool
 
 @_quiet
 def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
-           with_yprime: bool = True):
+           with_yprime: bool = True, scaled=None):
     """y and y' at every node for a batch of mu, each of shape (nodes, mus).
 
     Steps from x = 0 when forward and from x = pi otherwise.  A block of L
@@ -310,21 +315,32 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     each chunk's start state, and k more steps through all chunks at once
     give every node.  That is about 3 sqrt(L) numpy steps per block instead
     of L, on arrays of L/k rows, and the transients stay within a block.
-    Rows come back in increasing node order either way; y' is None without
-    with_yprime.
+    Rows come back in increasing node order either way.  Without
+    with_yprime, only the last y' in propagation order comes back, as one
+    array of shape (mus,).
+
+    scaled, when given, replaces _transfer: it maps (h, w, C, S, sign) to
+    the entries of each step's propagator times a nonzero factor.  The
+    sweep then takes one step per run instead of per interval, and divides
+    every chunk propagator and block start state by its largest magnitude,
+    so each row is the run-end state of the scaled steps up to a positive
+    factor: only signs and directions mean anything, and nothing overflows.
     """
-    Y = np.empty((len(mesh.h) + 1, mus.size))
+    h, q = (mesh.h, mesh.qmid) if scaled is None else (mesh.run_h, mesh.run_q)
+    Y = np.empty((len(h) + 1, mus.size))
     YP = np.empty_like(Y) if with_yprime else None
     y, yp = np.full(mus.size, float(y0)), np.full(mus.size, float(yp0))
     Y[0] = y
     if with_yprime:
         YP[0] = yp
     lo = 1
-    for block in _blocks(mesh.h, mesh.qmid, mus, forward):
-        a, b, c, _ = _transfer(*block, 1.0 if forward else -1.0)
+    for block in _blocks(h, q, mus, forward):
+        a, b, c, _ = (scaled or _transfer)(*block, 1.0 if forward else -1.0)
         L = len(a)
         k = math.isqrt(L)
-        ys, yps = _chunk_starts(a, b, c, y, yp, k)
+        if scaled is not None:
+            y, yp = _normalised(y, yp)
+        ys, yps = _chunk_starts(a, b, c, y, yp, k, scaled is not None)
         last = L - 1 - (len(ys) - 1) * k
         for j in range(k):
             rows = slice(j, L, k)
@@ -338,16 +354,23 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
                 y, yp = ys[-1], yps[-1]
         lo += L
     flip = slice(None, None, 1 if forward else -1)
-    return Y[flip], (YP[flip] if with_yprime else None)
+    return Y[flip], (YP[flip] if with_yprime else yp)
 
 
-def _chunk_starts(a, b, c, y, yp, k):
+def _normalised(*entries):
+    """The entries divided by their largest magnitude, elementwise over arrays."""
+    scale = np.maximum.reduce([np.abs(e) for e in entries])
+    return tuple(e / scale for e in entries)
+
+
+def _chunk_starts(a, b, c, y, yp, k, normalise=False):
     """States at the start of each k-row chunk of one block's propagator rows.
 
     a, b, c are the rows' entries m00 = m11, m01 and m10, and (y, yp) the
     block's start state.  The propagators of the full chunks, all but the
     last, are formed together, row j of every chunk in one step, and then
-    chained in order.  Returns two arrays of shape (chunks, mus).
+    chained in order; with normalise, each is first divided by its largest
+    entry.  Returns two arrays of shape (chunks, mus).
     """
     full = (len(a) - 1) // k
     ys, yps = np.empty((full + 1, y.size)), np.empty((full + 1, y.size))
@@ -360,6 +383,8 @@ def _chunk_starts(a, b, c, y, yp, k):
             ra, rb, rc = a[rows], b[rows], c[rows]
             p00, p01, p10, p11 = (ra * p00 + rb * p10, ra * p01 + rb * p11,
                                   rc * p00 + ra * p10, rc * p01 + ra * p11)
+        if normalise:
+            p00, p01, p10, p11 = _normalised(p00, p01, p10, p11)
         for i in range(full):
             ys[i + 1] = p00[i] * ys[i] + p01[i] * yps[i]
             yps[i + 1] = p10[i] * ys[i] + p11[i] * yps[i]

@@ -407,6 +407,24 @@ class TestRuns:
             exact = [_two_piece_norm(c, x0, mu, y0, yp0, forward) for mu in spec.mus]
             assert np.max(np.abs(acc / exact - 1.0)) <= 1e-13
 
+    @pytest.mark.parametrize("z", [1.01e-4, -1.01e-4, 1.9e-4, -1.9e-4, -3e-4])
+    def test_one_run_norm_near_series_threshold(self, z):
+        # constant(1) is one run of length pi, so z = (mu - 1) pi^2; the
+        # closed-form dS/dw cancels for small |z|
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        y0, yp0 = math.sin(2.0), -math.cos(2.0)
+        mu = 1.0 + z / PI ** 2
+        _, _, acc = propagate_with_norm(build_mesh(Potential.constant(1.0)), [mu], y0, yp0)
+        w = mp.mpf(mu) - 1
+        r = mp.sqrt(abs(w))
+        if w > 0:
+            y = lambda x: y0 * mp.cos(r * x) + yp0 * mp.sin(r * x) / r
+        else:
+            y = lambda x: y0 * mp.cosh(r * x) + yp0 * mp.sinh(r * x) / r
+        exact = mp.quad(lambda x: y(x) ** 2, [0, mp.pi])
+        assert abs(acc[0] / float(exact) - 1.0) <= 1e-14
+
 
 class TestBoundaryNormalizedSolutions:
     def test_phi_neumann(self, q_zero):

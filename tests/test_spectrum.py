@@ -22,7 +22,7 @@ from slspectra import (
     mean_q,
 )
 from slspectra import spectrum
-from slspectra.odesolve import SolutionTrace, _step_coeffs
+from slspectra.odesolve import DEFAULT_GRID_SIZE, SolutionTrace, _step_coeffs
 from slspectra.spectrum import _zero_counts
 
 PI = math.pi
@@ -83,15 +83,15 @@ class TestBracketing:
             assert lo < (n + 1) ** 2 < hi
 
     def test_counts_are_never_repeated(self, q_step, bc_nn, monkeypatch):
-        # indices 0 and 1 share one index bisection that reuses every count
+        # every round of the index bisection reuses all earlier counts
         counted = []
-        count = spectrum._oscillation_index
+        count = spectrum._counts
 
-        def recording(engine, mu):
-            counted.append(mu)
-            return count(engine, mu)
+        def recording(engine, mus):
+            counted.extend(np.atleast_1d(mus).tolist())
+            return count(engine, mus)
 
-        monkeypatch.setattr(spectrum, "_oscillation_index", recording)
+        monkeypatch.setattr(spectrum, "_counts", recording)
         find_spectrum(q_step, bc_nn, 4, grid_size=1024)
         assert 0 < len(counted) == len(set(counted))
 
@@ -306,10 +306,17 @@ def _free_eigenvalues(bc, n_max):
 
 
 def _node_sign_walk(engine, mu):
-    """Number of eigenvalues below mu from y's sign changes at every mesh node."""
+    """Number of eigenvalues below mu from y's sign changes at every mesh node.
+
+    Intervals with w < 0 step by their propagator divided by cosh, so that
+    deep mu does not overflow.
+    """
     mesh = engine.mesh
     w = mu - mesh.qmid
-    C, S = _step_coeffs(w, mesh.h)
+    hyp = w < 0.0
+    r = np.sqrt(np.abs(w))
+    C, S = np.ones_like(w), np.tanh(r * mesh.h) / np.where(hyp, r, 1.0)
+    C[~hyp], S[~hyp] = _step_coeffs(w[~hyp], mesh.h[~hyp])
     y, yp = engine.y0, engine.yp0
     zeros, prev = 0, np.sign(y)
     for c, s, ws in zip(C.tolist(), S.tolist(), (w * S).tolist()):
@@ -325,6 +332,18 @@ def _node_sign_walk(engine, mu):
     return zeros + int(angle > PI - engine.bc.beta)
 
 
+def _both_counts(engine, mus):
+    """_counts of each mu on its own and of all of them in one batch; they must agree."""
+    single = [int(spectrum._counts(engine, [mu])[0]) for mu in mus]
+    assert spectrum._counts(engine, mus).tolist() == single
+    return single
+
+
+def _old_floor(q):
+    n1 = q.norm1()
+    return -n1 * (1.0 + n1) - 1.0
+
+
 class TestOscillationIndex:
     BCS = {"DD": BoundaryParams(PI, 0.0), "NN": BoundaryParams(PI / 2, PI / 2),
            "robin": BoundaryParams(2.0, 0.9), "robin-bound": BoundaryParams(0.2, 2.9)}
@@ -338,8 +357,7 @@ class TestOscillationIndex:
         mus = _free_eigenvalues(bc, 100) + c
         engine = spectrum._CharEngine(Potential.constant(c), bc, grid)
         probes = np.concatenate(([mus[0] - 1.0], 0.5 * (mus[:-1] + mus[1:])))
-        counts = [spectrum._oscillation_index(engine, mu) for mu in probes]
-        assert counts == list(range(101))
+        assert _both_counts(engine, probes) == list(range(101))
 
     @pytest.mark.parametrize("q,bc", [(Potential.step(2.0, PI / 2), BoundaryParams(PI / 2, PI / 2)),
                                       (Potential.step(2.0, 1.3), BoundaryParams(1.1, 2.0)),
@@ -348,17 +366,61 @@ class TestOscillationIndex:
                              ids=["step-NN", "step-generic", "step-DD", "thin-tall"])
     def test_step_counts_equal_node_sign_walk(self, q, bc):
         engine = spectrum._CharEngine(q, bc, 4096)
-        mus = np.concatenate(([spectrum._scan_floor(q), -3.0, 0.0, 2.0],
-                              np.linspace(-1.0, 3600.0, 97)))
-        for mu in mus:
-            assert spectrum._oscillation_index(engine, mu) == _node_sign_walk(engine, mu)
+        mus = np.concatenate(([_old_floor(q), -3.0, 0.0, 2.0], np.linspace(-1.0, 3600.0, 97)))
+        assert _both_counts(engine, mus) == [_node_sign_walk(engine, mu) for mu in mus]
 
     def test_no_warning_where_a_merged_cosh_overflows(self, bc_nn):
         q = Potential.constant(100.0)
         engine = spectrum._CharEngine(q, bc_nn, 4096)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spectrum._oscillation_index(engine, spectrum._scan_floor(q)) == 0
+            assert _both_counts(engine, [_old_floor(q)]) == [0]
             p = find_eigenvalue(q, bc_nn, 0)
         assert p.mu == pytest.approx(100.0, abs=1e-8)
 
+    @pytest.mark.parametrize("q,bc", [(Potential.smooth_test([3e4]), BoundaryParams(PI / 2, PI / 2)),
+                                      (Potential.smooth_test([1e5, -3e4]), BoundaryParams(1.1, 2.0)),
+                                      (Potential.constant(1e6), BoundaryParams(PI, 0.0)),
+                                      (Potential.step(-2e5, 1.0), BoundaryParams(2.3, 0.7))],
+                             ids=["smooth-tall", "smooth-two-mode", "constant-high", "step-deep"])
+    def test_deep_counts_equal_node_sign_walk(self, q, bc):
+        # the old a-priori floor lies far below every run's q; the count
+        # sweep scales its hyperbolic runs and normalises its chunk products
+        engine = spectrum._CharEngine(q, bc, 4096)
+        mus = np.array([_old_floor(q), -2e5 - 1.0, -1e4, 0.0, 3e4, 1e5, 4e5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _both_counts(engine, mus) == [_node_sign_walk(engine, mu) for mu in mus]
+
+
+def _assert_counted_pairs(q, bc, n_max, grid_size=DEFAULT_GRID_SIZE):
+    """Each eigenfunction has n interior zeros and Phi changes sign across its bracket."""
+    s = find_spectrum(q, bc, n_max, grid_size=grid_size)
+    for p in s.pairs:
+        assert count_interior_zeros(eigenfunction(p, q, bc, grid_size)) == p.n == p.zeros
+        lo, hi = bracket_eigenvalue(q, bc, p.n, grid_size)
+        assert lo <= p.mu <= hi
+        assert char_function(q, bc, lo, grid_size) * char_function(q, bc, hi, grid_size) < 0.0
+    return s
+
+
+class TestFormerFailures:
+    """Tall barriers, a mesh coarse for its index range, and bound states
+    below min(q) - 1 that only the boundary angles create."""
+
+    def test_tall_barrier_neumann(self):
+        _assert_counted_pairs(Potential.step(500.0, 1.0), BoundaryParams(PI / 2, PI / 2), 5)
+
+    def test_barrier_neumann_dirichlet(self):
+        _assert_counted_pairs(Potential.step(10.0, 1.7), BoundaryParams(PI / 2, 0.0), 5)
+
+    def test_coarse_mesh_dirichlet(self, q_zero, bc_dd):
+        s = find_spectrum(q_zero, bc_dd, 100, grid_size=64)
+        assert np.max(np.abs(s.mus - np.arange(1, 102) ** 2.0)) <= 1e-10
+        assert all(p.zeros == p.n for p in s.pairs)
+
+    def test_robin_bound_states(self, q_zero):
+        bc = BoundaryParams(0.2, 2.9)
+        s = find_spectrum(q_zero, bc, 10)
+        assert s.mus[0] == pytest.approx(-24.336, abs=1e-3)
+        assert np.max(np.abs(s.mus - _free_eigenvalues(bc, 10))) <= 1e-8
