@@ -20,7 +20,6 @@ from .errors import (
     BracketError,
     CaseError,
     ConvergenceError,
-    OscillationMismatchError,
     QuadratureError,
     SpectralError,
     UnsupportedRegimeError,
@@ -94,7 +93,6 @@ __all__ = [
     "FundamentalSystem",
     "KSeriesResult",
     "NormingRecord",
-    "OscillationMismatchError",
     "PicardResult",
     "Potential",
     "QuadratureError",

@@ -149,7 +149,7 @@ def _cmd_delta(args) -> int:
     columns = ["n", "delta_fixed_point", "delta_asymptotic", "difference"]
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        dv = delta_for_index(n, bc, tol=args.tol)
+        dv = delta_for_index(n, bc)
         asym = delta_asymptotic(max(n, 1), bc)
         rows.append((n, dv.value, asym, dv.value - asym))
     _emit_table(columns, rows, args)
@@ -216,19 +216,18 @@ def _cmd_verify(args) -> int:
 def _check_range(args) -> None:
     if args.n_min < 0 or args.n_max < args.n_min:
         raise ConfigError(f"need 0 <= n-min <= n-max, got [{args.n_min}, {args.n_max}]")
-    if args.tol <= 0:
-        raise ConfigError("tolerance must be positive")
 
 
-def _add_common(parser, potential=True, tol=True):
+def _add_common(parser, potential=True, solver=True):
+    """Angles and output flags; --potential and the solver's --tol and --grid-size."""
     if potential:
         parser.add_argument("--potential", required=True,
                             help="inline JSON or path to a JSON potential spec")
     parser.add_argument("--alpha", required=True, help="left boundary angle, (0, pi]")
     parser.add_argument("--beta", required=True, help="right boundary angle, [0, pi)")
-    if tol:
+    if solver:
         parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--grid-size", type=int, default=4096)
+        parser.add_argument("--grid-size", type=int, default=4096)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -253,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_norming)
 
     p = sub.add_parser("delta", help="index shift table")
-    _add_common(p, potential=False)
+    _add_common(p, potential=False, solver=False)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=50)
     p.set_defaults(fn=_cmd_delta)
 
     p = sub.add_parser("kseries", help="series partial sums and stability report")
-    _add_common(p, tol=False)
+    _add_common(p, solver=False)
     p.add_argument("--N", type=int, default=100, help="largest truncation order")
     p.add_argument("--segment", default="0.5,5.783185307179586",
                    help="'a,b' segment for the variation report")

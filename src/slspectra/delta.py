@@ -8,7 +8,8 @@ For n >= 2 the shift solves the scalar fixed-point equation
 with the principal arccos branch.  The right-hand side contracts with rate
 O(1/n^2), so plain iteration from the asymptotic closed form converges in a
 handful of steps; the recorded residual is the absolute fixed-point defect
-of the returned value.
+of the returned value.  Iteration stops once consecutive iterates differ
+by at most FIXED_POINT_TOL.
 
 For n in {0, 1} the equation is outside its stated range; the same map can
 still be iterated formally and the result is flagged as extrapolated.  It
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .errors import ConvergenceError
 from .potential import PI, BoundaryParams
 
-DEFAULT_DELTA_TOL = 1e-13
+FIXED_POINT_TOL = 1e-13
 MAX_ITERATIONS = 200
 
 _VALUE_WINDOW = (-1.0, 2.0)
@@ -83,13 +84,13 @@ def delta_asymptotic(n: int, bc: BoundaryParams) -> float:
     return (cb / sb - ca / sa) / (PI * n)
 
 
-def _iterate(n: int, bc: BoundaryParams, tol: float, extrapolated: bool) -> DeltaValue:
+def _iterate(n: int, bc: BoundaryParams, extrapolated: bool) -> DeltaValue:
     sa, ca = bc.sin_alpha, bc.cos_alpha
     sb, cb = bc.sin_beta, bc.cos_beta
     d = delta_asymptotic(max(n, 1), bc)
     for it in range(1, MAX_ITERATIONS + 1):
         d_next = _rhs(d, n, sa, ca, sb, cb)
-        if abs(d_next - d) <= tol:
+        if abs(d_next - d) <= FIXED_POINT_TOL:
             residual = abs(_rhs(d_next, n, sa, ca, sb, cb) - d_next)
             value = DeltaValue(n=n, value=d_next, iterations=it, residual=residual,
                                extrapolated=extrapolated)
@@ -109,30 +110,27 @@ def _iterate(n: int, bc: BoundaryParams, tol: float, extrapolated: bool) -> Delt
         last_value=d, residual=residual)
 
 
-def solve_delta(n: int, bc: BoundaryParams, tol: float = DEFAULT_DELTA_TOL) -> DeltaValue:
+def solve_delta(n: int, bc: BoundaryParams) -> DeltaValue:
     """Solve the fixed-point equation for the index shift, n >= 2."""
     if n < 2:
         raise ValueError(
             f"the fixed-point equation is stated for n >= 2, got {n}; "
             "use solve_delta_extrapolated for smaller indices")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    return _iterate(n, bc, tol, extrapolated=False)
+    return _iterate(n, bc, extrapolated=False)
 
 
-def solve_delta_extrapolated(n: int, bc: BoundaryParams,
-                             tol: float = DEFAULT_DELTA_TOL) -> DeltaValue:
+def solve_delta_extrapolated(n: int, bc: BoundaryParams) -> DeltaValue:
     """Formal evaluation of the fixed-point map at n in {0, 1}.
 
     Flagged extrapolated; informational only.
     """
     if n not in (0, 1):
         raise ValueError(f"extrapolated evaluation is for n in {{0, 1}}, got {n}")
-    return _iterate(n, bc, tol, extrapolated=True)
+    return _iterate(n, bc, extrapolated=True)
 
 
-def delta_for_index(n: int, bc: BoundaryParams, tol: float = DEFAULT_DELTA_TOL) -> DeltaValue:
+def delta_for_index(n: int, bc: BoundaryParams) -> DeltaValue:
     """solve_delta for n >= 2, the extrapolated evaluation below that."""
     if n >= 2:
-        return solve_delta(n, bc, tol)
-    return solve_delta_extrapolated(n, bc, tol)
+        return solve_delta(n, bc)
+    return solve_delta_extrapolated(n, bc)

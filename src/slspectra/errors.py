@@ -26,10 +26,6 @@ class BracketError(SpectralError):
     """The eigenvalue count could not isolate an index within its limits."""
 
 
-class OscillationMismatchError(SpectralError):
-    """Eigenfunction zero count disagrees with the requested index."""
-
-
 class ConvergenceError(SpectralError):
     """Fixed-point or root iteration did not converge.
 

@@ -187,16 +187,12 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
 
 def k1_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None) -> np.ndarray:
     """Partial sum through N of the boundary-term piece k1."""
-    grid = _default_grid(grid)
-    nus, _, k1_coefs, _ = series_coefficients(q, bc, N)
-    return _partial_rows(nus, [k1_coefs], grid, (N,))[0, 0]
+    return k_partial_sum(q, bc, N, grid, truncations=(N,)).k1_partial[0]
 
 
 def k2_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None) -> np.ndarray:
     """Partial sum through N of the Fourier-coefficient piece k2."""
-    grid = _default_grid(grid)
-    nus, _, _, k2_coefs = series_coefficients(q, bc, N)
-    return _partial_rows(nus, [k2_coefs], grid, (N,))[0, 0]
+    return k_partial_sum(q, bc, N, grid, truncations=(N,)).k2_partial[0]
 
 
 def k2_closed_form_dd(q: Potential, grid=None,

@@ -247,13 +247,12 @@ def _sweep(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
 
 
 @_quiet
-def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True,
-                    guard: bool = True):
+def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
     """Propagate (y0, yp0) across the whole mesh for a batch of mu values.
 
-    Returns (y, y') at x = pi when forward, at x = 0 otherwise.  With guard
-    set, raises BlowUpError if any final value escapes the overflow bound;
-    scans that only need signs of deeply hyperbolic values run unguarded.
+    Returns (y, y') at x = pi when forward, at x = 0 otherwise.  Raises
+    BlowUpError if any final value is non-finite or exceeds BLOWUP_BOUND;
+    counting, which needs no magnitudes, runs its own scaled sweep.
 
     Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
     so the transient arrays of one block stay near 2 MB whatever the batch
@@ -261,10 +260,8 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     ys, yps = _sweep(mesh, mus, y0, yp0, forward, _transfer, _mul2)
-    if guard and (
-        not np.all(np.isfinite(ys)) or not np.all(np.isfinite(yps))
-        or np.max(np.abs(ys)) > BLOWUP_BOUND or np.max(np.abs(yps)) > BLOWUP_BOUND
-    ):
+    if (not np.all(np.isfinite(ys)) or not np.all(np.isfinite(yps))
+            or np.max(np.abs(ys)) > BLOWUP_BOUND or np.max(np.abs(yps)) > BLOWUP_BOUND):
         raise BlowUpError(
             "solution exceeded the overflow guard; spectral parameter far outside "
             "the admissible range"
@@ -405,7 +402,9 @@ def _trace(mesh: Mesh, mu: float, y0: float, yp0: float, forward: bool) -> Solut
 def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
     """Forward solution values at every node for a batch of mu, shape (nodes, mus).
 
-    Used for oscillation counting across a whole spectrum in one sweep.
+    Used for oscillation counting across a whole spectrum in one sweep: the
+    oscillation-certificate check counts the interior node signs of every
+    eigenfunction of a spectrum from one call.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     out, _ = _nodes(mesh, mus, y0, yp0, True, with_yprime=False)
@@ -552,7 +551,7 @@ def picard_y2(q: Potential, lam: float, K: int,
     integral of the previous one against sin(lam (x - t)) q(t) / lam,
     evaluated through its sin/cos split so only cumulative integrals are
     needed.  Requires lam >= 1.  The certificate bounds the omitted tail by
-    sum over k > K of sigma0(pi)^k / (lam^(k+1) k!).
+    sum over k > K of sigma0^k / (lam^(k+1) k!), sigma0 = q.norm1().
     """
     if lam < 1.0:
         raise ValueError(f"series construction requires lam >= 1, got {lam}")
@@ -602,7 +601,7 @@ def _picard_tail(sigma0: float, lam: float, K: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kernel_A(q: Potential, lam: float, x: float, tol: float = 1e-10) -> float:
+def kernel_A(q: Potential, lam: float, x: float) -> float:
     """Leading oscillatory kernel of the cosine-normalized solution.
 
     A(x, lam) = sin(lam x) * int_0^x q + int_0^x q(t) sin(lam (x - 2t)) dt.
@@ -611,13 +610,13 @@ def kernel_A(q: Potential, lam: float, x: float, tol: float = 1e-10) -> float:
     if lam < 1.0:
         raise ValueError(f"kernel is defined for lam >= 1, got {lam}")
     bps = q.breakpoints
-    i1 = integrate(q, 0.0, x, tol, breakpoints=bps)
-    i2 = integrate(lambda t: q(t) * np.sin(lam * (x - 2.0 * t)), 0.0, x, tol,
+    i1 = integrate(q, 0.0, x, breakpoints=bps)
+    i2 = integrate(lambda t: q(t) * np.sin(lam * (x - 2.0 * t)), 0.0, x,
                    freq=2.0 * lam, breakpoints=bps)
     return math.sin(lam * x) * i1 + i2
 
 
-def kernel_B(q: Potential, lam: float, x: float, tol: float = 1e-10) -> float:
+def kernel_B(q: Potential, lam: float, x: float) -> float:
     """Leading oscillatory kernel of the sine-normalized solution.
 
     B(x, lam) = cos(lam x) * int_0^x q - int_0^x q(t) cos(lam (x - 2t)) dt.
@@ -625,7 +624,7 @@ def kernel_B(q: Potential, lam: float, x: float, tol: float = 1e-10) -> float:
     if lam < 1.0:
         raise ValueError(f"kernel is defined for lam >= 1, got {lam}")
     bps = q.breakpoints
-    i1 = integrate(q, 0.0, x, tol, breakpoints=bps)
-    i2 = integrate(lambda t: q(t) * np.cos(lam * (x - 2.0 * t)), 0.0, x, tol,
+    i1 = integrate(q, 0.0, x, breakpoints=bps)
+    i2 = integrate(lambda t: q(t) * np.cos(lam * (x - 2.0 * t)), 0.0, x,
                    freq=2.0 * lam, breakpoints=bps)
     return math.cos(lam * x) * i1 - i2

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +38,11 @@ PI = math.pi
 DEFAULT_QUAD_TOL = 1e-10
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
+# integrate: at least _MIN_PANELS initial panels, at most _MAX_REFINE halvings
+_MIN_PANELS = 8
+_MAX_REFINE = 28
+# sigma_functions: uniform node-table intervals, breakpoints added
+_TABLE_POINTS = 2048
 _NAMED_POTENTIALS = ("zero", "constant", "step", "smooth-test")
 _DOMAIN_SLACK = 1e-12
 
@@ -77,8 +81,6 @@ def integrate(
     *,
     freq: float = 0.0,
     breakpoints: Sequence[float] = (),
-    min_panels: int = 8,
-    max_refine: int = 28,
 ) -> float:
     """Integrate f over [u, v] to an absolute error target of tol.
 
@@ -100,7 +102,7 @@ def integrate(
 
     width = v - u
     periods = freq * width / (2.0 * PI)
-    n0 = max(int(min_panels), 8 * int(math.ceil(periods)) if periods > 0 else 0)
+    n0 = max(_MIN_PANELS, 8 * int(math.ceil(periods)) if periods > 0 else 0)
     n0 = min(max(n0, 1), 1 << 14)
     edges = np.linspace(u, v, n0 + 1)
     interior = [b for b in breakpoints if u < b < v]
@@ -115,7 +117,7 @@ def integrate(
     accepted_err = 0.0
     open_estimate = float(np.sum(coarse))
     open_err = math.inf
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         mid = 0.5 * (a + b)
         left = _gauss2(f, a, mid)
         right = _gauss2(f, mid, b)
@@ -142,7 +144,7 @@ def integrate(
         open_err = float(np.sum(err[keep]))
 
     raise QuadratureError(
-        f"quadrature did not converge on [{u}, {v}] after {max_refine} refinements "
+        f"quadrature did not converge on [{u}, {v}] after {_MAX_REFINE} refinements "
         f"({a.size} panels open)",
         estimate=total + open_estimate,
         error_bound=accepted_err + open_err,
@@ -410,10 +412,10 @@ class Potential:
             return (self.params[1],)
         return ()
 
-    def norm1(self, tol: float = DEFAULT_QUAD_TOL) -> float:
+    def norm1(self) -> float:
         """L1 norm of q over [0, pi], cached after the first call."""
         if self._norm1 is None:
-            value = integrate(lambda t: np.abs(self(t)), 0.0, PI, tol,
+            value = integrate(lambda t: np.abs(self(t)), 0.0, PI,
                               breakpoints=self.breakpoints)
             object.__setattr__(self, "_norm1", value)
         return self._norm1
@@ -426,37 +428,22 @@ class Potential:
 
 @dataclass
 class CumulativeIntegrals:
-    """Cumulative integrals of a potential, evaluable anywhere on their domains.
+    """The weighted cumulative integral of a potential and its half-argument form.
 
-    sigma0(x) = integral of |q| over [0, x]
     sigma(x)  = integral of (pi - t) q(t) over [0, x]
     sigma_tilde(x) = sigma(x / 2), defined for x in [0, 2 pi]
-    mean_q    = (1 / pi) integral of q over [0, pi]
 
     Built on a node table with two-point Gauss panels, so piecewise-linear
     potentials (and steps, whose jumps are table nodes) are integrated
-    exactly up to rounding.  Only the weighted table, which sigma and
-    sigma_tilde read, is built up front; cum_abs, cum_plain and mean_q are
-    built on first access and cached.
+    exactly up to rounding.  The L1 norm and the mean of q are
+    Potential.norm1 and mean_q.
     """
 
     q: Potential
     nodes: np.ndarray
     cum_weighted: np.ndarray
 
-    @cached_property
-    def cum_abs(self) -> np.ndarray:
-        return _cumulative_table(lambda t: np.abs(self.q(t)), self.nodes)
-
-    @cached_property
-    def cum_plain(self) -> np.ndarray:
-        return _cumulative_table(self.q, self.nodes)
-
-    @cached_property
-    def mean_q(self) -> float:
-        return float(self.cum_plain[-1] / PI)
-
-    def _partial(self, g: Callable[[np.ndarray], np.ndarray], cum: np.ndarray, x):
+    def sigma(self, x):
         arr = np.asarray(x, dtype=float)
         if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > PI + _DOMAIN_SLACK):
             raise ValueError("cumulative integral evaluated outside [0, pi]")
@@ -464,16 +451,10 @@ class CumulativeIntegrals:
         i = np.clip(np.searchsorted(self.nodes, arr, side="right") - 1,
                     0, self.nodes.size - 2)
         a = self.nodes[i]
-        vals = cum[i] + _gauss2(g, a, arr)
+        vals = self.cum_weighted[i] + _gauss2(lambda t: (PI - t) * self.q(t), a, arr)
         if np.isscalar(x) or arr.ndim == 0:
             return float(vals)
         return vals
-
-    def sigma0(self, x):
-        return self._partial(lambda t: np.abs(self.q(t)), self.cum_abs, x)
-
-    def sigma(self, x):
-        return self._partial(lambda t: (PI - t) * self.q(t), self.cum_weighted, x)
 
     def sigma_tilde(self, x):
         arr = np.asarray(x, dtype=float)
@@ -482,21 +463,17 @@ class CumulativeIntegrals:
         return self.sigma(np.clip(arr, 0.0, 2.0 * PI) / 2.0)
 
 
-def _cumulative_table(g: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    """Integrals of g from 0 to every node, by two-point Gauss panels."""
-    return np.concatenate([[0.0], np.cumsum(_gauss2(g, nodes[:-1], nodes[1:]))])
-
-
-def sigma_functions(q: Potential, table_points: int = 2048) -> CumulativeIntegrals:
+def sigma_functions(q: Potential) -> CumulativeIntegrals:
     """Build the cumulative integrals of q on a shared node table."""
-    nodes = np.linspace(0.0, PI, table_points + 1)
+    nodes = np.linspace(0.0, PI, _TABLE_POINTS + 1)
     bps = [b for b in q.breakpoints if 0.0 < b < PI]
     if bps:
         nodes = np.unique(np.concatenate([nodes, np.asarray(bps, dtype=float)]))
-    return CumulativeIntegrals(
-        q=q, nodes=nodes, cum_weighted=_cumulative_table(lambda t: (PI - t) * q(t), nodes))
+    panels = _gauss2(lambda t: (PI - t) * q(t), nodes[:-1], nodes[1:])
+    return CumulativeIntegrals(q=q, nodes=nodes,
+                               cum_weighted=np.concatenate([[0.0], np.cumsum(panels)]))
 
 
-def mean_q(q: Potential, tol: float = DEFAULT_QUAD_TOL) -> float:
+def mean_q(q: Potential) -> float:
     """Mean value of the potential, (1 / pi) times its integral over [0, pi]."""
-    return integrate(q, 0.0, PI, tol, breakpoints=q.breakpoints) / PI
+    return integrate(q, 0.0, PI, breakpoints=q.breakpoints) / PI

@@ -102,15 +102,14 @@ class _CharEngine:
     """Prepared mesh and boundary data for batched Phi evaluations."""
 
     def __init__(self, q: Potential, bc: BoundaryParams, grid_size: int):
-        self.q = q
         self.bc = bc
         self.mesh: Mesh = build_mesh(q, grid_size)
         self.y0 = bc.sin_alpha
         self.yp0 = -bc.cos_alpha
 
-    def phi_batch(self, mus, guard: bool = True) -> np.ndarray:
+    def phi_batch(self, mus) -> np.ndarray:
         y, yp = endpoint_values(self.mesh, np.asarray(mus, dtype=float),
-                                self.y0, self.yp0, forward=True, guard=guard)
+                                self.y0, self.yp0, forward=True)
         return y * self.bc.cos_beta + yp * self.bc.sin_beta
 
 

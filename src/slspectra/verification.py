@@ -17,14 +17,9 @@ from .delta import delta_asymptotic, solve_delta
 from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import ae_n, model_a, norming_a_batch
-from .odesolve import _picard_tail, kernel_A, picard_y2, solve_ivp
-from .potential import PI, BoundaryParams, Potential, mean_q
-from .spectrum import (
-    Spectrum,
-    count_interior_zeros,
-    eigenfunction,
-    find_spectrum,
-)
+from .odesolve import _picard_tail, build_mesh, kernel_A, picard_y2, solve_ivp, y_values_batch
+from .potential import DEFAULT_QUAD_TOL, PI, BoundaryParams, Potential, mean_q
+from .spectrum import Spectrum, _zero_counts, find_spectrum
 
 _BC_REGISTRY = {
     "dd": (PI, 0.0),
@@ -58,7 +53,6 @@ class VerificationContext:
 
     grid_size: int = 4096
     root_tol: float = 1e-10
-    quad_tol: float = 1e-10
     overrides: dict = field(default_factory=dict)
     _spectra: dict = field(default_factory=dict)
     _potentials: dict = field(default_factory=dict)
@@ -162,7 +156,7 @@ def _criterion_05(ctx: VerificationContext):
     a_vals = norming_a_batch(q, s.bc, s.mus, ctx.grid_size)
     ns = np.arange(10, 61)
     defects = [abs(a_vals[n] - PI / 2.0) for n in ns]
-    slope = fit_loglog_slope(ns, defects, floor=10 * ctx.quad_tol)
+    slope = fit_loglog_slope(ns, defects, floor=10 * DEFAULT_QUAD_TOL)
     ok = slope <= slope_max
     return ok, f"fitted slope {slope:.3f} (max {slope_max})"
 
@@ -258,7 +252,7 @@ def _criterion_09(ctx: VerificationContext):
             worst = 0.0
             for i in idx:
                 x = tr.grid[i]
-                r = 2.0 * lam * (tr.y[i] - math.cos(lam * x)) - kernel_A(q, lam, x, ctx.quad_tol)
+                r = 2.0 * lam * (tr.y[i] - math.cos(lam * x)) - kernel_A(q, lam, x)
                 worst = max(worst, abs(r))
             Ms[lam] = worst
         for pair in ((5.0, 10.0), (10.0, 20.0)):
@@ -298,15 +292,20 @@ def _criterion_11(ctx: VerificationContext):
 
 
 def _criterion_12(ctx: VerificationContext):
-    """Every cached eigenpair recertified by an independent zero count."""
+    """Every cached eigenpair recertified by an independent zero count.
+
+    One node sweep per spectrum traces every left-normalized eigenfunction
+    on the full mesh, and the interior node signs are counted apart from
+    the phase count the search bracketed with.
+    """
     if not ctx.all_cached_spectra():
         ctx.spectrum("step", "nn", 20)
     checked = 0
-    for (qname, bc_key, _n, _g), spec in ctx.all_cached_spectra():
-        q = ctx.potential(qname)
-        for p in spec.pairs:
-            tr = eigenfunction(p, q, spec.bc, ctx.grid_size)
-            if count_interior_zeros(tr) != p.n or p.zeros != p.n:
+    for (qname, bc_key, _n, grid_size), spec in ctx.all_cached_spectra():
+        mesh = build_mesh(ctx.potential(qname), grid_size)
+        values = y_values_batch(mesh, spec.mus, spec.bc.sin_alpha, -spec.bc.cos_alpha)
+        for p, zeros in zip(spec.pairs, _zero_counts(values)):
+            if zeros != p.n or p.zeros != p.n:
                 return False, f"index {p.n} of ({qname}, {bc_key}) miscounted"
             checked += 1
     return True, f"{checked} eigenpairs recertified"

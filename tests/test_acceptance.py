@@ -10,8 +10,11 @@ either way); it runs unweakened and reports honestly.  The analysis is
 recorded in the project decisions ledger.
 """
 
+import dataclasses
+
 import pytest
 
+from slspectra.spectrum import Spectrum
 from slspectra.verification import CRITERIA, VerificationContext, run_criterion
 
 
@@ -27,3 +30,19 @@ def test_criterion(ctx, number, slug):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} criterion {result.number:02d} {result.slug}: {result.detail}")
     assert result.passed, f"criterion {number:02d} ({slug}): {result.detail}"
+
+
+@pytest.mark.parametrize("tamper", ["mu-of-next-index", "zeros"])
+def test_oscillation_certificate_reports_miscount(tamper):
+    ctx = VerificationContext(grid_size=1024)
+    spec = ctx.spectrum("step", "nn", 3)
+    assert run_criterion(ctx, 12).passed
+    pairs = list(spec.pairs[:3])
+    if tamper == "zeros":
+        pairs[2] = dataclasses.replace(pairs[2], zeros=3)
+    else:
+        pairs[2] = dataclasses.replace(pairs[2], mu=spec.pairs[3].mu)
+    ctx._spectra = {("step", "nn", 2, ctx.grid_size): Spectrum(spec.q, spec.bc, pairs)}
+    result = run_criterion(ctx, 12)
+    assert not result.passed
+    assert result.detail == "index 2 of (step, nn) miscounted"

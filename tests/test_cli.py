@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from slspectra.cli import main, parse_angle
+from slspectra.cli import build_parser, main, parse_angle
 
 PI = math.pi
 
@@ -113,6 +114,17 @@ class TestDeltaCommand:
         assert float(row["delta_fixed_point"]) == pytest.approx(-1 / (5 * PI), abs=1e-3)
 
 
+    @pytest.mark.parametrize("alpha,beta", [("pi/3", "pi/4"), ("0.3", "2.9")])
+    def test_fixed_point_column_equals_spectrum_shift(self, capsys, alpha, beta):
+        angles = ["--alpha", alpha, "--beta", beta, "--n-min", "0", "--n-max", "40"]
+        code, out, _ = run_cli(["delta", *angles], capsys)
+        assert code == 0
+        shifts = [r["delta_fixed_point"] for r in parse_csv(out)]
+        code, out, _ = run_cli(["spectrum", "--potential", ZERO, *angles], capsys)
+        assert code == 0
+        assert shifts == [r["delta_n"] for r in parse_csv(out)]
+
+
 class TestKseriesCommand:
     def test_json_split_identity(self, capsys):
         code, out, _ = run_cli([
@@ -142,13 +154,19 @@ class TestKseriesCommand:
         assert "error in kseries" in err
 
     def test_no_tolerance_flag(self, capsys):
-        # the series coefficients come from an exact moment rule; spectrum keeps --tol
-        base = ["--potential", CONST_ONE, "--alpha", "pi", "--beta", "0"]
-        code, _, err = run_cli(["kseries", *base, "--N", "8", "--tol", "1e-8"], capsys)
-        assert code == 2
-        assert "unrecognized arguments: --tol" in err
-        code, _, _ = run_cli(["spectrum", *base, "--n-max", "2", "--tol", "1e-8",
-                              "--grid-size", "256"], capsys)
+        # the series coefficients come from an exact moment rule and the index
+        # shift from a fixed point solved to its own tolerance: neither reads a
+        # root tolerance or a mesh; spectrum keeps --tol and --grid-size
+        angles = ["--alpha", "pi", "--beta", "0"]
+        for args, flag in ((["kseries", "--potential", CONST_ONE, "--N", "8"], "--tol"),
+                           (["kseries", "--potential", CONST_ONE, "--N", "8"], "--grid-size"),
+                           (["delta", "--n-max", "3"], "--tol"),
+                           (["delta", "--n-max", "3"], "--grid-size")):
+            code, _, err = run_cli([*args, *angles, flag, "7"], capsys)
+            assert code == 2
+            assert f"unrecognized arguments: {flag}" in err
+        code, _, _ = run_cli(["spectrum", "--potential", CONST_ONE, *angles, "--n-max", "2",
+                              "--tol", "1e-8", "--grid-size", "256"], capsys)
         assert code == 0
 
     def test_bad_segment(self, capsys):
@@ -197,6 +215,24 @@ class TestPotentialLoading:
             "spectrum", "--potential", '{"kind":"named","name":"wat"}',
             "--alpha", "pi", "--beta", "0"], capsys)
         assert code == 2
+
+
+def test_option_surface():
+    # every flag a command accepts is one it reads
+    solver = {"--potential", "--tol", "--grid-size"}
+    table = {"-h", "--help", "--alpha", "--beta", "--out", "--format"}
+    expected = {
+        "spectrum": table | solver | {"--n-min", "--n-max"},
+        "norming": table | solver | {"--n-min", "--n-max"},
+        "delta": table | {"--n-min", "--n-max"},
+        "kseries": table | {"--potential", "--N", "--segment"},
+        "verify": {"-h", "--help", "--criteria", "--override", "--tol", "--grid-size"},
+    }
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for a in sub._actions for opt in a.option_strings}
+             for name, sub in commands.choices.items()}
+    assert flags == expected
 
 
 def test_module_entry_point():

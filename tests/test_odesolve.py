@@ -180,13 +180,13 @@ class TestNormSweep:
         # both sweeps round like N eps |P| |(y0, yp0)| with P the whole-mesh
         # propagator; against a 40-digit product both are off by 1.6e-13 of
         # |(y, y')| at mu = 0 on the 4097-interval step mesh
-        cols = [endpoint_values(mesh, self.mus, *e, forward=forward, guard=False)
+        cols = [endpoint_values(mesh, self.mus, *e, forward=forward)
                 for e in ((1.0, 0.0), (0.0, 1.0))]
         prop_norm = np.sqrt(sum(c * c for col in cols for c in col))
         for size in (1, _BLOCK_MUS - 1, _BLOCK_MUS, _BLOCK_MUS + 1):
             mus = self.mus[:size]
             y, yp, acc = propagate_with_norm(mesh, mus, y0, yp0, forward=forward)
-            ye, ype = endpoint_values(mesh, mus, y0, yp0, forward=forward, guard=False)
+            ye, ype = endpoint_values(mesh, mus, y0, yp0, forward=forward)
             scale = prop_norm[:size] * math.hypot(y0, yp0)
             assert np.max(np.abs(y - ye) / scale) <= 1e-12
             assert np.max(np.abs(yp - ype) / scale) <= 1e-12
@@ -333,7 +333,7 @@ class TestBlockedKernel:
             with pytest.raises(BlowUpError):
                 propagate_with_norm(mesh, [-1e6], 1.0, 0.0)
             with pytest.raises(BlowUpError):
-                endpoint_values(mesh, [-1e6], 1.0, 0.0, guard=True)
+                endpoint_values(mesh, [-1e6], 1.0, 0.0)
             with pytest.raises(BlowUpError):
                 y_values_batch(mesh, [-1e6], 1.0, 0.0)
             with pytest.raises(BlowUpError):

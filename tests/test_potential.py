@@ -251,13 +251,11 @@ class TestCumulativeIntegrals:
     def test_zero_potential(self, q_zero):
         ci = sigma_functions(q_zero)
         assert ci.sigma(PI) == 0.0
-        assert ci.mean_q == 0.0
 
     def test_constant(self, q_one):
         ci = sigma_functions(q_one)
         assert ci.sigma(PI) == pytest.approx(PI ** 2 / 2, abs=1e-12)
         assert ci.sigma_tilde(2 * PI) == pytest.approx(PI ** 2 / 2, abs=1e-12)
-        assert ci.mean_q == pytest.approx(1.0, abs=1e-12)
 
     def test_step_piecewise_values(self, q_step):
         ci = sigma_functions(q_step)
@@ -265,20 +263,11 @@ class TestCumulativeIntegrals:
         assert ci.sigma(1.0) == pytest.approx(2 * PI - 1.0, abs=1e-12)
         plateau = 2 * (PI * (PI / 2) - (PI / 2) ** 2 / 2)
         assert ci.sigma(2.5) == pytest.approx(plateau, abs=1e-12)
-        assert ci.sigma0(PI) == pytest.approx(PI, abs=1e-12)
 
     def test_sigma_tilde_is_half_argument(self, q_step):
         ci = sigma_functions(q_step)
         x = np.linspace(0, 2 * PI, 41)
         assert np.allclose(ci.sigma_tilde(x), ci.sigma(x / 2), atol=1e-14)
-
-    def test_sigma0_monotone(self):
-        rng = np.random.default_rng(7)
-        xs = np.sort(np.concatenate([[0.0, PI], rng.uniform(0.01, PI - 0.01, 7)]))
-        q = Potential.from_grid(xs, rng.uniform(-3, 3, xs.size))
-        ci = sigma_functions(q)
-        vals = ci.sigma0(np.linspace(0, PI, 200))
-        assert np.all(np.diff(vals) >= -1e-13)
 
     def test_mean_q_examples(self, q_zero, q_one, q_step):
         assert mean_q(q_zero) == 0.0
