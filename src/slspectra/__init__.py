@@ -13,7 +13,6 @@ from .delta import (
     delta_for_index,
     sin_two_pi,
     solve_delta,
-    solve_delta_extrapolated,
 )
 from .errors import (
     BlowUpError,
@@ -29,9 +28,7 @@ from .kseries import (
     KSeriesResult,
     ac_diagnostic,
     case_tag,
-    k1_partial_sum,
     k2_closed_form_dd,
-    k2_partial_sum,
     k_partial_sum,
     series_coefficients,
 )
@@ -42,18 +39,13 @@ from .norming import (
     extract_remainders,
     model_a,
     model_b,
-    norming_a,
-    norming_b,
     norming_record,
     norming_records,
 )
 from .odesolve import (
-    FundamentalSystem,
     PicardResult,
     SolutionTrace,
-    fundamental_system,
     kernel_A,
-    kernel_B,
     phi,
     picard_y2,
     psi,
@@ -70,12 +62,9 @@ from .potential import (
 from .spectrum import (
     Eigenpair,
     Spectrum,
-    bracket_eigenvalue,
     char_function,
     char_function_right,
     count_interior_zeros,
-    eigenfunction,
-    eigenfunction_right,
     find_eigenvalue,
     find_spectrum,
 )
@@ -90,7 +79,6 @@ __all__ = [
     "CumulativeIntegrals",
     "DeltaValue",
     "Eigenpair",
-    "FundamentalSystem",
     "KSeriesResult",
     "NormingRecord",
     "PicardResult",
@@ -103,31 +91,22 @@ __all__ = [
     "ac_diagnostic",
     "ae_n",
     "ae_tilde_n",
-    "bracket_eigenvalue",
     "case_tag",
     "char_function",
     "char_function_right",
     "count_interior_zeros",
     "delta_asymptotic",
     "delta_for_index",
-    "eigenfunction",
-    "eigenfunction_right",
     "extract_remainders",
     "find_eigenvalue",
     "find_spectrum",
-    "fundamental_system",
     "integrate",
-    "k1_partial_sum",
     "k2_closed_form_dd",
-    "k2_partial_sum",
     "k_partial_sum",
     "kernel_A",
-    "kernel_B",
     "mean_q",
     "model_a",
     "model_b",
-    "norming_a",
-    "norming_b",
     "norming_record",
     "norming_records",
     "phi",
@@ -137,7 +116,6 @@ __all__ = [
     "sigma_functions",
     "sin_two_pi",
     "solve_delta",
-    "solve_delta_extrapolated",
     "solve_ivp",
 ]
 

@@ -30,8 +30,9 @@ from .delta import delta_asymptotic, delta_for_index
 from .errors import SpectralError
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import norming_records
+from .odesolve import DEFAULT_GRID_SIZE
 from .potential import BoundaryParams, Potential, mean_q
-from .spectrum import find_spectrum
+from .spectrum import DEFAULT_ROOT_TOL, find_spectrum
 from .verification import CRITERIA, VerificationContext, run_verification
 
 _PI_LITERAL = re.compile(r"^(\d*)\s*pi\s*(?:/\s*(\d+))?$")
@@ -226,8 +227,8 @@ def _add_common(parser, potential=True, solver=True):
     parser.add_argument("--alpha", required=True, help="left boundary angle, (0, pi]")
     parser.add_argument("--beta", required=True, help="right boundary angle, [0, pi)")
     if solver:
-        parser.add_argument("--tol", type=float, default=1e-10)
-        parser.add_argument("--grid-size", type=int, default=4096)
+        parser.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL)
+        parser.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -269,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated criterion numbers (default: all)")
     p.add_argument("--override", action="append", default=None, metavar="NAME=VALUE",
                    help="tolerance override, repeatable")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--grid-size", type=int, default=4096)
+    p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL)
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

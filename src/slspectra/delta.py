@@ -115,22 +115,18 @@ def solve_delta(n: int, bc: BoundaryParams) -> DeltaValue:
     if n < 2:
         raise ValueError(
             f"the fixed-point equation is stated for n >= 2, got {n}; "
-            "use solve_delta_extrapolated for smaller indices")
+            "use delta_for_index for smaller indices")
     return _iterate(n, bc, extrapolated=False)
 
 
-def solve_delta_extrapolated(n: int, bc: BoundaryParams) -> DeltaValue:
-    """Formal evaluation of the fixed-point map at n in {0, 1}.
-
-    Flagged extrapolated; informational only.
-    """
-    if n not in (0, 1):
-        raise ValueError(f"extrapolated evaluation is for n in {{0, 1}}, got {n}")
-    return _iterate(n, bc, extrapolated=True)
-
-
 def delta_for_index(n: int, bc: BoundaryParams) -> DeltaValue:
-    """solve_delta for n >= 2, the extrapolated evaluation below that."""
+    """The index shift for any n >= 0.
+
+    solve_delta for n >= 2.  At n in {0, 1} the fixed-point map is iterated
+    formally; the result is flagged extrapolated and informational only.
+    """
     if n >= 2:
         return solve_delta(n, bc)
-    return solve_delta_extrapolated(n, bc)
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    return _iterate(n, bc, extrapolated=True)

@@ -185,16 +185,6 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
     return result
 
 
-def k1_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None) -> np.ndarray:
-    """Partial sum through N of the boundary-term piece k1."""
-    return k_partial_sum(q, bc, N, grid, truncations=(N,)).k1_partial[0]
-
-
-def k2_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None) -> np.ndarray:
-    """Partial sum through N of the Fourier-coefficient piece k2."""
-    return k_partial_sum(q, bc, N, grid, truncations=(N,)).k2_partial[0]
-
-
 def k2_closed_form_dd(q: Potential, grid=None,
                       cumulative: CumulativeIntegrals | None = None) -> np.ndarray:
     """Closed form of k2 in the Dirichlet-Dirichlet case.

@@ -74,18 +74,6 @@ def _norms(mesh, mus, sin_v: float, cos_v: float, forward: bool) -> np.ndarray:
     return acc
 
 
-def norming_a(q: Potential, bc: BoundaryParams, pair: Eigenpair,
-              grid_size: int = DEFAULT_GRID_SIZE) -> float:
-    """Squared L2 norm of the left-normalized eigenfunction."""
-    return float(norming_a_batch(q, bc, [pair.mu], grid_size)[0])
-
-
-def norming_b(q: Potential, bc: BoundaryParams, pair: Eigenpair,
-              grid_size: int = DEFAULT_GRID_SIZE) -> float:
-    """Squared L2 norm of the right-normalized eigenfunction."""
-    return float(norming_b_batch(q, bc, [pair.mu], grid_size)[0])
-
-
 def norming_a_batch(q: Potential, bc: BoundaryParams, mus,
                     grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     return _norms(build_mesh(q, grid_size), mus, bc.sin_alpha, bc.cos_alpha, True)

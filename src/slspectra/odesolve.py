@@ -75,20 +75,6 @@ class SolutionTrace:
 
 
 @dataclass
-class FundamentalSystem:
-    """The four solutions normalized at the endpoints.
-
-    y1(0) = 1, y1'(0) = 0;  y2(0) = 0, y2'(0) = 1;
-    y3(pi) = 1, y3'(pi) = 0;  y4(pi) = 0, y4'(pi) = 1.
-    """
-
-    y1: SolutionTrace
-    y2: SolutionTrace
-    y3: SolutionTrace
-    y4: SolutionTrace
-
-
-@dataclass
 class PicardResult:
     """Partial sum of the series solution plus its truncation certificate.
 
@@ -261,7 +247,8 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     ys, yps = _sweep(mesh, mus, y0, yp0, forward, _transfer, _mul2)
     if (not np.all(np.isfinite(ys)) or not np.all(np.isfinite(yps))
-            or np.max(np.abs(ys)) > BLOWUP_BOUND or np.max(np.abs(yps)) > BLOWUP_BOUND):
+            or np.max(np.abs(ys), initial=0.0) > BLOWUP_BOUND
+            or np.max(np.abs(yps), initial=0.0) > BLOWUP_BOUND):
         raise BlowUpError(
             "solution exceeded the overflow guard; spectral parameter far outside "
             "the admissible range"
@@ -295,7 +282,8 @@ def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     y, yp, dy, dyp = _sweep(mesh, mus, y0, yp0, forward, _transfer_dmu, _compose)
     acc = (yp * dy - y * dyp) if forward else (y * dyp - yp * dy)
-    if not all(np.all(np.isfinite(v)) for v in (y, yp, acc)) or np.max(np.abs(y)) > BLOWUP_BOUND:
+    if (not all(np.all(np.isfinite(v)) for v in (y, yp, acc))
+            or np.max(np.abs(y), initial=0.0) > BLOWUP_BOUND):
         raise BlowUpError("solution exceeded the overflow guard in norm propagation")
     return y, yp, acc
 
@@ -409,7 +397,7 @@ def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     out, _ = _nodes(mesh, mus, y0, yp0, True, with_yprime=False)
     # reductions only, no full-size temporary; a NaN fails the comparison too
-    if not max(out.max(), -out.min()) <= BLOWUP_BOUND:
+    if not max(out.max(initial=0.0), -out.min(initial=0.0)) <= BLOWUP_BOUND:
         raise BlowUpError("solution exceeded the overflow guard in batched trace")
     return out
 
@@ -440,17 +428,6 @@ def psi(q: Potential, mu: float, beta: float, grid_size: int = DEFAULT_GRID_SIZE
         raise ValueError(f"beta must lie in [0, pi), got {beta}")
     s, c = _snapped_sincos(beta)
     return solve_ivp(q, mu, False, s, -c, grid_size)
-
-
-def fundamental_system(q: Potential, mu: float,
-                       grid_size: int = DEFAULT_GRID_SIZE) -> FundamentalSystem:
-    """The four endpoint-normalized solutions at a common spectral parameter."""
-    return FundamentalSystem(
-        y1=solve_ivp(q, mu, True, 1.0, 0.0, grid_size),
-        y2=solve_ivp(q, mu, True, 0.0, 1.0, grid_size),
-        y3=solve_ivp(q, mu, False, 1.0, 0.0, grid_size),
-        y4=solve_ivp(q, mu, False, 0.0, 1.0, grid_size),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -614,17 +591,3 @@ def kernel_A(q: Potential, lam: float, x: float) -> float:
     i2 = integrate(lambda t: q(t) * np.sin(lam * (x - 2.0 * t)), 0.0, x,
                    freq=2.0 * lam, breakpoints=bps)
     return math.sin(lam * x) * i1 + i2
-
-
-def kernel_B(q: Potential, lam: float, x: float) -> float:
-    """Leading oscillatory kernel of the sine-normalized solution.
-
-    B(x, lam) = cos(lam x) * int_0^x q - int_0^x q(t) cos(lam (x - 2t)) dt.
-    """
-    if lam < 1.0:
-        raise ValueError(f"kernel is defined for lam >= 1, got {lam}")
-    bps = q.breakpoints
-    i1 = integrate(q, 0.0, x, breakpoints=bps)
-    i2 = integrate(lambda t: q(t) * np.cos(lam * (x - 2.0 * t)), 0.0, x,
-                   freq=2.0 * lam, breakpoints=bps)
-    return math.cos(lam * x) * i1 - i2

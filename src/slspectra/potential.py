@@ -354,8 +354,10 @@ class Potential:
             raise ValueError("potential spec must be an object with a 'kind' field")
         offset = float(obj.get("offset", 0.0))
         if obj["kind"] == "named":
-            return cls(kind="named", name=obj.get("name"), params=tuple(obj.get("params", ())),
-                       offset=offset)
+            params = obj.get("params", [])
+            if not isinstance(params, (list, tuple)):
+                raise ValueError(f"'params' must be an array, got {params!r}")
+            return cls(kind="named", name=obj.get("name"), params=tuple(params), offset=offset)
         if obj["kind"] == "grid":
             return cls(kind="grid", xs=np.asarray(obj["xs"], dtype=float),
                        qs=np.asarray(obj["qs"], dtype=float), offset=offset)

@@ -37,7 +37,6 @@ from .odesolve import (
     Mesh,
     SolutionTrace,
     _nodes,
-    _trace,
     _transfer,
     build_mesh,
     endpoint_values,
@@ -156,20 +155,6 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
     return np.sum(signs[:-1] * signs[1:] < 0.0, axis=0)
 
 
-def eigenfunction(pair: Eigenpair, q: Potential, bc: BoundaryParams,
-                  grid_size: int = DEFAULT_GRID_SIZE) -> SolutionTrace:
-    """Trace of the left-normalized eigenfunction at the pair's eigenvalue."""
-    mesh = build_mesh(q, grid_size)
-    return _trace(mesh, pair.mu, bc.sin_alpha, -bc.cos_alpha, forward=True)
-
-
-def eigenfunction_right(pair: Eigenpair, q: Potential, bc: BoundaryParams,
-                        grid_size: int = DEFAULT_GRID_SIZE) -> SolutionTrace:
-    """Trace of the right-normalized eigenfunction at the pair's eigenvalue."""
-    mesh = build_mesh(q, grid_size)
-    return _trace(mesh, pair.mu, bc.sin_beta, -bc.cos_beta, forward=False)
-
-
 # ---------------------------------------------------------------------------
 # counting and bracketing
 # ---------------------------------------------------------------------------
@@ -273,18 +258,6 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
             points.append(qmin - 2.0 * (qmin - mus[0]))
         if above.any():
             points.append(qmin + 2.0 * max(mus[-1] - qmin, 1.0))
-
-
-def bracket_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
-                       grid_size: int = DEFAULT_GRID_SIZE) -> tuple[float, float]:
-    """An interval holding exactly the n-th eigenvalue, found by counting.
-
-    n eigenvalues lie strictly below its lower end and n + 1 below its
-    upper end, so Phi changes sign across it.
-    """
-    engine = _CharEngine(q, bc, grid_size)
-    lo, hi, _ = _brackets(engine, [n], [delta_for_index(n, bc)], mean_q(q))
-    return (float(lo[0]), float(hi[0]))
 
 
 # ---------------------------------------------------------------------------

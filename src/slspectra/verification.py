@@ -17,9 +17,17 @@ from .delta import delta_asymptotic, solve_delta
 from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import ae_n, model_a, norming_a_batch
-from .odesolve import _picard_tail, build_mesh, kernel_A, picard_y2, solve_ivp, y_values_batch
+from .odesolve import (
+    DEFAULT_GRID_SIZE,
+    _picard_tail,
+    build_mesh,
+    kernel_A,
+    picard_y2,
+    solve_ivp,
+    y_values_batch,
+)
 from .potential import DEFAULT_QUAD_TOL, PI, BoundaryParams, Potential, mean_q
-from .spectrum import Spectrum, _zero_counts, find_spectrum
+from .spectrum import DEFAULT_ROOT_TOL, Spectrum, _zero_counts, find_spectrum
 
 _BC_REGISTRY = {
     "dd": (PI, 0.0),
@@ -51,8 +59,8 @@ class CheckResult:
 class VerificationContext:
     """Shared tolerances, overrides, and computed-object caches."""
 
-    grid_size: int = 4096
-    root_tol: float = 1e-10
+    grid_size: int = DEFAULT_GRID_SIZE
+    root_tol: float = DEFAULT_ROOT_TOL
     overrides: dict = field(default_factory=dict)
     _spectra: dict = field(default_factory=dict)
     _potentials: dict = field(default_factory=dict)
@@ -169,7 +177,7 @@ def _criterion_06(ctx: VerificationContext):
     variation potential the omitted-correction defect n^2 |a_n - pi/2| is
     also a bounded sequence (n ae_n = O(1)), so the clause does not hold
     numerically; it is implemented as stated and reported honestly.  See
-    the decisions ledger.
+    the criterion 06 paragraph of README.md.
     """
     factor = ctx.tol("c6_window_factor", 2.0)
     s = ctx.spectrum("step", "nn", 60)

@@ -7,7 +7,7 @@ Criterion 6 contains a clause that is not attainable as stated (the
 windowed boundedness test applied to the correction-free defect cannot
 fail for a bounded-variation potential, whose scaled defect is bounded
 either way); it runs unweakened and reports honestly.  The analysis is
-recorded in the project decisions ledger.
+the criterion 06 paragraph of README.md.
 """
 
 import dataclasses

@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+import slspectra
 from slspectra.cli import build_parser, main, parse_angle
+from slspectra.odesolve import DEFAULT_GRID_SIZE
+from slspectra.spectrum import DEFAULT_ROOT_TOL
 
 PI = math.pi
 
@@ -216,6 +219,14 @@ class TestPotentialLoading:
             "--alpha", "pi", "--beta", "0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("params", ['"12"', "5"])
+    def test_params_must_be_an_array(self, capsys, params):
+        code, _, err = run_cli([
+            "spectrum", "--potential", f'{{"kind":"named","name":"step","params":{params}}}',
+            "--alpha", "pi", "--beta", "0", "--n-max", "1", "--grid-size", "256"], capsys)
+        assert code == 2
+        assert "'params' must be an array" in err
+
 
 def test_option_surface():
     # every flag a command accepts is one it reads
@@ -233,6 +244,28 @@ def test_option_surface():
     flags = {name: {opt for a in sub._actions for opt in a.option_strings}
              for name, sub in commands.choices.items()}
     assert flags == expected
+    # the solver flags default to the library's own defaults
+    for name in ("spectrum", "norming", "verify"):
+        args = commands.choices[name]
+        assert args.get_default("tol") == DEFAULT_ROOT_TOL
+        assert args.get_default("grid_size") == DEFAULT_GRID_SIZE
+
+
+def test_public_surface():
+    expected = [
+        "ACReport", "BlowUpError", "BoundaryParams", "BracketError", "CaseError",
+        "ConvergenceError", "CumulativeIntegrals", "DeltaValue", "Eigenpair",
+        "KSeriesResult", "NormingRecord", "PicardResult", "Potential", "QuadratureError",
+        "SolutionTrace", "SpectralError", "Spectrum", "UnsupportedRegimeError",
+        "ac_diagnostic", "ae_n", "ae_tilde_n", "case_tag", "char_function",
+        "char_function_right", "count_interior_zeros", "delta_asymptotic", "delta_for_index",
+        "extract_remainders", "find_eigenvalue", "find_spectrum", "integrate",
+        "k2_closed_form_dd", "k_partial_sum", "kernel_A", "mean_q", "model_a", "model_b",
+        "norming_record", "norming_records", "phi", "picard_y2", "psi",
+        "series_coefficients", "sigma_functions", "sin_two_pi", "solve_delta", "solve_ivp",
+    ]
+    assert sorted(slspectra.__all__) == expected
+    assert all(hasattr(slspectra, name) for name in expected)
 
 
 def test_module_entry_point():

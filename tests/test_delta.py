@@ -11,7 +11,6 @@ from slspectra import (
     delta_for_index,
     sin_two_pi,
     solve_delta,
-    solve_delta_extrapolated,
 )
 from slspectra.fitting import fit_loglog_slope
 
@@ -71,13 +70,13 @@ class TestSolveDelta:
             solve_delta(1, BoundaryParams(PI, 0.0))
 
     def test_extrapolated_flagging(self):
-        dv = solve_delta_extrapolated(0, BoundaryParams(PI / 2, PI / 2))
+        dv = delta_for_index(0, BoundaryParams(PI / 2, PI / 2))
         assert dv.extrapolated and dv.value == 0.0
         dv = delta_for_index(1, BoundaryParams(PI, PI / 3))
         assert dv.extrapolated
         assert not delta_for_index(2, BoundaryParams(PI, PI / 3)).extrapolated
         with pytest.raises(ValueError):
-            solve_delta_extrapolated(3, BoundaryParams(PI, 0.0))
+            delta_for_index(-1, BoundaryParams(PI, 0.0))
 
     @given(n=st.integers(min_value=2, max_value=200),
            alpha=st.floats(min_value=0.2, max_value=PI),

@@ -9,9 +9,7 @@ from slspectra import (
     Potential,
     ac_diagnostic,
     case_tag,
-    k1_partial_sum,
     k2_closed_form_dd,
-    k2_partial_sum,
     k_partial_sum,
     series_coefficients,
 )
@@ -60,8 +58,9 @@ class TestSeriesTerms:
 
     def test_k1_vanishes_when_shift_is_exact(self, q_step, bc_dd, bc_nn):
         grid = np.linspace(0, 2 * PI, 64)
-        assert np.max(np.abs(k1_partial_sum(q_step, bc_dd, 10, grid))) == 0.0
-        assert np.max(np.abs(k1_partial_sum(q_step, bc_nn, 10, grid))) == 0.0
+        for bc in (bc_dd, bc_nn):
+            res = k_partial_sum(q_step, bc, 10, grid, truncations=(10,))
+            assert np.max(np.abs(res.k1_partial[0])) == 0.0
 
     def test_c_n_quadratic_decay(self, q_one):
         bc = BoundaryParams(PI / 4, PI / 2)
@@ -99,7 +98,7 @@ class TestClosedForm:
         mask = (grid >= 1.0) & (grid <= 2 * PI - 1.0)
         errs = []
         for N in (25, 50, 100):
-            part = k2_partial_sum(q_step, bc_dd, N, grid)
+            part = k_partial_sum(q_step, bc_dd, N, grid, truncations=(N,)).k2_partial[0]
             errs.append(np.max(np.abs(part[mask] - closed[mask])))
         assert is_strictly_decreasing(errs)
 
@@ -128,8 +127,6 @@ class TestPartialRows:
                 if pos + 2 in ladder:
                     expect.append(acc.copy())
             assert np.array_equal(rows, np.array(expect))
-        assert np.array_equal(k1_partial_sum(q_step, bc, 45, grid), res.k1_partial[-1])
-        assert np.array_equal(k2_partial_sum(q_step, bc, 45, grid), res.k2_partial[-1])
 
 
 class TestACDiagnostic:

@@ -13,9 +13,9 @@ from slspectra import (
     find_spectrum,
     model_a,
     model_b,
-    norming_a,
-    norming_b,
     norming_records,
+    phi,
+    psi,
     solve_delta,
 )
 from slspectra import norming as norming_module
@@ -28,26 +28,24 @@ PI = math.pi
 class TestMeasuredNorms:
     def test_free_dirichlet(self, q_zero, bc_dd):
         p = find_eigenvalue(q_zero, bc_dd, 3, grid_size=1024)
-        assert norming_a(q_zero, bc_dd, p, 1024) == pytest.approx(PI / 32, rel=1e-10)
-        assert norming_b(q_zero, bc_dd, p, 1024) == pytest.approx(PI / 32, rel=1e-10)
+        assert norming_a_batch(q_zero, bc_dd, [p.mu], 1024)[0] == pytest.approx(PI / 32, rel=1e-10)
+        assert norming_b_batch(q_zero, bc_dd, [p.mu], 1024)[0] == pytest.approx(PI / 32, rel=1e-10)
 
     def test_free_neumann(self, q_zero, bc_nn):
         p0 = find_eigenvalue(q_zero, bc_nn, 0, grid_size=1024)
         p5 = find_eigenvalue(q_zero, bc_nn, 5, grid_size=1024)
-        assert norming_a(q_zero, bc_nn, p0, 1024) == pytest.approx(PI, abs=1e-10)
-        assert norming_a(q_zero, bc_nn, p5, 1024) == pytest.approx(PI / 2, abs=1e-10)
-        assert norming_b(q_zero, bc_nn, p5, 1024) == pytest.approx(PI / 2, abs=1e-10)
+        assert norming_a_batch(q_zero, bc_nn, [p0.mu], 1024)[0] == pytest.approx(PI, abs=1e-10)
+        assert norming_a_batch(q_zero, bc_nn, [p5.mu], 1024)[0] == pytest.approx(PI / 2, abs=1e-10)
+        assert norming_b_batch(q_zero, bc_nn, [p5.mu], 1024)[0] == pytest.approx(PI / 2, abs=1e-10)
 
     def test_left_right_ratio(self, q_step):
-        from slspectra import eigenfunction, eigenfunction_right
-
         bc = BoundaryParams(PI / 3, PI / 4)
         for n in (0, 2, 5):
             p = find_eigenvalue(q_step, bc, n, grid_size=1024)
-            a = norming_a(q_step, bc, p, 1024)
-            b = norming_b(q_step, bc, p, 1024)
-            left = eigenfunction(p, q_step, bc, 1024)
-            right = eigenfunction_right(p, q_step, bc, 1024)
+            a = norming_a_batch(q_step, bc, [p.mu], 1024)[0]
+            b = norming_b_batch(q_step, bc, [p.mu], 1024)[0]
+            left = phi(q_step, p.mu, bc.alpha, 1024)
+            right = psi(q_step, p.mu, bc.beta, 1024)
             i = len(left.grid) // 3
             ratio = (right.y[i] / left.y[i]) ** 2
             assert b / a == pytest.approx(ratio, rel=1e-6)
@@ -56,8 +54,8 @@ class TestMeasuredNorms:
         s0 = find_spectrum(q_step, bc_nn, 6, grid_size=1024)
         s3 = find_spectrum(q_step.shifted(3.0), bc_nn, 6, grid_size=1024)
         for p0, p3 in zip(s0.pairs, s3.pairs):
-            a0 = norming_a(q_step, bc_nn, p0, 1024)
-            a3 = norming_a(q_step.shifted(3.0), bc_nn, p3, 1024)
+            a0 = norming_a_batch(q_step, bc_nn, [p0.mu], 1024)[0]
+            a3 = norming_a_batch(q_step.shifted(3.0), bc_nn, [p3.mu], 1024)[0]
             assert abs(a3 - a0) < 1e-6
 
 
@@ -161,7 +159,7 @@ class TestModelValues:
 class TestRemainderExtraction:
     def test_zero_potential_neumann(self, q_zero, bc_nn):
         p = find_eigenvalue(q_zero, bc_nn, 6, grid_size=1024)
-        a = norming_a(q_zero, bc_nn, p, 1024)
+        a = norming_a_batch(q_zero, bc_nn, [p.mu], 1024)[0]
         r, rt, mode = extract_remainders(a, 0.0, p.delta, bc_nn, 6)
         assert mode == "sin"
         assert abs(r) < 1e-9
@@ -169,7 +167,7 @@ class TestRemainderExtraction:
 
     def test_zero_potential_dirichlet(self, q_zero, bc_dd):
         p = find_eigenvalue(q_zero, bc_dd, 6, grid_size=1024)
-        a = norming_a(q_zero, bc_dd, p, 1024)
+        a = norming_a_batch(q_zero, bc_dd, [p.mu], 1024)[0]
         r, rt, mode = extract_remainders(a, 0.0, p.delta, bc_dd, 6)
         assert mode == "cos"
         assert abs(rt) < 1e-9
@@ -178,7 +176,7 @@ class TestRemainderExtraction:
     def test_combined_mode(self, q_step):
         bc = BoundaryParams(PI / 3, PI / 2)
         p = find_eigenvalue(q_step, bc, 5, grid_size=1024)
-        a = norming_a(q_step, bc, p, 1024)
+        a = norming_a_batch(q_step, bc, [p.mu], 1024)[0]
         ae = ae_n(q_step, p.delta, 5)
         r, rt, mode = extract_remainders(a, ae, p.delta, bc, 5)
         assert mode == "combined"
@@ -208,6 +206,9 @@ class TestRecords:
         assert len(built) == 1
         assert [r.a_n for r in records] == list(
             norming_a_batch(q_step, bc_nn, [p.mu for p in step_nn_spectrum60.pairs[:5]]))
+
+    def test_empty_batch(self, q_step, bc_nn):
+        assert norming_records(q_step, bc_nn, []) == []
 
     def test_one_correction_call_per_batch(self, q_step, bc_nn, step_nn_spectrum60,
                                            monkeypatch):

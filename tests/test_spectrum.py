@@ -11,21 +11,28 @@ from slspectra import (
     Potential,
     Spectrum,
     UnsupportedRegimeError,
-    bracket_eigenvalue,
     char_function,
     char_function_right,
     count_interior_zeros,
-    eigenfunction,
-    eigenfunction_right,
+    delta_for_index,
     find_eigenvalue,
     find_spectrum,
     mean_q,
+    phi,
+    psi,
 )
 from slspectra import spectrum
 from slspectra.odesolve import DEFAULT_GRID_SIZE, SolutionTrace, _step_coeffs
 from slspectra.spectrum import _zero_counts
 
 PI = math.pi
+
+
+def _bracket(q, bc, n, grid_size):
+    """The counted bracket of index n: n eigenvalues below lo, n + 1 below hi."""
+    engine = spectrum._CharEngine(q, bc, grid_size)
+    lo, hi, _ = spectrum._brackets(engine, [n], [delta_for_index(n, bc)], mean_q(q))
+    return float(lo[0]), float(hi[0])
 
 
 class TestCharFunction:
@@ -54,15 +61,15 @@ class TestCharFunction:
 
 class TestBracketing:
     def test_contains_free_eigenvalue(self, q_zero, bc_dd):
-        lo, hi = bracket_eigenvalue(q_zero, bc_dd, 3, 512)
+        lo, hi = _bracket(q_zero, bc_dd, 3, 512)
         assert lo < 16.0 < hi
 
     def test_contains_shifted_eigenvalue(self, q_one, bc_nn):
-        lo, hi = bracket_eigenvalue(q_one, bc_nn, 2, 512)
+        lo, hi = _bracket(q_one, bc_nn, 2, 512)
         assert lo < 5.0 < hi
 
     def test_step_bracket_contains_scanned_root(self, q_step, bc_nn):
-        lo, hi = bracket_eigenvalue(q_step, bc_nn, 5, 512)
+        lo, hi = _bracket(q_step, bc_nn, 5, 512)
         # independent oracle: bisect the sign of Phi directly inside the window
         f = lambda m: char_function(q_step, bc_nn, m, 512)
         a, b = lo, hi
@@ -79,7 +86,7 @@ class TestBracketing:
 
     def test_low_indices_by_counting(self, q_zero, bc_dd):
         for n in (0, 1):
-            lo, hi = bracket_eigenvalue(q_zero, bc_dd, n, 512)
+            lo, hi = _bracket(q_zero, bc_dd, n, 512)
             assert lo < (n + 1) ** 2 < hi
 
     def test_counts_are_never_repeated(self, q_step, bc_nn, monkeypatch):
@@ -131,18 +138,18 @@ class TestFindEigenvalue:
 class TestEigenfunctions:
     def test_free_dirichlet_shape(self, q_zero, bc_dd):
         p = find_eigenvalue(q_zero, bc_dd, 1, grid_size=1024)
-        tr = eigenfunction(p, q_zero, bc_dd, 1024)
+        tr = phi(q_zero, p.mu, bc_dd.alpha, 1024)
         assert np.max(np.abs(tr.y - np.sin(2 * tr.grid) / 2)) < 1e-9
 
     def test_free_neumann_shape(self, q_zero, bc_nn):
         p = find_eigenvalue(q_zero, bc_nn, 3, grid_size=1024)
-        tr = eigenfunction(p, q_zero, bc_nn, 1024)
+        tr = phi(q_zero, p.mu, bc_nn.alpha, 1024)
         assert np.max(np.abs(tr.y - np.cos(3 * tr.grid))) < 1e-9
 
     def test_zero_counts_step(self, q_step, bc_nn):
         for n in range(11):
             p = find_eigenvalue(q_step, bc_nn, n, grid_size=1024)
-            tr = eigenfunction(p, q_step, bc_nn, 1024)
+            tr = phi(q_step, p.mu, bc_nn.alpha, 1024)
             assert count_interior_zeros(tr) == n == p.zeros
 
     def test_zero_counts_skip_exact_zeros(self):
@@ -164,8 +171,8 @@ class TestEigenfunctions:
     def test_right_eigenfunction_proportional(self, q_step):
         bc = BoundaryParams(PI / 3, PI / 4)
         p = find_eigenvalue(q_step, bc, 4, grid_size=1024)
-        left = eigenfunction(p, q_step, bc, 1024)
-        right = eigenfunction_right(p, q_step, bc, 1024)
+        left = phi(q_step, p.mu, bc.alpha, 1024)
+        right = psi(q_step, p.mu, bc.beta, 1024)
         i = len(left.grid) // 3
         scale = right.y[i] / left.y[i]
         assert np.max(np.abs(right.y - scale * left.y)) < 1e-6 * max(1, abs(scale))
@@ -397,8 +404,8 @@ def _assert_counted_pairs(q, bc, n_max, grid_size=DEFAULT_GRID_SIZE):
     """Each eigenfunction has n interior zeros and Phi changes sign across its bracket."""
     s = find_spectrum(q, bc, n_max, grid_size=grid_size)
     for p in s.pairs:
-        assert count_interior_zeros(eigenfunction(p, q, bc, grid_size)) == p.n == p.zeros
-        lo, hi = bracket_eigenvalue(q, bc, p.n, grid_size)
+        assert count_interior_zeros(phi(q, p.mu, bc.alpha, grid_size)) == p.n == p.zeros
+        lo, hi = _bracket(q, bc, p.n, grid_size)
         assert lo <= p.mu <= hi
         assert char_function(q, bc, lo, grid_size) * char_function(q, bc, hi, grid_size) < 0.0
     return s
