@@ -16,7 +16,11 @@ the supplied frequency hint before refinement starts.
 Oscillatory moments, int_0^pi f(t) exp(i w t) dt for an array of w, come
 from a panel-moment (Filon) rule instead: exact up to rounding when f is a
 cubic between breakpoints, fourth order in the panel width otherwise,
-whatever the frequency.
+whatever the frequency.  Its panel phases are factorised: the evenly spaced
+panels of a piece are split into about sqrt(panels) blocks of about
+sqrt(panels), so each frequency takes a phase table per block and one per
+offset within a block instead of a sine and a cosine per panel, and the
+panel sums become small matrix products.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -47,9 +51,9 @@ _NAMED_POTENTIALS = ("zero", "constant", "step", "smooth-test")
 _DOMAIN_SLACK = 1e-12
 
 # Moment rule: at least _MOMENT_PANELS panels; a block of _MOMENT_ELEMS
-# (frequency, panel) entries keeps its transients near 1 MB.
+# (frequency, piece, high-phase) entries keeps its transients near 1 MB.
 _MOMENT_PANELS = 2048
-_MOMENT_ELEMS = 8 * _MOMENT_PANELS
+_MOMENT_ELEMS = 4 * _MOMENT_PANELS
 # Four-point Gauss-Legendre nodes s_j and weights w_j in closed form; the
 # matrix (k + 1/2) w_j P_k(s_j) maps node values to Legendre coefficients.
 _GL4_NODES = np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
@@ -62,8 +66,8 @@ _GL4_LEGENDRE = (np.stack([np.ones(4), _GL4_NODES, (3.0 * _GL4_NODES ** 2 - 1.0)
 # in j_k(theta), k = 0..3; ten rows reach rounding for |theta| <= 1.
 _BESSEL_SERIES = np.array([
     [(-1) ** m / (2 ** m * math.factorial(m) * math.prod(range(1, 2 * k + 2 * m + 2, 2)))
-     for k in range(4)] for m in range(10)])[:, :, None]
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])[:, None]
+     for k in range(4)] for m in range(10)])
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 def _gauss2(f, a, b):
@@ -159,7 +163,17 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     |w| r <= 1.  On a panel of centre c, f is replaced by the cubic
     sum_k a_k P_k((t - c) / r) through its four (interior) Gauss-Legendre
     nodes, whose moment is exactly r exp(i w c) sum_k a_k 2 i^k j_k(w r); j_k
-    is evaluated once per piece.  Returns (cosine, sine), shaped like omegas.
+    is evaluated once per piece.
+
+    The phases are factorised.  With B = ceil(sqrt(most panels in a piece))
+    and H = ceil(most panels / B), panel p = B h + l of a piece starting at x
+    has exp(i w c_p) = exp(i w (x + r (1 + 2 B h))) exp(i w 2 r l).  So each
+    frequency and piece needs a low table of B phases and a high table of H,
+    2 (B + H) trig calls instead of two per panel.  The coefficients,
+    zero-padded to B H panels per piece, are contracted with the low table
+    by one matrix product per (frequency, piece), then with the high table
+    by another; no frequency's value depends on the others in the call.
+    Returns (cosine, sine), shaped like omegas.
     """
     omegas = np.asarray(omegas, dtype=float)
     w = omegas.ravel()
@@ -169,22 +183,34 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     radii = np.diff(cuts) / (2 * counts)
     starts = np.cumsum(counts) - counts
     piece = np.repeat(np.arange(counts.size), counts)
-    centres = cuts[piece] + radii[piece] * (2 * (np.arange(piece.size) - starts[piece]) + 1)
-    legendre = (f(centres[:, None] + radii[piece, None] * _GL4_NODES) @ _GL4_LEGENDRE).T
+    local = np.arange(piece.size) - starts[piece]
+    centres = cuts[piece] + radii[piece] * (2 * local + 1)
+    most = int(counts.max())
+    n_low = math.isqrt(most - 1) + 1  # ceil(sqrt(most))
+    n_high = -(-most // n_low)
+    coefs = np.zeros((counts.size, n_low, 4, n_high))
+    coefs[piece, local % n_low, :, local // n_low] = (
+        f(centres[:, None] + radii[piece, None] * _GL4_NODES) @ _GL4_LEGENDRE)
+    coefs = coefs.reshape(counts.size, n_low, 4 * n_high)
+    low_offsets = 2.0 * radii[:, None] * np.arange(n_low)
+    high_centres = cuts[:-1, None] + radii[:, None] * (1 + 2 * n_low * np.arange(n_high))
 
     out = np.empty(w.size, dtype=complex)
-    size = max(1, _MOMENT_ELEMS // piece.size)
+    size = max(1, _MOMENT_ELEMS // (counts.size * n_high))
     for lo in range(0, w.size, size):
         wb = w[lo:lo + size, None, None]
-        arg = wb[:, 0] * centres
-        trig = np.stack([np.cos(arg), np.sin(arg)])[:, :, None, :] * legendre
-        sums = np.add.reduceat(trig, starts, axis=-1)
-        theta = wb * radii
+        arg = wb * low_offsets
+        sums = np.stack([np.cos(arg), np.sin(arg)], axis=2) @ coefs
+        arg = wb * high_centres
+        # rows (cos, sin) x k against columns (cos, sin) of the high phases
+        sums = sums.reshape(*arg.shape[:2], 8, n_high) @ np.stack([np.cos(arg), np.sin(arg)], axis=3)
+        sums = (sums[:, :, :4, 0] - sums[:, :, 4:, 1]) + 1j * (sums[:, :, :4, 1] + sums[:, :, 4:, 0])
+        theta = wb[:, :, 0, None] * radii[:, None]
         bessel = _BESSEL_SERIES[-1]
         for row in _BESSEL_SERIES[-2::-1]:
             bessel = bessel * theta * theta + row
-        weights = 2.0 * radii * _I_POWERS * theta ** np.arange(4)[:, None] * bessel
-        out[lo:lo + size] = np.sum(weights * (sums[0] + 1j * sums[1]), axis=(1, 2))
+        weights = 2.0 * radii[:, None] * _I_POWERS * theta ** np.arange(4) * bessel
+        out[lo:lo + size] = np.sum((weights * sums).reshape(len(wb), -1), axis=-1)
     return out.real.reshape(omegas.shape), out.imag.reshape(omegas.shape)
 
 
@@ -205,6 +231,23 @@ def _snapped_sincos(angle: float) -> tuple[float, float]:
     return s, c
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; bools, strings, arrays and overflowing integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range for a float, got {value!r}") from None
+
+
+def _json_numbers(values, name: str) -> tuple[float, ...]:
+    """A JSON array of numbers as floats."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"'{name}' must be an array, got {values!r}")
+    return tuple(_json_number(v, f"each entry of '{name}'") for v in values)
+
+
 @dataclass(frozen=True)
 class BoundaryParams:
     """Separated boundary-condition angles: alpha in (0, pi], beta in [0, pi).
@@ -217,28 +260,33 @@ class BoundaryParams:
 
     alpha: float
     beta: float
+    # snapped (sin, cos) of each angle, computed once
+    _alpha_sincos: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _beta_sincos: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= PI):
             raise ValueError(f"alpha must lie in (0, pi], got {self.alpha}")
         if not (0.0 <= self.beta < PI):
             raise ValueError(f"beta must lie in [0, pi), got {self.beta}")
+        object.__setattr__(self, "_alpha_sincos", _snapped_sincos(self.alpha))
+        object.__setattr__(self, "_beta_sincos", _snapped_sincos(self.beta))
 
     @property
     def sin_alpha(self) -> float:
-        return _snapped_sincos(self.alpha)[0]
+        return self._alpha_sincos[0]
 
     @property
     def cos_alpha(self) -> float:
-        return _snapped_sincos(self.alpha)[1]
+        return self._alpha_sincos[1]
 
     @property
     def sin_beta(self) -> float:
-        return _snapped_sincos(self.beta)[0]
+        return self._beta_sincos[0]
 
     @property
     def cos_beta(self) -> float:
-        return _snapped_sincos(self.beta)[1]
+        return self._beta_sincos[1]
 
     @property
     def dirichlet_left(self) -> bool:
@@ -352,15 +400,13 @@ class Potential:
         obj = json.loads(spec) if isinstance(spec, str) else spec
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("potential spec must be an object with a 'kind' field")
-        offset = float(obj.get("offset", 0.0))
+        offset = _json_number(obj.get("offset", 0.0), "'offset'")
         if obj["kind"] == "named":
-            params = obj.get("params", [])
-            if not isinstance(params, (list, tuple)):
-                raise ValueError(f"'params' must be an array, got {params!r}")
-            return cls(kind="named", name=obj.get("name"), params=tuple(params), offset=offset)
+            return cls(kind="named", name=obj.get("name"),
+                       params=_json_numbers(obj.get("params", []), "params"), offset=offset)
         if obj["kind"] == "grid":
-            return cls(kind="grid", xs=np.asarray(obj["xs"], dtype=float),
-                       qs=np.asarray(obj["qs"], dtype=float), offset=offset)
+            return cls(kind="grid", xs=np.array(_json_numbers(obj["xs"], "xs")),
+                       qs=np.array(_json_numbers(obj["qs"], "qs")), offset=offset)
         raise ValueError(f"unknown potential kind {obj['kind']!r}")
 
     def to_json(self) -> dict:

@@ -227,6 +227,19 @@ class TestPotentialLoading:
         assert code == 2
         assert "'params' must be an array" in err
 
+    @pytest.mark.parametrize("spec", [
+        '"name":"constant","params":[[1]]', '"name":"constant","params":["1"]',
+        '"name":"constant","params":[true]', '"name":"constant","params":[1],"offset":[1]',
+        '"name":"constant","params":[1],"offset":"1"',
+        '"name":"constant","params":[1' + 400 * '0' + ']',
+    ], ids=["nested", "string", "bool", "offset-array", "offset-string", "overflow"])
+    def test_entries_must_be_numbers(self, capsys, spec):
+        code, _, err = run_cli([
+            "spectrum", "--potential", f'{{"kind":"named",{spec}}}',
+            "--alpha", "pi", "--beta", "0", "--n-max", "1", "--grid-size", "256"], capsys)
+        assert code == 2
+        assert "must be a number" in err or "out of range" in err
+
 
 def test_option_surface():
     # every flag a command accepts is one it reads

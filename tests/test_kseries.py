@@ -56,6 +56,14 @@ class TestSeriesTerms:
         nus, kc, k1c, k2c = series_coefficients(q_step, bc, 40)
         assert np.max(np.abs(kc - k1c - k2c)) < 1e-8
 
+    @pytest.mark.parametrize("q,bc", [
+        (Potential.step(3.0, 1.0), BoundaryParams(PI / 3, PI / 3)),
+        (Potential.constant(1.0), BoundaryParams(PI, 0.0)),
+    ], ids=["step-interior", "constant-dd"])
+    def test_split_identity_at_cap(self, q, bc):
+        nus, kc, k1c, k2c = series_coefficients(q, bc, 400)
+        assert np.max(np.abs(kc - k1c - k2c)) <= 5e-13 * np.max(np.abs(kc))
+
     def test_k1_vanishes_when_shift_is_exact(self, q_step, bc_dd, bc_nn):
         grid = np.linspace(0, 2 * PI, 64)
         for bc in (bc_dd, bc_nn):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from slspectra import (
     Potential,
     QuadratureError,
     integrate,
+    k_partial_sum,
     mean_q,
     sigma_functions,
 )
+from slspectra import potential
 from slspectra.potential import fourier_moments
 
 PI = math.pi
@@ -87,12 +90,12 @@ class TestFourierMoments:
     # 2048 default panels (at most 2 / max|w| wide)
     OMEGAS = np.array([2.37, 80.9, 5000.3])
 
-    def _check(self, f, breakpoints, pieces):
-        cos_m, sin_m = fourier_moments(f, np.concatenate([[0.0], self.OMEGAS]), breakpoints)
+    def _check(self, f, breakpoints, pieces, omegas=OMEGAS):
+        cos_m, sin_m = fourier_moments(f, np.concatenate([[0.0], omegas]), breakpoints)
         assert cos_m[0] == pytest.approx(sum(p.integ()(b) - p.integ()(a) for a, b, p in pieces),
                                          abs=1e-12)
         assert sin_m[0] == 0.0
-        for i, w in enumerate(self.OMEGAS, start=1):
+        for i, w in enumerate(omegas, start=1):
             want_c, want_s = _polynomial_moments(pieces, w)
             assert abs(cos_m[i] - want_c) <= 1e-12
             assert abs(sin_m[i] - want_s) <= 1e-12
@@ -139,6 +142,64 @@ class TestFourierMoments:
                     want_s += 0.5 * c * (1.0 - math.cos(k * PI)) / k
             assert abs(cos_m[i] - want_c) <= 1e-12
             assert abs(sin_m[i] - want_s) <= 1e-12
+
+    @staticmethod
+    def _uneven_grid(seed):
+        # 64 pieces of 1 to 108 panels each on 2048 panels (seeds 5 and 8)
+        rng = np.random.default_rng(seed)
+        widths = rng.uniform(0.1, 1.0, 64) ** 2
+        xs = np.concatenate([[0.0], np.cumsum(widths / widths.sum() * PI)])
+        xs[-1] = PI
+        return xs, rng.normal(size=xs.size)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Potential.step(2.0, 1.0),
+        lambda: Potential.from_grid(*TestFourierMoments._uneven_grid(5)),
+        lambda: Potential.smooth_test([1.0, -0.5, 0.3]),
+    ], ids=["step", "grid64", "smooth"])
+    def test_batch_invariance(self, make):
+        # below w = 1304 every batch gets the same 2048-panel layout, so a
+        # frequency's moment must not depend on the others in its call
+        q = make()
+        omegas = np.concatenate([[0.0, 1.0, -3.3],
+                                 np.random.default_rng(6).uniform(0.0, 1300.0, 300)])
+        cos_m, sin_m = fourier_moments(q, omegas, q.breakpoints)
+        for i, w in enumerate(omegas):
+            alone = fourier_moments(q, w, q.breakpoints)
+            assert alone[0] == cos_m[i] and alone[1] == sin_m[i]
+
+    @pytest.mark.parametrize("omegas", [OMEGAS[:2], OMEGAS], ids=["2048-panels", "7855-panels"])
+    def test_uneven_pieces(self, omegas):
+        P = np.polynomial.Polynomial
+        # on 2048 panels: a one-panel piece next to a 2048-panel one
+        q = Potential.step(2.0, 1e-3)
+        self._check(q, q.breakpoints, [(0.0, 1e-3, P([2.0])), (1e-3, PI, P([0.0]))], omegas)
+        xs, qs = self._uneven_grid(8)
+        q = Potential.from_grid(xs, qs)
+        pieces = []
+        for a, b, qa, qb in zip(xs[:-1], xs[1:], qs[:-1], qs[1:]):
+            line = P([qa - a * (qb - qa) / (b - a), (qb - qa) / (b - a)])
+            pieces.append((a, b, P([PI, -1.0]) * line))
+        self._check(lambda t: (PI - t) * q(t), q.breakpoints, pieces, omegas)
+
+    def test_step_at_high_frequency(self):
+        # 31417 panels; int_0^x0 c e^{i w t} dt = c (sin(w x0) + i (1 - cos(w x0))) / w
+        c, x0 = 3.0, 1.0
+        omegas = np.array([2e4, 2e4 + 0.37])
+        cos_m, sin_m = fourier_moments(Potential.step(c, x0), omegas, (x0,))
+        assert np.max(np.abs(cos_m - c * np.sin(omegas * x0) / omegas)) <= 1e-14
+        assert np.max(np.abs(sin_m - c * (1.0 - np.cos(omegas * x0)) / omegas)) <= 1e-14
+
+    def test_memory_peak(self):
+        q = Potential.from_grid(*self._uneven_grid(5))
+        omegas = 2.0 * (np.arange(2, 401) + 0.37)
+        tracemalloc.start()
+        try:
+            fourier_moments(q, omegas, q.breakpoints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_shape_follows_omegas(self):
         cos_m, sin_m = fourier_moments(Potential.constant(1.0), 3.0)
@@ -245,6 +306,18 @@ class TestBoundaryParams:
         bc = BoundaryParams(PI / 2, PI / 2)
         assert bc.cos_alpha == 0.0 and bc.sin_alpha == 1.0
         assert not bc.dirichlet_left and not bc.dirichlet_right
+
+    def test_angles_snapped_once(self, monkeypatch):
+        calls, made = [], []
+        snap, post_init = potential._snapped_sincos, BoundaryParams.__post_init__
+        monkeypatch.setattr(potential, "_snapped_sincos", lambda a: calls.append(a) or snap(a))
+        monkeypatch.setattr(BoundaryParams, "__post_init__",
+                            lambda self: made.append(self) or post_init(self))
+        bc = BoundaryParams(PI / 3, PI / 3)
+        k_partial_sum(Potential.step(3.0, 1.0), bc, 50)
+        assert made and len(calls) <= 2 * len(made)
+        assert repr(bc) == f"BoundaryParams(alpha={PI / 3!r}, beta={PI / 3!r})"
+        assert hash(bc) == hash((PI / 3, PI / 3)) and bc == BoundaryParams(PI / 3, PI / 3)
 
 
 class TestCumulativeIntegrals:
