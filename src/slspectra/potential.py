@@ -17,10 +17,10 @@ Oscillatory moments, int_0^pi f(t) exp(i w t) dt for an array of w, come
 from a panel-moment (Filon) rule instead: exact up to rounding when f is a
 cubic between breakpoints, fourth order in the panel width otherwise,
 whatever the frequency.  Its panel phases are factorised: the evenly spaced
-panels of a piece are split into about sqrt(panels) blocks of about
-sqrt(panels), so each frequency takes a phase table per block and one per
-offset within a block instead of a sine and a cosine per panel, and the
-panel sums become small matrix products.
+panels of a piece of n >= 16 panels are laid out in rows of about sqrt(n)
+by sqrt(n), so each frequency takes one phase per row position and one per
+column instead of a sine and a cosine per panel, and the panel sums become
+small matrix products.  Smaller pieces keep one phase per panel.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -50,10 +50,12 @@ _TABLE_POINTS = 2048
 _NAMED_POTENTIALS = ("zero", "constant", "step", "smooth-test")
 _DOMAIN_SLACK = 1e-12
 
-# Moment rule: at least _MOMENT_PANELS panels; a block of _MOMENT_ELEMS
-# (frequency, piece, high-phase) entries keeps its transients near 1 MB.
+# Moment rule: at least _MOMENT_PANELS panels; pieces of fewer than
+# _MOMENT_ROW_MIN panels skip the phase factorisation; a block of
+# _MOMENT_ELEMS (frequency, phase) entries keeps its transients near 1 MB.
 _MOMENT_PANELS = 2048
-_MOMENT_ELEMS = 4 * _MOMENT_PANELS
+_MOMENT_ROW_MIN = 16
+_MOMENT_ELEMS = 8192
 # Four-point Gauss-Legendre nodes s_j and weights w_j in closed form; the
 # matrix (k + 1/2) w_j P_k(s_j) maps node values to Legendre coefficients.
 _GL4_NODES = np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
@@ -163,54 +165,79 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     |w| r <= 1.  On a panel of centre c, f is replaced by the cubic
     sum_k a_k P_k((t - c) / r) through its four (interior) Gauss-Legendre
     nodes, whose moment is exactly r exp(i w c) sum_k a_k 2 i^k j_k(w r); j_k
-    is evaluated once per piece.
+    is evaluated once per distinct r.
 
-    The phases are factorised.  With B = ceil(sqrt(most panels in a piece))
-    and H = ceil(most panels / B), panel p = B h + l of a piece starting at x
-    has exp(i w c_p) = exp(i w (x + r (1 + 2 B h))) exp(i w 2 r l).  So each
-    frequency and piece needs a low table of B phases and a high table of H,
-    2 (B + H) trig calls instead of two per panel.  The coefficients,
-    zero-padded to B H panels per piece, are contracted with the low table
-    by one matrix product per (frequency, piece), then with the high table
-    by another; no frequency's value depends on the others in the call.
-    Returns (cosine, sine), shaped like omegas.
+    The phases are factorised.  A piece of n >= 16 panels is cut into rows
+    of B x B panels, B = 2^floor(log4 n), the last row zero-padded; panel
+    p = B^2 j + B h + l of a piece starting at x has exp(i w c_p) =
+    exp(i w (x + r (1 + 2 (B^2 j + B h)))) exp(i w 2 r l).  Each frequency
+    thus takes B low phases per piece and B high phases per row, at most
+    4 sqrt(n) phases for the piece instead of n.  The low phases,
+    times the Bessel weights, are contracted with a row's coefficients by
+    one matrix product per (frequency, row), and the high phases with the
+    result by one product per frequency.  Pieces sharing B form one group,
+    so the padding stays below the panel count.  A smaller piece keeps one
+    phase per panel, and those products are summed per distinct r.  No
+    frequency's value depends on the others in the call.  Returns (cosine,
+    sine), shaped like omegas.
     """
     omegas = np.asarray(omegas, dtype=float)
     w = omegas.ravel()
     density = max(_MOMENT_PANELS, math.ceil(PI * float(np.max(np.abs(w), initial=0.0)) / 2.0))
     cuts = np.array([0.0, *sorted(b for b in breakpoints if 0.0 < b < PI), PI])
     counts = np.maximum(1, np.ceil(density * np.diff(cuts) / PI)).astype(int)
-    radii = np.diff(cuts) / (2 * counts)
-    starts = np.cumsum(counts) - counts
+    # the Bessel weights are taken once per distinct radius
+    radius, piece_radius = np.unique(np.diff(cuts) / (2 * counts), return_inverse=True)
+    radii = radius[piece_radius]
     piece = np.repeat(np.arange(counts.size), counts)
-    local = np.arange(piece.size) - starts[piece]
+    local = np.arange(piece.size) - (np.cumsum(counts) - counts)[piece]
     centres = cuts[piece] + radii[piece] * (2 * local + 1)
-    most = int(counts.max())
-    n_low = math.isqrt(most - 1) + 1  # ceil(sqrt(most))
-    n_high = -(-most // n_low)
-    coefs = np.zeros((counts.size, n_low, 4, n_high))
-    coefs[piece, local % n_low, :, local // n_low] = (
-        f(centres[:, None] + radii[piece, None] * _GL4_NODES) @ _GL4_LEGENDRE)
-    coefs = coefs.reshape(counts.size, n_low, 4 * n_high)
-    low_offsets = 2.0 * radii[:, None] * np.arange(n_low)
-    high_centres = cuts[:-1, None] + radii[:, None] * (1 + 2 * n_low * np.arange(n_high))
+    legendre = f(centres[:, None] + radii[piece, None] * _GL4_NODES) @ _GL4_LEGENDRE
+    widths = np.where(counts < _MOMENT_ROW_MIN, 1, 2 ** ((np.frexp(counts)[1] - 1) // 2))
+    # panels of small pieces, sorted by radius: one phase each, summed per radius
+    small = np.flatnonzero(widths[piece] == 1)
+    small = small[np.argsort(piece_radius[piece[small]], kind="stable")]
+    small_radius, small_starts = np.unique(piece_radius[piece[small]], return_index=True)
+    groups = []
+    for n_low in sorted(set(widths[widths > 1].tolist())):
+        mine = np.flatnonzero(widths == n_low)
+        rows = -(-counts[mine] // n_low ** 2)
+        row_piece = np.repeat(np.arange(mine.size), rows)
+        first_row = np.cumsum(rows) - rows
+        at = np.flatnonzero(widths[piece] == n_low)
+        p = local[at]
+        coefs = np.zeros((row_piece.size, n_low, 4, n_low))
+        coefs[first_row[np.searchsorted(mine, piece[at])] + p // n_low ** 2,
+              p // n_low % n_low, :, p % n_low] = legendre[at]
+        high = n_low * (n_low * (np.arange(row_piece.size) - first_row[row_piece])[:, None]
+                        + np.arange(n_low))
+        groups.append((piece_radius[mine], row_piece, 2.0 * radii[mine, None] * np.arange(n_low),
+                       cuts[mine[row_piece], None] + radii[mine[row_piece], None] * (1 + 2 * high),
+                       coefs.reshape(row_piece.size, n_low, 4 * n_low)))
 
-    out = np.empty(w.size, dtype=complex)
-    size = max(1, _MOMENT_ELEMS // (counts.size * n_high))
+    out = np.zeros(w.size, dtype=complex)
+    size = max(1, _MOMENT_ELEMS // (small.size + sum(group[3].size for group in groups)))
     for lo in range(0, w.size, size):
         wb = w[lo:lo + size, None, None]
-        arg = wb * low_offsets
-        sums = np.stack([np.cos(arg), np.sin(arg)], axis=2) @ coefs
-        arg = wb * high_centres
-        # rows (cos, sin) x k against columns (cos, sin) of the high phases
-        sums = sums.reshape(*arg.shape[:2], 8, n_high) @ np.stack([np.cos(arg), np.sin(arg)], axis=3)
-        sums = (sums[:, :, :4, 0] - sums[:, :, 4:, 1]) + 1j * (sums[:, :, :4, 1] + sums[:, :, 4:, 0])
-        theta = wb[:, :, 0, None] * radii[:, None]
+        theta = wb * radius[:, None]
         bessel = _BESSEL_SERIES[-1]
         for row in _BESSEL_SERIES[-2::-1]:
             bessel = bessel * theta * theta + row
-        weights = 2.0 * radii[:, None] * _I_POWERS * theta ** np.arange(4) * bessel
-        out[lo:lo + size] = np.sum((weights * sums).reshape(len(wb), -1), axis=-1)
+        weights = 2.0 * radius[:, None] * _I_POWERS * theta ** np.arange(4) * bessel
+        if small.size:
+            arg = wb[:, 0] * centres[small]
+            sums = np.add.reduceat(np.stack([np.cos(arg), np.sin(arg)], axis=1)[:, :, None]
+                                   * legendre[small].T, small_starts, axis=-1)
+            sums = weights[:, small_radius] * (sums[:, 0] + 1j * sums[:, 1]).transpose(0, 2, 1)
+            out[lo:lo + size] += np.sum(sums.reshape(len(wb), -1), axis=-1)
+        for own_radius, row_piece, low_offsets, high_centres, coefs in groups:
+            arg = wb * low_offsets
+            # rows (k, l) of each piece's weights x low phases, as (real, imaginary) columns
+            sums = weights[:, own_radius, :, None] * (np.cos(arg) + 1j * np.sin(arg))[:, :, None]
+            sums = sums.view(float).reshape(*sums.shape[:2], -1, 2)[:, row_piece]
+            sums = (coefs @ sums).view(complex).reshape(len(wb), -1, 1)
+            arg = (wb * high_centres).reshape(len(wb), 1, -1)
+            out[lo:lo + size] += ((np.cos(arg) + 1j * np.sin(arg)) @ sums)[:, 0, 0]
     return out.real.reshape(omegas.shape), out.imag.reshape(omegas.shape)
 
 

@@ -190,8 +190,17 @@ class TestFourierMoments:
         assert np.max(np.abs(cos_m - c * np.sin(omegas * x0) / omegas)) <= 1e-14
         assert np.max(np.abs(sin_m - c * (1.0 - np.cos(omegas * x0)) / omegas)) <= 1e-14
 
-    def test_memory_peak(self):
-        q = Potential.from_grid(*self._uneven_grid(5))
+    @staticmethod
+    def _packed_grid():
+        # 198 one-panel pieces on [0, 0.2] next to one piece of 1918 panels
+        xs = np.append(np.linspace(0.0, 0.2, 199), PI)
+        return xs, np.cos(xs)
+
+    @pytest.mark.parametrize("grid", [lambda: TestFourierMoments._uneven_grid(5),
+                                      lambda: TestFourierMoments._packed_grid()],
+                             ids=["grid64", "packed"])
+    def test_memory_peak(self, grid):
+        q = Potential.from_grid(*grid())
         omegas = 2.0 * (np.arange(2, 401) + 0.37)
         tracemalloc.start()
         try:
@@ -200,6 +209,21 @@ class TestFourierMoments:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5e6
+
+    @pytest.mark.parametrize("make, most", [
+        (lambda: Potential.step(2.0, 1.0), 200),
+        (lambda: Potential.from_grid(*TestFourierMoments._packed_grid()), 400),
+    ], ids=["step", "packed"])
+    def test_phases_per_frequency(self, make, most, monkeypatch):
+        # 2048 and 2116 panels: the factorised phases need at most `most`
+        # cosines per frequency, where one per panel would take all of them
+        q = make()
+        seen = []
+        cos = np.cos
+        monkeypatch.setattr(potential.np, "cos", lambda x: seen.append(np.size(x)) or cos(x))
+        omegas = 2.0 * (np.arange(2, 101) + 0.37)
+        fourier_moments(q, omegas, q.breakpoints)
+        assert 0 < sum(seen) <= most * omegas.size
 
     def test_shape_follows_omegas(self):
         cos_m, sin_m = fourier_moments(Potential.constant(1.0), 3.0)
