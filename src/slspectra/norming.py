@@ -15,8 +15,13 @@ entering through the model value
             + (pi / (2 nu^2)) [1 + 2 ae_n / (pi nu)] cos^2(alpha),
 
 with nu = n + delta_n; the defect a_n - model_a decays like 1/n^2.  Both
-bracket denominators use delta_n itself.  b_n satisfies the mirrored model
-with beta in place of alpha and the same ae_n.
+bracket denominators use delta_n itself.  model_b mirrors model_a with beta
+in place of alpha but keeps ae_n, which is b_n's correction only for q
+symmetric about pi/2.  b_n's own is the reflected integral
+-(1/2) int_0^pi t q(t) sin(2 nu (pi - t)) dt, ae_n of q(pi - x).  With ae_n
+instead, the b-side defect of an asymmetric q decays only like 1/n: for
+step(2, 1), Neumann at both ends, n^2 (b_n - model_b) reads 0.72, 1.31 and
+2.90 at n = 50, 100 and 200, and 0.50 at each with the reflected integral.
 
 ae_n comes from the moment rule ``potential.fourier_moments``, one call for
 a whole batch of indices, exact for zero, constant, step and grid potentials.
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delta import DeltaValue
-from .odesolve import DEFAULT_GRID_SIZE, build_mesh, propagate_with_norm
+from .odesolve import DEFAULT_GRID_SIZE, build_mesh, norm_end, norm_product, propagate_with_norm
 from .potential import PI, BoundaryParams, Potential, fourier_moments
 from .potential import integrate  # noqa: F401  (binding kept for perfbench tracing)
 from .spectrum import Eigenpair, Spectrum
@@ -112,7 +117,11 @@ def model_a(bc: BoundaryParams, delta, ae: float, n: int) -> float:
 
 
 def model_b(bc: BoundaryParams, delta, ae: float, n: int) -> float:
-    """Model value of b_n with both remainders set to zero."""
+    """Model value of b_n with both remainders set to zero.
+
+    It takes ae_n, not the reflected integral b_n needs when q is not
+    symmetric about pi/2 (see the module docstring).
+    """
     if n < 2:
         raise ValueError(f"model is defined for n >= 2, got {n}")
     return _model(bc.sin_beta, bc.cos_beta, delta, ae, n)
@@ -160,9 +169,9 @@ def norming_records(q: Potential, bc: BoundaryParams, pairs,
         pairs = pairs.pairs
     pairs = list(pairs)
     mus = np.array([p.mu for p in pairs])
-    mesh = build_mesh(q, grid_size)
-    a_vals = _norms(mesh, mus, bc.sin_alpha, bc.cos_alpha, True)
-    b_vals = _norms(mesh, mus, bc.sin_beta, bc.cos_beta, False)
+    product = norm_product(build_mesh(q, grid_size), mus)
+    _, _, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
+    _, _, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)
     ns = np.array([p.n for p in pairs], dtype=int)
     aes = np.full(ns.size, math.nan)
     aes[ns >= 2] = ae_n(q, [p.delta.value for p in pairs if p.n >= 2], ns[ns >= 2])

@@ -33,6 +33,12 @@ steps instead of L.  The transient arrays of a block, chunk propagators
 included, stay near 2 MB whatever the batch or mesh size, and short
 batches still run few, long vectorised passes.
 
+The norm sweep runs forward only.  Every run propagator has determinant
+1, so the backward propagator is the adjugate of the forward one, and one
+sweep gives the norm at both ends (see propagate_with_norm).  The backward
+characteristic-function sweep still runs from x = pi, so the psi side has
+a sweep of its own to be checked against.
+
 The independent oracle is the successive-approximation series for the
 solution vanishing at the origin, built from iterated Volterra integrals
 with an explicit tail bound, so solver and series can certify each other.
@@ -209,16 +215,15 @@ def _compose(B, A):
     return _mul2(B[:4], A[:4]) + tuple(x + y for x, y in dBA)
 
 
-def _sweep(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
-           entries, mul):
-    """Whole-mesh product of the run matrices, applied to (y0, yp0).
+def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
+    """Whole-mesh product of the run matrices, entries of shape (mus,).
 
     One exact step per run of constant q: entries builds one block's
     matrices from (h, w, C, S, sign) and mul(B, A) multiplies two stacks of
     them.  Each block is contracted by a pairwise tree, an odd level
     carrying its last matrix up unpaired, and the block products compose in
-    propagation order.  Returns the product's rows applied to the start:
-    (y, y') for _transfer, and (y, y', y_mu, y_mu') for _transfer_dmu.
+    propagation order.  Returns 4 entries for _transfer, and 8 for
+    _transfer_dmu: the product's, then those of its mu-derivative.
     """
     sign = 1.0 if forward else -1.0
     M = None
@@ -229,23 +234,30 @@ def _sweep(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
             P = mul([t[1:n:2] for t in E], [t[0:n - 1:2] for t in E])
             E = P if n % 2 == 0 else [np.concatenate((p, t[-1:])) for p, t in zip(P, E)]
         M = E if M is None else mul(E, M)
-    return [M[i][0] * y0 + M[i + 1][0] * yp0 for i in range(0, len(M), 2)]
+    return tuple(m[0] for m in M)
+
+
+def _apply(M, y0: float, yp0: float):
+    """Rows of the 2x2 matrices M applied to (y0, yp0): (y, y'), then (y_mu, y_mu')."""
+    return [M[i] * y0 + M[i + 1] * yp0 for i in range(0, len(M), 2)]
 
 
 @_quiet
 def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
     """Propagate (y0, yp0) across the whole mesh for a batch of mu values.
 
-    Returns (y, y') at x = pi when forward, at x = 0 otherwise.  Raises
-    BlowUpError if any final value is non-finite or exceeds BLOWUP_BOUND;
-    counting, which needs no magnitudes, runs its own scaled sweep.
+    Returns (y, y') at x = pi when forward, at x = 0 otherwise; the backward
+    values come from a sweep of the inverse run propagators from x = pi.
+    Raises BlowUpError if any final value is non-finite or exceeds
+    BLOWUP_BOUND; counting, which needs no magnitudes, runs its own scaled
+    sweep.
 
     Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
     so the transient arrays of one block stay near 2 MB whatever the batch
     or mesh size.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    ys, yps = _sweep(mesh, mus, y0, yp0, forward, _transfer, _mul2)
+    ys, yps = _apply(_product(mesh, mus, forward, _transfer, _mul2), y0, yp0)
     if (not np.all(np.isfinite(ys)) or not np.all(np.isfinite(yps))
             or np.max(np.abs(ys), initial=0.0) > BLOWUP_BOUND
             or np.max(np.abs(yps), initial=0.0) > BLOWUP_BOUND):
@@ -256,7 +268,6 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
     return ys, yps
 
 
-@_quiet
 def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
     """Endpoint values plus the integral of y^2 over [0, pi] for a batch of mu.
 
@@ -265,22 +276,52 @@ def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool
     depend on mu, so the forward sweep gives
         int_0^pi y^2 = y'(pi) y_mu(pi) - y(pi) y_mu'(pi),
     and the backward sweep y(0) y_mu'(0) - y'(0) y_mu(0).  This is the exact
-    integral of the discrete solution, not a further approximation.  Each
-    run of constant q contributes its propagator T and dT/dmu in closed
-    form; the pairs are contracted by a pairwise tree,
-    (B, dB)(A, dA) = (BA, dB A + B dA), block by block, and the block
-    products compose in order.
+    integral of the discrete solution, not a further approximation.
 
-    Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
-    so the transient arrays of one block stay near 2 MB whatever the batch
-    or mesh size.
+    Both directions read the forward product M and dM/dmu of norm_product.
+    Every run propagator has determinant 1, so its inverse, the backward
+    step, is its adjugate.  For 2x2 matrices adj(BA) = adj(A) adj(B) and
+    adj is linear, so the backward product is adj(M) and its mu-derivative
+    adj(dM), exactly: no reversed sweep is needed.
 
     Returns (y, y', acc) at x = pi when forward, at x = 0 otherwise.  Raises
     BlowUpError if any returned value is non-finite or |y| exceeds
     BLOWUP_BOUND.
     """
+    return norm_end(norm_product(mesh, mus), y0, yp0, forward=forward)
+
+
+@_quiet
+def norm_product(mesh: Mesh, mus):
+    """The whole-mesh propagator M from 0 to pi and dM/dmu, for a batch of mu.
+
+    Each run of constant q contributes its propagator T and dT/dmu in
+    closed form; the pairs are contracted by a pairwise tree,
+    (B, dB)(A, dA) = (BA, dB A + B dA), block by block, and the block
+    products compose in order.  Returns the 8 entries of (M, dM), each of
+    shape (mus,).
+
+    Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
+    so the transient arrays of one block stay near 2 MB whatever the batch
+    or mesh size.
+    """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    y, yp, dy, dyp = _sweep(mesh, mus, y0, yp0, forward, _transfer_dmu, _compose)
+    return _product(mesh, mus, True, _transfer_dmu, _compose)
+
+
+@_quiet
+def norm_end(product, y0: float, yp0: float, *, forward: bool = True):
+    """(y, y', int y^2) from norm_product's (M, dM), as propagate_with_norm.
+
+    Forward, (y0, yp0) is the data at x = 0 and the values are at pi;
+    backward, the data are at pi, the values at 0, and the product is
+    adj(M), adj(dM).  Raises BlowUpError if any returned value is non-finite
+    or |y| exceeds BLOWUP_BOUND.
+    """
+    if not forward:
+        a, b, c, d, da, db, dc, dd = product
+        product = (d, -b, -c, a, dd, -db, -dc, da)
+    y, yp, dy, dyp = _apply(product, y0, yp0)
     acc = (yp * dy - y * dyp) if forward else (y * dyp - yp * dy)
     if (not all(np.all(np.isfinite(v)) for v in (y, yp, acc))
             or np.max(np.abs(y), initial=0.0) > BLOWUP_BOUND):

@@ -19,8 +19,11 @@ from slspectra import (
     solve_delta,
 )
 from slspectra import norming as norming_module
+from slspectra import odesolve
 from slspectra.fitting import fit_loglog_slope, window_max_ratio
 from slspectra.norming import norming_a_batch, norming_b_batch
+from slspectra.odesolve import build_mesh
+from slspectra.spectrum import DEFAULT_ROOT_TOL
 
 PI = math.pi
 
@@ -86,6 +89,40 @@ class TestClosedFormNorms:
         for norms in (norming_a_batch, norming_b_batch):
             got = norms(q, bc_nn, mus)
             assert np.max(np.abs(got / exact - 1.0)) <= 1e-11
+
+
+class TestBoundaryAngleIdentities:
+    """d mu_n / d alpha = 1 / a_n and d mu_n / d beta = -1 / b_n.
+
+    With phi(0) = sin alpha, phi'(0) = -cos alpha these hold exactly for the
+    midpoint-frozen problem the solver discretises (Kong, Wu & Zettl,
+    J. Differential Equations 156, 1999), so the eigenvalue search and the
+    norm sweep check each other without a shared code path.  Each returned
+    mu lies within root_tol of a sign change of the discrete Phi, so a
+    central difference of step eps is off by at most
+    2 root_tol / (2 eps) = root_tol / eps = 1e-5, plus an O(eps^2)
+    truncation term orders of magnitude smaller.
+    """
+
+    EPS = 1e-5
+    TOL = DEFAULT_ROOT_TOL / EPS
+
+    @pytest.mark.parametrize("q", [Potential.step(2.0, PI / 2),
+                                   Potential.smooth_test([1.0, -0.5])], ids=["step", "smooth"])
+    @pytest.mark.parametrize("alpha,beta", [(0.7, 2.3), (2.0, 1.1), (2.8, 0.4)])
+    def test_angle_derivatives(self, q, alpha, beta):
+        def mus(a, b):
+            return find_spectrum(q, BoundaryParams(a, b), 20).mus
+
+        bc = BoundaryParams(alpha, beta)
+        records = norming_records(q, bc, find_spectrum(q, bc, 20))
+        a_n = np.array([r.a_n for r in records])
+        b_n = np.array([r.b_n for r in records])
+        eps = self.EPS
+        dmu_dalpha = (mus(alpha + eps, beta) - mus(alpha - eps, beta)) / (2 * eps)
+        dmu_dbeta = (mus(alpha, beta + eps) - mus(alpha, beta - eps)) / (2 * eps)
+        assert np.max(np.abs(dmu_dalpha - 1.0 / a_n)) <= self.TOL
+        assert np.max(np.abs(dmu_dbeta + 1.0 / b_n)) <= self.TOL
 
 
 class TestCorrectionIntegral:
@@ -206,6 +243,26 @@ class TestRecords:
         assert len(built) == 1
         assert [r.a_n for r in records] == list(
             norming_a_batch(q_step, bc_nn, [p.mu for p in step_nn_spectrum60.pairs[:5]]))
+
+    def test_one_norm_sweep_per_batch(self, monkeypatch):
+        # a_n and b_n read one forward product: its blocks are built once
+        q = Potential.smooth_test([1.0, -0.5])
+        bc = BoundaryParams(2.3, 0.6)
+        pairs = find_spectrum(q, bc, 24, grid_size=1024).pairs
+        blocks = []
+        transfer_dmu = odesolve._transfer_dmu
+
+        def counting_transfer_dmu(*args):
+            blocks.append(len(args[0]))
+            return transfer_dmu(*args)
+
+        monkeypatch.setattr(odesolve, "_transfer_dmu", counting_transfer_dmu)
+        records = norming_records(q, bc, pairs, grid_size=1024)
+        assert sum(blocks) == len(build_mesh(q, 1024).run_h) == 1024
+        assert len(blocks) == math.ceil(1024 / (odesolve._BLOCK_ELEMS // len(pairs)))
+        mus = [p.mu for p in pairs]
+        assert [r.a_n for r in records] == list(norming_a_batch(q, bc, mus, 1024))
+        assert [r.b_n for r in records] == list(norming_b_batch(q, bc, mus, 1024))
 
     def test_empty_batch(self, q_step, bc_nn):
         assert norming_records(q_step, bc_nn, []) == []

@@ -190,6 +190,21 @@ class TestNormSweep:
             assert np.max(np.abs(yp - ype) / scale) <= 1e-12
             assert np.max(np.abs(acc / ref[:size] - 1.0)) <= 1e-11
 
+    @pytest.mark.parametrize("q", [Potential.zero(), Potential.constant(3.0),
+                                   Potential.step(2.0, 1.3), Potential.step(-1.5, PI / 2)],
+                             ids=["zero", "constant", "step", "step-mid"])
+    def test_backward_end_bitwise_on_two_runs(self, q):
+        # the backward norm end is the adjugate of the forward product; with
+        # at most two runs, adj(T2 T1) = adj(T1) adj(T2) takes the same
+        # roundings as the reversed Phi sweep, entry for entry
+        mesh = build_mesh(q)
+        assert len(mesh.run_h) <= 2
+        for size in (1, _BLOCK_MUS, len(self.mus)):
+            mus = self.mus[:size]
+            y, yp, _ = propagate_with_norm(mesh, mus, 0.6, -0.8, forward=False)
+            ye, ype = endpoint_values(mesh, mus, 0.6, -0.8, forward=False)
+            assert np.array_equal(y, ye) and np.array_equal(yp, ype)
+
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("start", [(0.0, 1.0), (1.0, 0.0)])
     def test_deep_hyperbolic_guard(self, q_zero, forward, start):
