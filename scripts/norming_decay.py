@@ -21,6 +21,7 @@ import numpy as np
 
 from slspectra import BoundaryParams, Potential, find_spectrum, model_b, norming_records
 from slspectra.fitting import fit_loglog_slope
+from slspectra.odesolve import DEFAULT_GRID_SIZE
 from slspectra.potential import fourier_moments
 
 PI = math.pi
@@ -35,7 +36,7 @@ def reflected_ae(q, nu):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=60)
-    parser.add_argument("--grid-size", type=int, default=4096)
+    parser.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     args = parser.parse_args()
 
     bc = BoundaryParams(PI / 2, PI / 2)

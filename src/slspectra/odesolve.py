@@ -1,29 +1,37 @@
 """Initial-value solver for -y'' + q y = mu y and the series oracle.
 
-The stepping scheme freezes the coefficient w = mu - q at each mesh
-interval's midpoint and applies the exact constant-coefficient propagator
-(trigonometric for w > 0, hyperbolic for w < 0, linear drift at w = 0).
-The propagator is exact in mu, so phase accuracy does not degrade for
-highly oscillatory solutions; the only discretization error comes from the
-midpoint freezing of q, and that vanishes for potentials that are constant
-on mesh intervals (zero, constant, and step potentials with the jump on a
-mesh node).  The propagator is also differentiable in mu in closed form, and
-for the discrete solution (y y_mu' - y' y_mu)' = -y^2, so the integral of
-y^2 over [0, pi] comes from endpoint values of y and y_mu alone.
+The stepping scheme is the fourth-order Magnus step with two Gauss points
+(Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999).  On an interval
+[x, x + h] it samples q1 and q2 at x + (1/2 -+ sqrt(3)/6) h and steps the
+state (y, y2) by exp(h B), B = [[g, 1], [qbar - mu, -g]], with
+qbar = (q1 + q2)/2 and g = sqrt(3) h (q1 - q2)/12.  B^2 = -w_eff I with
+w = mu - qbar and w_eff = w - g^2, so the step is C I + S B = (C + g S, S,
+-w S, C - g S), with C and S the exact constant-coefficient entries at
+w_eff (trigonometric for w_eff > 0, hyperbolic below, linear drift at 0).
+Inside a step y solves y'' = -w_eff y exactly, with y' = y2 + g y.  The
+step is exact in mu, so phase accuracy does not degrade for highly
+oscillatory solutions, and its error vanishes where q is constant on the
+mesh intervals (zero, constant, and step potentials with the jump on a
+mesh node): there g = 0 and the step is the exact propagator at w = mu - q.
 
-A run is a maximal stretch of consecutive mesh intervals with equal
-midpoint q.  The frozen propagator is exact across a whole run, so the
-characteristic-function and norm sweeps take one step per run: two steps
-on a step potential, one on a constant, and one per interval on a smooth
-potential, where runs and intervals coincide.  Node values need every
-node and step the full mesh.
+The step solves the Hamiltonian system v' = B v, whose mu-derivative is
+[[0, 0], [-1, 0]].  So for the discrete solution (y y2_mu - y2 y_mu)' = -y^2
+holds exactly, and the integral of y^2 over [0, pi] comes from endpoint
+values of (y, y2) and their mu-derivatives alone.  The step matrix and its
+mu-derivative are closed forms.
+
+A run is a maximal stretch of consecutive mesh intervals with equal qbar
+and g.  The step is exact across a whole run, so the characteristic-function
+and norm sweeps take one step per run: two steps on a step potential, one
+on a constant, and one per interval on a smooth potential, where runs and
+intervals coincide.  Node values need every node and step the full mesh.
 
 Batches of spectral parameters propagate together.  Every sweep reads the
 per-step coefficients from one block generator, which evaluates them a
 block of consecutive steps at a time, in propagation order, each entry in
 its own branch only.  The block length follows from the batch size and
 one fixed budget of (step, mu) entries: 256 steps at 64 mu, the whole
-default mesh for one or two mu.  The characteristic-function and norm
+default mesh for up to 16 mu.  The characteristic-function and norm
 sweeps contract each block's run propagators by a pairwise tree and
 compose the block products in order.  The node sweep cuts each block of L
 intervals into chunks of about sqrt(L) intervals: it forms the chunk
@@ -52,11 +60,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError
-from .potential import PI, Potential, _snapped_sincos, integrate
+from .potential import _GAUSS_OFFSET, PI, Potential, _snapped_sincos, integrate
 
-DEFAULT_GRID_SIZE = 4096
+DEFAULT_GRID_SIZE = 1024
 BLOWUP_BOUND = 1e12
 
+# g = _G_SCALE h (q1 - q2), the commutator term of the Magnus step
+_G_SCALE = math.sqrt(3.0) / 12.0
 _SERIES_Z = 1e-4
 _DS_SERIES_Z = 0.1
 # One coefficient block holds _BLOCK_ELEMS (interval, mu) entries: 256
@@ -94,23 +104,33 @@ class PicardResult:
 
 @dataclass
 class Mesh:
-    """Propagation mesh: nodes, interval widths, midpoint potential values.
+    """Propagation mesh: nodes, interval widths, Magnus step coefficients.
 
-    run_h and run_q describe the runs, the maximal stretches of consecutive
-    intervals with equal qmid: each run's length, the difference of its end
-    nodes, and its q.  A mesh whose qmid never repeats has one run per
-    interval, and then run_h equals h bit for bit.
+    qbar and g hold each interval's step coefficients, the mean of q at its
+    two Gauss points and sqrt(3) h (q1 - q2) / 12 (see the module
+    docstring); g is zero wherever q is constant on the interval.  run_h,
+    run_q and run_g describe the runs, the maximal stretches of consecutive
+    intervals with equal qbar and g: each run's length, the difference of
+    its end nodes, and its qbar and g.  A mesh whose (qbar, g) never repeats
+    has one run per interval, and then run_h equals h bit for bit.
     """
 
     nodes: np.ndarray
     h: np.ndarray
-    qmid: np.ndarray
+    qbar: np.ndarray
+    g: np.ndarray
     run_h: np.ndarray
     run_q: np.ndarray
+    run_g: np.ndarray
 
 
 def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
-    """Uniform mesh on [0, pi] with the potential's breakpoints inserted."""
+    """Uniform mesh on [0, pi] with the potential's breakpoints inserted.
+
+    q is evaluated once, at both Gauss points of every interval.  Where the
+    two samples agree, qbar is that value and g is zero, so on piecewise
+    constant q the steps are the exact propagators.
+    """
     if grid_size < 64:
         raise ValueError(f"grid_size must be >= 64, got {grid_size}")
     nodes = np.linspace(0.0, PI, grid_size + 1)
@@ -120,10 +140,14 @@ def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
         if extra:
             nodes = np.unique(np.concatenate([nodes, np.asarray(extra)]))
     h = np.diff(nodes)
-    qmid = np.asarray(q((nodes[:-1] + nodes[1:]) / 2.0), dtype=float)
-    starts = np.flatnonzero(np.concatenate(([True], qmid[1:] != qmid[:-1])))
+    mid, d = (nodes[:-1] + nodes[1:]) / 2.0, h * _GAUSS_OFFSET
+    q1, q2 = np.asarray(q(np.concatenate((mid - d, mid + d))), dtype=float).reshape(2, -1)
+    qbar, g = (q1 + q2) / 2.0, _G_SCALE * h * (q1 - q2)
+    new = (qbar[1:] != qbar[:-1]) | (g[1:] != g[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], new)))
     run_h = np.diff(nodes[np.append(starts, h.size)])
-    return Mesh(nodes=nodes, h=h, qmid=qmid, run_h=run_h, run_q=qmid[starts])
+    return Mesh(nodes=nodes, h=h, qbar=qbar, g=g, run_h=run_h, run_q=qbar[starts],
+                run_g=g[starts])
 
 
 def _step_coeffs(w, h):
@@ -174,34 +198,66 @@ def _dS_dw(w, h, C, S):
     return np.where(small, series, closed)
 
 
-def _blocks(h: np.ndarray, q: np.ndarray, mus: np.ndarray, forward: bool):
-    """Per-step (h, w, C, S) of steps of widths h and potential values q.
+def _blocks(h: np.ndarray, q: np.ndarray, g: np.ndarray, mus: np.ndarray, forward: bool,
+            entries):
+    """Step matrix entries of steps of widths h and coefficients q, g, block by block.
 
-    The steps are a mesh's intervals (mesh.h, mesh.qmid) or its runs
-    (mesh.run_h, mesh.run_q); they come block by block in propagation
-    order, and backward propagation starts at the last step.  w, C and S
-    have shape (steps, mus) and h has shape (steps, 1).  A block holds
-    about _BLOCK_ELEMS entries, so its length follows from the batch size.
+    The steps are a mesh's intervals (mesh.h, mesh.qbar, mesh.g) or its runs
+    (mesh.run_h, mesh.run_q, mesh.run_g); they come in propagation order,
+    and backward propagation starts at the last step.  entries maps one
+    block's (h, w, g, w_eff, C, S, sign) to its matrix entries, with
+    w = mu - q, w_eff = w - g^2, C and S the _step_coeffs at w_eff, all of
+    shape (steps, mus), h and g of shape (steps, 1), and sign -1 backward.
+    A block whose g is zero throughout gives g = None and w_eff = w, so
+    piecewise constant q takes no g terms at all.  A block holds about
+    _BLOCK_ELEMS entries, so its length follows from the batch size, and
+    its coefficients are dropped once entries returns.
     """
+    sign = 1.0 if forward else -1.0
     if not forward:
-        h, q = h[::-1], q[::-1]
+        h, q, g = h[::-1], q[::-1], g[::-1]
     size = max(1, _BLOCK_ELEMS // max(1, mus.size))
     for lo in range(0, h.size, size):
-        hb = h[lo:lo + size, None]
-        w = mus - q[lo:lo + size, None]
-        yield (hb, w, *_step_coeffs(w, hb))
+        hb, gb = h[lo:lo + size, None], g[lo:lo + size, None]
+        yield entries(*_coeffs(hb, mus - q[lo:lo + size, None], gb), sign)
 
 
-def _transfer(h, w, C, S, sign):
-    """Propagator entries (m00, m01, m10, m11); sign = -1 gives the inverses."""
-    return (C, sign * S, -sign * w * S, C)
+def _coeffs(h, w, g):
+    """(h, w, g, w_eff, C, S) of one block, g None where it is zero throughout."""
+    if not g.any():
+        return (h, w, None, w, *_step_coeffs(w, h))
+    weff = w - g * g
+    return (h, w, g, weff, *_step_coeffs(weff, h))
 
 
-def _transfer_dmu(h, w, C, S, sign):
-    """Propagator entries followed by the entries of their mu-derivative."""
+def _transfer(h, w, g, weff, C, S, sign):
+    """Step matrix entries (m00, m01, m10, m11); sign = -1 gives the inverses.
+
+    The step is (C + g S, S, -w S, C - g S) and its inverse
+    (C - g S, -S, w S, C + g S); with g None both diagonal entries are C.
+    """
+    b, c = sign * S, -sign * w * S
+    if g is None:
+        return (C, b, c, C)
+    gS = g * b
+    return (C + gS, b, c, np.subtract(C, gS, out=gS))
+
+
+def _transfer_dmu(h, w, g, weff, C, S, sign):
+    """Step matrix entries followed by the entries of their mu-derivative.
+
+    dT/dmu = (dC + g dS, dS, -(S + w dS), dC - g dS) with dC = -h S / 2 and
+    dS = dS/dw at w_eff; S + w dS = (S + h C) / 2 + g^2 dS.
+    """
     dC = -0.5 * h * S
-    return _transfer(h, w, C, S, sign) + (
-        dC, sign * _dS_dw(w, h, C, S), -0.5 * sign * (S + h * C), dC)
+    dS = sign * _dS_dw(weff, h, C, S)
+    dc = -0.5 * sign * (S + h * C)
+    T = _transfer(h, w, g, weff, C, S, sign)
+    if g is None:
+        return T + (dC, dS, dc, dC)
+    gdS = g * dS
+    dc -= g * gdS
+    return T + (dC + gdS, dS, dc, np.subtract(dC, gdS, out=gdS))
 
 
 def _mul2(B, A):
@@ -218,17 +274,15 @@ def _compose(B, A):
 def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
     """Whole-mesh product of the run matrices, entries of shape (mus,).
 
-    One exact step per run of constant q: entries builds one block's
-    matrices from (h, w, C, S, sign) and mul(B, A) multiplies two stacks of
-    them.  Each block is contracted by a pairwise tree, an odd level
-    carrying its last matrix up unpaired, and the block products compose in
-    propagation order.  Returns 4 entries for _transfer, and 8 for
-    _transfer_dmu: the product's, then those of its mu-derivative.
+    One step per run: entries builds one block's matrices (see _blocks)
+    and mul(B, A) multiplies two stacks of them.  Each block is contracted
+    by a pairwise tree, an odd level carrying its last matrix up unpaired,
+    and the block products compose in propagation order.  Returns 4
+    entries for _transfer, and 8 for _transfer_dmu: the product's, then
+    those of its mu-derivative.
     """
-    sign = 1.0 if forward else -1.0
     M = None
-    for block in _blocks(mesh.run_h, mesh.run_q, mus, forward):
-        E = entries(*block, sign)
+    for E in _blocks(mesh.run_h, mesh.run_q, mesh.run_g, mus, forward, entries):
         while len(E[0]) > 1:
             n = len(E[0])
             P = mul([t[1:n:2] for t in E], [t[0:n - 1:2] for t in E])
@@ -271,9 +325,10 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
 def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
     """Endpoint values plus the integral of y^2 over [0, pi] for a batch of mu.
 
-    The propagated y solves -y'' + q~ y = mu y with the midpoint-frozen q~,
-    and for that equation (y y_mu' - y' y_mu)' = -y^2.  Starting data do not
-    depend on mu, so the forward sweep gives
+    The propagated (y, y') is the state (y, y2) of the Magnus steps, which
+    solve a Hamiltonian system with (y y2_mu - y2 y_mu)' = -y^2 (see the
+    module docstring).  Starting data do not depend on mu, so the forward
+    sweep gives
         int_0^pi y^2 = y'(pi) y_mu(pi) - y(pi) y_mu'(pi),
     and the backward sweep y(0) y_mu'(0) - y'(0) y_mu(0).  This is the exact
     integral of the discrete solution, not a further approximation.
@@ -295,11 +350,10 @@ def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool
 def norm_product(mesh: Mesh, mus):
     """The whole-mesh propagator M from 0 to pi and dM/dmu, for a batch of mu.
 
-    Each run of constant q contributes its propagator T and dT/dmu in
-    closed form; the pairs are contracted by a pairwise tree,
-    (B, dB)(A, dA) = (BA, dB A + B dA), block by block, and the block
-    products compose in order.  Returns the 8 entries of (M, dM), each of
-    shape (mus,).
+    Each run contributes its step matrix T and dT/dmu in closed form; the
+    pairs are contracted by a pairwise tree, (B, dB)(A, dA) =
+    (BA, dB A + B dA), block by block, and the block products compose in
+    order.  Returns the 8 entries of (M, dM), each of shape (mus,).
 
     Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
     so the transient arrays of one block stay near 2 MB whatever the batch
@@ -345,34 +399,35 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     with_yprime, only the last y' in propagation order comes back, as one
     array of shape (mus,).
 
-    scaled, when given, replaces _transfer: it maps (h, w, C, S, sign) to
-    the entries of each step's propagator times a nonzero factor.  The
-    sweep then takes one step per run instead of per interval, and divides
-    every chunk propagator and block start state by its largest magnitude,
-    so each row is the run-end state of the scaled steps up to a positive
-    factor: only signs and directions mean anything, and nothing overflows.
+    scaled, when given, replaces _transfer: it maps (h, w, g, w_eff, C, S,
+    sign) to the entries of each step's propagator times a nonzero factor.
+    The sweep then takes one step per run instead of per interval, and
+    divides every chunk propagator and block start state by its largest
+    magnitude, so each row is the run-end state of the scaled steps up to a
+    positive factor: only signs and directions mean anything, and nothing
+    overflows.
     """
-    h, q = (mesh.h, mesh.qmid) if scaled is None else (mesh.run_h, mesh.run_q)
-    Y = np.empty((len(h) + 1, mus.size))
+    steps = (mesh.h, mesh.qbar, mesh.g) if scaled is None else (
+        mesh.run_h, mesh.run_q, mesh.run_g)
+    Y = np.empty((len(steps[0]) + 1, mus.size))
     YP = np.empty_like(Y) if with_yprime else None
     y, yp = np.full(mus.size, float(y0)), np.full(mus.size, float(yp0))
     Y[0] = y
     if with_yprime:
         YP[0] = yp
     lo = 1
-    for block in _blocks(h, q, mus, forward):
-        a, b, c, _ = (scaled or _transfer)(*block, 1.0 if forward else -1.0)
+    for a, b, c, d in _blocks(*steps, mus, forward, scaled or _transfer):
         L = len(a)
         k = math.isqrt(L)
         if scaled is not None:
             y, yp = _normalised(y, yp)
-        ys, yps = _chunk_starts(a, b, c, y, yp, k, scaled is not None)
+        ys, yps = _chunk_starts(a, b, c, d, y, yp, k, scaled is not None)
         last = L - 1 - (len(ys) - 1) * k
         for j in range(k):
             rows = slice(j, L, k)
-            ra = a[rows]
+            ra, rd = a[rows], d[rows]
             m = len(ra)
-            ys, yps = ra * ys[:m] + b[rows] * yps[:m], c[rows] * ys[:m] + ra * yps[:m]
+            ys, yps = ra * ys[:m] + b[rows] * yps[:m], c[rows] * ys[:m] + rd * yps[:m]
             Y[lo + j:lo + L:k] = ys
             if with_yprime:
                 YP[lo + j:lo + L:k] = yps
@@ -389,10 +444,10 @@ def _normalised(*entries):
     return tuple(e / scale for e in entries)
 
 
-def _chunk_starts(a, b, c, y, yp, k, normalise=False):
+def _chunk_starts(a, b, c, d, y, yp, k, normalise=False):
     """States at the start of each k-row chunk of one block's propagator rows.
 
-    a, b, c are the rows' entries m00 = m11, m01 and m10, and (y, yp) the
+    a, b, c, d are the rows' entries m00, m01, m10 and m11, and (y, yp) the
     block's start state.  The propagators of the full chunks, all but the
     last, are formed together, row j of every chunk in one step, and then
     chained in order; with normalise, each is first divided by its largest
@@ -402,13 +457,13 @@ def _chunk_starts(a, b, c, y, yp, k, normalise=False):
     ys, yps = np.empty((full + 1, y.size)), np.empty((full + 1, y.size))
     ys[0], yps[0] = y, yp
     if full:
-        p00, p01, p10 = a[0:full * k:k], b[0:full * k:k], c[0:full * k:k]
-        p11 = p00
+        first = slice(0, full * k, k)
+        p00, p01, p10, p11 = a[first], b[first], c[first], d[first]
         for j in range(1, k):
             rows = slice(j, full * k, k)
-            ra, rb, rc = a[rows], b[rows], c[rows]
+            ra, rb, rc, rd = a[rows], b[rows], c[rows], d[rows]
             p00, p01, p10, p11 = (ra * p00 + rb * p10, ra * p01 + rb * p11,
-                                  rc * p00 + ra * p10, rc * p01 + ra * p11)
+                                  rc * p00 + rd * p10, rc * p01 + rd * p11)
         if normalise:
             p00, p01, p10, p11 = _normalised(p00, p01, p10, p11)
         for i in range(full):
@@ -561,8 +616,7 @@ def _cumint_segmented(nodes: np.ndarray, segments, factor: np.ndarray) -> np.nda
     return out
 
 
-def picard_y2(q: Potential, lam: float, K: int,
-              grid_size: int = 2 * DEFAULT_GRID_SIZE) -> PicardResult:
+def picard_y2(q: Potential, lam: float, K: int, grid_size: int = 8192) -> PicardResult:
     """Partial sum of the series for the solution with y(0) = 0, y'(0) = 1.
 
     The zeroth term is sin(lam x) / lam; each further term is the Volterra

@@ -16,7 +16,7 @@ import numpy as np
 from .delta import delta_asymptotic, solve_delta
 from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
-from .norming import ae_n, model_a, norming_a_batch
+from .norming import ae_n, model_a, norming_a_batch, norming_b_batch
 from .odesolve import (
     DEFAULT_GRID_SIZE,
     _picard_tail,
@@ -44,6 +44,7 @@ _POTENTIALS = {
     "step": lambda: Potential.step(2.0, PI / 2),
     "step+3": lambda: Potential.step(2.0, PI / 2).shifted(3.0),
     "cos": lambda: Potential.smooth_test([1.0]),
+    "cos-sum": lambda: Potential.smooth_test([1.0, -0.5]),
 }
 
 
@@ -319,6 +320,40 @@ def _criterion_12(ctx: VerificationContext):
     return True, f"{checked} eigenpairs recertified"
 
 
+def _criterion_13(ctx: VerificationContext):
+    """Boundary-angle derivatives of the eigenvalues are the inverse norms.
+
+    With phi(0) = sin alpha, phi'(0) = -cos alpha, d mu_n / d alpha = 1 / a_n
+    and d mu_n / d beta = -1 / b_n hold exactly for the discrete problem the
+    solver steps (Kong, Wu & Zettl, J. Differential Equations 156, 1999), so
+    the eigenvalues of the Phi sweep check the norms of the norm sweep
+    without a shared code path.  Each mu lies within root_tol of a sign
+    change of the discrete Phi, so a central difference of step eps is off
+    by at most root_tol / eps, plus an O(eps^2) truncation term.
+    """
+    eps = 1e-5
+    tol = ctx.tol("c13_abs", ctx.root_tol / eps)
+
+    def mus(q, alpha, beta):
+        return find_spectrum(q, BoundaryParams(alpha, beta), 20, tol=ctx.root_tol,
+                             grid_size=ctx.grid_size).mus
+
+    worst_a = worst_b = 0.0
+    for qname in ("step", "cos-sum"):
+        q = ctx.potential(qname)
+        for alpha, beta in ((0.7, 2.3), (2.0, 1.1), (2.8, 0.4)):
+            bc, base = BoundaryParams(alpha, beta), mus(q, alpha, beta)
+            a_n = norming_a_batch(q, bc, base, ctx.grid_size)
+            b_n = norming_b_batch(q, bc, base, ctx.grid_size)
+            d_alpha = (mus(q, alpha + eps, beta) - mus(q, alpha - eps, beta)) / (2.0 * eps)
+            d_beta = (mus(q, alpha, beta + eps) - mus(q, alpha, beta - eps)) / (2.0 * eps)
+            worst_a = max(worst_a, float(np.max(np.abs(d_alpha - 1.0 / a_n))))
+            worst_b = max(worst_b, float(np.max(np.abs(d_beta + 1.0 / b_n))))
+    ok = worst_a <= tol and worst_b <= tol
+    return ok, (f"max |d mu/d alpha - 1/a_n| {worst_a:.2e}, max |d mu/d beta + 1/b_n| "
+                f"{worst_b:.2e} (tol {tol:.0e})")
+
+
 CRITERIA = (
     (1, "exact-spectrum-zero-potential", _criterion_01),
     (2, "exact-norming-zero-potential", _criterion_02),
@@ -332,6 +367,7 @@ CRITERIA = (
     (10, "series-closed-form", _criterion_10),
     (11, "series-interior-stability", _criterion_11),
     (12, "oscillation-certificate", _criterion_12),
+    (13, "boundary-angle-identities", _criterion_13),
 )
 
 

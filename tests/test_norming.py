@@ -95,7 +95,7 @@ class TestBoundaryAngleIdentities:
     """d mu_n / d alpha = 1 / a_n and d mu_n / d beta = -1 / b_n.
 
     With phi(0) = sin alpha, phi'(0) = -cos alpha these hold exactly for the
-    midpoint-frozen problem the solver discretises (Kong, Wu & Zettl,
+    discrete problem the Magnus steps solve (Kong, Wu & Zettl,
     J. Differential Equations 156, 1999), so the eigenvalue search and the
     norm sweep check each other without a shared code path.  Each returned
     mu lies within root_tol of a sign change of the discrete Phi, so a

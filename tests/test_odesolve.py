@@ -18,13 +18,16 @@ from slspectra import (
     psi,
     solve_ivp,
 )
+from slspectra import spectrum
 from slspectra.odesolve import (
     _BLOCK_MUS,
+    _dS_dw,
     _nodes,
     _step_coeffs,
     _trace,
     build_mesh,
     endpoint_values,
+    norm_product,
     propagate_with_norm,
     y_values_batch,
 )
@@ -84,30 +87,41 @@ class TestSolveIvp:
 def _sequential_norm(mesh, mus, y0, yp0, forward):
     """Interval-by-interval reference: exact integral of y^2 on each step.
 
-    With left values (y, y') an interval contributes
-    ICC y^2 + 2 ICS y y' + ISS y'^2, where ICC = h/2 + CS/2, ICS = S^2/2 and
-    ISS = (h/2 - CS/2)/w, or h^3 (1/3 - z/15 + 2 z^2/315) near w = 0.
+    Inside a Magnus step y solves y'' = -w_eff y, w_eff = mu - qbar - g^2,
+    with y' = y2 + g y at the step start.  With left values (y, y') an
+    interval contributes ICC y^2 + 2 ICS y y' + ISS y'^2, where
+    ICC = h/2 + CS/2, ICS = S^2/2 and ISS = (h/2 - CS/2)/w_eff, or
+    h^3 (1/3 - z/15 + 2 z^2/315) near w_eff = 0, with C, S at w_eff.
     """
     y = np.full(mus.shape, float(y0))
     yp = np.full(mus.shape, float(yp0))
     acc = np.zeros(mus.shape)
     order = range(len(mesh.h)) if forward else range(len(mesh.h) - 1, -1, -1)
     for i in order:
-        h, w = mesh.h[i], mus - mesh.qmid[i]
-        z = w * h * h
-        r = np.sqrt(np.abs(w))
+        h, g, w = mesh.h[i], mesh.g[i], mus - mesh.qbar[i]
+        weff = w - g * g
+        z = weff * h * h
+        r = np.sqrt(np.abs(weff))
         rs = np.where(r > 0, r, 1.0)
-        C = np.where(w > 0, np.cos(r * h), np.cosh(r * h))
-        S = np.where(r > 0, np.where(w > 0, np.sin(r * h), np.sinh(r * h)) / rs, h)
+        C = np.where(weff > 0, np.cos(r * h), np.cosh(r * h))
+        S = np.where(r > 0, np.where(weff > 0, np.sin(r * h), np.sinh(r * h)) / rs, h)
         if not forward:
-            y, yp = C * y - S * yp, w * S * y + C * yp
+            y, yp = (C - g * S) * y - S * yp, w * S * y + (C + g * S) * yp
         ISS = np.where(np.abs(z) < 1e-4,
                        h ** 3 * (1 / 3 - z / 15 + 2 * z * z / 315),
-                       (h / 2 - C * S / 2) / np.where(w != 0, w, 1.0))
-        acc += (h / 2 + C * S / 2) * y * y + S * S * y * yp + ISS * yp * yp
+                       (h / 2 - C * S / 2) / np.where(weff != 0, weff, 1.0))
+        dy = yp + g * y
+        acc += (h / 2 + C * S / 2) * y * y + S * S * y * dy + ISS * dy * dy
         if forward:
-            y, yp = C * y + S * yp, -w * S * y + C * yp
+            y, yp = (C + g * S) * y + S * yp, -w * S * y + (C - g * S) * yp
     return acc
+
+
+def _magnus_entries(mesh, mus):
+    """Per-interval step (C + g S, S, -w S, C - g S), C, S at w_eff, shape (intervals, mus)."""
+    g, w = mesh.g[:, None], mus - mesh.qbar[:, None]
+    C, S = _step_coeffs(w - g * g, mesh.h[:, None])
+    return C + g * S, S, -(w * S), C - g * S
 
 
 def _all_branch_coeffs(w, h):
@@ -132,16 +146,15 @@ def _all_branch_coeffs(w, h):
 @np.errstate(over="ignore", invalid="ignore")
 def _sequential_nodes(mesh, mus, y0, yp0, forward):
     """Node values stepped one interval at a time, in increasing node order."""
-    sign = 1.0 if forward else -1.0
-    h, qmid = (mesh.h, mesh.qmid) if forward else (mesh.h[::-1], mesh.qmid[::-1])
-    w = mus - qmid[:, None]
-    C, S = _step_coeffs(w, h[:, None])
-    b, c = sign * S, -sign * w * S
-    Y, YP = np.empty((len(h) + 1, mus.size)), np.empty((len(h) + 1, mus.size))
+    a, b, c, d = _magnus_entries(mesh, mus)
+    if not forward:
+        # the inverse steps, last interval first
+        a, b, c, d = d[::-1], -b[::-1], -c[::-1], a[::-1]
+    Y, YP = np.empty((len(a) + 1, mus.size)), np.empty((len(a) + 1, mus.size))
     Y[0], YP[0] = y0, yp0
-    for i in range(len(h)):
-        Y[i + 1] = C[i] * Y[i] + b[i] * YP[i]
-        YP[i + 1] = c[i] * Y[i] + C[i] * YP[i]
+    for i in range(len(a)):
+        Y[i + 1] = a[i] * Y[i] + b[i] * YP[i]
+        YP[i + 1] = c[i] * Y[i] + d[i] * YP[i]
     flip = slice(None, None, 1 if forward else -1)
     return Y[flip], YP[flip]
 
@@ -169,7 +182,7 @@ class TestNormSweep:
     @pytest.mark.parametrize("mesh_case", ["step-4097", "cos-64", "cos-1024", "cos-4096"])
     def test_matches_endpoints_and_sequential_sum(self, mesh_case, forward):
         if mesh_case == "step-4097":
-            mesh = build_mesh(Potential.step(2.0, 1.3))
+            mesh = build_mesh(Potential.step(2.0, 1.3), 4096)
             assert len(mesh.h) == 4097
         else:
             mesh = build_mesh(Potential.smooth_test([1.0, -0.5]), int(mesh_case[4:]))
@@ -321,15 +334,14 @@ class TestBlockedKernel:
         # on the step mesh it takes one exact step per run instead
         mpmath = pytest.importorskip("mpmath")
         for q in (Potential.step(2.0, 1.3), Potential.smooth_test([1.0, -0.5])):
-            mesh = build_mesh(q)
+            mesh = build_mesh(q, 4096)
             assert len(mesh.h) == (4097 if q.name == "step" else 4096)
             for mu in (0.0, 2.0, 37.5, 900.0):
-                w = mu - mesh.qmid
-                C, S = _step_coeffs(w, mesh.h)
+                entries = [e[:, 0].tolist() for e in _magnus_entries(mesh, np.array([mu]))]
                 with mpmath.workdps(40):
                     y, yp = mpmath.mpf(self.y0), mpmath.mpf(self.yp0)
-                    for c, s, ws in zip(C.tolist(), S.tolist(), (w * S).tolist()):
-                        y, yp = c * y + s * yp, -ws * y + c * yp
+                    for a, b, c, d in zip(*entries):
+                        y, yp = a * y + b * yp, c * y + d * yp
                     bound = 1e-12 * float(mpmath.sqrt(y * y + yp * yp))
                     y, yp = float(y), float(yp)
                 ye, ype = endpoint_values(mesh, [mu], self.y0, self.yp0)
@@ -337,7 +349,7 @@ class TestBlockedKernel:
                 assert abs(ype[0] - yp) <= bound
 
     def test_node_batch_holds_one_node_array(self, q_step):
-        mesh = build_mesh(q_step)
+        mesh = build_mesh(q_step, 4096)
         mus = (np.arange(301) + 0.5) ** 2
         tracemalloc.start()
         try:
@@ -393,7 +405,7 @@ class TestRuns:
         for grid in (64, 4096):
             mesh = build_mesh(q, grid)
             assert mesh.run_h.tolist() == [PI]
-            assert mesh.run_q.tolist() == [mesh.qmid[0]]
+            assert mesh.run_q.tolist() == [mesh.qbar[0]]
 
     def test_step_runs_meet_at_breakpoint(self):
         mesh = build_mesh(Potential.step(2.0, 1.3))
@@ -405,7 +417,7 @@ class TestRuns:
         q = Potential.from_grid([0.0, 1.0, 2.0, PI], [0.5, 1.0, 1.0, -0.5])
         mesh = build_mesh(q, 256)
         flat = (mesh.nodes[:-1] >= 1.0) & (mesh.nodes[1:] <= 2.0)
-        assert np.all(mesh.qmid[flat] == 1.0)
+        assert np.all(mesh.qbar[flat] == 1.0)
         assert len(mesh.run_h) == len(mesh.h) - np.count_nonzero(flat) + 1
         [k] = np.flatnonzero(mesh.run_q == 1.0)
         assert mesh.run_h[k] == 1.0
@@ -414,7 +426,7 @@ class TestRuns:
     def test_smooth_potential_has_one_run_per_interval(self):
         mesh = build_mesh(Potential.smooth_test([1.0, -0.5]))
         assert np.array_equal(mesh.run_h, mesh.h)
-        assert np.array_equal(mesh.run_q, mesh.qmid)
+        assert np.array_equal(mesh.run_q, mesh.qbar)
 
     @pytest.mark.parametrize("c,x0,alpha,beta", [(2.0, PI / 2, PI / 2, PI / 2),
                                                  (2.0, 1.3, 1.1, 2.0),
@@ -446,6 +458,100 @@ class TestRuns:
             y = lambda x: y0 * mp.cosh(r * x) + yp0 * mp.sinh(r * x) / r
         exact = mp.quad(lambda x: y(x) ** 2, [0, mp.pi])
         assert abs(acc[0] / float(exact) - 1.0) <= 1e-14
+
+
+def _mm(B, A):
+    """Product B A of 2x2 matrices stored as entry tuples (m00, m01, m10, m11)."""
+    return tuple(B[2 * i] * A[j] + B[2 * i + 1] * A[2 + j] for i in (0, 1) for j in (0, 1))
+
+
+def _exact_run_product(mesh, mus, forward, dmu=False):
+    """Whole-mesh product of the exact run propagators of a mesh of at most two runs.
+
+    A run of width h and potential q steps by (C, S, -w S, C), w = mu - q,
+    and backward by (C, -S, w S, C); with dmu each also carries the forward
+    mu-derivative (dC, dS, -(S + h C)/2, dC), dC = -h S/2, and two runs
+    compose as (T2, dT2)(T1, dT1) = (T2 T1, dT2 T1 + T2 dT1).
+    """
+    mats = []
+    for h, q in zip(mesh.run_h, mesh.run_q):
+        w = mus - q
+        C, S = _step_coeffs(w, h)
+        T = (C, S, -w * S, C) if forward else (C, -S, w * S, C)
+        if dmu:
+            dC = -0.5 * h * S
+            T += (dC, _dS_dw(w, h, C, S), -0.5 * (S + h * C), dC)
+        mats.append(T)
+    if not forward:
+        mats.reverse()
+    if len(mats) == 1:
+        return mats[0]
+    A, B = mats
+    M = _mm(B[:4], A[:4])
+    if dmu:
+        M += tuple(x + y for x, y in zip(_mm(B[4:], A[:4]), _mm(B[:4], A[4:])))
+    return M
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _exact_run_counts(mesh, bc, mus):
+    """Eigenvalues below each mu from the exact run propagators, one run at a time.
+
+    A run with w = mu - q > 0 holds floor(sqrt(w) h / pi) whole half-turns,
+    one zero each, plus one where y's sign at its end disagrees with their
+    parity; a run with w < 0, stepped by its propagator over cosh, holds at
+    most one.  One more where the end angle has passed pi - beta.
+    """
+    y, yp = np.full(mus.shape, bc.sin_alpha), np.full(mus.shape, -bc.cos_alpha)
+    count, last = np.zeros(mus.shape, dtype=int), np.sign(y)
+    for h, q in zip(mesh.run_h, mesh.run_q):
+        w = mus - q
+        half = np.floor(np.sqrt(np.maximum(w * h * h, 0.0)) / PI)
+        C, S = _step_coeffs(w, h)
+        hyp = w < 0.0
+        r = np.sqrt(-w[hyp])
+        C[hyp], S[hyp] = 1.0, np.tanh(r * h) / r
+        parity = 1.0 - 2.0 * (half % 2.0)
+        y, yp = parity * (C * y + S * yp), parity * (-w * S * y + C * yp)
+        scale = np.maximum(np.abs(y), np.abs(yp))
+        y, yp = y / scale, yp / scale
+        sign = np.sign(y)
+        count += half.astype(int) + (sign * last < 0.0)
+        last = np.where(sign != 0.0, sign, last)
+    angle = np.arctan2(y, yp)
+    angle = np.where(angle <= 0.0, angle + PI, angle)
+    return count + (angle > PI - bc.beta)
+
+
+class TestPiecewiseConstantSteps:
+    """Where q is constant on every interval, g = 0 and the Magnus step is
+    the exact propagator: every sweep equals the product of the exact run
+    propagators bit for bit, and the count equals their run-by-run count."""
+
+    mus = np.concatenate([[0.0, 2.0, -6.5, 3.0], np.linspace(-3.0, 900.0, 61)])
+    deep = np.array([-1e4, -400.0, -50.0, 1e4, 4e4])
+
+    @pytest.mark.parametrize("q", [Potential.zero(), Potential.constant(3.0),
+                                   Potential.step(2.0, 1.3), Potential.step(-1.5, PI / 2)],
+                             ids=["zero", "constant", "step", "step-mid"])
+    def test_sweeps_equal_exact_run_products(self, q):
+        mesh = build_mesh(q)
+        assert not mesh.g.any() and len(mesh.run_h) <= 2
+        y0, yp0 = 0.6, -0.8
+        for forward in (True, False):
+            M = _exact_run_product(mesh, self.mus, forward)
+            y, yp = endpoint_values(mesh, self.mus, y0, yp0, forward=forward)
+            assert np.array_equal(y, M[0] * y0 + M[1] * yp0)
+            assert np.array_equal(yp, M[2] * y0 + M[3] * yp0)
+        exact = _exact_run_product(mesh, self.mus, True, dmu=True)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(norm_product(mesh, self.mus), exact))
+        mus = np.concatenate((self.mus, self.deep))
+        for bc in (BoundaryParams(PI, 0.0), BoundaryParams(PI / 2, PI / 2),
+                   BoundaryParams(2.0, 0.9), BoundaryParams(0.2, 2.9)):
+            engine = spectrum._CharEngine(q, bc, len(mesh.nodes) - 1)
+            assert np.array_equal(spectrum._counts(engine, mus),
+                                  _exact_run_counts(mesh, bc, mus))
 
 
 class TestBoundaryNormalizedSolutions:

@@ -315,19 +315,22 @@ def _free_eigenvalues(bc, n_max):
 def _node_sign_walk(engine, mu):
     """Number of eigenvalues below mu from y's sign changes at every mesh node.
 
-    Intervals with w < 0 step by their propagator divided by cosh, so that
-    deep mu does not overflow.
+    Each interval takes the Magnus step (C + g S, S, -w S, C - g S) with
+    C, S at w_eff = w - g^2; intervals with w_eff < 0 step by it divided by
+    cosh, so that deep mu does not overflow.
     """
     mesh = engine.mesh
-    w = mu - mesh.qmid
-    hyp = w < 0.0
-    r = np.sqrt(np.abs(w))
+    w = mu - mesh.qbar
+    weff = w - mesh.g * mesh.g
+    hyp = weff < 0.0
+    r = np.sqrt(np.abs(weff))
     C, S = np.ones_like(w), np.tanh(r * mesh.h) / np.where(hyp, r, 1.0)
-    C[~hyp], S[~hyp] = _step_coeffs(w[~hyp], mesh.h[~hyp])
+    C[~hyp], S[~hyp] = _step_coeffs(weff[~hyp], mesh.h[~hyp])
+    gS = mesh.g * S
     y, yp = engine.y0, engine.yp0
     zeros, prev = 0, np.sign(y)
-    for c, s, ws in zip(C.tolist(), S.tolist(), (w * S).tolist()):
-        y, yp = c * y + s * yp, -ws * y + c * yp
+    for a, s, ws, d in zip((C + gS).tolist(), S.tolist(), (w * S).tolist(), (C - gS).tolist()):
+        y, yp = a * y + s * yp, -ws * y + d * yp
         scale = max(abs(y), abs(yp))
         if scale > 1e100:
             y, yp = y / scale, yp / scale
@@ -398,6 +401,39 @@ class TestOscillationIndex:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _both_counts(engine, mus) == [_node_sign_walk(engine, mu) for mu in mus]
+
+
+def _hill_mathieu(c, dirichlet, n_max):
+    """mu_0..mu_n_max of -y'' + c cos(x) y on [0, pi], NN or DD, from the Hill matrix.
+
+    x = 2z turns the problem into Mathieu's equation with a = 4 mu and
+    q = 2c; its period-pi eigenvalues, even for NN and odd for DD, are those
+    of a symmetric tridiagonal matrix in the cos(2kz) or sin(2kz) basis,
+    which converges geometrically in its size.
+    """
+    size = n_max + 60
+    k = np.arange(1, size + 1) if dirichlet else np.arange(size)
+    off = np.full(size - 1, 2.0 * c)
+    if not dirichlet:
+        off[0] *= math.sqrt(2.0)
+    hill = np.diag((2.0 * k) ** 2) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(hill)[:n_max + 1] / 4.0
+
+
+class TestFourthOrderStep:
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    @pytest.mark.parametrize("dirichlet", [False, True], ids=["NN", "DD"])
+    def test_mathieu_error_falls_at_fourth_order(self, c, dirichlet):
+        # a root window far below the discretisation error, so that the
+        # returned mu is the discrete eigenvalue
+        bc = BoundaryParams(PI, 0.0) if dirichlet else BoundaryParams(PI / 2, PI / 2)
+        ref = _hill_mathieu(c, dirichlet, 20)
+        errs = []
+        for grid in (DEFAULT_GRID_SIZE // 4, DEFAULT_GRID_SIZE // 2, DEFAULT_GRID_SIZE):
+            mus = find_spectrum(Potential.smooth_test([c]), bc, 20, tol=1e-14, grid_size=grid).mus
+            errs.append(float(np.max(np.abs(mus - ref) / np.maximum(1.0, np.abs(ref)))))
+        assert errs[0] >= 12.0 * errs[1] and errs[1] >= 12.0 * errs[2]
+        assert errs[2] <= 2e-12
 
 
 def _assert_counted_pairs(q, bc, n_max, grid_size=DEFAULT_GRID_SIZE):
