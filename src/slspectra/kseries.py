@@ -29,9 +29,15 @@ continuity itself is not machine-decidable from finitely many terms, so
 the diagnostic reports total-variation stability across a truncation
 ladder instead.
 
-ae_n, int sigma cos(2 nu t) and the closed-form harmonics come from the
-moment rule ``potential.fourier_moments``, one call per integrand for all
-frequencies, exact for zero, constant, step and grid potentials.
+ae_n and int sigma cos(2 nu t) come from one call of the moment rule
+``potential.fourier_moments`` with both integrands stacked, so they share
+its phases and Bessel weights; the closed-form harmonics take a second
+call.  The rule is exact for zero, constant, step and grid potentials.
+
+The partial sums live on the uniform grid x_j = 2 pi j / P, P = points - 1.
+There the integer part of nu x_j P / (2 pi) is reduced modulo P exactly in
+integer arithmetic, each term's phases come from two small cosine and sine
+tables, and the sums over n are real matrix products (``_partial_rows``).
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ import numpy as np
 
 from .delta import sin_two_pi, solve_delta
 from .errors import CaseError
-from .norming import ae_tilde_n
 from .potential import (
     PI,
     BoundaryParams,
@@ -124,10 +129,12 @@ def series_coefficients(q: Potential, bc: BoundaryParams, N: int,
     deltas = [solve_delta(int(n), bc).value for n in ns]
     nus = ns + np.array(deltas)
     # the half from substituting t -> t/2 in the sigma_tilde integral
-    # over [0, 2 pi]: (1/2) int sigma_tilde cos(nu t) = int sigma cos(2 nu s)
-    k2_coefs, _ = fourier_moments(ci.sigma, 2.0 * nus, q.breakpoints)
+    # over [0, 2 pi]: (1/2) int sigma_tilde cos(nu t) = int sigma cos(2 nu s);
+    # ae_n = -(1/2) int (pi - t) q(t) sin(2 nu t) dt, as norming.ae_tilde_n
+    cos_m, sin_m = fourier_moments(lambda t: np.stack([ci.sigma(t), (PI - t) * q(t)]),
+                                   2.0 * nus, q.breakpoints)
     k1_coefs = -ci.sigma(PI) * np.array([sin_two_pi(d) for d in deltas]) / (2.0 * nus)
-    return nus, ae_tilde_n(q, nus) / nus, k1_coefs, k2_coefs
+    return nus, -0.5 * sin_m[1] / nus, k1_coefs, cos_m[0]
 
 
 def _default_grid(grid):
@@ -146,33 +153,64 @@ def _truncation_ladder(N: int, truncations):
     return tuple(ladder)
 
 
-def _partial_rows(nus, coef_sets, grid, ladder):
-    """Partial sums of each coefficient set at the truncations, summed in ascending n."""
+def _partial_rows(nus, coef_sets, points, ladder):
+    """Partial sums of each coefficient set at the truncations, on linspace(0, 2 pi, points).
+
+    With P = points - 1 the grid is x_j = 2 pi j / P.  Split nu = w + f,
+    w = floor(nu), and j = a B + b, B = isqrt(P) + 1; then
+
+        nu x_j = (2 pi / P) ((w a B) mod P + f a B) + (2 pi / P) ((w b) mod P + f b),
+
+    with the integer products reduced exactly in int64, so no angle exceeds
+    2 pi (1 + f).  Each term takes cosine and sine tables of its A =
+    ceil(points / B) a-angles and B b-angles, 2 (A + B) trig calls instead
+    of one cosine per grid point, and per ladder segment
+    sum_n c_n cos(nu_n x_j) = sum_n (c_n C_a) C_b - (c_n S_a) S_b is one
+    real matrix product per coefficient set.  Where nu is an integer (the
+    Dirichlet-Dirichlet case) every angle is an exact multiple of 2 pi / P.
+    """
     coefs = np.array(coef_sets)
-    rows = np.empty((len(coefs), len(ladder), grid.size))
-    acc = np.zeros((len(coefs), grid.size))
+    period = points - 1
+    n_low = math.isqrt(period) + 1
+    n_high = -(-points // n_low)
+    whole = np.floor(nus)
+    frac = (nus - whole)[:, None]
+    whole = whole.astype(np.int64)[:, None] % period
+
+    def angles(j):
+        return (2.0 * PI / period) * ((whole * j) % period + frac * j)
+
+    high = angles(n_low * np.arange(n_high))
+    high = np.stack([np.cos(high), np.sin(high)], axis=1)
+    low = angles(np.arange(n_low))
+    low = np.stack([np.cos(low), -np.sin(low)], axis=1)
+    rows = np.empty((len(coefs), len(ladder), points))
+    acc = np.zeros((len(coefs), n_high * n_low))
     pos = 0
     for i, n_stop in enumerate(ladder):
-        count = n_stop - 1  # indices 2..n_stop
-        while pos < count:
-            acc += coefs[:, pos, None] * np.cos(nus[pos] * grid)
-            pos += 1
-        rows[:, i] = acc
+        seg = slice(pos, n_stop - 1)  # indices pos + 2..n_stop
+        weighted = (coefs[:, seg, None, None] * high[seg]).reshape(len(coefs), -1, n_high)
+        acc += (weighted.transpose(0, 2, 1) @ low[seg].reshape(-1, n_low)).reshape(len(coefs), -1)
+        rows[:, i] = acc[:, :points]
+        pos = n_stop - 1
     return rows
 
 
-def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, grid=None,
+def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, points: int = DEFAULT_GRID_POINTS,
                   truncations=None) -> KSeriesResult:
     """Partial sums of k, its split pieces, and the closed-form oracle.
 
-    The default truncation ladder is {N/4, N/2, N}.
+    The grid is linspace(0, 2 pi, points), points >= 2.  The default
+    truncation ladder is {N/4, N/2, N}.
     """
     tag = case_tag(bc)
-    grid = _default_grid(grid)
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points}")
+    grid = np.linspace(0.0, 2.0 * PI, points)
     ladder = _truncation_ladder(N, truncations)
     ci = sigma_functions(q)
     nus, *coefs = series_coefficients(q, bc, N, cumulative=ci)
-    k_rows, k1_rows, k2_rows = _partial_rows(nus, coefs, grid, ladder)
+    k_rows, k1_rows, k2_rows = _partial_rows(nus, coefs, points, ladder)
     result = KSeriesResult(
         case_tag=tag,
         grid=grid,

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError
-from .potential import _GAUSS_OFFSET, PI, Potential, _snapped_sincos, integrate
+from .potential import _GAUSS_OFFSET, PI, Potential, _snapped_sincos, _unique, integrate
 
 DEFAULT_GRID_SIZE = 1024
 BLOWUP_BOUND = 1e12
@@ -138,7 +138,7 @@ def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
     if bps:
         extra = [b for b in bps if np.min(np.abs(nodes - b)) > 1e-12]
         if extra:
-            nodes = np.unique(np.concatenate([nodes, np.asarray(extra)]))
+            nodes = _unique(np.concatenate([nodes, np.asarray(extra)]))
     h = np.diff(nodes)
     mid, d = (nodes[:-1] + nodes[1:]) / 2.0, h * _GAUSS_OFFSET
     q1, q2 = np.asarray(q(np.concatenate((mid - d, mid + d))), dtype=float).reshape(2, -1)

@@ -72,6 +72,28 @@ _BESSEL_SERIES = np.array([
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
+def _unique(values, return_index=False, return_inverse=False):
+    """np.unique of a 1-d array, by one stable sort.
+
+    Same values, first-occurrence indices and inverse as np.unique, whose
+    first call in a process imports numpy.ma (about 15 ms).
+    """
+    values = np.ravel(values)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    out = [ordered[first]]
+    if return_index:
+        out.append(order[first])
+    if return_inverse:
+        inverse = np.empty(values.size, dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        out.append(inverse)
+    return out[0] if len(out) == 1 else tuple(out)
+
+
 def _gauss2(f, a, b):
     """Two-point Gauss estimate of the integral of f over [a, b], vectorized."""
     c = 0.5 * (a + b)
@@ -113,7 +135,7 @@ def integrate(
     edges = np.linspace(u, v, n0 + 1)
     interior = [b for b in breakpoints if u < b < v]
     if interior:
-        edges = np.unique(np.concatenate([edges, np.asarray(interior, dtype=float)]))
+        edges = _unique(np.concatenate([edges, np.asarray(interior, dtype=float)]))
 
     a = edges[:-1].copy()
     b = edges[1:].copy()
@@ -178,8 +200,18 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     result by one product per frequency.  Pieces sharing B form one group,
     so the padding stays below the panel count.  A smaller piece keeps one
     phase per panel, and those products are summed per distinct r.  No
-    frequency's value depends on the others in the call.  Returns (cosine,
-    sine), shaped like omegas.
+    frequency's value depends on the others in the call.
+
+    f may return stacked integrands: values of shape lead + t.shape, with
+    lead the same at every call.  f is then evaluated once, each integrand
+    gets its own Legendre fit, and the Bessel weights and both phase tables
+    of a frequency block are formed once and contracted with each
+    integrand's coefficients in turn, by the same operations a call with
+    that integrand alone would take, so every value is bit for bit the
+    single-integrand one.  The frequency budget of a block is divided by
+    the number of integrands, which keeps the transients within the
+    single-integrand budget.  Returns (cosine, sine), shaped lead +
+    omegas.shape.
     """
     omegas = np.asarray(omegas, dtype=float)
     w = omegas.ravel()
@@ -187,17 +219,19 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     cuts = np.array([0.0, *sorted(b for b in breakpoints if 0.0 < b < PI), PI])
     counts = np.maximum(1, np.ceil(density * np.diff(cuts) / PI)).astype(int)
     # the Bessel weights are taken once per distinct radius
-    radius, piece_radius = np.unique(np.diff(cuts) / (2 * counts), return_inverse=True)
+    radius, piece_radius = _unique(np.diff(cuts) / (2 * counts), return_inverse=True)
     radii = radius[piece_radius]
     piece = np.repeat(np.arange(counts.size), counts)
     local = np.arange(piece.size) - (np.cumsum(counts) - counts)[piece]
     centres = cuts[piece] + radii[piece] * (2 * local + 1)
-    legendre = f(centres[:, None] + radii[piece, None] * _GL4_NODES) @ _GL4_LEGENDRE
+    legendre = np.asarray(f(centres[:, None] + radii[piece, None] * _GL4_NODES))
+    lead = legendre.shape[:-2]
+    legendre = [v @ _GL4_LEGENDRE for v in legendre.reshape(-1, piece.size, 4)]
     widths = np.where(counts < _MOMENT_ROW_MIN, 1, 2 ** ((np.frexp(counts)[1] - 1) // 2))
     # panels of small pieces, sorted by radius: one phase each, summed per radius
     small = np.flatnonzero(widths[piece] == 1)
     small = small[np.argsort(piece_radius[piece[small]], kind="stable")]
-    small_radius, small_starts = np.unique(piece_radius[piece[small]], return_index=True)
+    small_radius, small_starts = _unique(piece_radius[piece[small]], return_index=True)
     groups = []
     for n_low in sorted(set(widths[widths > 1].tolist())):
         mine = np.flatnonzero(widths == n_low)
@@ -206,17 +240,20 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
         first_row = np.cumsum(rows) - rows
         at = np.flatnonzero(widths[piece] == n_low)
         p = local[at]
-        coefs = np.zeros((row_piece.size, n_low, 4, n_low))
-        coefs[first_row[np.searchsorted(mine, piece[at])] + p // n_low ** 2,
-              p // n_low % n_low, :, p % n_low] = legendre[at]
+        slots = (first_row[np.searchsorted(mine, piece[at])] + p // n_low ** 2,
+                 p // n_low % n_low, slice(None), p % n_low)
+        coefs = np.zeros((len(legendre), row_piece.size, n_low, 4, n_low))
+        for own, fit in zip(coefs, legendre):
+            own[slots] = fit[at]
         high = n_low * (n_low * (np.arange(row_piece.size) - first_row[row_piece])[:, None]
                         + np.arange(n_low))
         groups.append((piece_radius[mine], row_piece, 2.0 * radii[mine, None] * np.arange(n_low),
                        cuts[mine[row_piece], None] + radii[mine[row_piece], None] * (1 + 2 * high),
-                       coefs.reshape(row_piece.size, n_low, 4 * n_low)))
+                       coefs.reshape(len(legendre), row_piece.size, n_low, 4 * n_low)))
 
-    out = np.zeros(w.size, dtype=complex)
-    size = max(1, _MOMENT_ELEMS // (small.size + sum(group[3].size for group in groups)))
+    out = np.zeros((len(legendre), w.size), dtype=complex)
+    size = max(1, _MOMENT_ELEMS // len(legendre)
+               // (small.size + sum(group[3].size for group in groups)))
     for lo in range(0, w.size, size):
         wb = w[lo:lo + size, None, None]
         theta = wb * radius[:, None]
@@ -226,19 +263,25 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
         weights = 2.0 * radius[:, None] * _I_POWERS * theta ** np.arange(4) * bessel
         if small.size:
             arg = wb[:, 0] * centres[small]
-            sums = np.add.reduceat(np.stack([np.cos(arg), np.sin(arg)], axis=1)[:, :, None]
-                                   * legendre[small].T, small_starts, axis=-1)
-            sums = weights[:, small_radius] * (sums[:, 0] + 1j * sums[:, 1]).transpose(0, 2, 1)
-            out[lo:lo + size] += np.sum(sums.reshape(len(wb), -1), axis=-1)
+            # the phases go out of scope before the weights are applied, as
+            # with one integrand, so the block's transients do not grow
+            sums = np.stack([np.cos(arg), np.sin(arg)], axis=1)[:, :, None]
+            sums = [np.add.reduceat(sums * fit[small].T, small_starts, axis=-1) for fit in legendre]
+            for acc, own in zip(out, sums):
+                own = weights[:, small_radius] * (own[:, 0] + 1j * own[:, 1]).transpose(0, 2, 1)
+                acc[lo:lo + size] += np.sum(own.reshape(len(wb), -1), axis=-1)
         for own_radius, row_piece, low_offsets, high_centres, coefs in groups:
             arg = wb * low_offsets
             # rows (k, l) of each piece's weights x low phases, as (real, imaginary) columns
             sums = weights[:, own_radius, :, None] * (np.cos(arg) + 1j * np.sin(arg))[:, :, None]
             sums = sums.view(float).reshape(*sums.shape[:2], -1, 2)[:, row_piece]
-            sums = (coefs @ sums).view(complex).reshape(len(wb), -1, 1)
+            sums = [(own @ sums).view(complex).reshape(len(wb), -1, 1) for own in coefs]
             arg = (wb * high_centres).reshape(len(wb), 1, -1)
-            out[lo:lo + size] += ((np.cos(arg) + 1j * np.sin(arg)) @ sums)[:, 0, 0]
-    return out.real.reshape(omegas.shape), out.imag.reshape(omegas.shape)
+            high = np.cos(arg) + 1j * np.sin(arg)
+            for acc, own in zip(out, sums):
+                acc[lo:lo + size] += (high @ own)[:, 0, 0]
+    shape = lead + omegas.shape
+    return out.real.reshape(shape), out.imag.reshape(shape)
 
 
 def _snapped_sincos(angle: float) -> tuple[float, float]:
@@ -543,7 +586,7 @@ def sigma_functions(q: Potential) -> CumulativeIntegrals:
     nodes = np.linspace(0.0, PI, _TABLE_POINTS + 1)
     bps = [b for b in q.breakpoints if 0.0 < b < PI]
     if bps:
-        nodes = np.unique(np.concatenate([nodes, np.asarray(bps, dtype=float)]))
+        nodes = _unique(np.concatenate([nodes, np.asarray(bps, dtype=float)]))
     panels = _gauss2(lambda t: (PI - t) * q(t), nodes[:-1], nodes[1:])
     return CumulativeIntegrals(q=q, nodes=nodes,
                                cum_weighted=np.concatenate([[0.0], np.cumsum(panels)]))

@@ -42,7 +42,7 @@ from .odesolve import (
     endpoint_values,
 )
 from .odesolve import y_values_batch  # noqa: F401  (binding kept for perfbench tracing)
-from .potential import PI, BoundaryParams, Potential, mean_q
+from .potential import PI, BoundaryParams, Potential, _unique, mean_q
 
 DEFAULT_ROOT_TOL = 1e-10
 MAX_INDEX = 300
@@ -228,7 +228,9 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
     mus, ks = np.empty(0), np.empty(0, dtype=int)
     walks = 0
     while True:
-        new = np.setdiff1d(points, mus)
+        new = _unique(points)
+        if mus.size:  # mus is sorted: drop the points already counted
+            new = new[mus[np.searchsorted(mus, new).clip(max=mus.size - 1)] != new]
         mus, ks = np.concatenate((mus, new)), np.concatenate((ks, _counts(engine, new)))
         order = np.argsort(mus)
         mus, ks = mus[order], ks[order]
@@ -284,7 +286,7 @@ def _refine_batch(engine: _CharEngine, lo, hi, tol: float):
     with the smaller true |Phi| and residual that |Phi|.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    ends, at = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    ends, at = _unique(np.concatenate((lo, hi)), return_inverse=True)
     flo, fhi = np.split(engine.phi_batch(ends)[at], 2)
     # an exact zero at an end collapses the bracket onto that end
     hi, fhi = np.where(flo == 0.0, lo, hi), np.where(flo == 0.0, 0.0, fhi)

@@ -288,3 +288,24 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,delta_fixed_point")
+
+
+def test_no_numpy_ma_import():
+    # np.unique and np.setdiff1d import numpy.ma on their first call (about
+    # 15 ms per process); no library path or CLI command may need it
+    script = "\n".join([
+        "import contextlib, io, math, sys",
+        "from slspectra import (BoundaryParams, Potential, find_spectrum, k_partial_sum,",
+        "                       norming_records)",
+        "from slspectra.cli import main",
+        "q, bc = Potential.step(2.0, 1.0), BoundaryParams(2.3, 0.6)",
+        "norming_records(q, bc, find_spectrum(q, bc, n_max=20))",
+        "k_partial_sum(q, BoundaryParams(math.pi, 0.0), 50)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['spectrum', '--potential', '{\"kind\": \"named\", \"name\": \"step\","
+        " \"params\": [2, 1]}', '--alpha', 'pi/2', '--beta', 'pi/2', '--n-max', '10']) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -45,7 +45,7 @@ class TestSeriesTerms:
 
     def test_constant_dd_term_formula(self, q_one, bc_dd):
         grid = np.linspace(0, 2 * PI, 128)
-        res = k_partial_sum(q_one, bc_dd, 8, grid=grid)
+        res = k_partial_sum(q_one, bc_dd, 8, points=128)
         manual = np.zeros_like(grid)
         for n in range(2, 9):
             manual += -PI / (4 * (n + 1) ** 2) * np.cos((n + 1) * grid)
@@ -65,9 +65,8 @@ class TestSeriesTerms:
         assert np.max(np.abs(kc - k1c - k2c)) <= 5e-13 * np.max(np.abs(kc))
 
     def test_k1_vanishes_when_shift_is_exact(self, q_step, bc_dd, bc_nn):
-        grid = np.linspace(0, 2 * PI, 64)
         for bc in (bc_dd, bc_nn):
-            res = k_partial_sum(q_step, bc, 10, grid, truncations=(10,))
+            res = k_partial_sum(q_step, bc, 10, points=64, truncations=(10,))
             assert np.max(np.abs(res.k1_partial[0])) == 0.0
 
     def test_c_n_quadratic_decay(self, q_one):
@@ -106,13 +105,13 @@ class TestClosedForm:
         mask = (grid >= 1.0) & (grid <= 2 * PI - 1.0)
         errs = []
         for N in (25, 50, 100):
-            part = k_partial_sum(q_step, bc_dd, N, grid, truncations=(N,)).k2_partial[0]
+            part = k_partial_sum(q_step, bc_dd, N, points=512, truncations=(N,)).k2_partial[0]
             errs.append(np.max(np.abs(part[mask] - closed[mask])))
         assert is_strictly_decreasing(errs)
 
     def test_cauchy_ladder_interior(self, q_step, bc_nn):
         grid = np.linspace(0, 2 * PI, 512)
-        res = k_partial_sum(q_step, bc_nn, 160, grid=grid, truncations=(40, 80, 160))
+        res = k_partial_sum(q_step, bc_nn, 160, points=512, truncations=(40, 80, 160))
         mask = (grid >= 0.5) & (grid <= 2 * PI - 0.5)
         d1 = np.max(np.abs(res.k_partial[1][mask] - res.k_partial[0][mask]))
         d2 = np.max(np.abs(res.k_partial[2][mask] - res.k_partial[1][mask]))
@@ -120,21 +119,36 @@ class TestClosedForm:
 
 
 class TestPartialRows:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs extended-precision long double")
     @pytest.mark.parametrize("bc", [BoundaryParams(PI, 0.0), BoundaryParams(2.0, 0.5)])
-    def test_rows_equal_termwise_accumulation(self, q_step, bc):
-        # reference: one series at a time, each term added in ascending n
-        grid = np.linspace(0, 2 * PI, 301)
-        ladder = (7, 20, 45)
-        res = k_partial_sum(q_step, bc, 45, grid=grid, truncations=ladder)
-        nus, *coef_sets = series_coefficients(q_step, bc, 45)
-        for rows, coefs in zip((res.k_partial, res.k1_partial, res.k2_partial), coef_sets):
-            acc = np.zeros(grid.size)
-            expect = []
-            for pos, (nu, c) in enumerate(zip(nus, coefs)):
-                acc += c * np.cos(nu * grid)
-                if pos + 2 in ladder:
-                    expect.append(acc.copy())
-            assert np.array_equal(rows, np.array(expect))
+    def test_rows_match_long_double_termwise_sums(self, q_step, bc):
+        # reference: one series at a time, each term added in ascending n, in
+        # long double at x_j = 2 pi j / (points - 1) with pi to long-double
+        # precision; P = points - 1 is 1, 2 (prime), 63, 300 and 2047
+        ladder = (100, 200, 400)
+        xs = np.append(np.arange(12) * PI / 12, PI)
+        for q in (q_step, Potential.from_grid(xs, np.sin(2 * xs) + xs / 3)):
+            nus, *coef_sets = series_coefficients(q, bc, 400)
+            for points in (2, 3, 64, 301, 2048):
+                res = k_partial_sum(q, bc, 400, points=points, truncations=ladder)
+                assert np.array_equal(res.grid, np.linspace(0, 2 * PI, points))
+                grid = 8 * np.arctan(np.longdouble(1)) * np.arange(points) / (points - 1)
+                for rows, coefs in zip((res.k_partial, res.k1_partial, res.k2_partial),
+                                       coef_sets):
+                    acc = np.zeros(points, dtype=np.longdouble)
+                    expect = []
+                    for pos, (nu, c) in enumerate(zip(nus, coefs)):
+                        acc += np.longdouble(c) * np.cos(np.longdouble(nu) * grid)
+                        if pos + 2 in ladder:
+                            expect.append(acc.copy())
+                    expect = np.array(expect)
+                    assert np.max(np.abs(rows - expect)) <= 4e-15 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_points_validation(self, q_step, bc_dd, points):
+        with pytest.raises(ValueError):
+            k_partial_sum(q_step, bc_dd, 10, points=points)
 
 
 class TestACDiagnostic:

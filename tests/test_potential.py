@@ -68,6 +68,19 @@ class TestIntegrate:
         assert whole == pytest.approx(parts, abs=2e-11)
 
 
+@pytest.mark.parametrize("values", [
+    np.array([]), np.array([2.5]), np.array([3.0, 1.0, 3.0, -0.5, 1.0, 1.0]),
+    np.random.default_rng(1).integers(0, 40, 300), np.random.default_rng(2).normal(size=50),
+    np.round(np.random.default_rng(3).normal(size=400), 1),
+], ids=["empty", "one", "repeats", "ints", "distinct", "rounded"])
+def test_unique_matches_numpy(values):
+    got = potential._unique(values, return_index=True, return_inverse=True)
+    want = np.unique(values, return_index=True, return_inverse=True)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and g.dtype == w.dtype
+    assert np.array_equal(potential._unique(values), want[0])
+
+
 def _polynomial_moments(pieces, omega):
     """Exact (cos, sin) moments of a piecewise polynomial at omega != 0.
 
@@ -168,6 +181,25 @@ class TestFourierMoments:
             alone = fourier_moments(q, w, q.breakpoints)
             assert alone[0] == cos_m[i] and alone[1] == sin_m[i]
 
+    @pytest.mark.parametrize("make", [
+        lambda: Potential.step(2.0, 1.0),
+        lambda: Potential.from_grid(*TestFourierMoments._uneven_grid(5)),
+        lambda: Potential.from_grid(*TestFourierMoments._packed_grid()),
+        lambda: Potential.smooth_test([1.0, -0.5, 0.3]),
+    ], ids=["step", "grid64", "packed", "smooth"])
+    @pytest.mark.parametrize("top", [1300.0, 2e4], ids=["2048-panels", "31417-panels"])
+    def test_stacked_integrands(self, make, top):
+        # two integrands in one call share the phases and the Bessel weights,
+        # yet each value is the one a call with that integrand alone returns
+        q = make()
+        omegas = np.concatenate([[0.0, 1.0, -3.3],
+                                 np.random.default_rng(6).uniform(0.0, 1300.0, 300), [top]])
+        first = lambda t: (PI - t) * q(t)
+        both = fourier_moments(lambda t: np.stack([q(t), first(t)]), omegas, q.breakpoints)
+        for i, f in enumerate((q, first)):
+            alone = fourier_moments(f, omegas, q.breakpoints)
+            assert np.array_equal(both[0][i], alone[0]) and np.array_equal(both[1][i], alone[1])
+
     @pytest.mark.parametrize("omegas", [OMEGAS[:2], OMEGAS], ids=["2048-panels", "7855-panels"])
     def test_uneven_pieces(self, omegas):
         P = np.polynomial.Polynomial
@@ -200,15 +232,17 @@ class TestFourierMoments:
                                       lambda: TestFourierMoments._packed_grid()],
                              ids=["grid64", "packed"])
     def test_memory_peak(self, grid):
+        # one integrand, and two stacked ones
         q = Potential.from_grid(*grid())
         omegas = 2.0 * (np.arange(2, 401) + 0.37)
-        tracemalloc.start()
-        try:
-            fourier_moments(q, omegas, q.breakpoints)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5e6
+        for f in (q, lambda t: np.stack([q(t), (PI - t) * q(t)])):
+            tracemalloc.start()
+            try:
+                fourier_moments(f, omegas, q.breakpoints)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5e6
 
     @pytest.mark.parametrize("make, most", [
         (lambda: Potential.step(2.0, 1.0), 200),
@@ -216,20 +250,30 @@ class TestFourierMoments:
     ], ids=["step", "packed"])
     def test_phases_per_frequency(self, make, most, monkeypatch):
         # 2048 and 2116 panels: the factorised phases need at most `most`
-        # cosines per frequency, where one per panel would take all of them
+        # cosines per frequency, where one per panel would take all of them;
+        # two stacked integrands share them, so they stay within that bound
         q = make()
-        seen = []
         cos = np.cos
-        monkeypatch.setattr(potential.np, "cos", lambda x: seen.append(np.size(x)) or cos(x))
         omegas = 2.0 * (np.arange(2, 101) + 0.37)
-        fourier_moments(q, omegas, q.breakpoints)
-        assert 0 < sum(seen) <= most * omegas.size
+        for f in (q, lambda t: np.stack([q(t), (PI - t) * q(t)])):
+            seen = []
+            monkeypatch.setattr(potential.np, "cos", lambda x: seen.append(np.size(x)) or cos(x))
+            fourier_moments(f, omegas, q.breakpoints)
+            assert 0 < sum(seen) <= most * omegas.size
 
     def test_shape_follows_omegas(self):
         cos_m, sin_m = fourier_moments(Potential.constant(1.0), 3.0)
         assert cos_m.shape == () and sin_m.shape == ()
         cos_m, _ = fourier_moments(Potential.constant(1.0), np.ones((2, 3)))
         assert cos_m.shape == (2, 3)
+        # stacked integrands lead: f returns shape (4, 1) + t.shape
+        stacked = lambda t: np.ones((4, 1) + np.shape(t)) * np.arange(4.0)[:, None, None, None]
+        cos_m, sin_m = fourier_moments(stacked, np.ones((2, 3)))
+        assert cos_m.shape == (4, 1, 2, 3) and sin_m.shape == (4, 1, 2, 3)
+        assert np.all(cos_m[2] == fourier_moments(lambda t: 2.0 * np.ones_like(t),
+                                                  np.ones((2, 3)))[0])
+        cos_m, _ = fourier_moments(stacked, 3.0)
+        assert cos_m.shape == (4, 1)
 
 
 class TestPotential:
