@@ -1,27 +1,41 @@
 """Initial-value solver for -y'' + q y = mu y and the series oracle.
 
-The stepping scheme is the fourth-order Magnus step with two Gauss points
-(Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999).  On an interval
-[x, x + h] it samples q1 and q2 at x + (1/2 -+ sqrt(3)/6) h and steps the
-state (y, y2) by exp(h B), B = [[g, 1], [qbar - mu, -g]], with
-qbar = (q1 + q2)/2 and g = sqrt(3) h (q1 - q2)/12.  B^2 = -w_eff I with
-w = mu - qbar and w_eff = w - g^2, so the step is C I + S B = (C + g S, S,
--w S, C - g S), with C and S the exact constant-coefficient entries at
-w_eff (trigonometric for w_eff > 0, hyperbolic below, linear drift at 0).
-Inside a step y solves y'' = -w_eff y exactly, with y' = y2 + g y.  The
-step is exact in mu, so phase accuracy does not degrade for highly
-oscillatory solutions, and its error vanishes where q is constant on the
-mesh intervals (zero, constant, and step potentials with the jump on a
-mesh node): there g = 0 and the step is the exact propagator at w = mu - q.
+The stepping scheme is the sixth-order Magnus step with three Gauss points
+(Blanes, Casas & Ros, BIT 40, 2000).  On an interval [x, x + h] with
+midpoint x_m it samples q1, q2 and q3 at x_m - r h, x_m and x_m + r h,
+r = sqrt(15)/10, and steps the state (y, y2) by exp(h K), with the
+generator
 
-The step solves the Hamiltonian system v' = B v, whose mu-derivative is
-[[0, 0], [-1, 0]].  So for the discrete solution (y y2_mu - y2 y_mu)' = -y^2
-holds exactly, and the integral of y^2 over [0, pi] comes from endpoint
-values of (y, y2) and their mu-derivatives alone.  The step matrix and its
+    K = [[d, b], [c, -d]],   w = mu - q2,
+    s2 = (sqrt(15)/3) h (q3 - q1),   s3 = (10/3) h (q3 - 2 q2 + q1),
+    d = -s2/12 + h s2 s3/7200 - e w,   e = h^2 s2/180,
+    b = 1 - h s3/180 + h^2 s2^2/3600,
+    c = c0 - gamma w,   gamma = 1 + h s3/180 + h^2 s2^2/3600,
+    c0 = s3/(12 h) - s2^2/120 + s3^2/3600,
+
+the closed form of the three-point Magnus expansion for A = [[0, 1],
+[q - mu, 0]].  K^2 = -w_eff I with w_eff = -(d^2 + b c), so the step is
+C I + S K = (C + d S, b S, c S, C - d S), with C and S the exact
+constant-coefficient entries at w_eff (trigonometric for w_eff > 0,
+hyperbolic below, linear drift at 0).  Inside a step y solves
+y'' = -w_eff y exactly, with y' = d y + b y2.  The step is exact in mu, so
+phase accuracy does not degrade for highly oscillatory solutions; its
+local error falls 128x per halving of h, and it vanishes where q is
+constant on the mesh intervals (zero, constant, and step potentials with
+the jump on a mesh node): there s2 = s3 = 0, so d = 0, b = gamma = 1,
+c = -w, and the step is the exact propagator at w = mu - q.
+
+The step solves the Hamiltonian system v' = K v, whose mu-derivative is
+[[-e, 0], [-gamma, e]].  So for the discrete solution
+(y y2_mu - y2 y_mu)' = -(gamma y^2 - 2 e y y2) holds exactly, and the
+integral of that weight over [0, pi], the discrete norm, comes from
+endpoint values of (y, y2) and their mu-derivatives alone.  gamma - 1 and
+e are O(h^4) and vanish where q is constant.  The step matrix and its
 mu-derivative are closed forms.
 
-A run is a maximal stretch of consecutive mesh intervals with equal qbar
-and g.  The step is exact across a whole run, so the characteristic-function
+A run is a maximal stretch of consecutive mesh intervals with equal
+generator coefficients (q2, d0, e, b, gamma, c0), d0 = d + e w.  The step
+is exact across a whole run, so the characteristic-function
 and norm sweeps take one step per run: two steps on a step potential, one
 on a constant, and one per interval on a smooth potential, where runs and
 intervals coincide.  Node values need every node and step the full mesh.
@@ -31,7 +45,7 @@ per-step coefficients from one block generator, which evaluates them a
 block of consecutive steps at a time, in propagation order, each entry in
 its own branch only.  The block length follows from the batch size and
 one fixed budget of (step, mu) entries: 256 steps at 64 mu, the whole
-default mesh for up to 16 mu.  The characteristic-function and norm
+default mesh for up to 32 mu.  The characteristic-function and norm
 sweeps contract each block's run propagators by a pairwise tree and
 compose the block products in order.  The node sweep cuts each block of L
 intervals into chunks of about sqrt(L) intervals: it forms the chunk
@@ -60,13 +74,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError
-from .potential import _GAUSS_OFFSET, PI, Potential, _snapped_sincos, _unique, integrate
+from .potential import PI, Potential, _snapped_sincos, _unique, integrate
 
-DEFAULT_GRID_SIZE = 1024
+DEFAULT_GRID_SIZE = 512
 BLOWUP_BOUND = 1e12
 
-# g = _G_SCALE h (q1 - q2), the commutator term of the Magnus step
-_G_SCALE = math.sqrt(3.0) / 12.0
+# the outer Gauss points of an interval sit at x_m -+ _GAUSS3 h
+_GAUSS3 = math.sqrt(15.0) / 10.0
+# generator rows d0, e, b, gamma, c0 of an interval where q is constant
+_EXACT_GEN = np.array([[0.0], [0.0], [1.0], [1.0], [0.0]])
 _SERIES_Z = 1e-4
 _DS_SERIES_Z = 0.1
 # One coefficient block holds _BLOCK_ELEMS (interval, mu) entries: 256
@@ -106,30 +122,35 @@ class PicardResult:
 class Mesh:
     """Propagation mesh: nodes, interval widths, Magnus step coefficients.
 
-    qbar and g hold each interval's step coefficients, the mean of q at its
-    two Gauss points and sqrt(3) h (q1 - q2) / 12 (see the module
-    docstring); g is zero wherever q is constant on the interval.  run_h,
-    run_q and run_g describe the runs, the maximal stretches of consecutive
-    intervals with equal qbar and g: each run's length, the difference of
-    its end nodes, and its qbar and g.  A mesh whose (qbar, g) never repeats
-    has one run per interval, and then run_h equals h bit for bit.
+    q holds each interval's midpoint sample q2 and gen its generator
+    coefficients, rows d0, e, b, gamma and c0, so that d = d0 - e w and
+    c = c0 - gamma w at w = mu - q2 (see the module docstring).  run_h,
+    run_q and run_gen describe the runs, the maximal stretches of
+    consecutive intervals with equal q and gen: each run's length, the
+    difference of its end nodes, and its coefficients.  A mesh whose
+    coefficients never repeat has one run per interval, and then run_h
+    equals h bit for bit.  exact says that q is constant on every interval,
+    so every run takes the exact propagator (d0 = e = c0 = 0,
+    b = gamma = 1) and the sweeps skip the generator terms.
     """
 
     nodes: np.ndarray
     h: np.ndarray
-    qbar: np.ndarray
-    g: np.ndarray
+    q: np.ndarray
+    gen: np.ndarray
     run_h: np.ndarray
     run_q: np.ndarray
-    run_g: np.ndarray
+    run_gen: np.ndarray
+    exact: bool
 
 
 def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
     """Uniform mesh on [0, pi] with the potential's breakpoints inserted.
 
-    q is evaluated once, at both Gauss points of every interval.  Where the
-    two samples agree, qbar is that value and g is zero, so on piecewise
-    constant q the steps are the exact propagators.
+    q is evaluated once, at the three Gauss points of every interval, and
+    the generator coefficients of each step are folded here, so the sweeps
+    take no division per (step, mu) entry.  Where the three samples agree,
+    s2 = s3 = 0 and the step is the exact propagator at w = mu - q.
     """
     if grid_size < 64:
         raise ValueError(f"grid_size must be >= 64, got {grid_size}")
@@ -140,14 +161,26 @@ def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
         if extra:
             nodes = _unique(np.concatenate([nodes, np.asarray(extra)]))
     h = np.diff(nodes)
-    mid, d = (nodes[:-1] + nodes[1:]) / 2.0, h * _GAUSS_OFFSET
-    q1, q2 = np.asarray(q(np.concatenate((mid - d, mid + d))), dtype=float).reshape(2, -1)
-    qbar, g = (q1 + q2) / 2.0, _G_SCALE * h * (q1 - q2)
-    new = (qbar[1:] != qbar[:-1]) | (g[1:] != g[:-1])
+    mid, off = (nodes[:-1] + nodes[1:]) / 2.0, h * _GAUSS3
+    q1, q2, q3 = np.asarray(q(np.concatenate((mid - off, mid, mid + off))),
+                            dtype=float).reshape(3, -1)
+    new = q2[1:] != q2[:-1]
+    # s2 = s3 = 0 exactly where the three samples agree
+    exact = bool(np.all(q1 == q2) and np.all(q3 == q2))
+    if exact:
+        gen = np.broadcast_to(_EXACT_GEN, (5, h.size))
+    else:
+        s2 = (math.sqrt(15.0) / 3.0) * h * (q3 - q1)
+        s3 = (10.0 / 3.0) * h * (q3 - 2.0 * q2 + q1)
+        hs3, hs2sq = h * s3 / 180.0, (h * s2) ** 2 / 3600.0
+        gen = np.stack((-s2 / 12.0 + h * s2 * s3 / 7200.0, h * h * s2 / 180.0,
+                        1.0 - hs3 + hs2sq, 1.0 + hs3 + hs2sq,
+                        s3 / (12.0 * h) - s2 * s2 / 120.0 + s3 * s3 / 3600.0))
+        new |= np.any(gen[:, 1:] != gen[:, :-1], axis=0)
     starts = np.flatnonzero(np.concatenate(([True], new)))
     run_h = np.diff(nodes[np.append(starts, h.size)])
-    return Mesh(nodes=nodes, h=h, qbar=qbar, g=g, run_h=run_h, run_q=qbar[starts],
-                run_g=g[starts])
+    return Mesh(nodes=nodes, h=h, q=q2, gen=gen, run_h=run_h, run_q=q2[starts],
+                run_gen=gen[:, starts], exact=exact)
 
 
 def _step_coeffs(w, h):
@@ -198,66 +231,100 @@ def _dS_dw(w, h, C, S):
     return np.where(small, series, closed)
 
 
-def _blocks(h: np.ndarray, q: np.ndarray, g: np.ndarray, mus: np.ndarray, forward: bool,
-            entries):
-    """Step matrix entries of steps of widths h and coefficients q, g, block by block.
+def _blocks(mesh: Mesh, runs: bool, mus: np.ndarray, forward: bool, entries):
+    """Step matrix entries of a mesh's runs or intervals, block by block.
 
-    The steps are a mesh's intervals (mesh.h, mesh.qbar, mesh.g) or its runs
-    (mesh.run_h, mesh.run_q, mesh.run_g); they come in propagation order,
-    and backward propagation starts at the last step.  entries maps one
-    block's (h, w, g, w_eff, C, S, sign) to its matrix entries, with
-    w = mu - q, w_eff = w - g^2, C and S the _step_coeffs at w_eff, all of
-    shape (steps, mus), h and g of shape (steps, 1), and sign -1 backward.
-    A block whose g is zero throughout gives g = None and w_eff = w, so
-    piecewise constant q takes no g terms at all.  A block holds about
-    _BLOCK_ELEMS entries, so its length follows from the batch size, and
-    its coefficients are dropped once entries returns.
+    The steps come in propagation order, and backward propagation starts at
+    the last step.  entries maps one block's (h, gen, w_eff, C, S, sign) to
+    its matrix entries (see _coeffs), with C and S the _step_coeffs at
+    w_eff, h of shape (steps, 1), w_eff, C and S of shape (steps, mus), and
+    sign -1 backward.  An exact mesh gives gen = None and w_eff = w =
+    mu - q, so piecewise constant q takes no generator terms at all, and
+    no block is checked for them.  A block holds about _BLOCK_ELEMS
+    entries, so its length follows from the batch size, and its
+    coefficients are dropped once entries returns.
     """
+    h, q, gen = (mesh.run_h, mesh.run_q, mesh.run_gen) if runs else (mesh.h, mesh.q, mesh.gen)
     sign = 1.0 if forward else -1.0
     if not forward:
-        h, q, g = h[::-1], q[::-1], g[::-1]
+        h, q, gen = h[::-1], q[::-1], gen[:, ::-1]
     size = max(1, _BLOCK_ELEMS // max(1, mus.size))
     for lo in range(0, h.size, size):
-        hb, gb = h[lo:lo + size, None], g[lo:lo + size, None]
-        yield entries(*_coeffs(hb, mus - q[lo:lo + size, None], gb), sign)
+        part = slice(lo, lo + size)
+        k = None if mesh.exact else gen[:, part, None]
+        yield entries(*_coeffs(h[part, None], mus - q[part, None], k), sign)
 
 
-def _coeffs(h, w, g):
-    """(h, w, g, w_eff, C, S) of one block, g None where it is zero throughout."""
-    if not g.any():
-        return (h, w, None, w, *_step_coeffs(w, h))
-    weff = w - g * g
-    return (h, w, g, weff, *_step_coeffs(weff, h))
+def _coeffs(h, w, gen):
+    """(h, gen, w_eff, C, S) of one block at w = mu - q2, which it overwrites.
+
+    With gen None (an exact mesh) w_eff = w.  Otherwise gen holds the rows
+    d0, e, b, gamma, c0, each of shape (steps, 1), and comes back as
+    (d, b, c, e, gamma) with d = d0 - e w and c = c0 - gamma w of shape
+    (steps, mus), and w_eff = -(d^2 + b c).
+    """
+    if gen is None:
+        return (h, None, w, *_step_coeffs(w, h))
+    d0, e, b, gamma, c0 = gen
+    c = np.multiply(gamma, w)
+    np.subtract(c0, c, out=c)
+    d = np.multiply(e, w, out=w)
+    np.subtract(d0, d, out=d)
+    weff = np.multiply(b, c)
+    weff += d * d
+    np.negative(weff, out=weff)
+    return (h, (d, b, c, e, gamma), weff, *_step_coeffs(weff, h))
 
 
-def _transfer(h, w, g, weff, C, S, sign):
+def _transfer(h, gen, weff, C, S, sign):
     """Step matrix entries (m00, m01, m10, m11); sign = -1 gives the inverses.
 
-    The step is (C + g S, S, -w S, C - g S) and its inverse
-    (C - g S, -S, w S, C + g S); with g None both diagonal entries are C.
+    The step is (C + d S, b S, c S, C - d S) and its inverse
+    (C - d S, -b S, -c S, C + d S); with gen None it is (C, S, -w S, C),
+    w = w_eff, and its inverse (C, -S, w S, C).
     """
-    b, c = sign * S, -sign * w * S
-    if g is None:
+    if gen is None:
+        b, c = sign * S, -sign * weff * S
         return (C, b, c, C)
-    gS = g * b
-    return (C + gS, b, c, np.subtract(C, gS, out=gS))
+    d, b, c = gen[:3]
+    if sign < 0.0:
+        S = -S
+    dS = d * S
+    return (C + dS, b * S, c * S, np.subtract(C, dS, out=dS))
 
 
-def _transfer_dmu(h, w, g, weff, C, S, sign):
+def _transfer_dmu(h, gen, weff, C, S, sign):
     """Step matrix entries followed by the entries of their mu-derivative.
 
-    dT/dmu = (dC + g dS, dS, -(S + w dS), dC - g dS) with dC = -h S / 2 and
-    dS = dS/dw at w_eff; S + w dS = (S + h C) / 2 + g^2 dS.
+    With gen None the step is (C, S, -w S, C) and dT/dmu =
+    (dC, dS, -(S + h C)/2, dC), with dC = -h S / 2, dS = dS/dw and
+    S + w dS = (S + h C) / 2.  Otherwise the step is C I + S K with
+    dK/dmu = [[-e, 0], [-gamma, e]] and dw_eff/dmu = r = 2 d e + b gamma, so
+    dT/dmu = r (dC I + dS K) + S dK/dmu, at w_eff:
+    (r (dC + d dS) - e S, r b dS, r c dS - gamma S, r (dC - d dS) + e S).
     """
-    dC = -0.5 * h * S
-    dS = sign * _dS_dw(weff, h, C, S)
-    dc = -0.5 * sign * (S + h * C)
-    T = _transfer(h, w, g, weff, C, S, sign)
-    if g is None:
-        return T + (dC, dS, dc, dC)
-    gdS = g * dS
-    dc -= g * gdS
-    return T + (dC + gdS, dS, dc, np.subtract(dC, gdS, out=gdS))
+    T = _transfer(h, gen, weff, C, S, sign)
+    dS = _dS_dw(weff, h, C, S)
+    if gen is None:
+        dC = -0.5 * h * S
+        dc = -0.5 * sign * (S + h * C)
+        return T + (dC, sign * dS, dc, dC)
+    d, b, c, e, gamma = gen
+    rate = d * (2.0 * e)
+    rate += b * gamma
+    dS *= rate
+    dC = np.multiply(-0.5 * h, S)
+    dC *= rate
+    if sign < 0.0:
+        S, dS = -S, np.negative(dS, out=dS)
+    ddS, eS = np.multiply(d, dS, out=rate), e * S
+    d00 = dC + ddS
+    d00 -= eS
+    dC -= ddS
+    dC += eS
+    d10 = c * dS
+    d10 -= gamma * S
+    return T + (d00, b * dS, d10, dC)
 
 
 def _mul2(B, A):
@@ -282,7 +349,7 @@ def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
     those of its mu-derivative.
     """
     M = None
-    for E in _blocks(mesh.run_h, mesh.run_q, mesh.run_g, mus, forward, entries):
+    for E in _blocks(mesh, True, mus, forward, entries):
         while len(E[0]) > 1:
             n = len(E[0])
             P = mul([t[1:n:2] for t in E], [t[0:n - 1:2] for t in E])
@@ -323,15 +390,17 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
 
 
 def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
-    """Endpoint values plus the integral of y^2 over [0, pi] for a batch of mu.
+    """Endpoint values plus the discrete norm over [0, pi] for a batch of mu.
 
     The propagated (y, y') is the state (y, y2) of the Magnus steps, which
-    solve a Hamiltonian system with (y y2_mu - y2 y_mu)' = -y^2 (see the
-    module docstring).  Starting data do not depend on mu, so the forward
-    sweep gives
-        int_0^pi y^2 = y'(pi) y_mu(pi) - y(pi) y_mu'(pi),
+    solve a Hamiltonian system with (y y2_mu - y2 y_mu)' =
+    -(gamma y^2 - 2 e y y2) (see the module docstring), the weight that
+    approximates y^2 to sixth order.  Starting data do not depend on mu, so
+    the forward sweep gives
+        int_0^pi (gamma y^2 - 2 e y y2) = y'(pi) y_mu(pi) - y(pi) y_mu'(pi),
     and the backward sweep y(0) y_mu'(0) - y'(0) y_mu(0).  This is the exact
-    integral of the discrete solution, not a further approximation.
+    integral of the discrete solution's weight, not a further approximation,
+    and it is int y^2 where q is constant on every interval.
 
     Both directions read the forward product M and dM/dmu of norm_product.
     Every run propagator has determinant 1, so its inverse, the backward
@@ -365,7 +434,7 @@ def norm_product(mesh: Mesh, mus):
 
 @_quiet
 def norm_end(product, y0: float, yp0: float, *, forward: bool = True):
-    """(y, y', int y^2) from norm_product's (M, dM), as propagate_with_norm.
+    """(y, y', discrete norm) from norm_product's (M, dM), as propagate_with_norm.
 
     Forward, (y0, yp0) is the data at x = 0 and the values are at pi;
     backward, the data are at pi, the values at 0, and the product is
@@ -399,7 +468,7 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     with_yprime, only the last y' in propagation order comes back, as one
     array of shape (mus,).
 
-    scaled, when given, replaces _transfer: it maps (h, w, g, w_eff, C, S,
+    scaled, when given, replaces _transfer: it maps (h, gen, w_eff, C, S,
     sign) to the entries of each step's propagator times a nonzero factor.
     The sweep then takes one step per run instead of per interval, and
     divides every chunk propagator and block start state by its largest
@@ -407,16 +476,15 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     positive factor: only signs and directions mean anything, and nothing
     overflows.
     """
-    steps = (mesh.h, mesh.qbar, mesh.g) if scaled is None else (
-        mesh.run_h, mesh.run_q, mesh.run_g)
-    Y = np.empty((len(steps[0]) + 1, mus.size))
+    runs = scaled is not None
+    Y = np.empty((len(mesh.run_h if runs else mesh.h) + 1, mus.size))
     YP = np.empty_like(Y) if with_yprime else None
     y, yp = np.full(mus.size, float(y0)), np.full(mus.size, float(yp0))
     Y[0] = y
     if with_yprime:
         YP[0] = yp
     lo = 1
-    for a, b, c, d in _blocks(*steps, mus, forward, scaled or _transfer):
+    for a, b, c, d in _blocks(mesh, runs, mus, forward, scaled or _transfer):
         L = len(a)
         k = math.isqrt(L)
         if scaled is not None:

@@ -393,6 +393,7 @@ class Potential:
     qs: np.ndarray | None = None
     offset: float = 0.0
     _norm1: float | None = field(default=None, init=False, repr=False, compare=False)
+    _mean: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "named":
@@ -593,5 +594,10 @@ def sigma_functions(q: Potential) -> CumulativeIntegrals:
 
 
 def mean_q(q: Potential) -> float:
-    """Mean value of the potential, (1 / pi) times its integral over [0, pi]."""
-    return integrate(q, 0.0, PI, breakpoints=q.breakpoints) / PI
+    """Mean value of the potential, (1 / pi) times its integral over [0, pi].
+
+    Cached on q after the first call, as Potential.norm1 is.
+    """
+    if q._mean is None:
+        object.__setattr__(q, "_mean", integrate(q, 0.0, PI, breakpoints=q.breakpoints) / PI)
+    return q._mean

@@ -164,11 +164,12 @@ def _counts(engine: _CharEngine, mus) -> np.ndarray:
     """Number of eigenvalues strictly below each mu, from one sweep over the runs.
 
     Counts the interior zeros of the shooting solution by phase.  Inside a
-    run y solves y'' = -w_eff y exactly, w_eff = mu - qbar - g^2 (see
-    odesolve).  A run with w_eff > 0 turns the phase by th = sqrt(w_eff) h:
-    it holds floor(th / pi) whole half-turns, one zero each, plus one zero
-    exactly when the sign of y at its end disagrees with their parity.  An
-    odd count negates the run's step, so a sign test on the run-end values
+    run y solves y'' = -w_eff y exactly, w_eff = -(d^2 + b c) (see
+    odesolve), which is mu - q on piecewise constant q.  A run with
+    w_eff > 0 turns the phase by th = sqrt(w_eff) h: it holds
+    floor(th / pi) whole half-turns, one zero each, plus one zero exactly
+    when the sign of y at its end disagrees with their parity.  An odd
+    count negates the run's step, so a sign test on the run-end values
     sees only that last zero.  A run with w_eff < 0 holds at most one zero
     and steps by its propagator divided by cosh th, with C = 1 and
     S = tanh(th)/sqrt(-w_eff), which never overflow; the node sweep
@@ -179,11 +180,11 @@ def _counts(engine: _CharEngine, mus) -> np.ndarray:
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     turns = np.zeros(mus.size)
 
-    def steps(h, w, g, weff, C, S, sign):
+    def steps(h, gen, weff, C, S, sign):
         hyp = weff < 0.0
         if hyp.any():
             r = np.sqrt(-weff[hyp])
-            C[hyp], S[hyp] = 1.0, np.tanh(r * np.broadcast_to(h, w.shape)[hyp]) / r
+            C[hyp], S[hyp] = 1.0, np.tanh(r * np.broadcast_to(h, weff.shape)[hyp]) / r
         # sqrt(w_eff h h) / pi is monotone in w_eff and h: skip blocks without a half-turn
         hmax = h.max()
         if np.sqrt(max(weff.max(), 0.0) * hmax * hmax) / PI >= 1.0:
@@ -191,7 +192,7 @@ def _counts(engine: _CharEngine, mus) -> np.ndarray:
             turns[:] += half.sum(axis=0)
             parity = 1.0 - 2.0 * (half % 2.0)
             C, S = C * parity, S * parity
-        return _transfer(h, w, g, weff, C, S, sign)
+        return _transfer(h, gen, weff, C, S, sign)
 
     Y, yp = _nodes(engine.mesh, mus, engine.y0, engine.yp0, True, False, scaled=steps)
     angle = np.arctan2(Y[-1], yp)

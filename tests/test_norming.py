@@ -229,6 +229,21 @@ class TestRemainderExtraction:
         assert ratio <= 2.0
 
 
+class TestConvergence:
+    def test_norms_converge_at_sixth_order(self):
+        # both norms fall about 64x per halving of the mesh; 128 -> 256
+        # ends near 7e-13 (a_n) and 2e-12 (b_n), above the sweep's rounding
+        q, bc = Potential.smooth_test([1.0, -0.5]), BoundaryParams(2.3, 0.6)
+
+        def norms(grid):
+            spec = find_spectrum(q, bc, 20, tol=1e-14, grid_size=grid)
+            return np.array([[r.a_n, r.b_n] for r in norming_records(q, bc, spec, grid_size=grid)])
+
+        ref = norms(4096)
+        errs = [np.max(np.abs(norms(grid) / ref - 1.0), axis=0) for grid in (64, 128, 256)]
+        assert np.all(errs[0] >= 48.0 * errs[1]) and np.all(errs[1] >= 48.0 * errs[2])
+
+
 class TestRecords:
     def test_one_mesh_per_batch(self, q_step, bc_nn, step_nn_spectrum60, monkeypatch):
         built = []

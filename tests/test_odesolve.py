@@ -21,10 +21,15 @@ from slspectra import (
 from slspectra import spectrum
 from slspectra.odesolve import (
     _BLOCK_MUS,
+    _compose,
     _dS_dw,
+    _mul2,
     _nodes,
+    _product,
     _step_coeffs,
     _trace,
+    _transfer,
+    _transfer_dmu,
     build_mesh,
     endpoint_values,
     norm_product,
@@ -84,44 +89,63 @@ class TestSolveIvp:
             assert np.max(np.abs(batch[:, j] - tr.y)) < 1e-11
 
 
-def _sequential_norm(mesh, mus, y0, yp0, forward):
-    """Interval-by-interval reference: exact integral of y^2 on each step.
+def _generator(mesh, mus):
+    """Per-interval (d, b, c, e, gamma, w_eff) of the Magnus step, each of shape (intervals, mus).
 
-    Inside a Magnus step y solves y'' = -w_eff y, w_eff = mu - qbar - g^2,
-    with y' = y2 + g y at the step start.  With left values (y, y') an
-    interval contributes ICC y^2 + 2 ICS y y' + ISS y'^2, where
-    ICC = h/2 + CS/2, ICS = S^2/2 and ISS = (h/2 - CS/2)/w_eff, or
-    h^3 (1/3 - z/15 + 2 z^2/315) near w_eff = 0, with C, S at w_eff.
+    d = d0 - e w and c = c0 - gamma w at w = mu - q2, w_eff = -(d^2 + b c).
+    """
+    d0, e, b, gamma, c0 = (row[:, None] for row in mesh.gen)
+    w = mus - mesh.q[:, None]
+    d, c = d0 - e * w, c0 - gamma * w
+    b, e, gamma = (np.broadcast_to(v, w.shape) for v in (b, e, gamma))
+    return d, b, c, e, gamma, -(d * d + b * c)
+
+
+def _sequential_norm(mesh, mus, y0, yp0, forward):
+    """Interval-by-interval reference: exact integral of the norm weight on each step.
+
+    Inside a Magnus step y solves y'' = -w_eff y, with y' = d y + b y2, and
+    the discrete norm integrates gamma y^2 - 2 e y y2.  With left values
+    (y, p = y') an interval contributes I = ICC y^2 + 2 ICS y p + ISS p^2
+    to int y^2, where ICC = h/2 + CS/2, ICS = S^2/2 and
+    ISS = (h/2 - CS/2)/w_eff, or h^3 (1/3 - z/15 + 2 z^2/315) near
+    w_eff = 0, with C, S at w_eff.  int y y2 = ((y_r^2 - y_l^2)/2 - d I)/b,
+    so the weight integrates to (gamma + 2 e d / b) I - (e / b)(y_r^2 - y_l^2).
     """
     y = np.full(mus.shape, float(y0))
     yp = np.full(mus.shape, float(yp0))
     acc = np.zeros(mus.shape)
+    coeffs = _generator(mesh, mus)
     order = range(len(mesh.h)) if forward else range(len(mesh.h) - 1, -1, -1)
     for i in order:
-        h, g, w = mesh.h[i], mesh.g[i], mus - mesh.qbar[i]
-        weff = w - g * g
+        h = mesh.h[i]
+        d, b, c, e, gamma, weff = (v[i] for v in coeffs)
         z = weff * h * h
         r = np.sqrt(np.abs(weff))
         rs = np.where(r > 0, r, 1.0)
         C = np.where(weff > 0, np.cos(r * h), np.cosh(r * h))
         S = np.where(r > 0, np.where(weff > 0, np.sin(r * h), np.sinh(r * h)) / rs, h)
+        y_right = y
         if not forward:
-            y, yp = (C - g * S) * y - S * yp, w * S * y + (C + g * S) * yp
+            y, yp = (C - d * S) * y - b * S * yp, -c * S * y + (C + d * S) * yp
         ISS = np.where(np.abs(z) < 1e-4,
                        h ** 3 * (1 / 3 - z / 15 + 2 * z * z / 315),
                        (h / 2 - C * S / 2) / np.where(weff != 0, weff, 1.0))
-        dy = yp + g * y
-        acc += (h / 2 + C * S / 2) * y * y + S * S * y * dy + ISS * dy * dy
+        p = d * y + b * yp
+        y_left = y
         if forward:
-            y, yp = (C + g * S) * y + S * yp, -w * S * y + (C - g * S) * yp
+            y, yp = (C + d * S) * y + b * S * yp, c * S * y + (C - d * S) * yp
+            y_right = y
+        sq = (h / 2 + C * S / 2) * y_left * y_left + S * S * y_left * p + ISS * p * p
+        acc += (gamma + 2 * e * d / b) * sq - e / b * (y_right * y_right - y_left * y_left)
     return acc
 
 
 def _magnus_entries(mesh, mus):
-    """Per-interval step (C + g S, S, -w S, C - g S), C, S at w_eff, shape (intervals, mus)."""
-    g, w = mesh.g[:, None], mus - mesh.qbar[:, None]
-    C, S = _step_coeffs(w - g * g, mesh.h[:, None])
-    return C + g * S, S, -(w * S), C - g * S
+    """Per-interval step (C + d S, b S, c S, C - d S), C, S at w_eff, shape (intervals, mus)."""
+    d, b, c, _, _, weff = _generator(mesh, mus)
+    C, S = _step_coeffs(weff, mesh.h[:, None])
+    return C + d * S, b * S, c * S, C - d * S
 
 
 def _all_branch_coeffs(w, h):
@@ -225,6 +249,73 @@ class TestNormSweep:
         for mus in ([-1e6], [4.0, -1e6, 9.0], [-5e4]):
             with pytest.raises(BlowUpError):
                 propagate_with_norm(mesh, mus, *start, forward=forward)
+
+
+class TestGenerator:
+    def test_folded_coefficients_equal_commutator_form(self):
+        # Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 with
+        # C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60, from A = [[0, 1], [q - mu, 0]]
+        # at the three Gauss points (Blanes, Casas & Ros, BIT 40, 2000)
+        q = Potential.smooth_test([3.0, -2.0, 1.0])
+        mesh = build_mesh(q, 64)
+        x, h = mesh.nodes[:-1] + mesh.h / 2.0, mesh.h
+        r = math.sqrt(15.0) / 10.0
+        mus = np.array([-7.0, 0.0, 2.5, 300.0])
+        d, b, c, _, _, _ = _generator(mesh, mus)
+
+        def A(points):
+            out = np.zeros(points.shape + mus.shape + (2, 2))
+            out[..., 0, 1] = 1.0
+            out[..., 1, 0] = q(points)[:, None] - mus
+            return out
+
+        def com(X, Y):
+            return X @ Y - Y @ X
+
+        A1, A2, A3 = A(x - r * h), A(x), A(x + r * h)
+        hh = h[:, None, None, None]
+        a1, a2 = hh * A2, math.sqrt(15.0) / 3.0 * hh * (A3 - A1)
+        a3 = 10.0 / 3.0 * hh * (A3 - 2.0 * A2 + A1)
+        C1 = com(a1, a2)
+        C2 = -com(a1, 2.0 * a3 + C1) / 60.0
+        omega = a1 + a3 / 12.0 + com(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
+        H = h[:, None]
+        for got, want in ((H * d, omega[..., 0, 0]), (-H * d, omega[..., 1, 1]),
+                          (H * b, omega[..., 0, 1]), (H * c, omega[..., 1, 0])):
+            assert np.max(np.abs(got - want) / (H * np.maximum(1.0, np.abs(mus)))) <= 1e-14
+
+
+class TestMuDerivative:
+    """norm_product's dM/dmu against a difference quotient of the Phi sweep's product.
+
+    On 64 intervals e and gamma - 1 are large enough that dropping e from
+    dT/dmu, setting gamma = 1 there, or flipping the sign of d on one
+    diagonal moves dM by 1e-8 of its size or more at some mu; the
+    extrapolated quotient is within 5e-12 of the closed form.
+    """
+
+    mus = np.array([-45.0, -5.0, 0.0, 3.0, 37.5, 400.0, 2500.0])
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("coeffs", [[1.0, -0.5], [20.0, -10.0]], ids=["cos", "tall-cos"])
+    def test_matches_central_difference(self, coeffs, forward):
+        # backward, the inverse steps' derivatives, which no sweep uses today
+        mesh = build_mesh(Potential.smooth_test(coeffs), 64)
+        assert not mesh.exact and mesh.q.min() > -45.0
+
+        def quotient(step):
+            up, down = (np.array(_product(mesh, m, forward, _transfer, _mul2))
+                        for m in (self.mus + step, self.mus - step))
+            return (up - down) / (2.0 * step)
+
+        # mu-scale sqrt(mu); Richardson extrapolation leaves O(step^4)
+        step = 1e-3 * np.maximum(1.0, np.sqrt(np.abs(self.mus)))
+        ref = (4.0 * quotient(step / 2.0) - quotient(step)) / 3.0
+        product = (norm_product(mesh, self.mus) if forward
+                   else _product(mesh, self.mus, False, _transfer_dmu, _compose))
+        dM = np.array(product[4:])
+        err = np.max(np.abs(dM - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.max(err) <= 2e-11
 
 
 class TestBlockedKernel:
@@ -405,7 +496,7 @@ class TestRuns:
         for grid in (64, 4096):
             mesh = build_mesh(q, grid)
             assert mesh.run_h.tolist() == [PI]
-            assert mesh.run_q.tolist() == [mesh.qbar[0]]
+            assert mesh.run_q.tolist() == [mesh.q[0]] and mesh.exact
 
     def test_step_runs_meet_at_breakpoint(self):
         mesh = build_mesh(Potential.step(2.0, 1.3))
@@ -417,7 +508,8 @@ class TestRuns:
         q = Potential.from_grid([0.0, 1.0, 2.0, PI], [0.5, 1.0, 1.0, -0.5])
         mesh = build_mesh(q, 256)
         flat = (mesh.nodes[:-1] >= 1.0) & (mesh.nodes[1:] <= 2.0)
-        assert np.all(mesh.qbar[flat] == 1.0)
+        assert np.all(mesh.q[flat] == 1.0) and not mesh.exact
+        assert np.all(mesh.gen[:, flat] == np.array([[0.0], [0.0], [1.0], [1.0], [0.0]]))
         assert len(mesh.run_h) == len(mesh.h) - np.count_nonzero(flat) + 1
         [k] = np.flatnonzero(mesh.run_q == 1.0)
         assert mesh.run_h[k] == 1.0
@@ -426,7 +518,8 @@ class TestRuns:
     def test_smooth_potential_has_one_run_per_interval(self):
         mesh = build_mesh(Potential.smooth_test([1.0, -0.5]))
         assert np.array_equal(mesh.run_h, mesh.h)
-        assert np.array_equal(mesh.run_q, mesh.qbar)
+        assert np.array_equal(mesh.run_q, mesh.q)
+        assert np.array_equal(mesh.run_gen, mesh.gen) and not mesh.exact
 
     @pytest.mark.parametrize("c,x0,alpha,beta", [(2.0, PI / 2, PI / 2, PI / 2),
                                                  (2.0, 1.3, 1.1, 2.0),
@@ -524,8 +617,8 @@ def _exact_run_counts(mesh, bc, mus):
 
 
 class TestPiecewiseConstantSteps:
-    """Where q is constant on every interval, g = 0 and the Magnus step is
-    the exact propagator: every sweep equals the product of the exact run
+    """Where q is constant on every interval, s2 = s3 = 0 and the Magnus step
+    is the exact propagator: every sweep equals the product of the exact run
     propagators bit for bit, and the count equals their run-by-run count."""
 
     mus = np.concatenate([[0.0, 2.0, -6.5, 3.0], np.linspace(-3.0, 900.0, 61)])
@@ -536,7 +629,7 @@ class TestPiecewiseConstantSteps:
                              ids=["zero", "constant", "step", "step-mid"])
     def test_sweeps_equal_exact_run_products(self, q):
         mesh = build_mesh(q)
-        assert not mesh.g.any() and len(mesh.run_h) <= 2
+        assert mesh.exact and len(mesh.run_h) <= 2
         y0, yp0 = 0.6, -0.8
         for forward in (True, False):
             M = _exact_run_product(mesh, self.mus, forward)

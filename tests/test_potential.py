@@ -415,6 +415,23 @@ class TestCumulativeIntegrals:
         assert mean_q(q_one) == pytest.approx(1.0, abs=1e-12)
         assert mean_q(q_step) == pytest.approx(1.0, abs=1e-12)
 
+    def test_mean_q_integrates_once_per_potential(self, monkeypatch):
+        calls = []
+        integrate_fn = potential.integrate
+
+        def counting_integrate(*args, **kwargs):
+            calls.append(args)
+            return integrate_fn(*args, **kwargs)
+
+        monkeypatch.setattr(potential, "integrate", counting_integrate)
+        q = Potential.smooth_test([1.0, -0.5]).shifted(0.25)
+        first = mean_q(q)
+        assert len(calls) == 1
+        assert mean_q(q) == first and len(calls) == 1
+        assert first == integrate_fn(q, 0.0, PI) / PI
+        assert mean_q(q.shifted(1.0)) == pytest.approx(first + 1.0, abs=1e-12)
+        assert len(calls) == 2
+
     @given(c=st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=25, deadline=None)
     def test_mean_q_shift_linearity(self, c, q_step):

@@ -23,7 +23,7 @@ from slspectra import (
 )
 from slspectra import spectrum
 from slspectra.odesolve import DEFAULT_GRID_SIZE, SolutionTrace, _step_coeffs
-from slspectra.spectrum import _zero_counts
+from slspectra.spectrum import MAX_INDEX, _zero_counts
 
 PI = math.pi
 
@@ -315,22 +315,26 @@ def _free_eigenvalues(bc, n_max):
 def _node_sign_walk(engine, mu):
     """Number of eigenvalues below mu from y's sign changes at every mesh node.
 
-    Each interval takes the Magnus step (C + g S, S, -w S, C - g S) with
-    C, S at w_eff = w - g^2; intervals with w_eff < 0 step by it divided by
+    Each interval takes the Magnus step (C + d S, b S, c S, C - d S) with
+    d = d0 - e w, c = c0 - gamma w at w = mu - q2 and C, S at
+    w_eff = -(d^2 + b c); intervals with w_eff < 0 step by it divided by
     cosh, so that deep mu does not overflow.
     """
     mesh = engine.mesh
-    w = mu - mesh.qbar
-    weff = w - mesh.g * mesh.g
+    d0, e, b, gamma, c0 = mesh.gen
+    w = mu - mesh.q
+    d, c = d0 - e * w, c0 - gamma * w
+    weff = -(d * d + b * c)
     hyp = weff < 0.0
     r = np.sqrt(np.abs(weff))
     C, S = np.ones_like(w), np.tanh(r * mesh.h) / np.where(hyp, r, 1.0)
     C[~hyp], S[~hyp] = _step_coeffs(weff[~hyp], mesh.h[~hyp])
-    gS = mesh.g * S
+    dS = d * S
     y, yp = engine.y0, engine.yp0
     zeros, prev = 0, np.sign(y)
-    for a, s, ws, d in zip((C + gS).tolist(), S.tolist(), (w * S).tolist(), (C - gS).tolist()):
-        y, yp = a * y + s * yp, -ws * y + d * yp
+    for m00, m01, m10, m11 in zip((C + dS).tolist(), (b * S).tolist(), (c * S).tolist(),
+                                  (C - dS).tolist()):
+        y, yp = m00 * y + m01 * yp, m10 * y + m11 * yp
         scale = max(abs(y), abs(yp))
         if scale > 1e100:
             y, yp = y / scale, yp / scale
@@ -420,20 +424,33 @@ def _hill_mathieu(c, dirichlet, n_max):
     return np.linalg.eigvalsh(hill)[:n_max + 1] / 4.0
 
 
-class TestFourthOrderStep:
-    @pytest.mark.parametrize("c", [1.0, 1.5])
+def _mathieu_errors(c, dirichlet, n_max, grid_size, tol):
+    """Worst relative error of find_spectrum on c cos(x) against the Hill matrix."""
+    bc = BoundaryParams(PI, 0.0) if dirichlet else BoundaryParams(PI / 2, PI / 2)
+    ref = _hill_mathieu(c, dirichlet, n_max)
+    mus = find_spectrum(Potential.smooth_test([c]), bc, n_max, tol=tol, grid_size=grid_size).mus
+    return float(np.max(np.abs(mus - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+class TestSixthOrderStep:
+    # root windows far below the discretisation error, so that the returned
+    # mu is the discrete eigenvalue
+
     @pytest.mark.parametrize("dirichlet", [False, True], ids=["NN", "DD"])
-    def test_mathieu_error_falls_at_fourth_order(self, c, dirichlet):
-        # a root window far below the discretisation error, so that the
-        # returned mu is the discrete eigenvalue
-        bc = BoundaryParams(PI, 0.0) if dirichlet else BoundaryParams(PI / 2, PI / 2)
-        ref = _hill_mathieu(c, dirichlet, 20)
-        errs = []
-        for grid in (DEFAULT_GRID_SIZE // 4, DEFAULT_GRID_SIZE // 2, DEFAULT_GRID_SIZE):
-            mus = find_spectrum(Potential.smooth_test([c]), bc, 20, tol=1e-14, grid_size=grid).mus
-            errs.append(float(np.max(np.abs(mus - ref) / np.maximum(1.0, np.abs(ref)))))
-        assert errs[0] >= 12.0 * errs[1] and errs[1] >= 12.0 * errs[2]
-        assert errs[2] <= 2e-12
+    def test_mathieu_error_falls_at_sixth_order(self, dirichlet):
+        # c = 20 keeps the coarse-mesh errors far above rounding; a
+        # fourth-order step falls about 16x per halving
+        errs = [_mathieu_errors(20.0, dirichlet, 20, grid, 1e-14) for grid in (64, 128, 256)]
+        assert errs[0] >= 48.0 * errs[1] and errs[1] >= 48.0 * errs[2]
+        for c in (1.0, 1.5, 20.0):
+            assert _mathieu_errors(c, dirichlet, 20, DEFAULT_GRID_SIZE, 1e-14) <= 1e-13
+
+    @pytest.mark.parametrize("c", [1.0, 20.0])
+    @pytest.mark.parametrize("dirichlet", [False, True], ids=["NN", "DD"])
+    def test_default_mesh_resolves_the_highest_index(self, c, dirichlet):
+        # the default mesh keeps h sqrt(mu_300) below pi; 256 intervals,
+        # where it exceeds pi, leave 6e-11 (c = 1) and 2e-8 (c = 20)
+        assert _mathieu_errors(c, dirichlet, MAX_INDEX, DEFAULT_GRID_SIZE, 1e-13) <= 1e-13
 
 
 def _assert_counted_pairs(q, bc, n_max, grid_size=DEFAULT_GRID_SIZE):
