@@ -35,10 +35,11 @@ mu-derivative are closed forms.
 
 A run is a maximal stretch of consecutive mesh intervals with equal
 generator coefficients (q2, d0, e, b, gamma, c0), d0 = d + e w.  The step
-is exact across a whole run, so the characteristic-function
-and norm sweeps take one step per run: two steps on a step potential, one
-on a constant, and one per interval on a smooth potential, where runs and
-intervals coincide.  Node values need every node and step the full mesh.
+is exact across a whole run, so the characteristic-function and norm
+sweeps and the eigenvalue count take one step per run: two steps on a
+step potential, one on a constant, and one per interval on a smooth
+potential, where runs and intervals coincide.  Node values need every node
+and step the full mesh.
 
 Batches of spectral parameters propagate together.  Every sweep reads the
 per-step coefficients from one block generator, which evaluates them a
@@ -46,14 +47,16 @@ block of consecutive steps at a time, in propagation order, each entry in
 its own branch only.  The block length follows from the batch size and
 one fixed budget of (step, mu) entries: 256 steps at 64 mu, the whole
 default mesh for up to 32 mu.  The characteristic-function and norm
-sweeps contract each block's run propagators by a pairwise tree and
-compose the block products in order.  The node sweep cuts each block of L
-intervals into chunks of about sqrt(L) intervals: it forms the chunk
-propagators side by side, chains them for the chunk start states, and
-then steps all chunks at once, so a block costs about 3 sqrt(L) vectorised
-steps instead of L.  The transient arrays of a block, chunk propagators
-included, stay near 2 MB whatever the batch or mesh size, and short
-batches still run few, long vectorised passes.
+sweeps and the count contract each block's run propagators by one
+pairwise tree, _product, and compose the block products in order; the
+count carries each scaled propagator with its whole half-turns (see
+spectrum._counts).  The node sweep, for solution traces only, cuts each
+block of L intervals into chunks of about sqrt(L) intervals: it forms the
+chunk propagators side by side, chains them for the chunk start states,
+and then steps all chunks at once, so a block costs about 3 sqrt(L)
+vectorised steps instead of L.  The transient arrays of a block, chunk
+propagators included, stay near 2 MB whatever the batch or mesh size, and
+short batches still run few, long vectorised passes.
 
 The norm sweep runs forward only.  Every run propagator has determinant
 1, so the backward propagator is the adjugate of the forward one, and one
@@ -294,29 +297,28 @@ def _transfer(h, gen, weff, C, S, sign):
 
 
 def _transfer_dmu(h, gen, weff, C, S, sign):
-    """Step matrix entries followed by the entries of their mu-derivative.
+    """Forward step matrix entries followed by the entries of their mu-derivative.
 
-    With gen None the step is (C, S, -w S, C) and dT/dmu =
-    (dC, dS, -(S + h C)/2, dC), with dC = -h S / 2, dS = dS/dw and
-    S + w dS = (S + h C) / 2.  Otherwise the step is C I + S K with
+    sign is ignored: the backward norm is adj(dM) (see norm_product), so no
+    sweep steps backward with derivatives.  With gen None the step is
+    (C, S, -w S, C) and dT/dmu = (dC, dS, -(S + h C)/2, dC), with
+    dC = -h S / 2, dS = dS/dw and S + w dS = (S + h C) / 2.  Otherwise the
+    step is C I + S K with
     dK/dmu = [[-e, 0], [-gamma, e]] and dw_eff/dmu = r = 2 d e + b gamma, so
     dT/dmu = r (dC I + dS K) + S dK/dmu, at w_eff:
     (r (dC + d dS) - e S, r b dS, r c dS - gamma S, r (dC - d dS) + e S).
     """
-    T = _transfer(h, gen, weff, C, S, sign)
+    T = _transfer(h, gen, weff, C, S, 1.0)
     dS = _dS_dw(weff, h, C, S)
     if gen is None:
         dC = -0.5 * h * S
-        dc = -0.5 * sign * (S + h * C)
-        return T + (dC, sign * dS, dc, dC)
+        return T + (dC, dS, -0.5 * (S + h * C), dC)
     d, b, c, e, gamma = gen
     rate = d * (2.0 * e)
     rate += b * gamma
     dS *= rate
     dC = np.multiply(-0.5 * h, S)
     dC *= rate
-    if sign < 0.0:
-        S, dS = -S, np.negative(dS, out=dS)
     ddS, eS = np.multiply(d, dS, out=rate), e * S
     d00 = dC + ddS
     d00 -= eS
@@ -341,12 +343,14 @@ def _compose(B, A):
 def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
     """Whole-mesh product of the run matrices, entries of shape (mus,).
 
-    One step per run: entries builds one block's matrices (see _blocks)
-    and mul(B, A) multiplies two stacks of them.  Each block is contracted
-    by a pairwise tree, an odd level carrying its last matrix up unpaired,
-    and the block products compose in propagation order.  Returns 4
-    entries for _transfer, and 8 for _transfer_dmu: the product's, then
-    those of its mu-derivative.
+    One step per run: entries builds one block's tree elements (see
+    _blocks), each a tuple of stacked entries, and mul(B, A) multiplies two
+    stacks of them.  Each block is contracted by a pairwise tree, an odd
+    level carrying its last element up unpaired, and the block products
+    compose in propagation order.  Returns the entries of one element: 4
+    for _transfer, 8 for _transfer_dmu (the product's, then those of its
+    mu-derivative), and 5 for the count's lifted pairs (m00, m01, m10, m11,
+    n), see spectrum._counts.
     """
     M = None
     for E in _blocks(mesh, True, mus, forward, entries):
@@ -370,8 +374,8 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
     Returns (y, y') at x = pi when forward, at x = 0 otherwise; the backward
     values come from a sweep of the inverse run propagators from x = pi.
     Raises BlowUpError if any final value is non-finite or exceeds
-    BLOWUP_BOUND; counting, which needs no magnitudes, runs its own scaled
-    sweep.
+    BLOWUP_BOUND; counting, which needs no magnitudes, takes the same run
+    product rescaled at every step (see spectrum._counts).
 
     Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
     so the transient arrays of one block stay near 2 MB whatever the batch
@@ -454,7 +458,7 @@ def norm_end(product, y0: float, yp0: float, *, forward: bool = True):
 
 @_quiet
 def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
-           with_yprime: bool = True, scaled=None):
+           with_yprime: bool = True):
     """y and y' at every node for a batch of mu, each of shape (nodes, mus).
 
     Steps from x = 0 when forward and from x = pi otherwise.  A block of L
@@ -466,30 +470,20 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     of L, on arrays of L/k rows, and the transients stay within a block.
     Rows come back in increasing node order either way.  Without
     with_yprime, only the last y' in propagation order comes back, as one
-    array of shape (mus,).
-
-    scaled, when given, replaces _transfer: it maps (h, gen, w_eff, C, S,
-    sign) to the entries of each step's propagator times a nonzero factor.
-    The sweep then takes one step per run instead of per interval, and
-    divides every chunk propagator and block start state by its largest
-    magnitude, so each row is the run-end state of the scaled steps up to a
-    positive factor: only signs and directions mean anything, and nothing
-    overflows.
+    array of shape (mus,).  Solution traces and the oscillation
+    certificate read it; eigenvalue counts take the run product instead.
     """
-    runs = scaled is not None
-    Y = np.empty((len(mesh.run_h if runs else mesh.h) + 1, mus.size))
+    Y = np.empty((len(mesh.h) + 1, mus.size))
     YP = np.empty_like(Y) if with_yprime else None
     y, yp = np.full(mus.size, float(y0)), np.full(mus.size, float(yp0))
     Y[0] = y
     if with_yprime:
         YP[0] = yp
     lo = 1
-    for a, b, c, d in _blocks(mesh, runs, mus, forward, scaled or _transfer):
+    for a, b, c, d in _blocks(mesh, False, mus, forward, _transfer):
         L = len(a)
         k = math.isqrt(L)
-        if scaled is not None:
-            y, yp = _normalised(y, yp)
-        ys, yps = _chunk_starts(a, b, c, d, y, yp, k, scaled is not None)
+        ys, yps = _chunk_starts(a, b, c, d, y, yp, k)
         last = L - 1 - (len(ys) - 1) * k
         for j in range(k):
             rows = slice(j, L, k)
@@ -506,20 +500,13 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     return Y[flip], (YP[flip] if with_yprime else yp)
 
 
-def _normalised(*entries):
-    """The entries divided by their largest magnitude, elementwise over arrays."""
-    scale = np.maximum.reduce([np.abs(e) for e in entries])
-    return tuple(e / scale for e in entries)
-
-
-def _chunk_starts(a, b, c, d, y, yp, k, normalise=False):
+def _chunk_starts(a, b, c, d, y, yp, k):
     """States at the start of each k-row chunk of one block's propagator rows.
 
     a, b, c, d are the rows' entries m00, m01, m10 and m11, and (y, yp) the
     block's start state.  The propagators of the full chunks, all but the
     last, are formed together, row j of every chunk in one step, and then
-    chained in order; with normalise, each is first divided by its largest
-    entry.  Returns two arrays of shape (chunks, mus).
+    chained in order.  Returns two arrays of shape (chunks, mus).
     """
     full = (len(a) - 1) // k
     ys, yps = np.empty((full + 1, y.size)), np.empty((full + 1, y.size))
@@ -532,8 +519,6 @@ def _chunk_starts(a, b, c, d, y, yp, k, normalise=False):
             ra, rb, rc, rd = a[rows], b[rows], c[rows], d[rows]
             p00, p01, p10, p11 = (ra * p00 + rb * p10, ra * p01 + rb * p11,
                                   rc * p00 + rd * p10, rc * p01 + rd * p11)
-        if normalise:
-            p00, p01, p10, p11 = _normalised(p00, p01, p10, p11)
         for i in range(full):
             ys[i + 1] = p00[i] * ys[i] + p01[i] * yps[i]
             yps[i + 1] = p10[i] * ys[i] + p11[i] * yps[i]

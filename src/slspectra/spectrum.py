@@ -8,19 +8,21 @@ left-normalized solution,
 whose zeros are the eigenvalues mu_0 < mu_1 < ... of the problem.  Every
 index is bracketed by counting: the interior zeros of the shooting solution
 plus its terminal phase fragment equal the number K(mu) of eigenvalues
-below mu.  One sweep over the mesh's runs of constant q counts a whole
-batch of mu by phase: a run contributes its whole half-turns
-floor(sqrt(mu - q) h / pi) and a sign test for the last zero, and
-hyperbolic runs are scaled so the count never overflows, however deep mu
-lies.  Bisection on K, every unresolved index in one batch per round,
-starts from min(q) - 1 (walked down while some index has no count at or
-below it) and from the midpoints between consecutive asymptotic
-frequencies n + delta_n + [q] / (2 (n + delta_n)), and stops when
-K(lo) = n and K(hi) = n + 1: then [lo, hi] holds exactly the n-th
-eigenvalue, and the counts are the certificate that the n-th eigenfunction
-has n interior zeros.  Roots are then refined by bracketed Anderson-Bjorck
-regula falsi steps, vectorized over whole index ranges.  The node-sign
-count of count_interior_zeros is independent of the search and checks it.
+below mu.  A whole batch of mu is counted by the lifted Prufer angle on
+the pairwise run product of the Phi sweep: each run matrix carries its
+whole half-turns floor(sqrt(w_eff) h / pi), a product adds those of its
+factors and a carry read from signs, and every product is rescaled, so
+the count never overflows, however deep mu lies, and holds no node array
+(Pruess & Fulton, ACM TOMS 19, 1993).  Bisection on K, every unresolved
+index in one batch per round, starts from min(q) - 1 (walked down while
+some index has no count at or below it) and from the midpoints between
+consecutive asymptotic frequencies n + delta_n + [q] / (2 (n + delta_n)),
+and stops when K(lo) = n and K(hi) = n + 1: then [lo, hi] holds exactly
+the n-th eigenvalue, and the counts are the certificate that the n-th
+eigenfunction has n interior zeros.  Roots are then refined by bracketed
+Anderson-Bjorck regula falsi steps, vectorized over whole index ranges.
+The node-sign count of count_interior_zeros is independent of the search
+and checks it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .odesolve import (
     DEFAULT_GRID_SIZE,
     Mesh,
     SolutionTrace,
-    _nodes,
+    _mul2,
+    _product,
+    _quiet,
     _transfer,
     build_mesh,
     endpoint_values,
@@ -138,17 +142,12 @@ def count_interior_zeros(trace: SolutionTrace) -> int:
 
 
 def _zero_counts(values: np.ndarray) -> np.ndarray:
-    """Interior sign changes per column of a (nodes, columns) value array."""
-    return _sign_changes(values[1:-1])
-
-
-def _sign_changes(values: np.ndarray) -> np.ndarray:
-    """Sign changes down each column of a (rows, columns) value array.
+    """Interior sign changes per column of a (nodes, columns) value array.
 
     Exact zeros are skipped: each takes the sign of the last nonzero value
     above it in its column, so it neither adds nor splits a sign change.
     """
-    signs = np.sign(values)
+    signs = np.sign(values[1:-1])
     rows = np.arange(signs.shape[0])[:, None]
     last = np.maximum.accumulate(np.where(signs != 0.0, rows, 0), axis=0)
     signs = np.take_along_axis(signs, last, axis=0)
@@ -160,44 +159,77 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@_quiet
 def _counts(engine: _CharEngine, mus) -> np.ndarray:
-    """Number of eigenvalues strictly below each mu, from one sweep over the runs.
+    """Number of eigenvalues strictly below each mu, from one product over the runs.
 
-    Counts the interior zeros of the shooting solution by phase.  Inside a
-    run y solves y'' = -w_eff y exactly, w_eff = -(d^2 + b c) (see
-    odesolve), which is mu - q on piecewise constant q.  A run with
-    w_eff > 0 turns the phase by th = sqrt(w_eff) h: it holds
-    floor(th / pi) whole half-turns, one zero each, plus one zero exactly
-    when the sign of y at its end disagrees with their parity.  An odd
-    count negates the run's step, so a sign test on the run-end values
-    sees only that last zero.  A run with w_eff < 0 holds at most one zero
-    and steps by its propagator divided by cosh th, with C = 1 and
-    S = tanh(th)/sqrt(-w_eff), which never overflow; the node sweep
-    normalises its chunk propagators and block starts, and zeros and the
-    terminal direction depend on neither scale nor sign.  One is added
-    where the terminal phase fragment has passed the right boundary angle.
+    Counts by the lifted angle F of the state, (y, y2) = r (sin F, cos F),
+    so y = 0 exactly where F is a multiple of pi.  A propagator P, scaled
+    by any positive factor, and n = floor(F_P(0) / pi), the whole
+    half-turns of the state that starts at F = 0, fix the lifted map F_P,
+    since the angle of P (0, 1) gives F_P(0) - n pi.  These pairs multiply
+    on the pairwise tree of odesolve._product (see _lifted_steps and
+    _lifted_mul), so a batch of mu takes one pass over the runs with the
+    block transients of the Phi sweep and no node array.  At pi, F of the
+    start direction (sin alpha, -cos alpha), whose angle pi - alpha lies in
+    [0, pi), holds N whole half-turns (the carry rule with that direction
+    for A (0, 1)) and a fragment phi in [0, pi), the angle of
+    (y, y2)(pi) folded into y >= 0.  The eigenvalues below mu are those
+    with (k + 1) pi - beta < F: N of them, one more where phi > pi - beta,
+    and one fewer where phi = beta = 0.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    turns = np.zeros(mus.size)
+    m00, m01, m10, m11, n = _product(engine.mesh, mus, True, _lifted_steps, _lifted_mul)
+    y, y2 = m00 * engine.y0 + m01 * engine.yp0, m10 * engine.y0 + m11 * engine.yp0
+    n += (m01 != 0.0) & ((np.signbit(m01) ^ np.signbit(y)) | (y == 0.0))
+    flip = np.where(y != 0.0, np.signbit(y), np.signbit(y2))
+    phi = np.arctan2(np.abs(y), np.where(flip, -y2, y2))
+    # an exact zero of y at pi under a Dirichlet end is mu itself, not below it
+    return (n + (phi > PI - engine.bc.beta) - ((y == 0.0) & (engine.bc.beta == 0.0))).astype(int)
 
-    def steps(h, gen, weff, C, S, sign):
-        hyp = weff < 0.0
-        if hyp.any():
-            r = np.sqrt(-weff[hyp])
-            C[hyp], S[hyp] = 1.0, np.tanh(r * np.broadcast_to(h, weff.shape)[hyp]) / r
-        # sqrt(w_eff h h) / pi is monotone in w_eff and h: skip blocks without a half-turn
-        hmax = h.max()
-        if np.sqrt(max(weff.max(), 0.0) * hmax * hmax) / PI >= 1.0:
-            half = np.floor(np.sqrt(np.maximum(weff * h * h, 0.0)) / PI)
-            turns[:] += half.sum(axis=0)
-            parity = 1.0 - 2.0 * (half % 2.0)
-            C, S = C * parity, S * parity
-        return _transfer(h, gen, weff, C, S, sign)
 
-    Y, yp = _nodes(engine.mesh, mus, engine.y0, engine.yp0, True, False, scaled=steps)
-    angle = np.arctan2(Y[-1], yp)
-    angle = np.where(angle <= 0.0, angle + PI, angle)
-    return (turns + _sign_changes(Y) + (angle > PI - engine.bc.beta)).astype(int)
+def _lifted_steps(h, gen, weff, C, S, sign):
+    """Forward run propagators, scaled, and the whole half-turns of F from 0.
+
+    Inside a run y solves y'' = -w_eff y exactly, w_eff = -(d^2 + b c)
+    (see odesolve), which is mu - q on piecewise constant q.  A run with
+    w_eff < 0 turns F by less than pi; its propagator is divided by
+    cosh(r h), r = sqrt(-w_eff), with C = 1 and S = tanh(r h)/r, which
+    never overflow.  Otherwise F turns from 0 to th = sqrt(w_eff) h, so
+    n = floor(th / pi), and the sign of m01 = y(h) is (-1)^n.  Near an
+    exact half-turn rounding may give m01 the other sign; n then moves by
+    one towards the nearer integer of th / pi, so that it agrees with the
+    matrix.
+    """
+    hyp = weff < 0.0
+    if hyp.any():
+        r = np.sqrt(-weff[hyp])
+        C[hyp], S[hyp] = 1.0, np.tanh(r * np.broadcast_to(h, weff.shape)[hyp]) / r
+    T = _transfer(h, gen, weff, C, S, sign)
+    # th is monotone in w_eff and h; below 3 < pi every m01 > 0 and n = 0
+    if np.sqrt(weff.max(initial=0.0)) * h.max() < 3.0:
+        return T + (np.zeros_like(weff),)
+    turns = np.sqrt(np.maximum(weff * h * h, 0.0)) / PI
+    n = np.floor(turns)
+    wrong = np.signbit(T[1]) != (n % 2.0 == 1.0)
+    n[wrong] += np.where(turns[wrong] - n[wrong] > 0.5, 1.0, -1.0)
+    return T + (n,)
+
+
+def _lifted_mul(B, A):
+    """The lifted pair of BA from those of B and A, elementwise over stacks.
+
+    BA is divided by its largest entry.  n_BA = n_A + n_B + carry, where
+    the carry says that B's preimage of y = 0, an angle in (0, pi], is at
+    most the angle of A (0, 1) folded into [0, pi).  That holds when
+    b01 != 0 and sign(b01) s (BA)01 <= 0, with s the sign that folds
+    A (0, 1) into y >= 0: the sign of a01, or of a11 where a01 = 0.
+    """
+    P = _mul2(B[:4], A[:4])
+    scale = np.maximum.reduce([np.abs(p) for p in P])
+    s = np.where(A[1] != 0.0, np.signbit(A[1]), np.signbit(A[3]))
+    carry = (B[1] != 0.0) & ((np.signbit(B[1]) ^ s ^ np.signbit(P[1])) | (P[1] == 0.0))
+    return tuple(p / scale for p in P) + (A[4] + B[4] + carry,)
 
 
 def _asymptotic_center(n: int, delta_value: float, meanq: float) -> float:

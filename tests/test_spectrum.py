@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -399,12 +400,43 @@ class TestOscillationIndex:
                              ids=["smooth-tall", "smooth-two-mode", "constant-high", "step-deep"])
     def test_deep_counts_equal_node_sign_walk(self, q, bc):
         # the old a-priori floor lies far below every run's q; the count
-        # sweep scales its hyperbolic runs and normalises its chunk products
+        # scales its hyperbolic runs and divides every product by its largest entry
         engine = spectrum._CharEngine(q, bc, 4096)
         mus = np.array([_old_floor(q), -2e5 - 1.0, -1e4, 0.0, 3e4, 1e5, 4e5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _both_counts(engine, mus) == [_node_sign_walk(engine, mu) for mu in mus]
+
+    @pytest.mark.parametrize("grid", [512, 64])
+    @pytest.mark.parametrize("bc", [BoundaryParams(PI / 2, PI / 2), BoundaryParams(2.0, 0.9),
+                                    BoundaryParams(0.2, 2.9), BoundaryParams(0.05, 3.0),
+                                    BoundaryParams(PI, 0.9), BoundaryParams(PI / 2, 0.0)],
+                             ids=["NN", "robin", "robin-bound", "near-NN", "DR", "ND"])
+    @pytest.mark.parametrize("c", [0.0, 3.5, -2.0])
+    def test_counts_at_exact_half_turns(self, c, bc, grid):
+        # constant(c) is one run, and mu = c + k^2 turns it by exactly k
+        # half-turns, where rounding puts the step's m01 on either side of 0;
+        # mu within 1e-9 of an eigenvalue (every probe under NN) is skipped
+        exact = _free_eigenvalues(bc, 130) + c
+        mus = c + np.arange(101.0) ** 2
+        gap = np.min(np.abs(mus[:, None] - exact), axis=1)
+        probes = mus[gap > 1e-9 * np.maximum(1.0, np.abs(mus))]
+        engine = spectrum._CharEngine(Potential.constant(c), bc, grid)
+        assert _both_counts(engine, probes) == np.searchsorted(exact, probes).tolist()
+
+    def test_count_memory_does_not_grow_with_the_mesh(self):
+        # the lifted product holds one block's transients, about 1.5 MB here,
+        # where a node array of 513 x 3001 floats alone takes 12 MB
+        engine = spectrum._CharEngine(Potential.smooth_test([1.0, -0.5]),
+                                      BoundaryParams(PI, 0.7), 512)
+        mus = np.linspace(-600.0, 9.5e4, 3001)
+        tracemalloc.start()
+        try:
+            spectrum._counts(engine, mus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 def _hill_mathieu(c, dirichlet, n_max):
