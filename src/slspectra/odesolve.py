@@ -50,13 +50,13 @@ default mesh for up to 32 mu.  The characteristic-function and norm
 sweeps and the count contract each block's run propagators by one
 pairwise tree, _product, and compose the block products in order; the
 count carries each scaled propagator with its whole half-turns (see
-spectrum._counts).  The node sweep, for solution traces only, cuts each
-block of L intervals into chunks of about sqrt(L) intervals: it forms the
-chunk propagators side by side, chains them for the chunk start states,
-and then steps all chunks at once, so a block costs about 3 sqrt(L)
-vectorised steps instead of L.  The transient arrays of a block, chunk
-propagators included, stay near 2 MB whatever the batch or mesh size, and
-short batches still run few, long vectorised passes.
+spectrum._counts).  The node sweep, for solution traces and the
+oscillation certificate only, turns each block of L interval propagators
+into their prefix products by a doubling scan, log2 L vectorised passes
+instead of L steps at the price of L log2 L products, and applies them to
+the block's start state.  The transient arrays of a block stay near 2 MB
+whatever the batch or mesh size, and short batches still run few, long
+vectorised passes.
 
 The norm sweep runs forward only.  Every run propagator has determinant
 1, so the backward propagator is the adjugate of the forward one, and one
@@ -461,13 +461,12 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
            with_yprime: bool = True):
     """y and y' at every node for a batch of mu, each of shape (nodes, mus).
 
-    Steps from x = 0 when forward and from x = pi otherwise.  A block of L
-    intervals splits into chunks of k = isqrt(L) consecutive rows, the last
-    one possibly shorter.  Stepping all chunks at once forms the propagator
-    of every chunk but the last in k vectorised steps; chaining those gives
-    each chunk's start state, and k more steps through all chunks at once
-    give every node.  That is about 3 sqrt(L) numpy steps per block instead
-    of L, on arrays of L/k rows, and the transients stay within a block.
+    Steps from x = 0 when forward and from x = pi otherwise.  Each block of
+    L interval propagators becomes its prefix products by a doubling scan
+    (Hillis & Steele, CACM 29, 1986): the pass with stride k multiplies
+    row i by row i - k for i >= k, so after log2 L passes row i is the
+    product of rows 0..i.  Applied to the block's start state, these give
+    the block's node values, and the last one carries into the next block.
     Rows come back in increasing node order either way.  Without
     with_yprime, only the last y' in propagation order comes back, as one
     array of shape (mus,).  Solution traces and the oscillation
@@ -480,49 +479,18 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     if with_yprime:
         YP[0] = yp
     lo = 1
-    for a, b, c, d in _blocks(mesh, False, mus, forward, _transfer):
-        L = len(a)
-        k = math.isqrt(L)
-        ys, yps = _chunk_starts(a, b, c, d, y, yp, k)
-        last = L - 1 - (len(ys) - 1) * k
-        for j in range(k):
-            rows = slice(j, L, k)
-            ra, rd = a[rows], d[rows]
-            m = len(ra)
-            ys, yps = ra * ys[:m] + b[rows] * yps[:m], c[rows] * ys[:m] + rd * yps[:m]
-            Y[lo + j:lo + L:k] = ys
-            if with_yprime:
-                YP[lo + j:lo + L:k] = yps
-            if j == last:
-                y, yp = ys[-1], yps[-1]
-        lo += L
+    for T in _blocks(mesh, False, mus, forward, _transfer):
+        P, k = np.array(T), 1
+        while k < len(P[0]):
+            P[:, k:] = _mul2(P[:, k:], P[:, :-k])
+            k *= 2
+        hi = lo + len(P[0])
+        Y[lo:hi] = P[0] * y + P[1] * yp
+        if with_yprime:
+            YP[lo:hi] = P[2] * y + P[3] * yp
+        y, yp, lo = Y[hi - 1], P[2, -1] * y + P[3, -1] * yp, hi
     flip = slice(None, None, 1 if forward else -1)
     return Y[flip], (YP[flip] if with_yprime else yp)
-
-
-def _chunk_starts(a, b, c, d, y, yp, k):
-    """States at the start of each k-row chunk of one block's propagator rows.
-
-    a, b, c, d are the rows' entries m00, m01, m10 and m11, and (y, yp) the
-    block's start state.  The propagators of the full chunks, all but the
-    last, are formed together, row j of every chunk in one step, and then
-    chained in order.  Returns two arrays of shape (chunks, mus).
-    """
-    full = (len(a) - 1) // k
-    ys, yps = np.empty((full + 1, y.size)), np.empty((full + 1, y.size))
-    ys[0], yps[0] = y, yp
-    if full:
-        first = slice(0, full * k, k)
-        p00, p01, p10, p11 = a[first], b[first], c[first], d[first]
-        for j in range(1, k):
-            rows = slice(j, full * k, k)
-            ra, rb, rc, rd = a[rows], b[rows], c[rows], d[rows]
-            p00, p01, p10, p11 = (ra * p00 + rb * p10, ra * p01 + rb * p11,
-                                  rc * p00 + rd * p10, rc * p01 + rd * p11)
-        for i in range(full):
-            ys[i + 1] = p00[i] * ys[i] + p01[i] * yps[i]
-            yps[i + 1] = p10[i] * ys[i] + p11[i] * yps[i]
-    return ys, yps
 
 
 def _trace(mesh: Mesh, mu: float, y0: float, yp0: float, forward: bool) -> SolutionTrace:
@@ -558,7 +526,10 @@ def solve_ivp(q: Potential, mu: float, at_left: bool, y0: float, yp0: float,
     Integration runs left to right when at_left, right to left otherwise;
     the returned trace always lists the grid in increasing order.  mu may be
     negative (hyperbolic regime); no square root of mu is ever taken.
+    Raises ValueError if mu, y0 or yp0 is not finite.
     """
+    if not all(map(math.isfinite, (mu, y0, yp0))):
+        raise ValueError(f"mu, y0 and yp0 must be finite, got {mu}, {y0}, {yp0}")
     mesh = build_mesh(q, grid_size)
     return _trace(mesh, float(mu), float(y0), float(yp0), forward=at_left)
 

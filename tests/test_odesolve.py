@@ -70,6 +70,18 @@ class TestSolveIvp:
         with pytest.raises(BlowUpError):
             solve_ivp(q_zero, -4000.0, True, 1.0, 0.0, 512)
 
+    @pytest.mark.parametrize("mu, y0, yp0", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
+                                             (1.0, math.nan, 0.0), (1.0, 1.0, math.inf)],
+                             ids=["nan-mu", "inf-mu", "nan-y0", "inf-yp0"])
+    def test_non_finite_data_rejected(self, q_zero, mu, y0, yp0):
+        for at_left in (True, False):
+            with pytest.raises(ValueError, match="must be finite"):
+                solve_ivp(q_zero, mu, at_left, y0, yp0, 512)
+        if math.isfinite(y0) and math.isfinite(yp0):
+            for solution in (phi, psi):
+                with pytest.raises(ValueError, match="must be finite"):
+                    solution(q_zero, mu, PI / 2)
+
     def test_grid_size_validation(self, q_zero):
         with pytest.raises(ValueError):
             solve_ivp(q_zero, 1.0, True, 1.0, 0.0, 32)
@@ -165,13 +177,16 @@ def _all_branch_coeffs(w, h):
     return C, S
 
 
+def _propagation_entries(mesh, mus, forward):
+    """_magnus_entries in propagation order: backward, the inverse steps, last interval first."""
+    a, b, c, d = _magnus_entries(mesh, mus)
+    return (a, b, c, d) if forward else (d[::-1], -b[::-1], -c[::-1], a[::-1])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _sequential_nodes(mesh, mus, y0, yp0, forward):
     """Node values stepped one interval at a time, in increasing node order."""
-    a, b, c, d = _magnus_entries(mesh, mus)
-    if not forward:
-        # the inverse steps, last interval first
-        a, b, c, d = d[::-1], -b[::-1], -c[::-1], a[::-1]
+    a, b, c, d = _propagation_entries(mesh, mus, forward)
     Y, YP = np.empty((len(a) + 1, mus.size)), np.empty((len(a) + 1, mus.size))
     Y[0], YP[0] = y0, yp0
     for i in range(len(a)):
@@ -321,7 +336,8 @@ class TestBlockedKernel:
     longer blocks, larger ones shorter.  The Phi and norm sweeps step the
     two runs of a step mesh at once, so the smooth meshes, one run per
     interval, give partial last blocks and odd levels in every pairwise
-    tree; both kinds give, in most node-sweep blocks, a short last chunk.
+    tree; both kinds give the node sweep's doubling scan block lengths that
+    are not powers of two, whose last pass reaches only the block's tail.
     """
 
     mus = np.concatenate([[0.0, 2.0, -6.5], np.linspace(-3.0, 900.0, 298)])
@@ -373,9 +389,10 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_node_sweep_ends_at_endpoint_values(self, mesh, forward):
-        # the node sweep multiplies the propagators in sequence, through chunk
-        # products of about sqrt(L) intervals, so its rounding grows with the
-        # interval count where the pairwise trees round like log N eps
+        # the node sweep applies each block's prefix products, formed by a
+        # doubling scan, to the block's start state and chains the blocks in
+        # sequence, so its rounding grows with the block count where the
+        # pairwise trees round like log N eps
         scale = self._scale(mesh, forward)
         Y, YP = _nodes(mesh, self.mus, self.y0, self.yp0, forward)
         first, last = (0, -1) if forward else (-1, 0)
@@ -434,6 +451,32 @@ class TestBlockedKernel:
                 ye, ype = endpoint_values(mesh, [mu], self.y0, self.yp0)
                 assert abs(ye[0] - y) <= bound
                 assert abs(ype[0] - yp) <= bound
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_node_values_against_mpmath_product(self, forward):
+        # the float per-interval propagators multiplied out node by node in
+        # 40-digit arithmetic; the scan forms the same prefix products in
+        # another order, so only its own rounding separates the two
+        mpmath = pytest.importorskip("mpmath")
+        for q in (Potential.step(2.0, 1.3), Potential.smooth_test([1.0, -0.5])):
+            mesh = build_mesh(q, 4096)
+            assert len(mesh.h) == (4097 if q.name == "step" else 4096)
+            for mu in (0.0, 900.0):
+                entries = [e[:, 0].tolist()
+                           for e in _propagation_entries(mesh, np.array([mu]), forward)]
+                ref = [(self.y0, self.yp0)]
+                with mpmath.workdps(40):
+                    y, yp = mpmath.mpf(self.y0), mpmath.mpf(self.yp0)
+                    size = mpmath.sqrt(y * y + yp * yp)
+                    for a, b, c, d in zip(*entries):
+                        y, yp = a * y + b * yp, c * y + d * yp
+                        size = max(size, mpmath.sqrt(y * y + yp * yp))
+                        ref.append((float(y), float(yp)))
+                    bound = 1e-12 * float(size)
+                Yr, YPr = np.array(ref[::1 if forward else -1]).T
+                Y, YP = _nodes(mesh, np.array([mu]), self.y0, self.yp0, forward)
+                assert np.max(np.abs(Y[:, 0] - Yr)) <= bound
+                assert np.max(np.abs(YP[:, 0] - YPr)) <= bound
 
     def test_node_batch_holds_one_node_array(self, q_step):
         mesh = build_mesh(q_step, 4096)
