@@ -26,7 +26,7 @@ import math
 import re
 import sys
 
-from .delta import delta_asymptotic, delta_for_index
+from .delta import _shifts, delta_asymptotic
 from .errors import SpectralError
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import norming_records
@@ -148,11 +148,11 @@ def _cmd_delta(args) -> int:
     bc = _boundary(args)
     _check_range(args)
     columns = ["n", "delta_fixed_point", "delta_asymptotic", "difference"]
+    ns = range(args.n_min, args.n_max + 1)
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        dv = delta_for_index(n, bc)
+    for n, value in zip(ns, _shifts(ns, bc)[0].tolist()):
         asym = delta_asymptotic(max(n, 1), bc)
-        rows.append((n, dv.value, asym, dv.value - asym))
+        rows.append((n, value, asym, value - asym))
     _emit_table(columns, rows, args)
     return 0
 

@@ -11,6 +11,15 @@ handful of steps; the recorded residual is the absolute fixed-point defect
 of the returned value.  Iteration stops once consecutive iterates differ
 by at most FIXED_POINT_TOL.
 
+One iteration serves a whole array of indices (``_shifts``): each index
+leaves it at the iterate where a loop over that index alone would stop, so
+every value, iteration count and residual is the one-index result bit for
+bit.  The square roots and quotients are numpy's, which round as Python's
+do; the arccos is ``math.acos`` mapped over the ratios.  solve_delta and
+delta_for_index are one-index calls of it; find_spectrum, the k-series
+coefficients, the CLI table and the verification criteria pass all their
+indices at once.
+
 For n in {0, 1} the equation is outside its stated range; the same map can
 still be iterated formally and the result is flagged as extrapolated.  It
 is reported for bookkeeping only and never used as ground truth.
@@ -20,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError
 from .potential import PI, BoundaryParams
@@ -49,18 +60,29 @@ def sin_two_pi(x: float) -> float:
     return math.sin(2.0 * PI * m)
 
 
-def _term(nu: float, s: float, c: float) -> float:
-    denom = math.sqrt(nu * nu * s * s + c * c)
-    if denom == 0.0:
-        # only reachable when c == 0 and nu == 0; the c == 0 value is
-        # arccos(0) / pi for every nu, so take the continuous limit
-        return 0.5
-    return math.acos(c / denom) / PI
+def _rhs(d: np.ndarray, ns: np.ndarray, s: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """The right-hand side at the shifts d of the indices ns, both boundary terms at once.
+
+    s, c and cc are (2, 1) columns: sin, cos and cos^2 of alpha and beta.
+    """
+    nu = ns + d
+    ratio = (c / np.sqrt(nu * nu * s * s + cc)).ravel()
+    # math.acos, not np.arccos: the two differ in the last bit on some values
+    terms = np.fromiter(map(math.acos, ratio.tolist()), float, ratio.size) / PI
+    return terms[:nu.size] - terms[nu.size:]
 
 
-def _rhs(d: float, n: int, sa: float, ca: float, sb: float, cb: float) -> float:
-    nu = n + d
-    return _term(nu, sa, ca) - _term(nu, sb, cb)
+def _leading(n, bc: BoundaryParams):
+    """delta_asymptotic without the range check; n may be an integer array."""
+    sa, ca = bc.sin_alpha, bc.cos_alpha
+    sb, cb = bc.sin_beta, bc.cos_beta
+    if sa == 0.0 and sb == 0.0:
+        return 1.0
+    if sa == 0.0:
+        return 0.5 + (cb / sb) / (PI * (n + 0.5))
+    if sb == 0.0:
+        return 0.5 - (ca / sa) / (PI * (n + 0.5))
+    return (cb / sb - ca / sa) / (PI * n)
 
 
 def delta_asymptotic(n: int, bc: BoundaryParams) -> float:
@@ -73,41 +95,61 @@ def delta_asymptotic(n: int, bc: BoundaryParams) -> float:
     """
     if n < 1:
         raise ValueError(f"asymptotic form needs n >= 1, got {n}")
-    sa, ca = bc.sin_alpha, bc.cos_alpha
-    sb, cb = bc.sin_beta, bc.cos_beta
-    if sa == 0.0 and sb == 0.0:
-        return 1.0
-    if sa == 0.0:
-        return 0.5 + (cb / sb) / (PI * (n + 0.5))
-    if sb == 0.0:
-        return 0.5 - (ca / sa) / (PI * (n + 0.5))
-    return (cb / sb - ca / sa) / (PI * n)
+    return _leading(n, bc)
 
 
-def _iterate(n: int, bc: BoundaryParams, extrapolated: bool) -> DeltaValue:
-    sa, ca = bc.sin_alpha, bc.cos_alpha
-    sb, cb = bc.sin_beta, bc.cos_beta
-    d = delta_asymptotic(max(n, 1), bc)
+def _shifts(ns, bc: BoundaryParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, iterations and residuals of the shifts at the integer indices ns >= 0.
+
+    One fixed-point iteration runs over all indices at once, each from
+    delta_asymptotic(max(n, 1)).  An index leaves the iteration at the first
+    iterate within FIXED_POINT_TOL of its predecessor; one still open after
+    MAX_ITERATIONS keeps its last iterate.  Indices n < 2 are extrapolated
+    and never raise.  Otherwise the first index in ns whose iteration did
+    not converge, or whose value left the sanity window, raises
+    ConvergenceError.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    s = np.array([[bc.sin_alpha], [bc.sin_beta]])
+    c = np.array([[bc.cos_alpha], [bc.cos_beta]])
+    # where cos == 0 the term is arccos(0) / pi = 1/2 for every nu; a positive
+    # cos^2 there keeps the ratio at 0 / denom, not 0 / 0, at nu == 0
+    cc = np.where(c == 0.0, 1.0, c * c)
+    d = np.full(ns.shape, _leading(np.maximum(ns, 1), bc))
+    iterations = np.full(ns.shape, MAX_ITERATIONS)
+    active, n_active, current = np.arange(ns.size), ns, d.copy()
     for it in range(1, MAX_ITERATIONS + 1):
-        d_next = _rhs(d, n, sa, ca, sb, cb)
-        if abs(d_next - d) <= FIXED_POINT_TOL:
-            residual = abs(_rhs(d_next, n, sa, ca, sb, cb) - d_next)
-            value = DeltaValue(n=n, value=d_next, iterations=it, residual=residual,
-                               extrapolated=extrapolated)
-            if not extrapolated and not (_VALUE_WINDOW[0] <= d_next <= _VALUE_WINDOW[1]):
-                raise ConvergenceError(
-                    f"index shift {d_next} outside the sanity window {_VALUE_WINDOW}",
-                    last_value=d_next, residual=residual)
-            return value
-        d = d_next
-    residual = abs(_rhs(d, n, sa, ca, sb, cb) - d)
-    if extrapolated:
-        return DeltaValue(n=n, value=d, iterations=MAX_ITERATIONS, residual=residual,
-                          extrapolated=True)
-    raise ConvergenceError(
-        f"index-shift iteration did not converge for n = {n} "
-        f"(alpha = {bc.alpha}, beta = {bc.beta})",
-        last_value=d, residual=residual)
+        if not active.size:
+            break
+        d_next = _rhs(current, n_active, s, c, cc)
+        done = np.abs(d_next - current) <= FIXED_POINT_TOL
+        if done.any():
+            d[active] = d_next
+            iterations[active[done]] = it
+            active, n_active, d_next = active[~done], n_active[~done], d_next[~done]
+        current = d_next
+    d[active] = current
+    residuals = np.abs(_rhs(d, ns, s, c, cc) - d)
+    stuck = np.zeros(ns.shape, dtype=bool)
+    stuck[active] = True
+    outside = ~((_VALUE_WINDOW[0] <= d) & (d <= _VALUE_WINDOW[1]))
+    bad = np.flatnonzero((ns >= 2) & (stuck | outside))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(
+            f"index-shift iteration did not converge for n = {ns[i]} "
+            f"(alpha = {bc.alpha}, beta = {bc.beta})" if stuck[i] else
+            f"index shift {float(d[i])} outside the sanity window {_VALUE_WINDOW}",
+            last_value=float(d[i]), residual=float(residuals[i]))
+    return d, iterations, residuals
+
+
+def _delta_values(ns, bc: BoundaryParams) -> list[DeltaValue]:
+    """DeltaValue records of the shifts at the integer indices ns >= 0, by _shifts."""
+    ns = [int(n) for n in ns]
+    values, iterations, residuals = _shifts(ns, bc)
+    return [DeltaValue(n=n, value=v, iterations=it, residual=r, extrapolated=n < 2)
+            for n, v, it, r in zip(ns, values.tolist(), iterations.tolist(), residuals.tolist())]
 
 
 def solve_delta(n: int, bc: BoundaryParams) -> DeltaValue:
@@ -116,7 +158,7 @@ def solve_delta(n: int, bc: BoundaryParams) -> DeltaValue:
         raise ValueError(
             f"the fixed-point equation is stated for n >= 2, got {n}; "
             "use delta_for_index for smaller indices")
-    return _iterate(n, bc, extrapolated=False)
+    return _delta_values([n], bc)[0]
 
 
 def delta_for_index(n: int, bc: BoundaryParams) -> DeltaValue:
@@ -129,4 +171,4 @@ def delta_for_index(n: int, bc: BoundaryParams) -> DeltaValue:
         return solve_delta(n, bc)
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    return _iterate(n, bc, extrapolated=True)
+    return _delta_values([n], bc)[0]

@@ -29,10 +29,15 @@ continuity itself is not machine-decidable from finitely many terms, so
 the diagnostic reports total-variation stability across a truncation
 ladder instead.
 
-ae_n and int sigma cos(2 nu t) come from one call of the moment rule
-``potential.fourier_moments`` with both integrands stacked, so they share
-its phases and Bessel weights; the closed-form harmonics take a second
-call.  The rule is exact for zero, constant, step and grid potentials.
+The shifts delta_n of all indices come from one array fixed-point solve
+(``delta._shifts``).  ae_n, int sigma cos(2 nu t) and, in the
+Dirichlet-Dirichlet case, the three harmonics of sigma that the closed form
+removes come from one call of the moment rule ``potential.fourier_moments``:
+both integrands stacked, the frequencies 0, 2 and 4 appended to the 2 nu, so
+all share its phases and Bessel weights.  No frequency's moment depends on
+the others in the call, so each value is the one a separate call returns;
+``k2_closed_form_dd`` called on its own still makes its own call.  The rule
+is exact for zero, constant, step and grid potentials.
 
 The partial sums live on the uniform grid x_j = 2 pi j / P, P = points - 1.
 There the integer part of nu x_j P / (2 pi) is reduced modulo P exactly in
@@ -43,11 +48,13 @@ tables, and the sums over n are real matrix products (``_partial_rows``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import sin_two_pi, solve_delta
+from .delta import _shifts, sin_two_pi
+from .delta import solve_delta  # noqa: F401  (binding kept for perfbench tracing)
 from .errors import CaseError
 from .potential import (
     PI,
@@ -61,6 +68,9 @@ from .potential import integrate  # noqa: F401  (binding kept for perfbench trac
 
 TRUNCATION_CAP = 400
 DEFAULT_GRID_POINTS = 2048
+# the closed form removes the mean and the first two cosine harmonics of
+# sigma_tilde: moments of sigma at 2 m for m = 0, 1, 2
+_HARMONICS = (0.0, 2.0, 4.0)
 
 CASE_INTERIOR = "interior"
 CASE_DIRICHLET_DIRICHLET = "dirichlet-dirichlet"
@@ -112,6 +122,14 @@ def case_tag(bc: BoundaryParams) -> str:
         f"got alpha = {bc.alpha}, beta = {bc.beta}")
 
 
+def _whole(value, what: str) -> int:
+    """value as an int, or ValueError when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def series_coefficients(q: Potential, bc: BoundaryParams, N: int,
                         cumulative: CumulativeIntegrals | None = None):
     """Per-term data for indices 2..N.
@@ -121,20 +139,33 @@ def series_coefficients(q: Potential, bc: BoundaryParams, N: int,
     k_coef = k1_coef + k2_coef holds per term to about 2e-13 of the largest
     |k_coef| at N = 400.
     """
+    return _coefficients(q, bc, N, cumulative)[0]
+
+
+def _coefficients(q: Potential, bc: BoundaryParams, N: int,
+                  cumulative: CumulativeIntegrals | None, harmonics=()):
+    """series_coefficients, and int_0^pi sigma(t) cos(w t) dt at the extra frequencies harmonics.
+
+    The shifts come from one array solve and all moments from one call of
+    the moment rule, the harmonics appended to the 2 nu; a frequency's
+    moment does not depend on the others in the call.
+    """
     case_tag(bc)
+    N = _whole(N, "truncation")
     if not (2 <= N <= TRUNCATION_CAP):
         raise ValueError(f"truncation must lie in [2, {TRUNCATION_CAP}], got {N}")
     ci = cumulative if cumulative is not None else sigma_functions(q)
     ns = np.arange(2, N + 1)
-    deltas = [solve_delta(int(n), bc).value for n in ns]
-    nus = ns + np.array(deltas)
+    deltas = _shifts(ns, bc)[0]
+    nus = ns + deltas
     # the half from substituting t -> t/2 in the sigma_tilde integral
     # over [0, 2 pi]: (1/2) int sigma_tilde cos(nu t) = int sigma cos(2 nu s);
     # ae_n = -(1/2) int (pi - t) q(t) sin(2 nu t) dt, as norming.ae_tilde_n
     cos_m, sin_m = fourier_moments(lambda t: np.stack([ci.sigma(t), (PI - t) * q(t)]),
-                                   2.0 * nus, q.breakpoints)
-    k1_coefs = -ci.sigma(PI) * np.array([sin_two_pi(d) for d in deltas]) / (2.0 * nus)
-    return nus, -0.5 * sin_m[1] / nus, k1_coefs, cos_m[0]
+                                   np.append(2.0 * nus, harmonics), q.breakpoints)
+    k1_coefs = -ci.sigma(PI) * np.array([sin_two_pi(d) for d in deltas.tolist()]) / (2.0 * nus)
+    coefs = (nus, -0.5 * sin_m[1, :nus.size] / nus, k1_coefs, cos_m[0, :nus.size])
+    return coefs, cos_m[0, nus.size:]
 
 
 def _default_grid(grid):
@@ -147,7 +178,9 @@ def _truncation_ladder(N: int, truncations):
     if truncations is None:
         ladder = sorted({max(2, N // 4), max(2, N // 2), N})
     else:
-        ladder = sorted(set(int(t) for t in truncations))
+        ladder = sorted({_whole(t, "each truncation") for t in truncations})
+        if not ladder:
+            raise ValueError("truncations must not be empty")
         if any(t < 2 or t > N for t in ladder):
             raise ValueError(f"truncations must lie in [2, {N}]")
     return tuple(ladder)
@@ -206,22 +239,22 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, points: int = DEFAUL
     tag = case_tag(bc)
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
+    N = _whole(N, "truncation")
     grid = np.linspace(0.0, 2.0 * PI, points)
     ladder = _truncation_ladder(N, truncations)
     ci = sigma_functions(q)
-    nus, *coefs = series_coefficients(q, bc, N, cumulative=ci)
+    dd = tag == CASE_DIRICHLET_DIRICHLET
+    (nus, *coefs), moments = _coefficients(q, bc, N, ci, _HARMONICS if dd else ())
     k_rows, k1_rows, k2_rows = _partial_rows(nus, coefs, points, ladder)
-    result = KSeriesResult(
+    return KSeriesResult(
         case_tag=tag,
         grid=grid,
         N_list=ladder,
         k_partial=k_rows,
         k1_partial=k1_rows,
         k2_partial=k2_rows,
-        closed_form=(k2_closed_form_dd(q, grid, cumulative=ci)
-                     if tag == CASE_DIRICHLET_DIRICHLET else None),
+        closed_form=_closed_form(ci, grid, moments) if dd else None,
     )
-    return result
 
 
 def k2_closed_form_dd(q: Potential, grid=None,
@@ -236,7 +269,12 @@ def k2_closed_form_dd(q: Potential, grid=None,
     """
     grid = _default_grid(grid)
     ci = cumulative if cumulative is not None else sigma_functions(q)
-    coeffs = (2.0 / PI) * fourier_moments(ci.sigma, [0.0, 2.0, 4.0], q.breakpoints)[0]
+    return _closed_form(ci, grid, fourier_moments(ci.sigma, _HARMONICS, q.breakpoints)[0])
+
+
+def _closed_form(ci: CumulativeIntegrals, grid: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """k2_closed_form_dd on grid from the cosine moments of sigma at _HARMONICS."""
+    coeffs = (2.0 / PI) * moments
     even = (ci.sigma_tilde(grid) + ci.sigma_tilde(2.0 * PI - grid)) / 2.0
     return (PI / 2.0) * (even - coeffs[0] / 2.0 - coeffs[1] * np.cos(grid)
                          - coeffs[2] * np.cos(2.0 * grid))

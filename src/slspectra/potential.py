@@ -187,7 +187,12 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     |w| r <= 1.  On a panel of centre c, f is replaced by the cubic
     sum_k a_k P_k((t - c) / r) through its four (interior) Gauss-Legendre
     nodes, whose moment is exactly r exp(i w c) sum_k a_k 2 i^k j_k(w r); j_k
-    is evaluated once per distinct r.
+    is evaluated once per distinct r.  Its ten-term series runs once per
+    table of whole frequency blocks, size x max(1, _MOMENT_ELEMS // (4 x
+    size x radii)) frequencies with size the block length below, so a call
+    of a few hundred frequencies on a few radii takes one table.  The
+    weights are elementwise, so a value does not depend on how the
+    frequencies are cut into tables.
 
     The phases are factorised.  A piece of n >= 16 panels is cut into rows
     of B x B panels, B = 2^floor(log4 n), the last row zero-padded; panel
@@ -254,13 +259,18 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     out = np.zeros((len(legendre), w.size), dtype=complex)
     size = max(1, _MOMENT_ELEMS // len(legendre)
                // (small.size + sum(group[3].size for group in groups)))
+    # the Bessel weights of whole blocks at a time, each of the four orders
+    # an entry of the budget, so the table's transients stay near 1 MB too
+    table = size * max(1, _MOMENT_ELEMS // (4 * size * radius.size))
     for lo in range(0, w.size, size):
+        if lo % table == 0:
+            theta = w[lo:lo + table, None, None] * radius[:, None]
+            bessel = _BESSEL_SERIES[-1]
+            for row in _BESSEL_SERIES[-2::-1]:
+                bessel = bessel * theta * theta + row
+            table_weights = 2.0 * radius[:, None] * _I_POWERS * theta ** np.arange(4) * bessel
         wb = w[lo:lo + size, None, None]
-        theta = wb * radius[:, None]
-        bessel = _BESSEL_SERIES[-1]
-        for row in _BESSEL_SERIES[-2::-1]:
-            bessel = bessel * theta * theta + row
-        weights = 2.0 * radius[:, None] * _I_POWERS * theta ** np.arange(4) * bessel
+        weights = table_weights[lo % table:lo % table + size]
         if small.size:
             arg = wb[:, 0] * centres[small]
             # the phases go out of scope before the weights are applied, as

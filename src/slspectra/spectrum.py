@@ -32,7 +32,7 @@ from math import sqrt
 
 import numpy as np
 
-from .delta import DeltaValue, delta_for_index
+from .delta import DeltaValue, _delta_values, _shifts, delta_for_index
 from .errors import BracketError, UnsupportedRegimeError
 from .odesolve import (
     DEFAULT_GRID_SIZE,
@@ -252,10 +252,11 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
     """
     bc, qmin = engine.bc, float(engine.mesh.run_q.min())
     seps = sorted({max(n - 1, 2) for n in ns} | {max(n, 2) for n in ns})
-    given = dict(zip(ns, deltas))
-    centers = {m: _asymptotic_center(m, (given[m] if m in given else delta_for_index(m, bc)).value,
-                                     meanq)
-               for m in set(seps) | {m + 1 for m in seps}}
+    needed = set(seps) | {m + 1 for m in seps}
+    shifts = {n: d.value for n, d in zip(ns, deltas)}
+    extra = sorted(needed - shifts.keys())
+    shifts.update(zip(extra, _shifts(extra, bc)[0].tolist()))
+    centers = {m: _asymptotic_center(m, shifts[m], meanq) for m in needed}
     points = [qmin - 1.0] + [(0.5 * (centers[m] + centers[m + 1])) ** 2 for m in seps]
     ns = np.asarray(ns)
     mus, ks = np.empty(0), np.empty(0, dtype=int)
@@ -408,7 +409,7 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     engine = _CharEngine(q, bc, grid_size)
-    deltas = [delta_for_index(n, bc) for n in range(n_max + 1)]
+    deltas = _delta_values(range(n_max + 1), bc)
     pairs = _certified_pairs(engine, list(range(n_max + 1)), deltas, mean_q(q), tol)
     if n_max >= 2 and pairs[2].mu <= 0.0:
         raise UnsupportedRegimeError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import delta_asymptotic, solve_delta
+from .delta import _shifts, delta_asymptotic
 from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import ae_n, model_a, norming_a_batch, norming_b_batch
@@ -140,17 +140,14 @@ def _criterion_04(ctx: VerificationContext):
     """Index-shift fixed point certified and near its closed form."""
     res_tol = ctx.tol("c4_residual", 1e-12)
     slope_max = ctx.tol("c4_slope", -1.8)
-    worst_res = 0.0
-    for key in ("quarter-half", "pi-third", "third-zero", "dd"):
-        bc = ctx.bc(key)
-        for n in range(2, 201):
-            worst_res = max(worst_res, solve_delta(n, bc).residual)
+    worst_res = max(float(np.max(_shifts(np.arange(2, 201), ctx.bc(key))[2]))
+                    for key in ("quarter-half", "pi-third", "third-zero", "dd"))
     slopes = {}
     ns = np.arange(10, 101)
     for key in ("quarter-half", "pi-third", "third-zero"):
         bc = ctx.bc(key)
-        diffs = [abs(solve_delta(int(n), bc).value - delta_asymptotic(int(n), bc))
-                 for n in ns]
+        diffs = [abs(value - delta_asymptotic(int(n), bc))
+                 for n, value in zip(ns, _shifts(ns, bc)[0].tolist())]
         slopes[key] = fit_loglog_slope(ns, diffs, floor=1e-12)
     ok = worst_res <= res_tol and all(s <= slope_max for s in slopes.values())
     slope_txt = ", ".join(f"{k} {v:.2f}" for k, v in slopes.items())
@@ -209,7 +206,7 @@ def _criterion_07(ctx: VerificationContext):
     q = ctx.potential("one")
     ns = np.arange(2, 51)
     worst_nn, worst_dd = (
-        float(np.max(np.abs(ae_n(q, [solve_delta(int(n), ctx.bc(key)).value for n in ns], ns)
+        float(np.max(np.abs(ae_n(q, _shifts(ns, ctx.bc(key))[0], ns)
                             + PI / (4.0 * (ns + shift)))))
         for key, shift in (("nn", 0), ("dd", 1)))
     ok = worst_nn <= tol and worst_dd <= tol

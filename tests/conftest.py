@@ -57,3 +57,12 @@ def pool_potentials():
         Potential.smooth_test([1.0, -0.5]),
         Potential.from_grid(xs, qs),
     ]
+
+
+def uneven_grid(seed):
+    """64 pieces of 1 to 108 panels each on 2048 panels (seeds 5 and 8)."""
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.1, 1.0, 64) ** 2
+    xs = np.concatenate([[0.0], np.cumsum(widths / widths.sum() * PI)])
+    xs[-1] = PI
+    return xs, rng.normal(size=xs.size)

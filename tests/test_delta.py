@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from slspectra import (
     BoundaryParams,
+    ConvergenceError,
     delta_asymptotic,
     delta_for_index,
     sin_two_pi,
     solve_delta,
 )
+from slspectra import delta
 from slspectra.fitting import fit_loglog_slope
 
 PI = math.pi
@@ -46,6 +48,93 @@ def _oracle_bisect(n, alpha, beta, lo=-0.9, hi=1.9, iters=120):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _scalar_fixed_point(n, bc):
+    """The one-index fixed-point loop, in Python floats: the oracle of the array solve.
+
+    Returns (value, iterations, residual, converged), read against the
+    module's current FIXED_POINT_TOL and MAX_ITERATIONS.
+    """
+
+    def term(nu, s, c):
+        denom = math.sqrt(nu * nu * s * s + c * c)
+        if denom == 0.0:
+            return 0.5
+        return math.acos(c / denom) / PI
+
+    def rhs(d):
+        nu = n + d
+        return term(nu, bc.sin_alpha, bc.cos_alpha) - term(nu, bc.sin_beta, bc.cos_beta)
+
+    d = delta_asymptotic(max(n, 1), bc)
+    for it in range(1, delta.MAX_ITERATIONS + 1):
+        d_next = rhs(d)
+        if abs(d_next - d) <= delta.FIXED_POINT_TOL:
+            return d_next, it, abs(rhs(d_next) - d_next), True
+        d = d_next
+    return d, delta.MAX_ITERATIONS, abs(rhs(d) - d), False
+
+
+def _assert_matches_oracle(dv, n, bc):
+    value, iterations, residual, _ = _scalar_fixed_point(n, bc)
+    assert (dv.n, dv.value, dv.iterations, dv.residual, dv.extrapolated) == (
+        n, value, iterations, residual, n < 2)
+    assert type(dv.value) is float and type(dv.iterations) is int
+    assert type(dv.residual) is float
+
+
+class TestArraySolve:
+    """One iteration over all indices returns each index's scalar fixed point bit for bit."""
+
+    @pytest.mark.parametrize("bc", CASES + [BoundaryParams(PI / 2, PI / 2),
+                                            BoundaryParams(2.3, 0.6)],
+                             ids=["quarter-half", "pi-third", "third-zero", "dd", "nn", "robin"])
+    def test_archetypes(self, bc):
+        ns = range(0, 1001)
+        for n, dv in zip(ns, delta._delta_values(ns, bc)):
+            _assert_matches_oracle(dv, n, bc)
+        for n in (0, 1, 2, 3, 17, 1000):
+            _assert_matches_oracle(delta_for_index(n, bc), n, bc)
+
+    @given(alpha=st.floats(min_value=0.05, max_value=PI),
+           beta=st.floats(min_value=0.0, max_value=PI - 0.05))
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_angles(self, alpha, beta):
+        bc = BoundaryParams(alpha, beta)
+        ns = range(0, 1001)
+        for n, dv in zip(ns, delta._delta_values(ns, bc)):
+            _assert_matches_oracle(dv, n, bc)
+
+    @pytest.mark.parametrize("order", [list(range(0, 40)), [30, 5, 2, 0]],
+                             ids=["ascending", "shuffled"])
+    def test_first_unconverged_index_raises(self, order, monkeypatch):
+        # three iterations leave the low indices unconverged at these angles;
+        # the error names the first such index in the order given, as a loop
+        # over the indices would
+        monkeypatch.setattr(delta, "MAX_ITERATIONS", 3)
+        bc = BoundaryParams(2.3, 0.6)
+        failing = [n for n in order if n >= 2 and not _scalar_fixed_point(n, bc)[3]]
+        assert failing
+        value, _, residual, _ = _scalar_fixed_point(failing[0], bc)
+        with pytest.raises(ConvergenceError, match=f"for n = {failing[0]} ") as info:
+            delta._shifts(order, bc)
+        assert (info.value.last_value, info.value.residual) == (value, residual)
+        # extrapolated indices keep their last iterate instead
+        values, iterations, residuals = delta._shifts([0, 1], bc)
+        for n in (0, 1):
+            assert (values[n], iterations[n], residuals[n]) == _scalar_fixed_point(n, bc)[:3]
+
+    def test_sanity_window_raises_at_first_index(self, monkeypatch):
+        # the shifts at these angles are positive; a window that ends at 0
+        # rejects the first index n >= 2, while n = 0, 1 are never checked
+        monkeypatch.setattr(delta, "_VALUE_WINDOW", (-1.0, 0.0))
+        bc = BoundaryParams(2.3, 0.6)
+        value, _, residual, _ = _scalar_fixed_point(2, bc)
+        with pytest.raises(ConvergenceError, match="outside the sanity window") as info:
+            delta._shifts(range(0, 10), bc)
+        assert (info.value.last_value, info.value.residual) == (value, residual)
+        assert delta_for_index(1, bc).value > 0.0
 
 
 class TestSolveDelta:

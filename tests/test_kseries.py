@@ -12,10 +12,27 @@ from slspectra import (
     k2_closed_form_dd,
     k_partial_sum,
     series_coefficients,
+    sigma_functions,
+    sin_two_pi,
+    solve_delta,
 )
+from slspectra import kseries
 from slspectra.fitting import is_strictly_decreasing
+from slspectra.potential import fourier_moments
+
+from conftest import uneven_grid
 
 PI = math.pi
+
+
+_XS13 = np.append(np.arange(12) * PI / 12, PI)
+ONE_PASS_POTENTIALS = {
+    "constant": lambda: Potential.constant(1.0),
+    "step": lambda: Potential.step(2.0, PI / 2),
+    "smooth": lambda: Potential.smooth_test([1.0, -0.5]),
+    "grid13": lambda: Potential.from_grid(_XS13, np.sin(2 * _XS13) + _XS13 / 3),
+    "grid64": lambda: Potential.from_grid(*uneven_grid(5)),
+}
 
 
 class TestCases:
@@ -35,6 +52,16 @@ class TestCases:
             k_partial_sum(q_one, bc_dd, 401)
         with pytest.raises(ValueError):
             k_partial_sum(q_one, bc_dd, 20, truncations=(1, 20))
+
+    @pytest.mark.parametrize("N, truncations", [(10.5, None), (10, []), (10, [2.9, 10])],
+                             ids=["fractional-N", "empty-ladder", "fractional-truncation"])
+    def test_truncations_must_be_integers(self, q_one, bc_dd, N, truncations):
+        with pytest.raises(ValueError):
+            k_partial_sum(q_one, bc_dd, N, truncations=truncations)
+
+    def test_series_coefficients_rejects_fractional_N(self, q_one, bc_dd):
+        with pytest.raises(ValueError):
+            series_coefficients(q_one, bc_dd, 10.5)
 
 
 class TestSeriesTerms:
@@ -116,6 +143,37 @@ class TestClosedForm:
         d1 = np.max(np.abs(res.k_partial[1][mask] - res.k_partial[0][mask]))
         d2 = np.max(np.abs(res.k_partial[2][mask] - res.k_partial[1][mask]))
         assert d2 < d1
+
+
+@pytest.mark.parametrize("name", ONE_PASS_POTENTIALS)
+@pytest.mark.parametrize("N", [50, 400])
+class TestOnePass:
+    """k_partial_sum takes everything from one shift solve and one moment call, bit for bit."""
+
+    @pytest.mark.parametrize("bc", [BoundaryParams(PI, 0.0), BoundaryParams(2.3, 0.6)],
+                             ids=["dd", "robin"])
+    def test_coefficients_are_one_stacked_call(self, name, N, bc):
+        q = ONE_PASS_POTENTIALS[name]()
+        nus, kc, k1c, k2c = series_coefficients(q, bc, N)
+        ns = np.arange(2, N + 1)
+        deltas = [solve_delta(int(n), bc).value for n in ns]
+        assert np.array_equal(nus, ns + np.array(deltas))
+        ci = sigma_functions(q)
+        cos_m, sin_m = fourier_moments(lambda t: np.stack([ci.sigma(t), (PI - t) * q(t)]),
+                                       2.0 * nus, q.breakpoints)
+        assert np.array_equal(kc, -0.5 * sin_m[1] / nus)
+        assert np.array_equal(k2c, cos_m[0])
+        assert np.array_equal(k1c, -ci.sigma(PI) * np.array([sin_two_pi(d) for d in deltas])
+                              / (2.0 * nus))
+        # the partial sums are those of these coefficients
+        res = k_partial_sum(q, bc, N, points=256)
+        rows = kseries._partial_rows(nus, [kc, k1c, k2c], 256, res.N_list)
+        assert np.array_equal(np.stack([res.k_partial, res.k1_partial, res.k2_partial]), rows)
+
+    def test_closed_form_is_the_standalone_one(self, name, N):
+        q = ONE_PASS_POTENTIALS[name]()
+        res = k_partial_sum(q, BoundaryParams(PI, 0.0), N, points=256)
+        assert np.array_equal(res.closed_form, k2_closed_form_dd(q, res.grid))
 
 
 class TestPartialRows:

@@ -19,6 +19,8 @@ from slspectra import (
 from slspectra import potential
 from slspectra.potential import fourier_moments
 
+from conftest import uneven_grid
+
 PI = math.pi
 
 
@@ -156,14 +158,7 @@ class TestFourierMoments:
             assert abs(cos_m[i] - want_c) <= 1e-12
             assert abs(sin_m[i] - want_s) <= 1e-12
 
-    @staticmethod
-    def _uneven_grid(seed):
-        # 64 pieces of 1 to 108 panels each on 2048 panels (seeds 5 and 8)
-        rng = np.random.default_rng(seed)
-        widths = rng.uniform(0.1, 1.0, 64) ** 2
-        xs = np.concatenate([[0.0], np.cumsum(widths / widths.sum() * PI)])
-        xs[-1] = PI
-        return xs, rng.normal(size=xs.size)
+    _uneven_grid = staticmethod(uneven_grid)
 
     @pytest.mark.parametrize("make", [
         lambda: Potential.step(2.0, 1.0),
@@ -243,6 +238,31 @@ class TestFourierMoments:
             finally:
                 tracemalloc.stop()
             assert peak <= 2.5e6
+
+    @pytest.mark.parametrize("make", [
+        lambda: Potential.step(2.0, 1.0),
+        lambda: Potential.from_grid(*TestFourierMoments._uneven_grid(5)),
+        lambda: Potential.from_grid(*TestFourierMoments._packed_grid()),
+        lambda: Potential.smooth_test([1.0, -0.5, 0.3]),
+    ], ids=["step", "grid64", "packed", "smooth"])
+    def test_blocks_and_appended_frequencies_keep_values(self, make, monkeypatch):
+        # a frequency's moment does not depend on how the call is cut into
+        # blocks and Bessel tables, nor on the frequencies appended after it:
+        # the k-series appends the closed form's harmonics to its 2 nu
+        q = make()
+        f = lambda t: np.stack([q(t), (PI - t) * q(t)])
+        omegas = 2.0 * (np.arange(2, 402) + 0.37)
+        harmonics = [0.0, 2.0, 4.0]
+        want = fourier_moments(f, omegas, q.breakpoints)
+        alone = fourier_moments(f, harmonics, q.breakpoints)
+        both = fourier_moments(f, np.append(omegas, harmonics), q.breakpoints)
+        for got, ref, other in zip(both, want, alone):
+            assert np.array_equal(got[:, :omegas.size], ref)
+            assert np.array_equal(got[:, omegas.size:], other)
+        for elems in (512, 65536):
+            monkeypatch.setattr(potential, "_MOMENT_ELEMS", elems)
+            for got, ref in zip(fourier_moments(f, omegas, q.breakpoints), want):
+                assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("make, most", [
         (lambda: Potential.step(2.0, 1.0), 200),
