@@ -33,7 +33,7 @@ from .norming import norming_records
 from .odesolve import DEFAULT_GRID_SIZE
 from .potential import BoundaryParams, Potential, mean_q
 from .spectrum import DEFAULT_ROOT_TOL, find_spectrum
-from .verification import CRITERIA, VerificationContext, run_verification
+from .verification import CRITERIA, run_verification
 
 _PI_LITERAL = re.compile(r"^(\d*)\s*pi\s*(?:/\s*(\d+))?$")
 
@@ -187,15 +187,6 @@ def _cmd_kseries(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    for item in args.override or ():
-        if "=" not in item:
-            raise ConfigError(f"--override expects NAME=VALUE, got {item!r}")
-        name, val = item.split("=", 1)
-        try:
-            overrides[name.strip()] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"override value must be numeric: {item!r}") from exc
     numbers = None
     if args.criteria:
         known = {num for num, _, _ in CRITERIA}
@@ -208,9 +199,7 @@ def _cmd_verify(args) -> int:
             if n not in known:
                 raise ConfigError(f"no criterion numbered {n}")
             numbers.append(n)
-    ctx = VerificationContext(grid_size=args.grid_size, root_tol=args.tol,
-                              overrides=overrides)
-    results = run_verification(ctx, numbers=numbers)
+    results = run_verification(numbers=numbers)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -268,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default: all)")
-    p.add_argument("--override", action="append", default=None, metavar="NAME=VALUE",
-                   help="tolerance override, repeatable")
-    p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL)
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import _shifts, sin_two_pi
+from .delta import _shifts
 from .delta import solve_delta  # noqa: F401  (binding kept for perfbench tracing)
 from .errors import CaseError
 from .potential import (
@@ -163,7 +163,11 @@ def _coefficients(q: Potential, bc: BoundaryParams, N: int,
     # ae_n = -(1/2) int (pi - t) q(t) sin(2 nu t) dt, as norming.ae_tilde_n
     cos_m, sin_m = fourier_moments(lambda t: np.stack([ci.sigma(t), (PI - t) * q(t)]),
                                    np.append(2.0 * nus, harmonics), q.breakpoints)
-    k1_coefs = -ci.sigma(PI) * np.array([sin_two_pi(d) for d in deltas.tolist()]) / (2.0 * nus)
+    # sin(2 pi delta) as delta.sin_two_pi, whose round() also breaks ties to even
+    m = deltas - np.round(deltas)
+    sines = np.fromiter(map(math.sin, (2.0 * PI * m).tolist()), float, m.size)
+    sines[np.abs(m) == 0.5] = 0.0
+    k1_coefs = -ci.sigma(PI) * sines / (2.0 * nus)
     coefs = (nus, -0.5 * sin_m[1, :nus.size] / nus, k1_coefs, cos_m[0, :nus.size])
     return coefs, cos_m[0, nus.size:]
 

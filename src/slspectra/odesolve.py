@@ -560,20 +560,11 @@ def _cumulative_simpson(vals: np.ndarray, dx: float) -> np.ndarray:
 
     Even nodes follow the composite Simpson chain; odd nodes add the exact
     integral of the local cubic interpolant, so their O(h^5) corrections do
-    not accumulate.
+    not accumulate.  Needs at least 4 samples; every segment of
+    _picard_grid has at least 9.
     """
     n = vals.size
     out = np.zeros(n)
-    if n < 2:
-        return out
-    if n == 2:
-        out[1] = dx * 0.5 * (vals[0] + vals[1])
-        return out
-    if n == 3:
-        out[2] = dx / 3.0 * (vals[0] + 4.0 * vals[1] + vals[2])
-        out[1] = dx / 12.0 * (5.0 * vals[0] + 8.0 * vals[1] - vals[2])
-        return out
-
     # composite Simpson over node pairs
     n_pair = (n - 1) // 2
     pair = dx / 3.0 * (vals[0 : 2 * n_pair - 1 : 2] + 4.0 * vals[1 : 2 * n_pair : 2]

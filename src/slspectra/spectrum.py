@@ -28,7 +28,7 @@ and checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -385,8 +385,8 @@ def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
     """
     if not (0 <= n <= MAX_INDEX):
         raise ValueError(f"index must lie in [0, {MAX_INDEX}], got {n}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < inf:
+        raise ValueError("tol must be finite and positive")
     engine = _CharEngine(q, bc, grid_size)
     [pair] = _certified_pairs(engine, [n], [delta_for_index(n, bc)], mean_q(q), tol)
     if n >= 2 and pair.mu <= 0.0:
@@ -406,8 +406,8 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
     """
     if not (0 <= n_max <= MAX_INDEX):
         raise ValueError(f"n_max must lie in [0, {MAX_INDEX}], got {n_max}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < inf:
+        raise ValueError("tol must be finite and positive")
     engine = _CharEngine(q, bc, grid_size)
     deltas = _delta_values(range(n_max + 1), bc)
     pairs = _certified_pairs(engine, list(range(n_max + 1)), deltas, mean_q(q), tol)

@@ -1,15 +1,18 @@
-"""Named acceptance checks with per-check tolerance overrides.
+"""Named acceptance checks, each at the fixed bound it states.
 
 Each criterion is a function of a shared context that caches spectra so
-overlapping checks do not recompute them.  Checks return (passed, detail)
-and the runner prints one PASS/FAIL line per criterion; the same registry
-backs both the test suite and the command-line `verify` command.
+overlapping checks do not recompute them.  Every bound is a literal beside
+its check and every computation runs at the library's default mesh and
+root window, so no setting can move a criterion to PASS.  Checks return
+(passed, detail) and the runner prints one PASS/FAIL line per criterion;
+the same registry backs both the test suite and the command-line `verify`
+command.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +21,6 @@ from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import ae_n, model_a, norming_a_batch, norming_b_batch
 from .odesolve import (
-    DEFAULT_GRID_SIZE,
     _picard_tail,
     build_mesh,
     kernel_A,
@@ -56,18 +58,12 @@ class CheckResult:
     detail: str
 
 
-@dataclass
 class VerificationContext:
-    """Shared tolerances, overrides, and computed-object caches."""
+    """Caches of the potentials and spectra the criteria share."""
 
-    grid_size: int = DEFAULT_GRID_SIZE
-    root_tol: float = DEFAULT_ROOT_TOL
-    overrides: dict = field(default_factory=dict)
-    _spectra: dict = field(default_factory=dict)
-    _potentials: dict = field(default_factory=dict)
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.overrides.get(name, default))
+    def __init__(self):
+        self._spectra = {}
+        self._potentials = {}
 
     def potential(self, name: str) -> Potential:
         if name not in self._potentials:
@@ -79,11 +75,9 @@ class VerificationContext:
         return BoundaryParams(a, b)
 
     def spectrum(self, qname: str, bc_key: str, n_max: int) -> Spectrum:
-        key = (qname, bc_key, n_max, self.grid_size)
+        key = (qname, bc_key, n_max)
         if key not in self._spectra:
-            self._spectra[key] = find_spectrum(
-                self.potential(qname), self.bc(bc_key), n_max,
-                tol=self.root_tol, grid_size=self.grid_size)
+            self._spectra[key] = find_spectrum(self.potential(qname), self.bc(bc_key), n_max)
         return self._spectra[key]
 
     def all_cached_spectra(self):
@@ -97,7 +91,7 @@ class VerificationContext:
 
 def _criterion_01(ctx: VerificationContext):
     """Exact eigenvalues of the free problem in both archetype cases."""
-    tol = ctx.tol("c1_mu_abs", 1e-8)
+    tol = 1e-8
     s_dd = ctx.spectrum("zero", "dd", 30)
     s_nn = ctx.spectrum("zero", "nn", 30)
     err_dd = max(abs(p.mu - (p.n + 1) ** 2) for p in s_dd.pairs)
@@ -108,13 +102,12 @@ def _criterion_01(ctx: VerificationContext):
 
 def _criterion_02(ctx: VerificationContext):
     """Exact norming constants of the free problem."""
-    rel = ctx.tol("c2_rel_dd", 1e-6)
-    abs_nn = ctx.tol("c2_abs_nn", 1e-8)
+    rel, abs_nn = 1e-6, 1e-8
     s_dd = ctx.spectrum("zero", "dd", 30)
     s_nn = ctx.spectrum("zero", "nn", 30)
     q = ctx.potential("zero")
-    a_dd = norming_a_batch(q, s_dd.bc, s_dd.mus, ctx.grid_size)
-    a_nn = norming_a_batch(q, s_nn.bc, s_nn.mus, ctx.grid_size)
+    a_dd = norming_a_batch(q, s_dd.bc, s_dd.mus)
+    a_nn = norming_a_batch(q, s_nn.bc, s_nn.mus)
     rel_err = max(abs(a / (PI / (2.0 * (p.n + 1) ** 2)) - 1.0)
                   for p, a in zip(s_dd.pairs, a_dd))
     abs_err = max(abs(a - PI / 2.0) for p, a in zip(s_nn.pairs, a_nn) if p.n >= 1)
@@ -125,12 +118,12 @@ def _criterion_02(ctx: VerificationContext):
 
 def _criterion_03(ctx: VerificationContext):
     """Spectral shift by a constant moves eigenvalues and fixes norms."""
-    tol = ctx.tol("c3_abs", 1e-6)
+    tol = 1e-6
     s0 = ctx.spectrum("step", "nn", 30)
     s3 = ctx.spectrum("step+3", "nn", 30)
     mu_dev = max(abs((b.mu - a.mu) - 3.0) for a, b in zip(s0.pairs, s3.pairs))
-    a0 = norming_a_batch(ctx.potential("step"), s0.bc, s0.mus, ctx.grid_size)
-    a3 = norming_a_batch(ctx.potential("step+3"), s3.bc, s3.mus, ctx.grid_size)
+    a0 = norming_a_batch(ctx.potential("step"), s0.bc, s0.mus)
+    a3 = norming_a_batch(ctx.potential("step+3"), s3.bc, s3.mus)
     a_dev = float(np.max(np.abs(a3 - a0)))
     ok = mu_dev <= tol and a_dev <= tol
     return ok, f"max |mu shift - 3| {mu_dev:.2e}, max |a_n change| {a_dev:.2e} (tol {tol:.0e})"
@@ -138,8 +131,7 @@ def _criterion_03(ctx: VerificationContext):
 
 def _criterion_04(ctx: VerificationContext):
     """Index-shift fixed point certified and near its closed form."""
-    res_tol = ctx.tol("c4_residual", 1e-12)
-    slope_max = ctx.tol("c4_slope", -1.8)
+    res_tol, slope_max = 1e-12, -1.8
     worst_res = max(float(np.max(_shifts(np.arange(2, 201), ctx.bc(key))[2]))
                     for key in ("quarter-half", "pi-third", "third-zero", "dd"))
     slopes = {}
@@ -156,10 +148,10 @@ def _criterion_04(ctx: VerificationContext):
 
 def _criterion_05(ctx: VerificationContext):
     """Norming defect of a smooth potential decays at the squared rate."""
-    slope_max = ctx.tol("c5_slope", -1.8)
+    slope_max = -1.8
     s = ctx.spectrum("cos", "nn", 60)
     q = ctx.potential("cos")
-    a_vals = norming_a_batch(q, s.bc, s.mus, ctx.grid_size)
+    a_vals = norming_a_batch(q, s.bc, s.mus)
     ns = np.arange(10, 61)
     defects = [abs(a_vals[n] - PI / 2.0) for n in ns]
     slope = fit_loglog_slope(ns, defects, floor=10 * DEFAULT_QUAD_TOL)
@@ -177,10 +169,10 @@ def _criterion_06(ctx: VerificationContext):
     numerically; it is implemented as stated and reported honestly.  See
     the criterion 06 paragraph of README.md.
     """
-    factor = ctx.tol("c6_window_factor", 2.0)
+    factor = 2.0
     s = ctx.spectrum("step", "nn", 60)
     q = ctx.potential("step")
-    a_vals = norming_a_batch(q, s.bc, s.mus, ctx.grid_size)
+    a_vals = norming_a_batch(q, s.bc, s.mus)
     ns = np.arange(10, 61)
     deltas = [s.pair(int(n)).delta for n in ns]
     aes = ae_n(q, [d.value for d in deltas], ns)
@@ -202,7 +194,7 @@ def _criterion_06(ctx: VerificationContext):
 
 def _criterion_07(ctx: VerificationContext):
     """Correction integral against its constant-potential antiderivative."""
-    tol = ctx.tol("c7_abs", 1e-8)
+    tol = 1e-8
     q = ctx.potential("one")
     ns = np.arange(2, 51)
     worst_nn, worst_dd = (
@@ -215,7 +207,7 @@ def _criterion_07(ctx: VerificationContext):
 
 def _criterion_08(ctx: VerificationContext):
     """Frequency-expansion remainder decays faster than 1/n."""
-    factor = ctx.tol("c8_factor", 0.5)
+    factor = 0.5
     q = ctx.potential("step")
     meanq = mean_q(q)
     details = []
@@ -236,8 +228,7 @@ def _criterion_08(ctx: VerificationContext):
 
 def _criterion_09(ctx: VerificationContext):
     """Series construction matches the solver; remainder halves with frequency."""
-    agree_extra = ctx.tol("c9_abs", 1e-8)
-    lo, hi = ctx.tol("c9_ratio_lo", 0.35), ctx.tol("c9_ratio_hi", 0.65)
+    agree_extra, lo, hi = 1e-8, 0.35, 0.65
     details = []
     ok = True
     for qname in ("one", "step"):
@@ -246,14 +237,14 @@ def _criterion_09(ctx: VerificationContext):
         for lam in (5.0, 10.0, 20.0):
             K = next(k for k in range(2, 41) if _picard_tail(sigma0, lam, k) <= 1e-9)
             pr = picard_y2(q, lam, K)
-            ref = solve_ivp(q, lam * lam, True, 0.0, 1.0, ctx.grid_size)
+            ref = solve_ivp(q, lam * lam, True, 0.0, 1.0)
             err = abs(pr.trace.y[-1] - ref.y[-1])
             if err > pr.tail_bound + agree_extra:
                 ok = False
             details.append(f"{qname} lam={lam:g} err {err:.1e} (tail {pr.tail_bound:.1e})")
         Ms = {}
         for lam in (5.0, 10.0, 20.0):
-            tr = solve_ivp(q, lam * lam, True, 1.0, 0.0, ctx.grid_size)
+            tr = solve_ivp(q, lam * lam, True, 1.0, 0.0)
             idx = np.linspace(len(tr.grid) // 16, len(tr.grid) - 1, 25).astype(int)
             worst = 0.0
             for i in idx:
@@ -266,12 +257,13 @@ def _criterion_09(ctx: VerificationContext):
             if not (lo <= ratio <= hi):
                 ok = False
             details.append(f"{qname} M({pair[1]:g})/M({pair[0]:g}) = {ratio:.3f}")
+    details.append(f"agreement within tail + {agree_extra:.0e}, ratios in [{lo}, {hi}]")
     return ok, "; ".join(details)
 
 
 def _criterion_10(ctx: VerificationContext):
     """Dirichlet-Dirichlet series piece converges to its closed form."""
-    rel = ctx.tol("c10_rel", 0.01)
+    rel = 0.01
     q = ctx.potential("one")
     res = k_partial_sum(q, ctx.bc("dd"), 400, truncations=(50, 100, 200, 400))
     mask = (res.grid >= 1.0) & (res.grid <= 2.0 * PI - 1.0)
@@ -285,7 +277,7 @@ def _criterion_10(ctx: VerificationContext):
 
 def _criterion_11(ctx: VerificationContext):
     """Interior-case partial sums are Cauchy with stable total variation."""
-    tv_tol = ctx.tol("c11_tv", 0.05)
+    tv_tol = 0.05
     q = ctx.potential("step")
     res = k_partial_sum(q, ctx.bc("third-third"), 400, truncations=(50, 100, 200, 400))
     mask = (res.grid >= 0.5) & (res.grid <= 2.0 * PI - 0.5)
@@ -307,8 +299,8 @@ def _criterion_12(ctx: VerificationContext):
     if not ctx.all_cached_spectra():
         ctx.spectrum("step", "nn", 20)
     checked = 0
-    for (qname, bc_key, _n, grid_size), spec in ctx.all_cached_spectra():
-        mesh = build_mesh(ctx.potential(qname), grid_size)
+    for (qname, bc_key, _n), spec in ctx.all_cached_spectra():
+        mesh = build_mesh(ctx.potential(qname))
         values = y_values_batch(mesh, spec.mus, spec.bc.sin_alpha, -spec.bc.cos_alpha)
         for p, zeros in zip(spec.pairs, _zero_counts(values)):
             if zeros != p.n or p.zeros != p.n:
@@ -324,24 +316,23 @@ def _criterion_13(ctx: VerificationContext):
     and d mu_n / d beta = -1 / b_n hold exactly for the discrete problem the
     solver steps (Kong, Wu & Zettl, J. Differential Equations 156, 1999), so
     the eigenvalues of the Phi sweep check the norms of the norm sweep
-    without a shared code path.  Each mu lies within root_tol of a sign
-    change of the discrete Phi, so a central difference of step eps is off
-    by at most root_tol / eps, plus an O(eps^2) truncation term.
+    without a shared code path.  Each mu lies within DEFAULT_ROOT_TOL of a
+    sign change of the discrete Phi, so a central difference of step eps is
+    off by at most DEFAULT_ROOT_TOL / eps, plus an O(eps^2) truncation term.
     """
     eps = 1e-5
-    tol = ctx.tol("c13_abs", ctx.root_tol / eps)
+    tol = DEFAULT_ROOT_TOL / eps
 
     def mus(q, alpha, beta):
-        return find_spectrum(q, BoundaryParams(alpha, beta), 20, tol=ctx.root_tol,
-                             grid_size=ctx.grid_size).mus
+        return find_spectrum(q, BoundaryParams(alpha, beta), 20).mus
 
     worst_a = worst_b = 0.0
     for qname in ("step", "cos-sum"):
         q = ctx.potential(qname)
         for alpha, beta in ((0.7, 2.3), (2.0, 1.1), (2.8, 0.4)):
             bc, base = BoundaryParams(alpha, beta), mus(q, alpha, beta)
-            a_n = norming_a_batch(q, bc, base, ctx.grid_size)
-            b_n = norming_b_batch(q, bc, base, ctx.grid_size)
+            a_n = norming_a_batch(q, bc, base)
+            b_n = norming_b_batch(q, bc, base)
             d_alpha = (mus(q, alpha + eps, beta) - mus(q, alpha - eps, beta)) / (2.0 * eps)
             d_beta = (mus(q, alpha, beta + eps) - mus(q, alpha, beta - eps)) / (2.0 * eps)
             worst_a = max(worst_a, float(np.max(np.abs(d_alpha - 1.0 / a_n))))
@@ -379,8 +370,8 @@ def run_criterion(ctx: VerificationContext, number: int) -> CheckResult:
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_verification(ctx: VerificationContext | None = None, numbers=None,
-                     echo: bool = True) -> list[CheckResult]:
+def run_verification(ctx: VerificationContext | None = None,
+                     numbers=None) -> list[CheckResult]:
     """Run the acceptance criteria, printing one PASS/FAIL line each."""
     ctx = ctx or VerificationContext()
     wanted = list(numbers) if numbers else [num for num, _, _ in CRITERIA]
@@ -388,10 +379,8 @@ def run_verification(ctx: VerificationContext | None = None, numbers=None,
     for number in wanted:
         result = run_criterion(ctx, number)
         results.append(result)
-        if echo:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"{status} criterion {result.number:02d} {result.slug}: {result.detail}")
-    if echo:
-        failures = sum(1 for r in results if not r.passed)
-        print(f"done: {len(results)} criteria, {failures} failures")
+        status = "PASS" if result.passed else "FAIL"
+        print(f"{status} criterion {result.number:02d} {result.slug}: {result.detail}")
+    failures = sum(1 for r in results if not r.passed)
+    print(f"done: {len(results)} criteria, {failures} failures")
     return results

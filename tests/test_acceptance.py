@@ -34,7 +34,7 @@ def test_criterion(ctx, number, slug):
 
 @pytest.mark.parametrize("tamper", ["mu-of-next-index", "zeros"])
 def test_oscillation_certificate_reports_miscount(tamper):
-    ctx = VerificationContext(grid_size=1024)
+    ctx = VerificationContext()
     spec = ctx.spectrum("step", "nn", 3)
     assert run_criterion(ctx, 12).passed
     pairs = list(spec.pairs[:3])
@@ -42,7 +42,21 @@ def test_oscillation_certificate_reports_miscount(tamper):
         pairs[2] = dataclasses.replace(pairs[2], zeros=3)
     else:
         pairs[2] = dataclasses.replace(pairs[2], mu=spec.pairs[3].mu)
-    ctx._spectra = {("step", "nn", 2, ctx.grid_size): Spectrum(spec.q, spec.bc, pairs)}
+    ctx._spectra = {("step", "nn", 2): Spectrum(spec.q, spec.bc, pairs)}
     result = run_criterion(ctx, 12)
     assert not result.passed
     assert result.detail == "index 2 of (step, nn) miscounted"
+
+
+def test_oscillation_certificate_on_an_empty_cache():
+    # run alone, criterion 12 computes a spectrum of its own to recertify
+    ctx = VerificationContext()
+    result = run_criterion(ctx, 12)
+    assert result.passed
+    assert result.detail == "21 eigenpairs recertified"
+    assert list(ctx._spectra) == [("step", "nn", 20)]
+
+
+def test_unknown_criterion_number():
+    with pytest.raises(ValueError, match="no criterion numbered 99"):
+        run_criterion(VerificationContext(), 99)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import slspectra
+from slspectra import ae_n, verification
 from slspectra.cli import build_parser, main, parse_angle
 from slspectra.odesolve import DEFAULT_GRID_SIZE
 from slspectra.spectrum import DEFAULT_ROOT_TOL
@@ -17,6 +18,7 @@ PI = math.pi
 
 CONST_ONE = '{"kind":"named","name":"constant","params":[1.0]}'
 ZERO = '{"kind":"named","name":"zero","params":[]}'
+STEP = '{"kind":"named","name":"step","params":[2.0,1.5707963267948966]}'
 
 
 def run_cli(args, capsys):
@@ -42,6 +44,14 @@ class TestAngleParsing:
         code, _, err = run_cli(["delta", "--alpha", "pie", "--beta", "0"], capsys)
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("alpha,message", [
+        ("pi/0", "invalid angle 'pi/0'"), ("4", "alpha must lie in (0, pi], got 4.0"),
+    ])
+    def test_rejected_angles(self, capsys, alpha, message):
+        code, _, err = run_cli(["delta", "--alpha", alpha, "--beta", "0"], capsys)
+        assert code == 2
+        assert err == f"configuration error: {message}\n"
 
 
 class TestSpectrumCommand:
@@ -79,6 +89,22 @@ class TestSpectrumCommand:
             "--n-min", "5", "--n-max", "2"], capsys)
         assert code == 2
 
+    def test_index_range_is_a_configuration_error(self, capsys):
+        # the library's ValueError reaches main, which exits 2
+        code, out, err = run_cli([
+            "spectrum", "--potential", ZERO, "--alpha", "pi", "--beta", "0",
+            "--n-max", "301"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "configuration error: n_max must lie in [0, 300], got 301\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "norming"])
+    def test_non_finite_tol_rejected(self, capsys, command):
+        code, out, err = run_cli([
+            command, "--potential", STEP, "--alpha", "pi/2", "--beta", "pi/2",
+            "--tol", "inf"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "configuration error: tol must be finite and positive\n"
+
     def test_computational_error_exit_code(self, capsys):
         code, _, err = run_cli([
             "spectrum", "--potential", '{"kind":"named","name":"constant","params":[-30.0]}',
@@ -97,6 +123,17 @@ class TestNormingCommand:
         for r in parse_csv(out):
             n = int(r["n"])
             assert float(r["ae_n"]) == pytest.approx(-PI / (4 * n), abs=1e-8)
+
+    def test_model_cells_are_nan_below_index_two(self, capsys):
+        code, out, _ = run_cli([
+            "norming", "--potential", CONST_ONE, "--alpha", "pi/2", "--beta", "pi/2",
+            "--n-max", "2"], capsys)
+        assert code == 0
+        rows = parse_csv(out)
+        for r in rows[:2]:
+            assert [r[c] for c in ("ae_n", "model_a", "defect", "n2_defect")] == ["nan"] * 4
+            assert float(r["a_n"]) > 0.0
+        assert "nan" not in rows[2].values()
 
 
 class TestDeltaCommand:
@@ -142,6 +179,18 @@ class TestKseriesCommand:
             assert k == pytest.approx(k1 + k2, abs=1e-8)
         assert payload["tv_stability"] >= 0.0
 
+    def test_csv_report_on_stderr(self, capsys):
+        code, out, err = run_cli([
+            "kseries", "--potential", CONST_ONE, "--alpha", "pi", "--beta", "0",
+            "--N", "8"], capsys)
+        assert code == 0
+        assert out.startswith("x,k,k1,k2,closed_form\n")
+        report = dict(line.split(": ", 1) for line in err.splitlines())
+        assert list(report) == ["case", "truncations", "segment", "total_variation",
+                                "tv_stability", "max_jump"]
+        assert report["case"] == "dirichlet-dirichlet"
+        assert report["truncations"] == "[2, 4, 8]"
+
     def test_json_round_trip_exact(self, capsys):
         args = ["kseries", "--potential", CONST_ONE, "--alpha", "pi", "--beta", "0",
                 "--N", "8", "--format", "json"]
@@ -178,11 +227,17 @@ class TestKseriesCommand:
             "--N", "8", "--segment", "5,1"], capsys)
         assert code == 2
 
+    def test_segment_needs_two_ends(self, capsys):
+        code, _, err = run_cli([
+            "kseries", "--potential", CONST_ONE, "--alpha", "pi", "--beta", "0",
+            "--N", "8", "--segment", "1"], capsys)
+        assert code == 2
+        assert err == "configuration error: --segment expects 'a,b'\n"
+
 
 class TestVerifyCommand:
     def test_single_criterion(self, capsys):
-        code, out, _ = run_cli(["verify", "--criteria", "7", "--grid-size", "1024"],
-                               capsys)
+        code, out, _ = run_cli(["verify", "--criteria", "7"], capsys)
         assert code == 0
         assert "PASS criterion 07" in out
 
@@ -190,12 +245,38 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--criteria", "99"], capsys)
         assert code == 2
 
-    def test_override_can_tighten_to_failure(self, capsys):
-        code, out, _ = run_cli([
-            "verify", "--criteria", "7", "--grid-size", "1024",
-            "--override", "c7_abs=1e-18"], capsys)
+    def test_criteria_must_be_integers(self, capsys):
+        code, out, err = run_cli(["verify", "--criteria", "7,x"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "configuration error: criteria must be integers, got 'x'\n"
+
+    def test_perturbed_correction_fails_criterion_07(self, capsys, monkeypatch):
+        # criterion 07 holds ae_n to 1e-8 of its closed form: an error of
+        # 1e-7 in the correction integral must turn it red
+        monkeypatch.setattr(verification, "ae_n",
+                            lambda q, deltas, ns: ae_n(q, deltas, ns) + 1e-7)
+        code, out, _ = run_cli(["verify", "--criteria", "7"], capsys)
         assert code == 1
-        assert "FAIL criterion 07" in out
+        assert out.startswith("FAIL criterion 07 correction-integral-oracle: max defect ")
+
+    @pytest.mark.parametrize("flag", [["--override", "c6_window_factor=1.0"],
+                                      ["--tol", "1e-6"], ["--grid-size", "64"]],
+                             ids=["override", "tol", "grid-size"])
+    def test_bounds_and_mesh_are_not_settable(self, capsys, flag):
+        code, out, err = run_cli(["verify", "--criteria", "6", *flag], capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag[0]}" in err
+
+
+def test_verify_states_one_known_failure():
+    # the whole suite at its fixed bounds: only criterion 06 fails (README)
+    proc = subprocess.run([sys.executable, "-m", "slspectra", "verify"],
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL criterion 06 rough-potential-model: ")
+    assert lines[-1] == "done: 13 criteria, 1 failures"
 
 
 class TestPotentialLoading:
@@ -250,7 +331,7 @@ def test_option_surface():
         "norming": table | solver | {"--n-min", "--n-max"},
         "delta": table | {"--n-min", "--n-max"},
         "kseries": table | {"--potential", "--N", "--segment"},
-        "verify": {"-h", "--help", "--criteria", "--override", "--tol", "--grid-size"},
+        "verify": {"-h", "--help", "--criteria"},
     }
     parser = build_parser()
     [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -258,7 +339,7 @@ def test_option_surface():
              for name, sub in commands.choices.items()}
     assert flags == expected
     # the solver flags default to the library's own defaults
-    for name in ("spectrum", "norming", "verify"):
+    for name in ("spectrum", "norming"):
         args = commands.choices[name]
         assert args.get_default("tol") == DEFAULT_ROOT_TOL
         assert args.get_default("grid_size") == DEFAULT_GRID_SIZE

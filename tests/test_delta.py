@@ -189,6 +189,10 @@ class TestAsymptoticForms:
         bc = BoundaryParams(PI, PI / 4)
         assert delta_asymptotic(10, bc) == pytest.approx(0.5 + 1.0 / (PI * 10.5), abs=1e-15)
 
+    def test_index_zero_rejected(self):
+        with pytest.raises(ValueError, match="asymptotic form needs n >= 1, got 0"):
+            delta_asymptotic(0, BoundaryParams(PI / 2, PI / 2))
+
     def test_convergence_rate(self):
         ns = np.arange(10, 101)
         for bc in CASES[:3]:

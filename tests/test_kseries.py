@@ -116,6 +116,10 @@ class TestClosedForm:
         grid = np.linspace(0, 2 * PI, 64)
         assert np.max(np.abs(k2_closed_form_dd(q_zero, grid))) < 1e-12
 
+    def test_default_grid(self, q_one):
+        grid = np.linspace(0.0, 2.0 * PI, kseries.DEFAULT_GRID_POINTS)
+        assert np.array_equal(k2_closed_form_dd(q_one), k2_closed_form_dd(q_one, grid))
+
     def test_constant_analytic(self, q_one):
         # sigma(x) = pi x - x^2/2, sigma_tilde(x) = pi x/2 - x^2/8; removing
         # the first three cosine harmonics of the even part leaves
@@ -174,6 +178,34 @@ class TestOnePass:
         q = ONE_PASS_POTENTIALS[name]()
         res = k_partial_sum(q, BoundaryParams(PI, 0.0), N, points=256)
         assert np.array_equal(res.closed_form, k2_closed_form_dd(q, res.grid))
+
+
+class TestK1Sines:
+    """The k1 coefficients take sin(2 pi delta_n) as sin_two_pi does, bit for bit."""
+
+    def test_k1_sines_match_the_scalar_loop(self, q_step):
+        # the array form of sin(2 pi delta_n) is sin_two_pi bit for bit, on
+        # the archetypes and on 50 random angle pairs
+        rng = np.random.default_rng(21)
+        bcs = [BoundaryParams(PI, 0.0), BoundaryParams(PI / 2, PI / 2),
+               BoundaryParams(PI / 4, PI / 2), BoundaryParams(PI / 3, PI / 3)]
+        bcs += [BoundaryParams(a, b) for a, b in rng.uniform(0.01, PI - 0.01, (50, 2))]
+        sigma_pi = sigma_functions(q_step).sigma(PI)
+        for bc in bcs:
+            nus, _, k1c, _ = series_coefficients(q_step, bc, 400)
+            deltas = kseries._shifts(np.arange(2, 401), bc)[0].tolist()
+            expect = -sigma_pi * np.array([sin_two_pi(d) for d in deltas]) / (2.0 * nus)
+            assert np.array_equal(k1c, expect)
+
+    def test_k1_sines_at_half_integers(self, q_step, bc_nn, monkeypatch):
+        # |m| = 0.5 gives exactly 0, and ties round to even on both paths
+        deltas = np.array([0.5, -0.5, 1.5, 2.5, -1.5, 0.25, -0.75, 1e-17, 0.0, 1.0])
+        monkeypatch.setattr(kseries, "_shifts", lambda ns, bc: (deltas,))
+        nus, _, k1c, _ = series_coefficients(q_step, bc_nn, deltas.size + 1)
+        expect = (-sigma_functions(q_step).sigma(PI)
+                  * np.array([sin_two_pi(d) for d in deltas.tolist()]) / (2.0 * nus))
+        assert np.array_equal(k1c, expect)
+        assert np.count_nonzero(k1c[:5]) == 0
 
 
 class TestPartialRows:
@@ -235,3 +267,7 @@ class TestACDiagnostic:
             ac_diagnostic(res.grid, res.k_partial, res.N_list, 0.0, 5.0)
         with pytest.raises(ValueError):
             ac_diagnostic(res.grid, res.k_partial, res.N_list, 5.0, 1.0)
+        # two grid points of linspace(0, 2 pi, 8) lie in [0.8, 2.0]
+        res = k_partial_sum(q_zero, bc_dd, 8, points=8)
+        with pytest.raises(ValueError, match="segment contains too few grid points"):
+            ac_diagnostic(res.grid, res.k_partial, res.N_list, 0.8, 2.0)

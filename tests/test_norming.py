@@ -13,6 +13,7 @@ from slspectra import (
     find_spectrum,
     model_a,
     model_b,
+    norming_record,
     norming_records,
     phi,
     psi,
@@ -191,6 +192,8 @@ class TestModelValues:
     def test_validation(self, bc_nn):
         with pytest.raises(ValueError):
             model_a(bc_nn, 0.0, 0.0, 1)
+        with pytest.raises(ValueError, match="model is defined for n >= 2, got 1"):
+            model_b(bc_nn, 0.0, 0.0, 1)
 
 
 class TestRemainderExtraction:
@@ -220,6 +223,10 @@ class TestRemainderExtraction:
         # plugging the combined remainder back into its bracket reproduces a_n
         rebuilt = model_a(bc, p.delta, ae, 5) + (PI / 2) * bc.sin_alpha ** 2 * r
         assert rebuilt == pytest.approx(a, rel=1e-12)
+
+    def test_validation(self, bc_nn):
+        with pytest.raises(ValueError, match="extraction is defined for n >= 2, got 1"):
+            extract_remainders(PI / 2, 0.0, 0.0, bc_nn, 1)
 
     def test_step_remainder_bounded(self, q_step, bc_nn, step_nn_spectrum60):
         records = norming_records(q_step, bc_nn, step_nn_spectrum60)
@@ -281,6 +288,10 @@ class TestRecords:
 
     def test_empty_batch(self, q_step, bc_nn):
         assert norming_records(q_step, bc_nn, []) == []
+
+    def test_single_record_is_the_batch_one(self, q_step, bc_nn, step_nn_spectrum60):
+        pair = step_nn_spectrum60.pair(3)
+        assert norming_record(q_step, bc_nn, pair) == norming_records(q_step, bc_nn, [pair])[0]
 
     def test_one_correction_call_per_batch(self, q_step, bc_nn, step_nn_spectrum60,
                                            monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -339,6 +340,22 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential(**bad)
 
+    @pytest.mark.parametrize("bad,message", [
+        (dict(kind="named", name="constant", params=(1.0,), offset=math.inf),
+         "offset must be finite"),
+        (dict(kind="named", name="zero", params=(1.0,)), "zero potential takes no parameters"),
+        (dict(kind="named", name="step", params=(1.0,)),
+         "step potential takes parameters (height, x0)"),
+        (dict(kind="grid", xs=np.array([0.0, PI])), "grid potential needs xs and qs"),
+        (dict(kind="grid", xs=np.array([0.0, PI]), qs=np.array([1.0, 2.0, 3.0])),
+         "xs and qs must be matching 1-d arrays with >= 2 samples"),
+    ], ids=["offset", "zero-params", "step-params", "grid-missing", "grid-shapes"])
+    def test_validation_messages(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Potential(**bad)
+        with pytest.raises(ValueError, match="unknown potential kind 'other'"):
+            Potential.from_json('{"kind":"other"}')
+
     def test_breakpoints(self):
         assert Potential.step(2.0, 1.0).breakpoints == (1.0,)
         assert Potential.step(2.0, 1.0).jump_points == (1.0,)
@@ -424,6 +441,14 @@ class TestCumulativeIntegrals:
         assert ci.sigma(1.0) == pytest.approx(2 * PI - 1.0, abs=1e-12)
         plateau = 2 * (PI * (PI / 2) - (PI / 2) ** 2 / 2)
         assert ci.sigma(2.5) == pytest.approx(plateau, abs=1e-12)
+
+    def test_domain_error(self, q_step):
+        ci = sigma_functions(q_step)
+        with pytest.raises(ValueError, match="cumulative integral evaluated outside"):
+            ci.sigma(PI + 0.1)
+        for x in (-0.1, 2 * PI + 0.1):
+            with pytest.raises(ValueError, match="sigma_tilde evaluated outside"):
+                ci.sigma_tilde(x)
 
     def test_sigma_tilde_is_half_argument(self, q_step):
         ci = sigma_functions(q_step)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from slspectra import (
     BoundaryParams,
+    BracketError,
     Potential,
     Spectrum,
     UnsupportedRegimeError,
@@ -90,6 +93,24 @@ class TestBracketing:
             lo, hi = _bracket(q_zero, bc_dd, n, 512)
             assert lo < (n + 1) ** 2 < hi
 
+    def test_walks_up_from_low_centres(self, q_zero, bc_dd, monkeypatch):
+        # centres at 0 leave index 3 (mu = 16) above every first count; the
+        # height above min(q) doubles until a count exceeds 3
+        monkeypatch.setattr(spectrum, "_asymptotic_center", lambda n, d, meanq: 0.0)
+        lo, hi = _bracket(q_zero, bc_dd, 3, 512)
+        assert lo <= 16.0 < hi
+        assert find_eigenvalue(q_zero, bc_dd, 3).mu == pytest.approx(16.0, abs=1e-8)
+
+    @pytest.mark.parametrize("counts,message", [
+        (lambda mus: np.where(mus < 3.3, 5, 0), "oscillation counts decrease above mu"),
+        (lambda mus: np.where(mus < 3.3, 0, 2), "eigenvalues cluster below resolution"),
+        (lambda mus: np.zeros(mus.size, dtype=int), "no count bounds indices [0]"),
+    ], ids=["decreasing", "cluster", "unbounded"])
+    def test_bracket_errors(self, q_zero, bc_dd, monkeypatch, counts, message):
+        monkeypatch.setattr(spectrum, "_counts", lambda engine, mus: counts(np.asarray(mus)))
+        with pytest.raises(BracketError, match=re.escape(message)):
+            _bracket(q_zero, bc_dd, 0, 512)
+
     def test_counts_are_never_repeated(self, q_step, bc_nn, monkeypatch):
         # every round of the index bisection reuses all earlier counts
         counted = []
@@ -134,6 +155,14 @@ class TestFindEigenvalue:
             find_eigenvalue(q_zero, bc_dd, -1)
         with pytest.raises(ValueError):
             find_eigenvalue(q_zero, bc_dd, 301)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+    def test_root_window_must_be_finite_and_positive(self, q_zero, bc_dd, q_step, bc_nn, tol):
+        # unchecked, an infinite window gives mu_3 = 20.25 for the free problem (exactly 16)
+        with pytest.raises(ValueError, match="^tol must be finite and positive$"):
+            find_eigenvalue(q_zero, bc_dd, 3, tol=tol)
+        with pytest.raises(ValueError, match="^tol must be finite and positive$"):
+            find_spectrum(q_step, bc_nn, 30, tol=tol)
 
 
 class TestEigenfunctions:
@@ -221,6 +250,9 @@ class TestSpectrum:
             Spectrum(q=q_zero, bc=bc_dd, pairs=s.pairs[1:])
         with pytest.raises(ValueError):
             Spectrum(q=q_zero, bc=bc_dd, pairs=[s.pairs[0], s.pairs[0]])
+        tied = [s.pairs[0], dataclasses.replace(s.pairs[1], mu=s.pairs[0].mu)]
+        with pytest.raises(ValueError, match="eigenvalues must be strictly increasing"):
+            Spectrum(q=q_zero, bc=bc_dd, pairs=tied)
         with pytest.raises(ValueError):
             find_spectrum(q_zero, bc_dd, -1)
 
