@@ -29,7 +29,7 @@ PI = math.pi
 
 def reflected_ae(q, nu):
     """-(1/2) int_0^pi t q(t) sin(2 nu (pi - t)) dt for an array of nu."""
-    c, s = fourier_moments(lambda t: t * q(t), 2.0 * nu, q.breakpoints)
+    c, s = fourier_moments(lambda t: t * q(t), 2.0 * nu, q.breakpoints, cubic=q.piecewise_linear)
     return -0.5 * (np.sin(2.0 * PI * nu) * c - np.cos(2.0 * PI * nu) * s)
 
 

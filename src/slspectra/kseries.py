@@ -37,7 +37,10 @@ both integrands stacked, the frequencies 0, 2 and 4 appended to the 2 nu, so
 all share its phases and Bessel weights.  No frequency's moment depends on
 the others in the call, so each value is the one a separate call returns;
 ``k2_closed_form_dd`` called on its own still makes its own call.  The rule
-is exact for zero, constant, step and grid potentials.
+is exact for zero, constant, step and grid potentials, whose integrands
+(pi - t) q(t) and sigma are cubics between breakpoints; for them every
+piece is one panel (``Potential.piecewise_linear``), other potentials take
+2048 panels.
 
 The partial sums live on the uniform grid x_j = 2 pi j / P, P = points - 1.
 There the integer part of nu x_j P / (2 pi) is reduced modulo P exactly in
@@ -162,7 +165,8 @@ def _coefficients(q: Potential, bc: BoundaryParams, N: int,
     # over [0, 2 pi]: (1/2) int sigma_tilde cos(nu t) = int sigma cos(2 nu s);
     # ae_n = -(1/2) int (pi - t) q(t) sin(2 nu t) dt, as norming.ae_tilde_n
     cos_m, sin_m = fourier_moments(lambda t: np.stack([ci.sigma(t), (PI - t) * q(t)]),
-                                   np.append(2.0 * nus, harmonics), q.breakpoints)
+                                   np.append(2.0 * nus, harmonics), q.breakpoints,
+                                   cubic=q.piecewise_linear)
     # sin(2 pi delta) as delta.sin_two_pi, whose round() also breaks ties to even
     m = deltas - np.round(deltas)
     sines = np.fromiter(map(math.sin, (2.0 * PI * m).tolist()), float, m.size)
@@ -273,7 +277,8 @@ def k2_closed_form_dd(q: Potential, grid=None,
     """
     grid = _default_grid(grid)
     ci = cumulative if cumulative is not None else sigma_functions(q)
-    return _closed_form(ci, grid, fourier_moments(ci.sigma, _HARMONICS, q.breakpoints)[0])
+    moments = fourier_moments(ci.sigma, _HARMONICS, q.breakpoints, cubic=q.piecewise_linear)[0]
+    return _closed_form(ci, grid, moments)
 
 
 def _closed_form(ci: CumulativeIntegrals, grid: np.ndarray, moments: np.ndarray) -> np.ndarray:

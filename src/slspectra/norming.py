@@ -24,7 +24,11 @@ step(2, 1), Neumann at both ends, n^2 (b_n - model_b) reads 0.72, 1.31 and
 2.90 at n = 50, 100 and 200, and 0.50 at each with the reflected integral.
 
 ae_n comes from the moment rule ``potential.fourier_moments``, one call for
-a whole batch of indices, exact for zero, constant, step and grid potentials.
+a whole batch of indices.  For zero, constant, step and grid potentials
+(``Potential.piecewise_linear``) it is exact and takes one panel per piece;
+other potentials take 2048 panels.  ``norming_records`` forms the model
+values and remainders of a batch as arrays, by the scalar functions'
+operations, so each field is theirs bit for bit.
 
 Remainder extraction divides the measured defect by the active bracket
 weight.  When sin(alpha) and cos(alpha) are both nonzero the two bracket
@@ -99,7 +103,8 @@ def ae_n(q: Potential, delta, n):
 
 def ae_tilde_n(q: Potential, lam):
     """Correction integral at the true eigenfrequency 2 lambda_n (lam may be an array)."""
-    ae = -0.5 * fourier_moments(lambda t: (PI - t) * q(t), np.multiply(2.0, lam), q.breakpoints)[1]
+    ae = -0.5 * fourier_moments(lambda t: (PI - t) * q(t), np.multiply(2.0, lam), q.breakpoints,
+                                cubic=q.piecewise_linear)[1]
     return float(ae) if ae.ndim == 0 else ae
 
 
@@ -173,25 +178,22 @@ def norming_records(q: Potential, bc: BoundaryParams, pairs,
     _, _, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
     _, _, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)
     ns = np.array([p.n for p in pairs], dtype=int)
-    aes = np.full(ns.size, math.nan)
-    aes[ns >= 2] = ae_n(q, [p.delta.value for p in pairs if p.n >= 2], ns[ns >= 2])
-
-    records = []
-    for p, a_v, b_v, ae in zip(pairs, a_vals, b_vals, aes.tolist()):
-        if p.n < 2:
-            records.append(NormingRecord(
-                n=p.n, a_n=float(a_v), b_n=float(b_v), ae_n=math.nan,
-                model_a=math.nan, model_b=math.nan,
-                r_n=math.nan, rtilde_n=math.nan, p_n=math.nan, ptilde_n=math.nan,
-                extraction_a="none", extraction_b="none"))
-            continue
-        ma = model_a(bc, p.delta, ae, p.n)
-        mb = model_b(bc, p.delta, ae, p.n)
-        nu = p.n + p.delta.value
-        r, rt, mode_a = _extract(float(a_v) - ma, bc.sin_alpha, bc.cos_alpha, nu)
-        pv, pt, mode_b = _extract(float(b_v) - mb, bc.sin_beta, bc.cos_beta, nu)
-        records.append(NormingRecord(
-            n=p.n, a_n=float(a_v), b_n=float(b_v), ae_n=ae, model_a=ma, model_b=mb,
-            r_n=r, rtilde_n=rt, p_n=pv, ptilde_n=pt,
-            extraction_a=mode_a, extraction_b=mode_b))
-    return records
+    deltas = np.array([p.delta.value for p in pairs], dtype=float)
+    late = ns >= 2
+    # ae_n, model_a, model_b and the four remainders, by _model's and
+    # _extract's operations on the batch.  A cell without a value (below
+    # index 2, or the remainder _extract leaves out) holds the object
+    # math.nan, as the scalar functions return, so equal records compare equal
+    columns = np.full((7, ns.size), math.nan, dtype=object)
+    index, shift = ns[late], deltas[late]
+    ae = ae_n(q, shift, index)
+    ma = _model(bc.sin_alpha, bc.cos_alpha, shift, ae, index)
+    mb = _model(bc.sin_beta, bc.cos_beta, shift, ae, index)
+    r, rt, mode_a = _extract(a_vals[late] - ma, bc.sin_alpha, bc.cos_alpha, index + shift)
+    pv, pt, mode_b = _extract(b_vals[late] - mb, bc.sin_beta, bc.cos_beta, index + shift)
+    for column, values in zip(columns, (ae, ma, mb, r, rt, pv, pt)):
+        column[late] = values
+    modes = {True: (mode_a, mode_b), False: ("none", "none")}
+    # the columns follow NormingRecord's field order
+    return [NormingRecord(n, a_v, b_v, *model, *modes[n >= 2]) for n, a_v, b_v, *model
+            in zip(ns.tolist(), a_vals.tolist(), b_vals.tolist(), *columns.tolist())]

@@ -16,11 +16,14 @@ the supplied frequency hint before refinement starts.
 Oscillatory moments, int_0^pi f(t) exp(i w t) dt for an array of w, come
 from a panel-moment (Filon) rule instead: exact up to rounding when f is a
 cubic between breakpoints, fourth order in the panel width otherwise,
-whatever the frequency.  Its panel phases are factorised: the evenly spaced
-panels of a piece of n >= 16 panels are laid out in rows of about sqrt(n)
-by sqrt(n), so each frequency takes one phase per row position and one per
-column instead of a sine and a cosine per panel, and the panel sums become
-small matrix products.  Smaller pieces keep one phase per panel.
+whatever the frequency.  A caller that knows f is a cubic between
+breakpoints (``cubic=True``; the moment integrands of a ``piecewise_linear``
+potential are) gets one panel per piece.  Otherwise the 2048 panels'
+phases are factorised: the evenly spaced panels of a piece of n >= 16
+panels are laid out in rows of about sqrt(n) by sqrt(n), so each frequency
+takes one phase per row position and one per column instead of a sine and
+a cosine per panel, and the panel sums become small matrix products.
+Smaller pieces keep one phase per panel.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -50,10 +53,13 @@ _TABLE_POINTS = 2048
 _NAMED_POTENTIALS = ("zero", "constant", "step", "smooth-test")
 _DOMAIN_SLACK = 1e-12
 
-# Moment rule: at least _MOMENT_PANELS panels; pieces of fewer than
+# Moment rule: _MOMENT_PANELS panels unless f is cubic between breakpoints
+# (a piece's count is rounded up after a relative _PANEL_SLACK, so the
+# rounding of evenly spaced cuts adds no panel); pieces of fewer than
 # _MOMENT_ROW_MIN panels skip the phase factorisation; a block of
 # _MOMENT_ELEMS (frequency, phase) entries keeps its transients near 1 MB.
 _MOMENT_PANELS = 2048
+_PANEL_SLACK = 1e-9
 _MOMENT_ROW_MIN = 16
 _MOMENT_ELEMS = 8192
 # Four-point Gauss-Legendre nodes s_j and weights w_j in closed form; the
@@ -70,6 +76,30 @@ _BESSEL_SERIES = np.array([
     [(-1) ** m / (2 ** m * math.factorial(m) * math.prod(range(1, 2 * k + 2 * m + 2, 2)))
      for k in range(4)] for m in range(10)])
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _bessel_weights(theta, radius):
+    """2 r i^k j_k(theta) for k = 0..3 on a last axis; theta = w r has a trailing axis of 1.
+
+    Where |theta| <= 1, the ten-term series; elsewhere the closed forms,
+    sin(theta) and cos(theta) times polynomials in x = 1 / theta:
+    j_0 = x s, j_1 = x (x s - c), j_2 = (3 x^2 - 1) x s - 3 x^2 c and
+    j_3 = (15 x^2 - 6) x^2 s - (15 x^2 - 1) x c.
+    """
+    near = np.abs(theta) <= 1.0
+    series = np.where(near, theta, 0.0)
+    bessel = _BESSEL_SERIES[-1]
+    for row in _BESSEL_SERIES[-2::-1]:
+        bessel = bessel * series * series + row
+    weights = 2.0 * radius * _I_POWERS * series ** np.arange(4) * bessel
+    if near.all():
+        return weights
+    far = np.where(near, 2.0, theta)
+    x, s, c = 1.0 / far, np.sin(far), np.cos(far)
+    x2 = x * x
+    bessel = np.concatenate([x * s, x * (x * s - c), (3.0 * x2 - 1.0) * x * s - 3.0 * x2 * c,
+                             (15.0 * x2 - 6.0) * x2 * s - (15.0 * x2 - 1.0) * x * c], axis=-1)
+    return np.where(near, weights, 2.0 * radius * _I_POWERS * bessel)
 
 
 def _unique(values, return_index=False, return_inverse=False):
@@ -180,19 +210,25 @@ def integrate(
 
 
 def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
-                    breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+                    breakpoints: Sequence[float] = (), *,
+                    cubic: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """int_0^pi f(t) cos(w t) dt and int_0^pi f(t) sin(w t) dt for each w in omegas.
 
-    Each piece between breakpoints gets equal panels of half-width r, with
-    |w| r <= 1.  On a panel of centre c, f is replaced by the cubic
+    The frequencies must be finite (ValueError otherwise).  Each piece
+    between breakpoints gets equal panels of half-width r, its share of
+    2048 panels over [0, pi] rounded up; with ``cubic=True``, which says
+    that f is a polynomial of degree <= 3 between breakpoints, each piece is
+    one panel.  On a panel of centre c, f is replaced by the cubic
     sum_k a_k P_k((t - c) / r) through its four (interior) Gauss-Legendre
-    nodes, whose moment is exactly r exp(i w c) sum_k a_k 2 i^k j_k(w r); j_k
-    is evaluated once per distinct r.  Its ten-term series runs once per
-    table of whole frequency blocks, size x max(1, _MOMENT_ELEMS // (4 x
-    size x radii)) frequencies with size the block length below, so a call
-    of a few hundred frequencies on a few radii takes one table.  The
-    weights are elementwise, so a value does not depend on how the
-    frequencies are cut into tables.
+    nodes, whose moment is
+    exactly r exp(i w c) sum_k a_k 2 i^k j_k(w r); j_k is evaluated once per
+    distinct r, by its ten-term series where |w r| <= 1 and in closed form
+    elsewhere (``_bessel_weights``).  That runs once per table of whole
+    frequency blocks, size x max(1, _MOMENT_ELEMS // (4 x size x radii))
+    frequencies with size the block length below, so a call of a few
+    hundred frequencies on a few radii takes one table.  The weights are
+    elementwise, so a value does not depend on how the frequencies are cut
+    into tables.
 
     The phases are factorised.  A piece of n >= 16 panels is cut into rows
     of B x B panels, B = 2^floor(log4 n), the last row zero-padded; panel
@@ -220,9 +256,14 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     """
     omegas = np.asarray(omegas, dtype=float)
     w = omegas.ravel()
-    density = max(_MOMENT_PANELS, math.ceil(PI * float(np.max(np.abs(w), initial=0.0)) / 2.0))
+    if not np.all(np.isfinite(w)):
+        raise ValueError("moment frequencies must be finite")
     cuts = np.array([0.0, *sorted(b for b in breakpoints if 0.0 < b < PI), PI])
-    counts = np.maximum(1, np.ceil(density * np.diff(cuts) / PI)).astype(int)
+    if cubic:
+        counts = np.ones(cuts.size - 1, dtype=int)
+    else:
+        counts = np.maximum(1, np.ceil(_MOMENT_PANELS * np.diff(cuts) / PI
+                                       * (1.0 - _PANEL_SLACK))).astype(int)
     # the Bessel weights are taken once per distinct radius
     radius, piece_radius = _unique(np.diff(cuts) / (2 * counts), return_inverse=True)
     radii = radius[piece_radius]
@@ -264,11 +305,8 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     table = size * max(1, _MOMENT_ELEMS // (4 * size * radius.size))
     for lo in range(0, w.size, size):
         if lo % table == 0:
-            theta = w[lo:lo + table, None, None] * radius[:, None]
-            bessel = _BESSEL_SERIES[-1]
-            for row in _BESSEL_SERIES[-2::-1]:
-                bessel = bessel * theta * theta + row
-            table_weights = 2.0 * radius[:, None] * _I_POWERS * theta ** np.arange(4) * bessel
+            table_weights = _bessel_weights(w[lo:lo + table, None, None] * radius[:, None],
+                                            radius[:, None])
         wb = w[lo:lo + size, None, None]
         weights = table_weights[lo % table:lo % table + size]
         if small.size:
@@ -533,6 +571,16 @@ class Potential:
         if self.name == "step":
             return (self.params[1],)
         return ()
+
+    @property
+    def piecewise_linear(self) -> bool:
+        """True when q is linear between its breakpoints: zero, constant, step and grid.
+
+        Then (pi - t) q(t) and sigma are cubics there, which the moment rule
+        integrates exactly on one panel per piece (``fourier_moments(...,
+        cubic=True)``).
+        """
+        return self.kind == "grid" or self.name != "smooth-test"
 
     @property
     def jump_points(self) -> tuple[float, ...]:

@@ -164,7 +164,7 @@ class TestOnePass:
         assert np.array_equal(nus, ns + np.array(deltas))
         ci = sigma_functions(q)
         cos_m, sin_m = fourier_moments(lambda t: np.stack([ci.sigma(t), (PI - t) * q(t)]),
-                                       2.0 * nus, q.breakpoints)
+                                       2.0 * nus, q.breakpoints, cubic=q.piecewise_linear)
         assert np.array_equal(kc, -0.5 * sin_m[1] / nus)
         assert np.array_equal(k2c, cos_m[0])
         assert np.array_equal(k1c, -ci.sigma(PI) * np.array([sin_two_pi(d) for d in deltas])

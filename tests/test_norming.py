@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,21 @@ class TestCorrectionIntegral:
             ae_n(q_one, 0.0, 1)
         with pytest.raises(ValueError):
             ae_n(q_one, [0.0, 0.0], [2, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_frequencies(self, bad):
+        q = Potential.step(2.0, 1.0)
+        with pytest.raises(ValueError, match="moment frequencies must be finite"):
+            ae_tilde_n(q, bad)
+        with pytest.raises(ValueError, match="moment frequencies must be finite"):
+            ae_n(q, [0.5, bad], [3, 4])
+
+    def test_huge_finite_frequency(self):
+        # 2 lambda = 2e300 is finite: a value of size about 1 / lambda, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ae_tilde_n(Potential.step(2.0, 1.0), 1e300)
+        assert abs(value) <= 1e-298
 
     def test_array_matches_scalar(self, q_step):
         ns = np.array([2, 5, 17, 40, 300])
@@ -311,6 +327,35 @@ class TestRecords:
                 assert math.isnan(rec.ae_n)
             else:
                 assert rec.ae_n == ae_n_fn(q_step, p.delta, p.n)
+
+    @pytest.mark.parametrize("bc", [
+        BoundaryParams(PI / 2, PI / 2), BoundaryParams(PI, 0.0), BoundaryParams(PI, PI / 2),
+        BoundaryParams(PI / 2, 0.0), BoundaryParams(2.3, 0.6),
+    ], ids=["nn", "dd", "dn", "nd", "robin"])
+    def test_array_fields_match_the_scalar_path(self, bc):
+        # every field is the scalar model_a, model_b and extract_remainders
+        # value bit for bit, NaN below index 2, in a batch that mixes both
+        q = Potential.step(2.0, 1.0)
+        pairs = find_spectrum(q, bc, 12).pairs
+        pairs = [pairs[i] for i in (5, 0, 12, 1, 2, 7)]
+        same = lambda x, y: x == y or (math.isnan(x) and math.isnan(y))
+        for p, rec in zip(pairs, norming_records(q, bc, pairs)):
+            assert rec.n == p.n
+            if p.n < 2:
+                assert all(math.isnan(v) for v in (rec.ae_n, rec.model_a, rec.model_b, rec.r_n,
+                                                   rec.rtilde_n, rec.p_n, rec.ptilde_n))
+                assert rec.extraction_a == rec.extraction_b == "none"
+                continue
+            ae = ae_n(q, p.delta, p.n)
+            assert rec.ae_n == ae
+            assert rec.model_a == model_a(bc, p.delta, ae, p.n)
+            assert rec.model_b == model_b(bc, p.delta, ae, p.n)
+            r, rt, mode_a = extract_remainders(rec.a_n, ae, p.delta, bc, p.n)
+            assert same(rec.r_n, r) and same(rec.rtilde_n, rt) and rec.extraction_a == mode_a
+            nu = p.n + p.delta.value
+            pv, pt, mode_b = norming_module._extract(rec.b_n - rec.model_b, bc.sin_beta,
+                                                     bc.cos_beta, nu)
+            assert same(rec.p_n, pv) and same(rec.ptilde_n, pt) and rec.extraction_b == mode_b
 
     def test_bookkeeping_identity(self, q_step, bc_nn, step_nn_spectrum60):
         records = norming_records(q_step, bc_nn, step_nn_spectrum60)

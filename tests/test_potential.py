@@ -101,9 +101,65 @@ def _polynomial_moments(pieces, omega):
     return total.real, total.imag
 
 
+def _mp_pieces(q, mp):
+    """(a, b, coefficients in t of (pi - t) q(t)) on each piece of a piecewise-linear q.
+
+    Exact in mpmath; pi is the float PI, the right end and weight that the
+    library integrates with.
+    """
+    pi = mp.mpf(PI)
+    if q.kind == "grid":
+        nodes = [mp.mpf(float(x)) for x in q.xs]
+        values = [mp.mpf(float(y)) + q.offset for y in q.qs]
+        ends = list(zip(values[:-1], values[1:]))
+    else:
+        # zero, constant and step are constant on each piece
+        cuts = [0.0, *q.breakpoints, PI]
+        nodes = [mp.mpf(x) if x != PI else pi for x in cuts]
+        ends = [(mp.mpf(q(0.5 * (a + b))),) * 2 for a, b in zip(cuts[:-1], cuts[1:])]
+    pieces = []
+    for a, b, (qa, qb) in zip(nodes[:-1], nodes[1:], ends):
+        slope = (qb - qa) / (b - a)
+        start = qa - a * slope
+        pieces.append((a, b, [pi * start, pi * slope - start, -slope]))
+    return pieces
+
+
+def _mp_value(p, t):
+    return sum(c * t ** i for i, c in enumerate(p))
+
+
+def _mp_sigma_pieces(pieces):
+    """Pieces of sigma(x) = int_0^x of the pieces' polynomial, continuous from sigma(0) = 0."""
+    out, level = [], 0
+    for a, b, p in pieces:
+        antiderivative = [0] + [c / (i + 1) for i, c in enumerate(p)]
+        antiderivative[0] = level - _mp_value(antiderivative, a)
+        out.append((a, b, antiderivative))
+        level = _mp_value(antiderivative, b)
+    return out
+
+
+def _mp_moment(pieces, w, mp):
+    """Exact int p(t) e^{i w t} over the pieces, by repeated integration by parts."""
+    total = mp.mpc(0)
+    for a, b, p in pieces:
+        if w == 0:
+            antiderivative = [0] + [c / (i + 1) for i, c in enumerate(p)]
+            total += _mp_value(antiderivative, b) - _mp_value(antiderivative, a)
+            continue
+        for t, sign in ((b, 1), (a, -1)):
+            term, d, m = mp.mpc(0), p, 0
+            while d:
+                term += (-1) ** m * _mp_value(d, t) / (1j * w) ** (m + 1)
+                d, m = [i * c for i, c in enumerate(d)][1:], m + 1
+            total += sign * mp.expj(w * t) * term
+    return total
+
+
 class TestFourierMoments:
-    # 2.37 and 80.9 are off the integers; 5000.3 needs more than the
-    # 2048 default panels (at most 2 / max|w| wide)
+    # 2.37 and 80.9 are off the integers; at 5000.3 the panels' |w r|
+    # exceeds 1, where the Bessel weights take the closed form
     OMEGAS = np.array([2.37, 80.9, 5000.3])
 
     def _check(self, f, breakpoints, pieces, omegas=OMEGAS):
@@ -167,7 +223,7 @@ class TestFourierMoments:
         lambda: Potential.smooth_test([1.0, -0.5, 0.3]),
     ], ids=["step", "grid64", "smooth"])
     def test_batch_invariance(self, make):
-        # below w = 1304 every batch gets the same 2048-panel layout, so a
+        # every batch gets the same panel layout, so a
         # frequency's moment must not depend on the others in its call
         q = make()
         omegas = np.concatenate([[0.0, 1.0, -3.3],
@@ -183,6 +239,8 @@ class TestFourierMoments:
         lambda: Potential.from_grid(*TestFourierMoments._packed_grid()),
         lambda: Potential.smooth_test([1.0, -0.5, 0.3]),
     ], ids=["step", "grid64", "packed", "smooth"])
+    # the ids name the panel counts before the closed-form Bessel weights;
+    # every call now takes 2048 panels, and 2e4 reaches |w r| = 15
     @pytest.mark.parametrize("top", [1300.0, 2e4], ids=["2048-panels", "31417-panels"])
     def test_stacked_integrands(self, make, top):
         # two integrands in one call share the phases and the Bessel weights,
@@ -196,6 +254,7 @@ class TestFourierMoments:
             alone = fourier_moments(f, omegas, q.breakpoints)
             assert np.array_equal(both[0][i], alone[0]) and np.array_equal(both[1][i], alone[1])
 
+    # as above, "7855-panels" is the count before the closed form, now 2048
     @pytest.mark.parametrize("omegas", [OMEGAS[:2], OMEGAS], ids=["2048-panels", "7855-panels"])
     def test_uneven_pieces(self, omegas):
         P = np.polynomial.Polynomial
@@ -211,7 +270,7 @@ class TestFourierMoments:
         self._check(lambda t: (PI - t) * q(t), q.breakpoints, pieces, omegas)
 
     def test_step_at_high_frequency(self):
-        # 31417 panels; int_0^x0 c e^{i w t} dt = c (sin(w x0) + i (1 - cos(w x0))) / w
+        # 2048 panels, |w r| up to 15; int_0^x0 c e^{i w t} dt = c (sin(w x0) + i (1 - cos(w x0))) / w
         c, x0 = 3.0, 1.0
         omegas = np.array([2e4, 2e4 + 0.37])
         cos_m, sin_m = fourier_moments(Potential.step(c, x0), omegas, (x0,))
@@ -282,6 +341,48 @@ class TestFourierMoments:
             fourier_moments(f, omegas, q.breakpoints)
             assert 0 < sum(seen) <= most * omegas.size
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_frequencies(self, bad):
+        with pytest.raises(ValueError, match="moment frequencies must be finite"):
+            fourier_moments(Potential.constant(1.0), [1.0, bad])
+
+    @pytest.mark.parametrize("pieces", [64, 256, 1024])
+    def test_uniform_grid_panel_counts(self, pieces):
+        # the panels are read off the shape of f's argument, (panels, 4):
+        # the cuts of a linspace grid must not round a piece up to one more
+        xs = np.linspace(0.0, PI, pieces + 1)
+        q = Potential.from_grid(xs, np.cos(xs))
+        shapes = []
+        f = lambda t: shapes.append(t.shape) or q(t)
+        fourier_moments(f, [1.0, 2e4], q.breakpoints)
+        fourier_moments(f, [1.0, 2e4], q.breakpoints, cubic=True)
+        assert shapes == [(2048, 4), (pieces, 4)]
+
+    def test_smooth_at_high_frequency(self):
+        # moments at w = 2e4 on 2048 panels, against mpmath: for
+        # q = sum c_j cos(j t), int q e^{i w t} and int (pi - t) q e^{i w t}
+        # are sums of G(w +- j) and F(w +- j)
+        mpmath = pytest.importorskip("mpmath")
+        coeffs = [1.0, -0.5]
+        q = Potential.smooth_test(coeffs)
+        omegas = np.array([2e4, 2e4 + 0.37, 1.5e4 - 0.3])
+        cos_m, sin_m = fourier_moments(lambda t: np.stack([q(t), (PI - t) * q(t)]), omegas)
+        with mpmath.workdps(30):
+            pi = mpmath.mpf(PI)
+
+            def G(a):
+                return (mpmath.expj(a * pi) - 1) / (1j * a)
+
+            def F(a):
+                return -pi / (1j * a) - (mpmath.expj(a * pi) - 1) / a ** 2
+
+            for i, w in enumerate(omegas):
+                w = mpmath.mpf(float(w))
+                for k, H in enumerate((G, F)):
+                    want = sum(c * (H(w + j) + H(w - j)) / 2 for j, c in enumerate(coeffs, start=1))
+                    assert abs(cos_m[k, i] - float(want.real)) <= 5e-15
+                    assert abs(sin_m[k, i] - float(want.imag)) <= 5e-15
+
     def test_shape_follows_omegas(self):
         cos_m, sin_m = fourier_moments(Potential.constant(1.0), 3.0)
         assert cos_m.shape == () and sin_m.shape == ()
@@ -295,6 +396,84 @@ class TestFourierMoments:
                                                   np.ones((2, 3)))[0])
         cos_m, _ = fourier_moments(stacked, 3.0)
         assert cos_m.shape == (4, 1)
+
+
+_XS13 = np.append(np.arange(12) * PI / 12, PI)
+
+
+class TestWholePieceMoments:
+    """cubic=True: one panel per piece, exact for the moment integrands of piecewise-linear q."""
+
+    OMEGAS = np.concatenate([[0.0, 0.3, -2.37], 2.0 * (np.arange(2, 401, 37) + 0.37),
+                             [1303.0, 5000.3, 2e4]])
+
+    @pytest.mark.parametrize("make", [
+        lambda: Potential.zero(),
+        lambda: Potential.constant(1.7),
+        lambda: Potential.step(2.3, 1.1),
+        lambda: Potential.step(-1.5, 0.4).shifted(0.7),
+        lambda: Potential.from_grid(_XS13, np.sin(2 * _XS13) + _XS13 / 3),
+        lambda: Potential.from_grid(*uneven_grid(5)),
+    ], ids=["zero", "constant", "step", "offset-step", "grid13", "grid64"])
+    def test_against_mpmath(self, make):
+        # (pi - t) q(t) and sigma, stacked as the k-series stacks them,
+        # against exact antiderivatives of polynomial x e^{i w t}
+        mpmath = pytest.importorskip("mpmath")
+        q = make()
+        assert q.piecewise_linear
+        ci = sigma_functions(q)
+        cos_m, sin_m = fourier_moments(lambda t: np.stack([(PI - t) * q(t), ci.sigma(t)]),
+                                       self.OMEGAS, q.breakpoints, cubic=True)
+        with mpmath.workdps(30):
+            weighted = _mp_pieces(q, mpmath)
+            for k, pieces in enumerate((weighted, _mp_sigma_pieces(weighted))):
+                for i, w in enumerate(self.OMEGAS):
+                    want = _mp_moment(pieces, mpmath.mpf(float(w)), mpmath)
+                    assert abs(cos_m[k, i] - float(want.real)) <= 5e-14
+                    assert abs(sin_m[k, i] - float(want.imag)) <= 5e-14
+
+    def test_zero_is_exactly_zero(self):
+        cos_m, sin_m = fourier_moments(Potential.zero(), self.OMEGAS, cubic=True)
+        assert np.all(cos_m == 0.0) and np.all(sin_m == 0.0)
+
+
+class TestBesselWeights:
+    """2 r i^k j_k(theta): the ten-term series where |theta| <= 1, the closed form above."""
+
+    @staticmethod
+    def _j(theta):
+        # r = 1/2 makes 2 r = 1, and the product with conj(i^k) is exact
+        weights = potential._bessel_weights(np.asarray(theta, dtype=float)[:, None], 0.5)
+        return (weights * np.conj(potential._I_POWERS)).real
+
+    def test_closed_form_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        theta = np.concatenate([[np.nextafter(1.0, 2.0)], np.geomspace(1.0, 2e4, 200)[1:]])
+        theta = np.concatenate([theta, -theta])
+        got = self._j(theta)
+        with mpmath.workdps(30):
+            for t, row in zip(theta, got):
+                x = mpmath.mpf(abs(float(t)))
+                for k, value in enumerate(row):
+                    want = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(k + 0.5, x)
+                    want *= -1 if t < 0 and k % 2 else 1
+                    assert abs(value - float(want)) * max(1.0, abs(t)) <= 2e-15
+
+    def test_branches_meet_at_one(self):
+        # the series at |theta| = 1 and the closed form one ulp above
+        above = np.nextafter(1.0, 2.0)
+        at, beyond = self._j([1.0, -1.0]), self._j([above, -above])
+        assert np.max(np.abs(at - beyond)) <= 1e-15
+
+    def test_series_below_one_is_kept(self):
+        # |theta| <= 1 takes the series bit for bit, even beside closed-form entries
+        theta = np.array([0.0, 1e-3, -0.5, 1.0, 3.0, -40.0])[:, None]
+        radius = np.array([0.25])
+        bessel = potential._BESSEL_SERIES[-1]
+        for row in potential._BESSEL_SERIES[-2::-1]:
+            bessel = bessel * theta * theta + row
+        series = 2.0 * radius * potential._I_POWERS * theta ** np.arange(4) * bessel
+        assert np.array_equal(potential._bessel_weights(theta, radius)[:4], series[:4])
 
 
 class TestPotential:
@@ -363,6 +542,18 @@ class TestPotential:
         grid = Potential.from_grid([0.0, 1.0, 2.0, PI], [0.0, 1.0, 0.0, 1.0])
         assert grid.breakpoints == (1.0, 2.0)
         assert grid.jump_points == ()
+
+    def test_piecewise_linear(self):
+        xs = [0.0, 1.0, PI]
+        for q in (Potential.zero(), Potential.constant(1.5), Potential.step(2.0, 1.1),
+                  Potential.from_grid(xs, [0.5, 1.5, -1.0])):
+            for variant in (q, q.shifted(0.5), Potential.from_json(json.dumps(q.shifted(-2.0).to_json()))):
+                assert variant.piecewise_linear is True
+        smooth = Potential.smooth_test([1.0, -0.5])
+        for variant in (smooth, smooth.shifted(1.0), Potential.from_json(smooth.to_json())):
+            assert variant.piecewise_linear is False
+        with pytest.raises(AttributeError):
+            smooth.piecewise_linear = True
 
     def test_shifted(self):
         q = Potential.step(2.0, PI / 2)
