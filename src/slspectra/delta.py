@@ -15,7 +15,10 @@ One iteration serves a whole array of indices (``_shifts``): each index
 leaves it at the iterate where a loop over that index alone would stop, so
 every value, iteration count and residual is the one-index result bit for
 bit.  The square roots and quotients are numpy's, which round as Python's
-do; the arccos is ``math.acos`` mapped over the ratios.  solve_delta and
+do; the arccos is ``math.acos`` mapped over the ratios.  The last few open
+indices (at most _FLOAT_TAIL) iterate in Python floats by the same
+operations, since an array step costs 10-20 µs of dispatch whatever
+its size and n = 0, 1 may need 20-34 steps.  solve_delta and
 delta_for_index are one-index calls of it; find_spectrum, the k-series
 coefficients, the CLI table and the verification criteria pass all their
 indices at once.
@@ -39,6 +42,8 @@ FIXED_POINT_TOL = 1e-13
 MAX_ITERATIONS = 200
 
 _VALUE_WINDOW = (-1.0, 2.0)
+# _shifts finishes this many open indices or fewer in Python floats
+_FLOAT_TAIL = 8
 
 
 @dataclass(frozen=True)
@@ -102,12 +107,13 @@ def _shifts(ns, bc: BoundaryParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Values, iterations and residuals of the shifts at the integer indices ns >= 0.
 
     One fixed-point iteration runs over all indices at once, each from
-    delta_asymptotic(max(n, 1)).  An index leaves the iteration at the first
-    iterate within FIXED_POINT_TOL of its predecessor; one still open after
-    MAX_ITERATIONS keeps its last iterate.  Indices n < 2 are extrapolated
-    and never raise.  Otherwise the first index in ns whose iteration did
-    not converge, or whose value left the sanity window, raises
-    ConvergenceError.
+    delta_asymptotic(max(n, 1)); once at most _FLOAT_TAIL indices are open,
+    each finishes in a float loop with _rhs's operations.  An index leaves
+    the iteration at the first iterate within FIXED_POINT_TOL of its
+    predecessor; one still open after MAX_ITERATIONS keeps its last iterate.
+    Indices n < 2 are extrapolated and never raise.  Otherwise the first
+    index in ns whose iteration did not converge, or whose value left the
+    sanity window, raises ConvergenceError.
     """
     ns = np.asarray(ns, dtype=np.int64)
     s = np.array([[bc.sin_alpha], [bc.sin_beta]])
@@ -118,9 +124,9 @@ def _shifts(ns, bc: BoundaryParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     d = np.full(ns.shape, _leading(np.maximum(ns, 1), bc))
     iterations = np.full(ns.shape, MAX_ITERATIONS)
     active, n_active, current = np.arange(ns.size), ns, d.copy()
-    for it in range(1, MAX_ITERATIONS + 1):
-        if not active.size:
-            break
+    it = 0
+    while active.size > _FLOAT_TAIL and it < MAX_ITERATIONS:
+        it += 1
         d_next = _rhs(current, n_active, s, c, cc)
         done = np.abs(d_next - current) <= FIXED_POINT_TOL
         if done.any():
@@ -128,10 +134,22 @@ def _shifts(ns, bc: BoundaryParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             iterations[active[done]] = it
             active, n_active, d_next = active[~done], n_active[~done], d_next[~done]
         current = d_next
-    d[active] = current
-    residuals = np.abs(_rhs(d, ns, s, c, cc) - d)
     stuck = np.zeros(ns.shape, dtype=bool)
-    stuck[active] = True
+    # the last few open indices iterate in floats, by _rhs's operations
+    (sa, sb), (ca, cb), (cca, ccb) = s.ravel().tolist(), c.ravel().tolist(), cc.ravel().tolist()
+    for i, n, x in zip(active.tolist(), n_active.tolist(), current.tolist()):
+        for k in range(it + 1, MAX_ITERATIONS + 1):
+            nu = n + x
+            x_next = (math.acos(ca / math.sqrt(nu * nu * sa * sa + cca)) / PI
+                      - math.acos(cb / math.sqrt(nu * nu * sb * sb + ccb)) / PI)
+            if abs(x_next - x) <= FIXED_POINT_TOL:
+                x, iterations[i] = x_next, k
+                break
+            x = x_next
+        else:
+            stuck[i] = True
+        d[i] = x
+    residuals = np.abs(_rhs(d, ns, s, c, cc) - d)
     outside = ~((_VALUE_WINDOW[0] <= d) & (d <= _VALUE_WINDOW[1]))
     bad = np.flatnonzero((ns >= 2) & (stuck | outside))
     if bad.size:

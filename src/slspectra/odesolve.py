@@ -134,7 +134,10 @@ class Mesh:
     coefficients never repeat has one run per interval, and then run_h
     equals h bit for bit.  exact says that q is constant on every interval,
     so every run takes the exact propagator (d0 = e = c0 = 0,
-    b = gamma = 1) and the sweeps skip the generator terms.
+    b = gamma = 1) and the sweeps skip the generator terms.  mean is [q],
+    the mean of q over [0, pi], by the three-point Gauss rule of every
+    interval: exact up to rounding for piecewise-linear q, whose
+    breakpoints are nodes, and sixth order for smooth q.
     """
 
     nodes: np.ndarray
@@ -145,6 +148,7 @@ class Mesh:
     run_q: np.ndarray
     run_gen: np.ndarray
     exact: bool
+    mean: float
 
 
 def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
@@ -183,7 +187,8 @@ def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
     starts = np.flatnonzero(np.concatenate(([True], new)))
     run_h = np.diff(nodes[np.append(starts, h.size)])
     return Mesh(nodes=nodes, h=h, q=q2, gen=gen, run_h=run_h, run_q=q2[starts],
-                run_gen=gen[:, starts], exact=exact)
+                run_gen=gen[:, starts], exact=exact,
+                mean=float(h @ (5.0 * q1 + 8.0 * q2 + 5.0 * q3)) / (18.0 * PI))
 
 
 def _step_coeffs(w, h):

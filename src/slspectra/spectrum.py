@@ -13,16 +13,21 @@ the pairwise run product of the Phi sweep: each run matrix carries its
 whole half-turns floor(sqrt(w_eff) h / pi), a product adds those of its
 factors and a carry read from signs, and every product is rescaled, so
 the count never overflows, however deep mu lies, and holds no node array
-(Pruess & Fulton, ACM TOMS 19, 1993).  Bisection on K, every unresolved
-index in one batch per round, starts from min(q) - 1 (walked down while
-some index has no count at or below it) and from the midpoints between
-consecutive asymptotic frequencies n + delta_n + [q] / (2 (n + delta_n)),
-and stops when K(lo) = n and K(hi) = n + 1: then [lo, hi] holds exactly
-the n-th eigenvalue, and the counts are the certificate that the n-th
-eigenfunction has n interior zeros.  Roots are then refined by bracketed
-Anderson-Bjorck regula falsi steps, vectorized over whole index ranges.
-The node-sign count of count_interior_zeros is independent of the search
-and checks it.
+(Pruess & Fulton, ACM TOMS 19, 1993).  The first count batch takes
+min(q) - 1 and a separator between each pair of neighbouring indices: the
+squared midpoint of the asymptotic frequencies c_m = nu_m + [q] / (2 nu_m),
+nu_m = m + delta_m, for m >= 2, and ((nu_m + nu_{m+1}) / 2)^2 + [q] for
+0|1 and 1|2, where the shifts are extrapolated.  On most problems this one
+batch gives K(lo) = n and K(hi) = n + 1 for every index; bisection on K,
+every unresolved index in one batch per round, and a walk down from
+min(q) - 1 or up settle the rest.  Then [lo, hi] holds exactly the n-th
+eigenvalue, and the counts are the certificate that the n-th
+eigenfunction has n interior zeros.  [q] is Mesh.mean, from the samples of
+q the mesh already holds.  Roots are then refined by bracketed
+Anderson-Bjorck regula falsi steps, vectorized over whole index ranges,
+whose first point is the asymptotic root c_n^2 (nu_n^2 + [q] for n = 0, 1)
+where it lies inside the counted bracket.  The node-sign count of
+count_interior_zeros is independent of the search and checks it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ from .odesolve import (
     endpoint_values,
 )
 from .odesolve import y_values_batch  # noqa: F401  (binding kept for perfbench tracing)
-from .potential import PI, BoundaryParams, Potential, _unique, mean_q
+from .potential import PI, BoundaryParams, Potential, _unique
+from .potential import mean_q  # noqa: F401  (binding kept for perfbench tracing)
 
 DEFAULT_ROOT_TOL = 1e-10
 MAX_INDEX = 300
@@ -237,27 +243,52 @@ def _asymptotic_center(n: int, delta_value: float, meanq: float) -> float:
     return nu + meanq / (2.0 * nu)
 
 
+def _separator(m: int, shifts: dict, meanq: float) -> float:
+    """A count point between the asymptotic positions of mu_m and mu_{m+1}.
+
+    ((c_m + c_{m+1}) / 2)^2 with c the asymptotic frequency for m >= 2, and
+    ((nu_m + nu_{m+1}) / 2)^2 + [q], nu_m = m + delta_m, for m = 0, 1, whose
+    shifts are extrapolated and where nu_0 may be 0.
+    """
+    if m < 2:
+        return (0.5 * (m + shifts[m] + (m + 1 + shifts[m + 1]))) ** 2 + meanq
+    return (0.5 * (_asymptotic_center(m, shifts[m], meanq)
+                   + _asymptotic_center(m + 1, shifts[m + 1], meanq))) ** 2
+
+
+def _first_points(ns, deltas, meanq: float) -> np.ndarray:
+    """Asymptotic eigenvalue estimates of the indices ns, one per index.
+
+    c_n^2 with c_n = nu + [q] / (2 nu), nu = n + delta_n, for n >= 2, and
+    nu^2 + [q] for n = 0, 1.
+    """
+    ns = np.asarray(ns)
+    nu = ns + np.array([d.value for d in deltas], dtype=float)
+    low = ns < 2
+    c = nu + meanq / (2.0 * np.where(low, 1.0, nu))
+    return np.where(low, nu * nu + meanq, c * c)
+
+
 def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
     """Counted brackets of the ascending indices ns: lo, hi with K(lo) = n, K(hi) = n + 1.
 
-    K is _counts.  The first batch counts at min(q) - 1 and at the squared
-    midpoints between consecutive asymptotic frequencies n + delta_n +
-    [q] / (2 (n + delta_n)), n >= 2, next to each index.  Each further
-    round counts one batch: the midpoint of every index's tightest counted
-    bracket that still holds more than one eigenvalue, a point below the
-    lowest when some index has no count <= n (the depth below min(q)
-    doubles), and a point above the highest when some index has no count
-    > n (the height above min(q) doubles).  No mu is counted twice.
-    Returns the arrays lo, hi and K(lo).
+    K is _counts.  The first batch counts at min(q) - 1 and at the
+    separators m|m+1 (_separator) on both sides of each index, 0|1 and 1|2
+    among them, so that on most problems this one round brackets every
+    index.  Each further round counts one batch: the midpoint of every
+    index's tightest counted bracket that still holds more than one
+    eigenvalue, a point below the lowest when some index has no count <= n
+    (the depth below min(q) doubles), and a point above the highest when
+    some index has no count > n (the height above min(q) doubles).  No mu
+    is counted twice.  Returns the arrays lo, hi and K(lo).
     """
     bc, qmin = engine.bc, float(engine.mesh.run_q.min())
-    seps = sorted({max(n - 1, 2) for n in ns} | {max(n, 2) for n in ns})
+    seps = sorted({m for n in ns for m in (n - 1, n) if m >= 0})
     needed = set(seps) | {m + 1 for m in seps}
     shifts = {n: d.value for n, d in zip(ns, deltas)}
     extra = sorted(needed - shifts.keys())
     shifts.update(zip(extra, _shifts(extra, bc)[0].tolist()))
-    centers = {m: _asymptotic_center(m, shifts[m], meanq) for m in needed}
-    points = [qmin - 1.0] + [(0.5 * (centers[m] + centers[m + 1])) ** 2 for m in seps]
+    points = [qmin - 1.0] + [_separator(m, shifts, meanq) for m in seps]
     ns = np.asarray(ns)
     mus, ks = np.empty(0), np.empty(0, dtype=int)
     walks = 0
@@ -302,19 +333,21 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
 # ---------------------------------------------------------------------------
 
 
-def _refine_batch(engine: _CharEngine, lo, hi, tol: float):
+def _refine_batch(engine: _CharEngine, lo, hi, tol: float, first):
     """Bracketed Anderson-Bjorck iteration per column, bisection as fallback.
 
     [lo, hi] brackets a sign change of Phi; the first batch evaluates Phi at
     every distinct end.  Each step evaluates Phi in one batch at one point
-    inside every bracket still wider than tol with a float inside it: the
-    regula falsi point of the ends' values, kept tol/2 inside, or the
-    midpoint where that point is not inside or the bracket did not halve
-    over the last two steps (so at most three times the cost of
-    bisection).  When an interpolated point
-    replaces the same end as the previous one, the value at the other end
-    is scaled by 1 - f_new / f_replaced, or halved when that is not
-    positive (Anderson & Bjorck, BIT 13, 1973).
+    inside every bracket still wider than tol with a float inside it.  The
+    first step takes the column's entry of first, an asymptotic estimate of
+    the root, where it lies more than tol/2 inside the bracket.  Otherwise
+    a step takes the regula falsi point of the ends' values, kept tol/2
+    inside, or the midpoint where that point is not inside or the bracket
+    did not halve over the last two steps (so at most three times the cost
+    of bisection).  A first point counts as an interpolated one.  When an
+    interpolated point replaces the same end as the previous one, the value
+    at the other end is scaled by 1 - f_new / f_replaced, or halved when
+    that is not positive (Anderson & Bjorck, BIT 13, 1973).
 
     Returns (mu, residual, bracket_lo, bracket_hi): mu is the bracket end
     with the smaller true |Phi| and residual that |Phi|.
@@ -336,6 +369,9 @@ def _refine_batch(engine: _CharEngine, lo, hi, tol: float):
             break
         a, b, width = lo[j], hi[j], hi[j] - lo[j]
         x = np.clip(a - glo[j] * width / (ghi[j] - glo[j]), a + 0.5 * tol, b - 0.5 * tol)
+        if first is not None:  # the first step only
+            f, first = first[j], None
+            x = np.where((a + 0.5 * tol < f) & (f < b - 0.5 * tol), f, x)
         bisect = ~((a < x) & (x < b)) | (width > 0.5 * back[0, j])
         x = np.where(bisect, mid[j], x)
         fx = engine.phi_batch(x)
@@ -367,7 +403,7 @@ def _certified_pairs(engine: _CharEngine, ns: list[int], deltas, meanq: float,
                      tol: float) -> list[Eigenpair]:
     """Counted, refined eigenpairs for the ascending indices ns, as one batch."""
     lo, hi, zeros = _brackets(engine, ns, deltas, meanq)
-    mus, residuals, lo, hi = _refine_batch(engine, lo, hi, tol)
+    mus, residuals, lo, hi = _refine_batch(engine, lo, hi, tol, _first_points(ns, deltas, meanq))
     rows = zip(ns, mus.tolist(), residuals.tolist(), lo.tolist(), hi.tolist(), deltas,
                zeros.tolist())
     return [Eigenpair(n=n, mu=mu, lam=sqrt(abs(mu)), mu_negative=mu < 0.0, delta=d,
@@ -388,7 +424,7 @@ def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
     if not 0.0 < tol < inf:
         raise ValueError("tol must be finite and positive")
     engine = _CharEngine(q, bc, grid_size)
-    [pair] = _certified_pairs(engine, [n], [delta_for_index(n, bc)], mean_q(q), tol)
+    [pair] = _certified_pairs(engine, [n], [delta_for_index(n, bc)], engine.mesh.mean, tol)
     if n >= 2 and pair.mu <= 0.0:
         raise UnsupportedRegimeError(
             f"mu_{n} = {pair.mu:.6f} <= 0; asymptotic indexing assumes positive "
@@ -410,7 +446,7 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
         raise ValueError("tol must be finite and positive")
     engine = _CharEngine(q, bc, grid_size)
     deltas = _delta_values(range(n_max + 1), bc)
-    pairs = _certified_pairs(engine, list(range(n_max + 1)), deltas, mean_q(q), tol)
+    pairs = _certified_pairs(engine, list(range(n_max + 1)), deltas, engine.mesh.mean, tol)
     if n_max >= 2 and pairs[2].mu <= 0.0:
         raise UnsupportedRegimeError(
             f"mu_2 = {pairs[2].mu:.6f} <= 0; potential outside the supported regime")

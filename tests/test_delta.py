@@ -136,6 +136,25 @@ class TestArraySolve:
         assert (info.value.last_value, info.value.residual) == (value, residual)
         assert delta_for_index(1, bc).value > 0.0
 
+    def test_few_open_indices_finish_in_floats(self, monkeypatch):
+        # n = 0 needs 33 iterations at these angles; the array iteration stops
+        # once at most delta._FLOAT_TAIL indices are open, and those finish
+        # in floats
+        calls = []
+        rhs = delta._rhs
+
+        def counting(d, *args):
+            calls.append(d.size)
+            return rhs(d, *args)
+
+        monkeypatch.setattr(delta, "_rhs", counting)
+        bc = BoundaryParams(2.3, 0.6)
+        values, iterations, residuals = delta._shifts(range(21), bc)
+        assert max(iterations) == 33
+        assert len(calls) <= 8 and calls[-1] == 21  # the last call is the residuals
+        for n in range(21):
+            assert (values[n], iterations[n], residuals[n]) == _scalar_fixed_point(n, bc)[:3]
+
 
 class TestSolveDelta:
     def test_dirichlet_both_is_one(self):

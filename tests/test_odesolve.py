@@ -759,6 +759,29 @@ class TestStructure:
         assert max(c2s) < 3 * min(c2s)
 
 
+class TestMeshMean:
+    """Mesh.mean, the three-point Gauss rule over the mesh, against exact means."""
+
+    GRID_XS = np.linspace(0.0, PI, 23)
+    GRID_QS = np.cos(3.0 * np.linspace(0.0, PI, 23)) + 0.4 * np.linspace(0.0, PI, 23)
+
+    @pytest.mark.parametrize("q,exact", [
+        (Potential.zero(), 0.0),
+        (Potential.constant(-2.7), -2.7),
+        (Potential.step(2.3, 1.1).shifted(0.5), 2.3 * 1.1 / PI + 0.5),
+        (Potential.step(-40.0, PI / 2), -20.0),
+        # piecewise-linear interpolation: the trapezoid sum of the samples
+        (Potential.from_grid(GRID_XS, GRID_QS),
+         float(np.sum(np.diff(GRID_XS) * (GRID_QS[1:] + GRID_QS[:-1]) / 2.0)) / PI),
+        (Potential.smooth_test([1.0, -0.5, 0.3]).shifted(0.7), 0.7),
+    ], ids=["zero", "constant", "step-offset", "tall-step", "grid", "smooth"])
+    @pytest.mark.parametrize("grid_size", [64, 512, 1000])
+    def test_exact_means(self, q, exact, grid_size):
+        mesh = build_mesh(q, grid_size)
+        scale = max(1.0, float(np.max(np.abs(q(mesh.nodes)))))
+        assert abs(mesh.mean - exact) <= 1e-15 * scale
+
+
 class TestPicardSeries:
     def test_zero_potential_exact(self, q_zero):
         pr = picard_y2(q_zero, 7.0, 3, 512)

@@ -25,7 +25,7 @@ from slspectra import (
     phi,
     psi,
 )
-from slspectra import spectrum
+from slspectra import potential, spectrum
 from slspectra.odesolve import DEFAULT_GRID_SIZE, SolutionTrace, _step_coeffs
 from slspectra.spectrum import MAX_INDEX, _zero_counts
 
@@ -101,8 +101,10 @@ class TestBracketing:
         assert lo <= 16.0 < hi
         assert find_eigenvalue(q_zero, bc_dd, 3).mu == pytest.approx(16.0, abs=1e-8)
 
+    # the first batch for index 0 on zero DD counts at min(q) - 1 = -1 and at
+    # the 0|1 separator 2.25; a count that drops between them decreases
     @pytest.mark.parametrize("counts,message", [
-        (lambda mus: np.where(mus < 3.3, 5, 0), "oscillation counts decrease above mu"),
+        (lambda mus: np.where(mus < 2.0, 5, 0), "oscillation counts decrease above mu"),
         (lambda mus: np.where(mus < 3.3, 0, 2), "eigenvalues cluster below resolution"),
         (lambda mus: np.zeros(mus.size, dtype=int), "no count bounds indices [0]"),
     ], ids=["decreasing", "cluster", "unbounded"])
@@ -310,6 +312,68 @@ class TestRefinement:
         s = find_spectrum(q_step, bc_nn, 60)
         assert sum(sweeps) <= 9 * len(s.pairs)
         assert len(sweeps) <= 25
+
+
+class TestSearchBudget:
+    """Counts that do not depend on the machine: count rounds and Phi points per call."""
+
+    CASES = {
+        "zero-DD-25": (Potential.zero(), BoundaryParams(PI, 0.0), 25),
+        "zero-NN-25": (Potential.zero(), BoundaryParams(PI / 2, PI / 2), 25),
+        "constant-generic-25": (Potential.constant(1.3), BoundaryParams(2.62, 0.655), 25),
+        "cos-NN-20": (Potential.smooth_test([1.0]), BoundaryParams(PI / 2, PI / 2), 20),
+        "step-NN-16": (Potential.step(2.0, PI / 2), BoundaryParams(PI / 2, PI / 2), 16),
+        "step-NN-60": (Potential.step(2.0, PI / 2), BoundaryParams(PI / 2, PI / 2), 60),
+        "smooth-pi-0.7-60": (Potential.smooth_test([1.0, -0.5]), BoundaryParams(PI, 0.7), 60),
+        "smooth-2.3-0.6-300": (Potential.smooth_test([1.0, -0.5]), BoundaryParams(2.3, 0.6), 300),
+    }
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Batch sizes of every count and every Phi sweep of the search."""
+        batches = {"counts": [], "phi": []}
+        count, sweep = spectrum._counts, spectrum.endpoint_values
+
+        def counting(engine, mus):
+            batches["counts"].append(np.size(mus))
+            return count(engine, mus)
+
+        def sweeping(mesh, mus, *args, **kwargs):
+            batches["phi"].append(np.size(mus))
+            return sweep(mesh, mus, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_counts", counting)
+        monkeypatch.setattr(spectrum, "endpoint_values", sweeping)
+        return batches
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_count_round(self, case, monkeypatch):
+        # the first batch separates indices 0|1 and 1|2 as well, so one
+        # round brackets every index
+        q, bc, n_max = self.CASES[case]
+        batches = self._record(monkeypatch)
+        s = find_spectrum(q, bc, n_max)
+        assert len(batches["counts"]) == 1
+        assert [p.zeros for p in s.pairs] == list(range(n_max + 1))
+
+    @pytest.mark.parametrize("case,limit", [("step-NN-60", 370), ("smooth-pi-0.7-60", 372)])
+    def test_phi_points(self, case, limit, monkeypatch):
+        # 85% of the 436 and 438 Phi points a search takes with three count
+        # rounds and a regula falsi first step
+        q, bc, n_max = self.CASES[case]
+        batches = self._record(monkeypatch)
+        find_spectrum(q, bc, n_max)
+        assert sum(batches["phi"]) <= limit
+
+    def test_no_adaptive_mean(self, monkeypatch):
+        # [q] comes from the mesh's Gauss samples, not from potential.integrate
+        def refuse(*args, **kwargs):
+            raise AssertionError("potential.integrate called")
+
+        monkeypatch.setattr(potential, "integrate", refuse)
+        q, bc = Potential.smooth_test([1.1, -0.4]), BoundaryParams(2.3, 0.6)
+        assert find_spectrum(q, bc, 20).pairs[20].zeros == 20
+        assert find_eigenvalue(q, bc, 7).zeros == 7
 
 
 def _free_eigenvalues(bc, n_max):
