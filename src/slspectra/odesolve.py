@@ -46,17 +46,21 @@ per-step coefficients from one block generator, which evaluates them a
 block of consecutive steps at a time, in propagation order, each entry in
 its own branch only.  The block length follows from the batch size and
 one fixed budget of (step, mu) entries: 256 steps at 64 mu, the whole
-default mesh for up to 32 mu.  The characteristic-function and norm
+default mesh for up to 32 mu.  A block's step matrices are one stacked
+array, rows and columns on the two leading axes and (steps, mus) on the
+last two, and every product of two stacks is _mul's three numpy calls,
+B[:, 0:1] A[0:1] + B[:, 1:2] A[1:2], elementwise in the order
+m_ij = b_i0 a_0j + b_i1 a_1j.  The characteristic-function and norm
 sweeps and the count contract each block's run propagators by one
 pairwise tree, _product, and compose the block products in order; the
-count carries each scaled propagator with its whole half-turns (see
-spectrum._counts).  The node sweep, for solution traces and the
-oscillation certificate only, turns each block of L interval propagators
-into their prefix products by a doubling scan, log2 L vectorised passes
-instead of L steps at the price of L log2 L products, and applies them to
-the block's start state.  The transient arrays of a block stay near 2 MB
-whatever the batch or mesh size, and short batches still run few, long
-vectorised passes.
+norm stacks (T, dT/dmu) on one more leading axis, and the count carries
+each scaled propagator with its whole half-turns (see spectrum._counts).
+The node sweep, for solution traces and the oscillation certificate only,
+turns each block of L interval propagators into their prefix products by
+a doubling scan, log2 L vectorised passes instead of L steps at the price
+of L log2 L products, and applies them to the block's start state.  The
+transient arrays of a block stay near 2 MB whatever the batch or mesh
+size, and short batches still run few, long vectorised passes.
 
 The norm sweep runs forward only.  Every run propagator has determinant
 1, so the backward propagator is the adjugate of the forward one, and one
@@ -284,40 +288,53 @@ def _coeffs(h, w, gen):
     return (h, (d, b, c, e, gamma), weff, *_step_coeffs(weff, h))
 
 
-def _transfer(h, gen, weff, C, S, sign):
-    """Step matrix entries (m00, m01, m10, m11); sign = -1 gives the inverses.
+def _transfer(h, gen, weff, C, S, sign, out=None):
+    """Step matrices, stacked (2, 2, steps, mus); sign = -1 gives the inverses.
 
     The step is (C + d S, b S, c S, C - d S) and its inverse
     (C - d S, -b S, -c S, C + d S); with gen None it is (C, S, -w S, C),
-    w = w_eff, and its inverse (C, -S, w S, C).
+    w = w_eff, and its inverse (C, -S, w S, C).  The entries are written
+    into out, a new array unless given.
     """
+    T = np.empty((2, 2) + weff.shape) if out is None else out
     if gen is None:
-        b, c = sign * S, -sign * weff * S
-        return (C, b, c, C)
+        T[0, 0] = T[1, 1] = C
+        np.multiply(sign, S, out=T[0, 1])
+        np.multiply(-sign * weff, S, out=T[1, 0])
+        return T
     d, b, c = gen[:3]
     if sign < 0.0:
         S = -S
     dS = d * S
-    return (C + dS, b * S, c * S, np.subtract(C, dS, out=dS))
+    np.add(C, dS, out=T[0, 0])
+    np.multiply(b, S, out=T[0, 1])
+    np.multiply(c, S, out=T[1, 0])
+    np.subtract(C, dS, out=T[1, 1])
+    return T
 
 
 def _transfer_dmu(h, gen, weff, C, S, sign):
-    """Forward step matrix entries followed by the entries of their mu-derivative.
+    """Forward step matrices and their mu-derivatives, stacked (2, 2, 2, steps, mus).
 
-    sign is ignored: the backward norm is adj(dM) (see norm_product), so no
-    sweep steps backward with derivatives.  With gen None the step is
-    (C, S, -w S, C) and dT/dmu = (dC, dS, -(S + h C)/2, dC), with
-    dC = -h S / 2, dS = dS/dw and S + w dS = (S + h C) / 2.  Otherwise the
-    step is C I + S K with
+    The leading axis holds (T, dT/dmu).  sign is ignored: the backward norm
+    is adj(dM) (see norm_product), so no sweep steps backward with
+    derivatives.  With gen None the step is (C, S, -w S, C) and
+    dT/dmu = (dC, dS, -(S + h C)/2, dC), with dC = -h S / 2, dS = dS/dw and
+    S + w dS = (S + h C) / 2.  Otherwise the step is C I + S K with
     dK/dmu = [[-e, 0], [-gamma, e]] and dw_eff/dmu = r = 2 d e + b gamma, so
     dT/dmu = r (dC I + dS K) + S dK/dmu, at w_eff:
     (r (dC + d dS) - e S, r b dS, r c dS - gamma S, r (dC - d dS) + e S).
     """
-    T = _transfer(h, gen, weff, C, S, 1.0)
+    out = np.empty((2, 2, 2) + weff.shape)
+    _transfer(h, gen, weff, C, S, 1.0, out[0])
+    D = out[1]
     dS = _dS_dw(weff, h, C, S)
     if gen is None:
-        dC = -0.5 * h * S
-        return T + (dC, dS, -0.5 * (S + h * C), dC)
+        np.multiply(-0.5 * h, S, out=D[0, 0])
+        D[1, 1] = D[0, 0]
+        D[0, 1] = dS
+        np.multiply(-0.5, S + h * C, out=D[1, 0])
+        return out
     d, b, c, e, gamma = gen
     rate = d * (2.0 * e)
     rate += b * gamma
@@ -325,46 +342,64 @@ def _transfer_dmu(h, gen, weff, C, S, sign):
     dC = np.multiply(-0.5 * h, S)
     dC *= rate
     ddS, eS = np.multiply(d, dS, out=rate), e * S
-    d00 = dC + ddS
-    d00 -= eS
-    dC -= ddS
-    dC += eS
-    d10 = c * dS
-    d10 -= gamma * S
-    return T + (d00, b * dS, d10, dC)
+    np.add(dC, ddS, out=D[0, 0])
+    D[0, 0] -= eS
+    np.multiply(b, dS, out=D[0, 1])
+    np.multiply(c, dS, out=D[1, 0])
+    D[1, 0] -= gamma * S
+    np.subtract(dC, ddS, out=D[1, 1])
+    D[1, 1] += eS
+    return out
 
 
-def _mul2(B, A):
-    """Product B A of 2x2 matrices stored as entry tuples (m00, m01, m10, m11)."""
-    return tuple(B[2 * i] * A[j] + B[2 * i + 1] * A[2 + j] for i in (0, 1) for j in (0, 1))
+def _mul(B, A, out):
+    """Stacked 2x2 products B A into out: rows and columns on the two leading axes.
+
+    out[i, j] = B[i, 0] A[0, j] + B[i, 1] A[1, j], elementwise over the
+    trailing axes, in three numpy calls; out must not share memory with
+    B or A.
+    """
+    np.multiply(B[:, 0:1], A[0:1], out=out)
+    out += B[:, 1:2] * A[1:2]
+    return out
 
 
-def _compose(B, A):
-    """(B, dB)(A, dA) = (BA, dB A + B dA), each pair an 8-tuple of entries."""
-    dBA = zip(_mul2(B[4:], A[:4]), _mul2(B[:4], A[4:]))
-    return _mul2(B[:4], A[:4]) + tuple(x + y for x, y in dBA)
+def _compose(B, A, out):
+    """(B, dB)(A, dA) = (BA, dB A + B dA) into out, each pair stacked on the leading axis.
+
+    The stack (B, dB) times A gives BA and dB A in _mul's two products
+    and one sum; B dA is added to the second.
+    """
+    np.multiply(B[:, :, 0:1], A[0, 0:1], out=out)
+    out += B[:, :, 1:2] * A[0, 1:2]
+    out[1] += _mul(B[0], A[1], np.empty_like(out[1]))
+    return out
 
 
 def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
-    """Whole-mesh product of the run matrices, entries of shape (mus,).
+    """Whole-mesh product of the run matrices, the run axis contracted.
 
     One step per run: entries builds one block's tree elements (see
-    _blocks), each a tuple of stacked entries, and mul(B, A) multiplies two
-    stacks of them.  Each block is contracted by a pairwise tree, an odd
-    level carrying its last element up unpaired, and the block products
-    compose in propagation order.  Returns the entries of one element: 4
-    for _transfer, 8 for _transfer_dmu (the product's, then those of its
-    mu-derivative), and 5 for the count's lifted pairs (m00, m01, m10, m11,
-    n), see spectrum._counts.
+    _blocks) as one array whose second-to-last axis runs over the steps
+    and whose last over mus, and mul(B, A, out) multiplies two such stacks
+    into out.  Each block is contracted by a pairwise tree, an odd level
+    carrying its last element up unpaired, into one preallocated array
+    per level, and the block products compose in propagation order.
+    Returns one element, the step axis dropped: (2, 2, mus) for _transfer,
+    (2, 2, 2, mus) for _transfer_dmu (the product, then its
+    mu-derivative), and (5, mus) for the count's lifted pairs (m00, m01,
+    m10, m11, n), see spectrum._counts.
     """
     M = None
     for E in _blocks(mesh, True, mus, forward, entries):
-        while len(E[0]) > 1:
-            n = len(E[0])
-            P = mul([t[1:n:2] for t in E], [t[0:n - 1:2] for t in E])
-            E = P if n % 2 == 0 else [np.concatenate((p, t[-1:])) for p, t in zip(P, E)]
-        M = E if M is None else mul(E, M)
-    return tuple(m[0] for m in M)
+        while (n := E.shape[-2]) > 1:
+            P = np.empty(E.shape[:-2] + ((n + 1) // 2, E.shape[-1]))
+            mul(E[..., 1:n:2, :], E[..., 0:n - 1:2, :], P[..., :n // 2, :])
+            if n % 2:
+                P[..., -1, :] = E[..., -1, :]
+            E = P
+        M = E if M is None else mul(E, M, np.empty_like(M))
+    return M[..., 0, :]
 
 
 def _apply(M, y0: float, yp0: float):
@@ -387,7 +422,7 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
     or mesh size.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    ys, yps = _apply(_product(mesh, mus, forward, _transfer, _mul2), y0, yp0)
+    ys, yps = _apply(_product(mesh, mus, forward, _transfer, _mul).reshape(4, -1), y0, yp0)
     if (not np.all(np.isfinite(ys)) or not np.all(np.isfinite(yps))
             or np.max(np.abs(ys), initial=0.0) > BLOWUP_BOUND
             or np.max(np.abs(yps), initial=0.0) > BLOWUP_BOUND):
@@ -431,14 +466,15 @@ def norm_product(mesh: Mesh, mus):
     Each run contributes its step matrix T and dT/dmu in closed form; the
     pairs are contracted by a pairwise tree, (B, dB)(A, dA) =
     (BA, dB A + B dA), block by block, and the block products compose in
-    order.  Returns the 8 entries of (M, dM), each of shape (mus,).
+    order.  Returns the 8 entries of (M, dM) as the rows of one array of
+    shape (8, mus).
 
     Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
     so the transient arrays of one block stay near 2 MB whatever the batch
     or mesh size.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    return _product(mesh, mus, True, _transfer_dmu, _compose)
+    return _product(mesh, mus, True, _transfer_dmu, _compose).reshape(8, -1)
 
 
 @_quiet
@@ -484,16 +520,16 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     if with_yprime:
         YP[0] = yp
     lo = 1
-    for T in _blocks(mesh, False, mus, forward, _transfer):
-        P, k = np.array(T), 1
-        while k < len(P[0]):
-            P[:, k:] = _mul2(P[:, k:], P[:, :-k])
-            k *= 2
-        hi = lo + len(P[0])
-        Y[lo:hi] = P[0] * y + P[1] * yp
+    for P in _blocks(mesh, False, mus, forward, _transfer):
+        Q, k, hi = np.empty_like(P), 1, lo + P.shape[2]
+        while k < P.shape[2]:  # the passes alternate between P and Q
+            Q[:, :, :k] = P[:, :, :k]
+            _mul(P[:, :, k:], P[:, :, :-k], Q[:, :, k:])
+            P, Q, k = Q, P, 2 * k
+        Y[lo:hi] = P[0, 0] * y + P[0, 1] * yp
         if with_yprime:
-            YP[lo:hi] = P[2] * y + P[3] * yp
-        y, yp, lo = Y[hi - 1], P[2, -1] * y + P[3, -1] * yp, hi
+            YP[lo:hi] = P[1, 0] * y + P[1, 1] * yp
+        y, yp, lo = Y[hi - 1], P[1, 0, -1] * y + P[1, 1, -1] * yp, hi
     flip = slice(None, None, 1 if forward else -1)
     return Y[flip], (YP[flip] if with_yprime else yp)
 

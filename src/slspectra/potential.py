@@ -71,30 +71,41 @@ _GL4_LEGENDRE = (np.stack([np.ones(4), _GL4_NODES, (3.0 * _GL4_NODES ** 2 - 1.0)
                            (5.0 * _GL4_NODES ** 3 - 3.0 * _GL4_NODES) / 2.0], axis=1)
                  * _GL4_WEIGHTS[:, None] * (np.arange(4) + 0.5))
 # Row m: the coefficient (-1)^m / (2^m m! (2k + 2m + 1)!!) of theta^(k + 2m)
-# in j_k(theta), k = 0..3; ten rows reach rounding for |theta| <= 1.
+# in j_k(theta), k = 0..3.  j_k takes the series where |theta| <= the k-th
+# limit: ten rows reach rounding for |theta| <= 1, where the series of every
+# k has been taken; twelve for |theta| <= 2.5, which only j_2 and j_3 take,
+# since their closed forms cancel just above 1.
 _BESSEL_SERIES = np.array([
     [(-1) ** m / (2 ** m * math.factorial(m) * math.prod(range(1, 2 * k + 2 * m + 2, 2)))
-     for k in range(4)] for m in range(10)])
+     for k in range(4)] for m in range(12)])
+_BESSEL_NEAR_ROWS = 10
+_BESSEL_LIMITS = np.array([1.0, 1.0, 2.5, 2.5])
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 def _bessel_weights(theta, radius):
     """2 r i^k j_k(theta) for k = 0..3 on a last axis; theta = w r has a trailing axis of 1.
 
-    Where |theta| <= 1, the ten-term series; elsewhere the closed forms,
+    Where |theta| <= 1, the ten-term series; j_2 and j_3 keep the series,
+    with two more terms, up to |theta| = 2.5 (_BESSEL_LIMITS), and the
+    extra terms enter only above 1, so the entries at |theta| <= 1 are
+    those of the ten terms bit for bit.  Elsewhere the closed forms,
     sin(theta) and cos(theta) times polynomials in x = 1 / theta:
     j_0 = x s, j_1 = x (x s - c), j_2 = (3 x^2 - 1) x s - 3 x^2 c and
-    j_3 = (15 x^2 - 6) x^2 s - (15 x^2 - 1) x c.
+    j_3 = (15 x^2 - 6) x^2 s - (15 x^2 - 1) x c.  Just above 1 the last two
+    cancel: j_3 would lose about three digits at theta = 1.1.
     """
-    near = np.abs(theta) <= 1.0
+    near = np.abs(theta) <= _BESSEL_LIMITS
     series = np.where(near, theta, 0.0)
-    bessel = _BESSEL_SERIES[-1]
-    for row in _BESSEL_SERIES[-2::-1]:
-        bessel = bessel * series * series + row
+    # the rows past the tenth are zero at |theta| <= 1, where 0 s^2 + row is row
+    wide = np.abs(series) > 1.0
+    bessel = 0.0
+    for m, row in reversed(list(enumerate(_BESSEL_SERIES))):
+        bessel = bessel * series * series + (row if m < _BESSEL_NEAR_ROWS else wide * row)
     weights = 2.0 * radius * _I_POWERS * series ** np.arange(4) * bessel
     if near.all():
         return weights
-    far = np.where(near, 2.0, theta)
+    far = np.where(np.abs(theta) <= 1.0, 2.0, theta)
     x, s, c = 1.0 / far, np.sin(far), np.cos(far)
     x2 = x * x
     bessel = np.concatenate([x * s, x * (x * s - c), (3.0 * x2 - 1.0) * x * s - 3.0 * x2 * c,

@@ -23,10 +23,20 @@ every unresolved index in one batch per round, and a walk down from
 min(q) - 1 or up settle the rest.  Then [lo, hi] holds exactly the n-th
 eigenvalue, and the counts are the certificate that the n-th
 eigenfunction has n interior zeros.  [q] is Mesh.mean, from the samples of
-q the mesh already holds.  Roots are then refined by bracketed
-Anderson-Bjorck regula falsi steps, vectorized over whole index ranges,
-whose first point is the asymptotic root c_n^2 (nu_n^2 + [q] for n = 0, 1)
-where it lies inside the counted bracket.  The node-sign count of
+q the mesh already holds.
+
+The count also returns the angle gap at every counted point.  With
+nu = sqrt(max(mu - [q], 1)), the angle Theta of (nu y, y') at pi, lifted
+like F, and beta_s = atan2(nu sin beta, cos beta), the n-th eigenvalue is
+the zero of G_n = Theta + beta_s - (n + 1) pi, which the counted bracket
+holds with G_n <= 0 at lo and G_n > 0 at hi.  G_n is nearly linear in mu,
+so the refinement runs bracketed Anderson-Bjorck regula falsi steps on it,
+vectorized over whole index ranges, from the counted ends and their gaps:
+no sweep evaluates an end again.  Each step is one Phi sweep, and G_n
+comes from the same state (y, y') at pi.  The first point is the
+asymptotic root c_n^2 (nu_n^2 + [q] for n = 0, 1) where it lies inside the
+counted bracket; brackets below q(pi), where G_n turns within ulps of a
+bound state, finish on Phi itself.  The node-sign count of
 count_interior_zeros is independent of the search and checks it.
 """
 
@@ -43,7 +53,7 @@ from .odesolve import (
     DEFAULT_GRID_SIZE,
     Mesh,
     SolutionTrace,
-    _mul2,
+    _mul,
     _product,
     _quiet,
     _transfer,
@@ -64,11 +74,13 @@ class Eigenpair:
 
     lam is sqrt(|mu|); mu_negative records the hyperbolic case mu < 0.
     bracket is the refined interval the root was isolated in: a sign change
-    of Phi in the arithmetic of the batch that found it.  Its converged end
-    often has |Phi| near rounding, and the rounding of a Phi sweep depends
-    on the batch size, so char_function at that end alone may show the
-    other sign.  char_residual is the characteristic-function magnitude at
-    the returned mu.  zeros is K at the lower end of the counted bracket,
+    of G, the angle gap of the index (see the module docstring), in the
+    arithmetic of the count or of the batch that found each end.  G has
+    the sign of (-1)^(n + 1) Phi, so Phi changes sign across it too, up to
+    rounding.  Its converged end often has |Phi| near rounding, and the
+    rounding of a Phi sweep depends on the batch size, so char_function at
+    that end alone may show the other sign.  char_residual is the
+    characteristic-function magnitude at the returned mu.  zeros is K at the lower end of the counted bracket,
     the number of eigenvalues below it (equal to n): by Sturm oscillation,
     the interior zero count of the eigenfunction.
     """
@@ -121,6 +133,26 @@ class _CharEngine:
                                 self.y0, self.yp0, forward=True)
         return y * self.bc.cos_beta + yp * self.bc.sin_beta
 
+    def angle_scale(self, mus: np.ndarray) -> np.ndarray:
+        """The scale nu = sqrt(max(mu - [q], 1)) of the angle gap, for gaps and _counts."""
+        return np.sqrt(np.maximum(mus - self.mesh.mean, 1.0))
+
+    def gaps(self, mus: np.ndarray, sign: np.ndarray):
+        """Angle gaps G_n and Phi at mus, from one Phi sweep; sign = (-1)^(n + 1).
+
+        With nu = sqrt(max(mu - [q], 1)), the scaled angle Theta of
+        (nu y, y2) at pi and beta_s = atan2(nu sin beta, cos beta) put the
+        n-th eigenvalue where Theta + beta_s = (n + 1) pi.  The sine and
+        cosine of Theta + beta_s are proportional to nu Phi and
+        y2 cos beta - nu^2 y sin beta, so inside the counted bracket, where
+        |G_n| < pi, G_n = atan2(s nu Phi, s (y2 cos beta - nu^2 y sin beta)).
+        """
+        y, yp = endpoint_values(self.mesh, mus, self.y0, self.yp0, forward=True)
+        cb, sb = self.bc.cos_beta, self.bc.sin_beta
+        phi = y * cb + yp * sb
+        nu = self.angle_scale(mus)
+        return np.arctan2(sign * nu * phi, sign * (yp * cb - nu * (nu * y) * sb)), phi
+
 
 def char_function(q: Potential, bc: BoundaryParams, mu: float,
                   grid_size: int = DEFAULT_GRID_SIZE) -> float:
@@ -166,32 +198,44 @@ def _zero_counts(values: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def _counts(engine: _CharEngine, mus) -> np.ndarray:
-    """Number of eigenvalues strictly below each mu, from one product over the runs.
+def _counts(engine: _CharEngine, mus):
+    """Eigenvalue counts K and angle gaps G_K at each mu, from one product over the runs.
 
-    Counts by the lifted angle F of the state, (y, y2) = r (sin F, cos F),
-    so y = 0 exactly where F is a multiple of pi.  A propagator P, scaled
-    by any positive factor, and n = floor(F_P(0) / pi), the whole
-    half-turns of the state that starts at F = 0, fix the lifted map F_P,
-    since the angle of P (0, 1) gives F_P(0) - n pi.  These pairs multiply
-    on the pairwise tree of odesolve._product (see _lifted_steps and
-    _lifted_mul), so a batch of mu takes one pass over the runs with the
-    block transients of the Phi sweep and no node array.  At pi, F of the
-    start direction (sin alpha, -cos alpha), whose angle pi - alpha lies in
-    [0, pi), holds N whole half-turns (the carry rule with that direction
-    for A (0, 1)) and a fragment phi in [0, pi), the angle of
-    (y, y2)(pi) folded into y >= 0.  The eigenvalues below mu are those
-    with (k + 1) pi - beta < F: N of them, one more where phi > pi - beta,
-    and one fewer where phi = beta = 0.
+    K is the number of eigenvalues strictly below mu, counted by the lifted
+    angle F of the state, (y, y2) = r (sin F, cos F), so y = 0 exactly
+    where F is a multiple of pi.  A propagator P, scaled by any positive
+    factor, and n = floor(F_P(0) / pi), the whole half-turns of the state
+    that starts at F = 0, fix the lifted map F_P, since the angle of
+    P (0, 1) gives F_P(0) - n pi.  These pairs multiply on the pairwise
+    tree of odesolve._product (see _lifted_steps and _lifted_mul), so a
+    batch of mu takes one pass over the runs with the block transients of
+    the Phi sweep and no node array.  At pi, F of the start direction
+    (sin alpha, -cos alpha), whose angle pi - alpha lies in [0, pi), holds
+    N whole half-turns (the carry rule with that direction for A (0, 1))
+    and a fragment phi in [0, pi), the angle of (y, y2)(pi) folded into
+    y >= 0.  The eigenvalues below mu are those with (k + 1) pi - beta < F:
+    N of them, one more where phi > pi - beta, and one fewer where
+    phi = beta = 0.
+
+    The gap is that of the scaled angle (see _CharEngine.gaps), with
+    nu = sqrt(max(mu - [q], 1)): G_K = N pi + atan2(nu |y|, +-y2) +
+    atan2(nu sin beta, cos beta) - (K + 1) pi, with +-y2 the folded y2,
+    held in [-pi, 0] so that its sign agrees with K.  The n-th eigenvalue
+    is the zero of G_n = G_K + (K - n) pi.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     m00, m01, m10, m11, n = _product(engine.mesh, mus, True, _lifted_steps, _lifted_mul)
     y, y2 = m00 * engine.y0 + m01 * engine.yp0, m10 * engine.y0 + m11 * engine.yp0
     n += (m01 != 0.0) & ((np.signbit(m01) ^ np.signbit(y)) | (y == 0.0))
     flip = np.where(y != 0.0, np.signbit(y), np.signbit(y2))
-    phi = np.arctan2(np.abs(y), np.where(flip, -y2, y2))
+    folded = np.where(flip, -y2, y2)
+    phi = np.arctan2(np.abs(y), folded)
     # an exact zero of y at pi under a Dirichlet end is mu itself, not below it
-    return (n + (phi > PI - engine.bc.beta) - ((y == 0.0) & (engine.bc.beta == 0.0))).astype(int)
+    k = n + (phi > PI - engine.bc.beta) - ((y == 0.0) & (engine.bc.beta == 0.0))
+    nu = engine.angle_scale(mus)
+    turn = np.arctan2(nu * np.abs(y), folded) + np.arctan2(nu * engine.bc.sin_beta,
+                                                          engine.bc.cos_beta)
+    return k.astype(int), np.clip((n - k - 1.0) * PI + turn, -PI, 0.0)
 
 
 def _lifted_steps(h, gen, weff, C, S, sign):
@@ -205,25 +249,33 @@ def _lifted_steps(h, gen, weff, C, S, sign):
     n = floor(th / pi), and the sign of m01 = y(h) is (-1)^n.  Near an
     exact half-turn rounding may give m01 the other sign; n then moves by
     one towards the nearer integer of th / pi, so that it agrees with the
-    matrix.
+    matrix.  Returns the rows m00, m01, m10, m11 and n of one array.
     """
     hyp = weff < 0.0
     if hyp.any():
         r = np.sqrt(-weff[hyp])
         C[hyp], S[hyp] = 1.0, np.tanh(r * np.broadcast_to(h, weff.shape)[hyp]) / r
-    T = _transfer(h, gen, weff, C, S, sign)
+    L = np.empty((5,) + weff.shape)
+    _transfer(h, gen, weff, C, S, sign, _square(L))
     # th is monotone in w_eff and h; below 3 < pi every m01 > 0 and n = 0
     if np.sqrt(weff.max(initial=0.0)) * h.max() < 3.0:
-        return T + (np.zeros_like(weff),)
+        L[4] = 0.0
+        return L
     turns = np.sqrt(np.maximum(weff * h * h, 0.0)) / PI
     n = np.floor(turns)
-    wrong = np.signbit(T[1]) != (n % 2.0 == 1.0)
+    wrong = np.signbit(L[1]) != (n % 2.0 == 1.0)
     n[wrong] += np.where(turns[wrong] - n[wrong] > 0.5, 1.0, -1.0)
-    return T + (n,)
+    L[4] = n
+    return L
 
 
-def _lifted_mul(B, A):
-    """The lifted pair of BA from those of B and A, elementwise over stacks.
+def _square(L):
+    """The rows m00, m01, m10, m11 of a lifted stack as a (2, 2, ...) view."""
+    return L[:4].reshape((2, 2) + L.shape[1:])
+
+
+def _lifted_mul(B, A, out):
+    """The lifted pair of BA from those of B and A, into out, elementwise over stacks.
 
     BA is divided by its largest entry.  n_BA = n_A + n_B + carry, where
     the carry says that B's preimage of y = 0, an angle in (0, pi], is at
@@ -231,11 +283,14 @@ def _lifted_mul(B, A):
     b01 != 0 and sign(b01) s (BA)01 <= 0, with s the sign that folds
     A (0, 1) into y >= 0: the sign of a01, or of a11 where a01 = 0.
     """
-    P = _mul2(B[:4], A[:4])
-    scale = np.maximum.reduce([np.abs(p) for p in P])
+    _mul(_square(B), _square(A), _square(out))
+    scale = np.abs(out[:4]).max(axis=0)
     s = np.where(A[1] != 0.0, np.signbit(A[1]), np.signbit(A[3]))
-    carry = (B[1] != 0.0) & ((np.signbit(B[1]) ^ s ^ np.signbit(P[1])) | (P[1] == 0.0))
-    return tuple(p / scale for p in P) + (A[4] + B[4] + carry,)
+    carry = (B[1] != 0.0) & ((np.signbit(B[1]) ^ s ^ np.signbit(out[1])) | (out[1] == 0.0))
+    out[:4] /= scale
+    np.add(A[4], B[4], out=out[4])
+    out[4] += carry
+    return out
 
 
 def _asymptotic_center(n: int, delta_value: float, meanq: float) -> float:
@@ -280,7 +335,9 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
     eigenvalue, a point below the lowest when some index has no count <= n
     (the depth below min(q) doubles), and a point above the highest when
     some index has no count > n (the height above min(q) doubles).  No mu
-    is counted twice.  Returns the arrays lo, hi and K(lo).
+    is counted twice.  Returns the arrays lo, hi, K(lo) and the angle gap
+    G_n at lo and at hi (see _counts), so the refinement starts from the
+    counted ends without sweeping them.
     """
     bc, qmin = engine.bc, float(engine.mesh.run_q.min())
     seps = sorted({m for n in ns for m in (n - 1, n) if m >= 0})
@@ -290,15 +347,17 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
     shifts.update(zip(extra, _shifts(extra, bc)[0].tolist()))
     points = [qmin - 1.0] + [_separator(m, shifts, meanq) for m in seps]
     ns = np.asarray(ns)
-    mus, ks = np.empty(0), np.empty(0, dtype=int)
+    mus, ks, gaps = np.empty(0), np.empty(0, dtype=int), np.empty(0)
     walks = 0
     while True:
         new = _unique(points)
         if mus.size:  # mus is sorted: drop the points already counted
             new = new[mus[np.searchsorted(mus, new).clip(max=mus.size - 1)] != new]
-        mus, ks = np.concatenate((mus, new)), np.concatenate((ks, _counts(engine, new)))
+        k_new, gap_new = _counts(engine, new)
+        mus, ks = np.concatenate((mus, new)), np.concatenate((ks, k_new))
+        gaps = np.concatenate((gaps, gap_new))
         order = np.argsort(mus)
-        mus, ks = mus[order], ks[order]
+        mus, ks, gaps = mus[order], ks[order], gaps[order]
         drops = np.flatnonzero(np.diff(ks) < 0)
         if drops.size:
             raise BracketError(f"oscillation counts decrease above mu = {mus[drops[0]]:.9f}")
@@ -309,7 +368,8 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
         a, b = mus[lo[inner]], mus[hi[inner]]
         split = (ks[lo[inner]] < ns[inner]) | (ks[hi[inner]] > ns[inner] + 1)
         if not (below.any() or above.any() or split.any()):
-            return a, b, ks[lo]
+            # K(lo) = n and K(hi) = n + 1: G_n is G_K at lo and G_K + pi at hi
+            return a, b, ks[lo], gaps[lo], gaps[hi] + PI
         a, b = a[split], b[split]
         mid = 0.5 * (a + b)
         stuck = (b - a <= 1e-8) | (mid <= a) | (mid >= b)
@@ -333,65 +393,98 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
 # ---------------------------------------------------------------------------
 
 
-def _refine_batch(engine: _CharEngine, lo, hi, tol: float, first):
-    """Bracketed Anderson-Bjorck iteration per column, bisection as fallback.
+def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
+    """Bracketed Anderson-Bjorck iteration per column on the angle gap, bisection as fallback.
 
-    [lo, hi] brackets a sign change of Phi; the first batch evaluates Phi at
-    every distinct end.  Each step evaluates Phi in one batch at one point
-    inside every bracket still wider than tol with a float inside it.  The
-    first step takes the column's entry of first, an asymptotic estimate of
-    the root, where it lies more than tol/2 inside the bracket.  Otherwise
-    a step takes the regula falsi point of the ends' values, kept tol/2
-    inside, or the midpoint where that point is not inside or the bracket
-    did not halve over the last two steps (so at most three times the cost
-    of bisection).  A first point counts as an interpolated one.  When an
-    interpolated point replaces the same end as the previous one, the value
-    at the other end is scaled by 1 - f_new / f_replaced, or halved when
-    that is not positive (Anderson & Bjorck, BIT 13, 1973).
+    [lo, hi] is the counted bracket of index ns[i], and glo, ghi the gap
+    G_n there from the count (see _counts), so no sweep evaluates an end.
+    Each step sweeps Phi in one batch at one point inside every bracket
+    still wider than tol with a float inside it, and reads G_n there from
+    the same state (_CharEngine.gaps): G_n is nearly linear in mu where the
+    solution oscillates at pi.  Below q(pi) it is not: x = pi lies in a
+    forbidden zone, where a bound state's angle turns by pi within a few
+    ulps of mu, while Phi stays linear in the coefficient of the growing
+    solution.  So a bracket whose upper end has come to lie at or below
+    q(pi), the last interval's midpoint sample, goes on in s Phi,
+    s = (-1)^(n + 1), which has the sign of G_n, from the step after which
+    both of its ends have been swept, restarting from true values, and
+    stays on it.  The first step takes the column's entry of first, an
+    asymptotic estimate of the root, where it lies more than tol/2 inside
+    the bracket.  Otherwise a step takes the regula falsi point of the
+    ends' values, kept tol/2 inside, or the midpoint where that point is
+    not inside or the bracket did not halve over the last three steps (so
+    at most four times the cost of bisection).  A first point counts as an
+    interpolated one.  When an interpolated point replaces the same end as
+    the previous one, the value at the other end is scaled by
+    1 - f_new / f_replaced, or halved when that is not positive (Anderson &
+    Bjorck, BIT 13, 1973).
 
     Returns (mu, residual, bracket_lo, bracket_hi): mu is the bracket end
-    with the smaller true |Phi| and residual that |Phi|.
+    with the smaller |value| and residual the true |Phi| there, from the
+    sweep that evaluated it; an end that no step replaced (a bracket
+    narrower than tol from the start, or a root within tol of a counted
+    end) takes one more Phi sweep for its residual.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    ends, at = _unique(np.concatenate((lo, hi)), return_inverse=True)
-    flo, fhi = np.split(engine.phi_batch(ends)[at], 2)
+    flo, fhi = np.array(glo, dtype=float), np.array(ghi, dtype=float)
     # an exact zero at an end collapses the bracket onto that end
     hi, fhi = np.where(flo == 0.0, lo, hi), np.where(flo == 0.0, 0.0, fhi)
     lo, flo = np.where(fhi == 0.0, hi, lo), np.where(fhi == 0.0, 0.0, flo)
-
-    glo, ghi = flo.copy(), fhi.copy()  # interpolation values, scaled
-    last = np.zeros(lo.shape)  # end the last interpolated point replaced: -1 lo, +1 hi
-    back = np.full((2, lo.size), np.inf)  # bracket widths two and one steps back
+    nan, inf = np.full(lo.shape, np.nan), np.full(lo.shape, np.inf)
+    # one row per column state, so that a step gathers and scatters them at once:
+    # the ends, their true values and interpolation values (scaled), Phi at
+    # the ends a step has swept, the end the last interpolated point replaced
+    # (-1 lo, +1 hi), the bracket widths three, two and one steps back,
+    # s = (-1)^(n + 1), which turns the gap's angle of index n into one near
+    # 0, and 1 once the column iterates on s Phi
+    state = np.array((lo, hi, flo, fhi, flo, fhi, nan, nan, np.zeros(lo.shape), inf, inf, inf,
+                      np.where(np.asarray(ns) % 2 == 0, -1.0, 1.0), np.zeros(lo.shape)))
+    edge = engine.mesh.q[-1]  # q at pi: below it the state at pi is in a forbidden zone
     while True:
+        lo, hi = state[0], state[1]
         mid = 0.5 * (lo + hi)
         j = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
         if j.size == 0:
             break
-        a, b, width = lo[j], hi[j], hi[j] - lo[j]
-        x = np.clip(a - glo[j] * width / (ghi[j] - glo[j]), a + 0.5 * tol, b - 0.5 * tol)
+        a, b, fa, fb, ga, gb, pa, pb, last, back0, back1, back2, sign, on_phi = state[:, j]
+        width = b - a
+        x = np.minimum(np.maximum(a - ga * width / (gb - ga), a + 0.5 * tol), b - 0.5 * tol)
         if first is not None:  # the first step only
             f, first = first[j], None
             x = np.where((a + 0.5 * tol < f) & (f < b - 0.5 * tol), f, x)
-        bisect = ~((a < x) & (x < b)) | (width > 0.5 * back[0, j])
-        x = np.where(bisect, mid[j], x)
-        fx = engine.phi_batch(x)
-        back[:, j] = back[1, j], width
+        bisect = ~((a < x) & (x < b)) | (width > 0.5 * back0)
+        x = np.where(bisect, 0.5 * (a + b), x)
+        fx, px = engine.gaps(x, sign)
+        if on_phi.any():
+            fx = np.where(on_phi == 1.0, sign * px, fx)
 
-        to_lo, zero = np.sign(fx) == np.sign(flo[j]), fx == 0.0
+        to_lo, zero = np.sign(fx) == np.sign(fa), fx == 0.0
         side = np.where(to_lo, -1.0, 1.0)
-        scale = np.where((side == last[j]) & ~bisect,
-                         1.0 - fx / np.where(to_lo, flo[j], fhi[j]), 1.0)
+        scale = np.where((side == last) & ~bisect, 1.0 - fx / np.where(to_lo, fa, fb), 1.0)
         scale = np.where(scale > 0.0, scale, 0.5)
         # a bisection point restarts the interpolation from true values
-        glo[j] = np.where(to_lo, fx, np.where(bisect, flo[j], glo[j] * scale))
-        ghi[j] = np.where(to_lo, np.where(bisect, fhi[j], ghi[j] * scale), fx)
+        ga = np.where(to_lo, fx, np.where(bisect, fa, ga * scale))
+        gb = np.where(to_lo, np.where(bisect, fb, gb * scale), fx)
         # an exact zero collapses the bracket onto it
-        lo[j], flo[j] = np.where(to_lo | zero, x, a), np.where(to_lo | zero, fx, flo[j])
-        hi[j], fhi[j] = np.where(to_lo, b, x), np.where(to_lo, fhi[j], fx)
-        last[j] = np.where(bisect, last[j], side)
+        new_lo, new_hi = to_lo | zero, ~to_lo
+        a, fa, pa = np.where(new_lo, x, a), np.where(new_lo, fx, fa), np.where(new_lo, px, pa)
+        b, fb, pb = np.where(new_hi, x, b), np.where(new_hi, fx, fb), np.where(new_hi, px, pb)
+        last = np.where(bisect, last, side)
+        low = b <= edge
+        if low.any():  # a bracket below the edge whose ends are both swept now goes on in s Phi
+            switch = low & (on_phi == 0.0) & ~np.isnan(pa) & ~np.isnan(pb)
+            fa, fb = np.where(switch, sign * pa, fa), np.where(switch, sign * pb, fb)
+            ga, gb = np.where(switch, fa, ga), np.where(switch, fb, gb)
+            last, on_phi = np.where(switch, 0.0, last), np.where(switch, 1.0, on_phi)
+        state[:, j] = a, b, fa, fb, ga, gb, pa, pb, last, back1, back2, width, sign, on_phi
 
+    lo, hi, flo, fhi, _, _, phi_lo, phi_hi = state[:8]
     pick_lo = np.abs(flo) <= np.abs(fhi)
-    return np.where(pick_lo, lo, hi), np.minimum(np.abs(flo), np.abs(fhi)), lo, hi
+    mus, residual = np.where(pick_lo, lo, hi), np.abs(np.where(pick_lo, phi_lo, phi_hi))
+    unswept = np.flatnonzero(np.isnan(residual))
+    if unswept.size:
+        residual[unswept] = np.abs(engine.phi_batch(mus[unswept]))
+    return mus, residual, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +495,9 @@ def _refine_batch(engine: _CharEngine, lo, hi, tol: float, first):
 def _certified_pairs(engine: _CharEngine, ns: list[int], deltas, meanq: float,
                      tol: float) -> list[Eigenpair]:
     """Counted, refined eigenpairs for the ascending indices ns, as one batch."""
-    lo, hi, zeros = _brackets(engine, ns, deltas, meanq)
-    mus, residuals, lo, hi = _refine_batch(engine, lo, hi, tol, _first_points(ns, deltas, meanq))
+    lo, hi, zeros, glo, ghi = _brackets(engine, ns, deltas, meanq)
+    mus, residuals, lo, hi = _refine_batch(engine, ns, lo, hi, glo, ghi, tol,
+                                           _first_points(ns, deltas, meanq))
     rows = zip(ns, mus.tolist(), residuals.tolist(), lo.tolist(), hi.tolist(), deltas,
                zeros.tolist())
     return [Eigenpair(n=n, mu=mu, lam=sqrt(abs(mu)), mu_negative=mu < 0.0, delta=d,

@@ -22,7 +22,7 @@ from slspectra import spectrum
 from slspectra.odesolve import (
     _BLOCK_MUS,
     _dS_dw,
-    _mul2,
+    _mul,
     _nodes,
     _product,
     _step_coeffs,
@@ -36,6 +36,7 @@ from slspectra.odesolve import (
 )
 from slspectra.spectrum import _zero_counts
 
+import tuple_tree
 from conftest import pool_potentials
 
 PI = math.pi
@@ -317,7 +318,7 @@ class TestMuDerivative:
         assert not mesh.exact and mesh.q.min() > -45.0
 
         def quotient(step):
-            up, down = (np.array(_product(mesh, m, forward, _transfer, _mul2))
+            up, down = (_product(mesh, m, forward, _transfer, _mul).reshape(4, -1)
                         for m in (self.mus + step, self.mus - step))
             return (up - down) / (2.0 * step)
 
@@ -682,8 +683,52 @@ class TestPiecewiseConstantSteps:
         for bc in (BoundaryParams(PI, 0.0), BoundaryParams(PI / 2, PI / 2),
                    BoundaryParams(2.0, 0.9), BoundaryParams(0.2, 2.9)):
             engine = spectrum._CharEngine(q, bc, len(mesh.nodes) - 1)
-            assert np.array_equal(spectrum._counts(engine, mus),
+            assert np.array_equal(spectrum._counts(engine, mus)[0],
                                   _exact_run_counts(mesh, bc, mus))
+
+
+class TestStackedTree:
+    """Every sweep's product is bit for bit that of the entry-tuple tree.
+
+    The library contracts stacked (2, 2, runs, mus) arrays; tests/tuple_tree.py
+    keeps the tuple form, one array per matrix entry, with the same tree,
+    the same odd-level carries and the same operation order.  Meshes of
+    64, 512 and 1000 intervals at 1, 37 and 300 mu give blocks of one
+    step up to the whole mesh, and odd levels.
+    """
+
+    POTENTIALS = {
+        "smooth-test": lambda: Potential.smooth_test([1.0, -0.5]),
+        "step": lambda: Potential.step(2.0, 1.3),
+        "grid13": lambda: Potential.from_grid(
+            PI * np.arange(13) / 12.0,
+            [1.2 * math.cos(x) - 0.4 * math.sin(2.0 * x) + 0.3 for x in PI * np.arange(13) / 12.0]),
+    }
+
+    @pytest.mark.parametrize("size", [1, 37, 300])
+    @pytest.mark.parametrize("grid", [64, 512, 1000])
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_sweeps_equal_the_tuple_tree(self, name, grid, size, monkeypatch):
+        q = self.POTENTIALS[name]()
+        mesh = build_mesh(q, grid)
+        mus = np.random.default_rng(size).uniform(-30.0, 9e4, size)
+        y0, yp0 = 0.6, -0.8
+        for forward in (True, False):
+            M = tuple_tree.product(mesh, mus, forward, tuple_tree.transfer, tuple_tree.mul2)
+            y, yp = endpoint_values(mesh, mus, y0, yp0, forward=forward)
+            assert np.array_equal(y, M[0] * y0 + M[1] * yp0)
+            assert np.array_equal(yp, M[2] * y0 + M[3] * yp0)
+            Y, YP = _nodes(mesh, mus, y0, yp0, forward)
+            want_y, want_yp = tuple_tree.nodes(mesh, mus, y0, yp0, forward)
+            assert np.array_equal(Y, want_y) and np.array_equal(YP, want_yp)
+        want = tuple_tree.product(mesh, mus, True, tuple_tree.transfer_dmu, tuple_tree.compose)
+        assert np.array_equal(norm_product(mesh, mus), np.array(want))
+        engine = spectrum._CharEngine(q, BoundaryParams(2.3, 0.6), grid)
+        k, gap = spectrum._counts(engine, mus)
+        monkeypatch.setattr(spectrum, "_product", lambda mesh, mus, forward, entries, mul: np.array(
+            tuple_tree.product(mesh, mus, forward, tuple_tree.lifted_steps, tuple_tree.lifted_mul)))
+        want_k, want_gap = spectrum._counts(engine, mus)
+        assert np.array_equal(k, want_k) and np.array_equal(gap, want_gap)
 
 
 class TestBoundaryNormalizedSolutions:

@@ -459,6 +459,26 @@ class TestBesselWeights:
                     want *= -1 if t < 0 and k % 2 else 1
                     assert abs(value - float(want)) * max(1.0, abs(t)) <= 2e-15
 
+    def test_dense_just_above_one_against_mpmath(self):
+        # the closed forms of j_2 and j_3 cancel just above |theta| = 1 (j_3
+        # was 1.1e-13 off at 1.10); their series now runs to 2.5
+        mpmath = pytest.importorskip("mpmath")
+        theta = np.linspace(1.0, 4.0, 601)[1:]
+        got = self._j(np.concatenate([theta, -theta]))
+        with mpmath.workdps(30):
+            for t, row in zip(np.concatenate([theta, -theta]), got):
+                x = mpmath.mpf(abs(float(t)))
+                for k in (2, 3):
+                    want = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(k + 0.5, x)
+                    want *= -1 if t < 0 and k % 2 else 1
+                    assert abs(row[k] - float(want)) <= 1e-14 * abs(float(want))
+
+    def test_j2_j3_branches_meet_at_their_limit(self):
+        limit = potential._BESSEL_LIMITS[2]
+        above = np.nextafter(limit, 4.0)
+        at, beyond = self._j([limit, -limit]), self._j([above, -above])
+        assert np.max(np.abs(at - beyond)[:, 2:]) <= 1e-15
+
     def test_branches_meet_at_one(self):
         # the series at |theta| = 1 and the closed form one ulp above
         above = np.nextafter(1.0, 2.0)
@@ -469,8 +489,9 @@ class TestBesselWeights:
         # |theta| <= 1 takes the series bit for bit, even beside closed-form entries
         theta = np.array([0.0, 1e-3, -0.5, 1.0, 3.0, -40.0])[:, None]
         radius = np.array([0.25])
-        bessel = potential._BESSEL_SERIES[-1]
-        for row in potential._BESSEL_SERIES[-2::-1]:
+        rows = potential._BESSEL_SERIES[:10]  # the ten-term series
+        bessel = rows[-1]
+        for row in rows[-2::-1]:
             bessel = bessel * theta * theta + row
         series = 2.0 * radius * potential._I_POWERS * theta ** np.arange(4) * bessel
         assert np.array_equal(potential._bessel_weights(theta, radius)[:4], series[:4])

@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("norming_decay.py", ["--n-max", "20", "--grid-size", "256"], "smooth q = cos x"),
     ("kseries_closed_form.py", ["--N", "40"],
      "q = constant(1.0), boundary case dirichlet-dirichlet"),
+    ("search_budget.py", ["--seed", "9001"],
+     f"{'call':44s} n_max    grid   count  sweeps  points"),
 ])
 def test_script_runs(script, args, first_line):
     env = dict(os.environ)

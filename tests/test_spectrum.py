@@ -35,7 +35,7 @@ PI = math.pi
 def _bracket(q, bc, n, grid_size):
     """The counted bracket of index n: n eigenvalues below lo, n + 1 below hi."""
     engine = spectrum._CharEngine(q, bc, grid_size)
-    lo, hi, _ = spectrum._brackets(engine, [n], [delta_for_index(n, bc)], mean_q(q))
+    lo, hi = spectrum._brackets(engine, [n], [delta_for_index(n, bc)], mean_q(q))[:2]
     return float(lo[0]), float(hi[0])
 
 
@@ -109,7 +109,9 @@ class TestBracketing:
         (lambda mus: np.zeros(mus.size, dtype=int), "no count bounds indices [0]"),
     ], ids=["decreasing", "cluster", "unbounded"])
     def test_bracket_errors(self, q_zero, bc_dd, monkeypatch, counts, message):
-        monkeypatch.setattr(spectrum, "_counts", lambda engine, mus: counts(np.asarray(mus)))
+        # _counts returns K and the angle gap; these cases fail on K alone
+        monkeypatch.setattr(spectrum, "_counts", lambda engine, mus: (
+            counts(np.asarray(mus)), np.zeros(np.size(mus))))
         with pytest.raises(BracketError, match=re.escape(message)):
             _bracket(q_zero, bc_dd, 0, 512)
 
@@ -330,16 +332,18 @@ class TestSearchBudget:
 
     @staticmethod
     def _record(monkeypatch):
-        """Batch sizes of every count and every Phi sweep of the search."""
-        batches = {"counts": [], "phi": []}
+        """Batch sizes of every count and every Phi sweep of the search, and their points."""
+        batches = {"counts": [], "phi": [], "counted": [], "swept": []}
         count, sweep = spectrum._counts, spectrum.endpoint_values
 
         def counting(engine, mus):
             batches["counts"].append(np.size(mus))
+            batches["counted"].extend(np.atleast_1d(mus).tolist())
             return count(engine, mus)
 
         def sweeping(mesh, mus, *args, **kwargs):
             batches["phi"].append(np.size(mus))
+            batches["swept"].extend(np.atleast_1d(mus).tolist())
             return sweep(mesh, mus, *args, **kwargs)
 
         monkeypatch.setattr(spectrum, "_counts", counting)
@@ -364,6 +368,57 @@ class TestSearchBudget:
         batches = self._record(monkeypatch)
         find_spectrum(q, bc, n_max)
         assert sum(batches["phi"]) <= limit
+
+    @pytest.mark.parametrize("case,sweeps,points", [
+        ("cos-NN-20", 9, 115), ("step-NN-60", 9, 300), ("smooth-pi-0.7-60", 9, 300)])
+    def test_no_sweep_evaluates_a_counted_end(self, case, sweeps, points, monkeypatch):
+        # the refinement starts from the count's angle gaps at the bracket
+        # ends; with end values from a Phi sweep the search took 11, 12 and
+        # 11 sweeps of 134, 349 and 343 points
+        q, bc, n_max = self.CASES[case]
+        batches = self._record(monkeypatch)
+        find_spectrum(q, bc, n_max)
+        assert not set(batches["counted"]) & set(batches["swept"])
+        assert len(batches["phi"]) <= sweeps and sum(batches["phi"]) <= points
+
+    def test_deep_bound_states_finish_on_phi(self, monkeypatch):
+        # mu_0 = -24.3 of these angles lies far below q(pi) = 0, where the angle
+        # gap turns by pi within a few ulps of mu: refined on the gap alone
+        # the search took 101 sweeps, by bisection, and 10 on Phi alone
+        q, bc = Potential.zero(), BoundaryParams(0.2, 2.9)
+        batches = self._record(monkeypatch)
+        s = find_spectrum(q, bc, 10)
+        assert len(batches["phi"]) <= 15
+        assert np.max(np.abs(s.mus - _free_eigenvalues(bc, 10))) <= 1e-9
+
+    @pytest.mark.parametrize("bc", [BoundaryParams(PI, 0.0), BoundaryParams(PI / 2, PI / 2),
+                                    BoundaryParams(2.3, 0.6)], ids=["DD", "NN", "generic"])
+    def test_interior_well_finishes_on_phi(self, bc, monkeypatch):
+        # mu_0 = -12.87 of a -40 dip at pi/2 lies below q(pi) = 0 but its
+        # counted bracket reaches up to the 0|1 separator above [q]: with the
+        # switch to Phi fixed by that first bracket the search took 43, 28
+        # and 31 sweeps
+        xs = PI * np.arange(13) / 12
+        q = Potential.from_grid(xs, np.where(np.arange(13) == 6, -40.0, 0.0))
+        batches = self._record(monkeypatch)
+        s = find_spectrum(q, bc, 10)
+        assert len(batches["phi"]) <= 20
+        mu0 = s.mus[0]
+        assert -13.0 < mu0 < -12.8
+        # Phi changes sign across mu_0 on a mesh eight times finer
+        below, above = (char_function(q, bc, mu0 + d, grid_size=4096) for d in (-1e-9, 1e-9))
+        assert below * above < 0.0
+
+    def test_count_gap_matches_the_sweep(self):
+        # G_K from the lifted count equals G_K read from a Phi sweep's state
+        q, bc = Potential.smooth_test([1.0, -0.5]), BoundaryParams(2.3, 0.6)
+        engine = spectrum._CharEngine(q, bc, DEFAULT_GRID_SIZE)
+        mus = np.linspace(-3.0, 2500.0, 997)
+        k, gap = spectrum._counts(engine, mus)
+        assert np.all((-PI <= gap) & (gap <= 0.0))
+        swept, _ = engine.gaps(mus, np.where(k % 2 == 0, -1.0, 1.0))
+        inside = gap > -PI + 1e-6  # away from the wrap of the principal value
+        assert np.max(np.abs(swept - gap)[inside]) <= 1e-13
 
     def test_no_adaptive_mean(self, monkeypatch):
         # [q] comes from the mesh's Gauss samples, not from potential.integrate
@@ -445,8 +500,8 @@ def _node_sign_walk(engine, mu):
 
 def _both_counts(engine, mus):
     """_counts of each mu on its own and of all of them in one batch; they must agree."""
-    single = [int(spectrum._counts(engine, [mu])[0]) for mu in mus]
-    assert spectrum._counts(engine, mus).tolist() == single
+    single = [int(spectrum._counts(engine, [mu])[0][0]) for mu in mus]
+    assert spectrum._counts(engine, mus)[0].tolist() == single
     return single
 
 
