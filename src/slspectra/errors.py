@@ -19,7 +19,12 @@ class QuadratureError(SpectralError):
 
 
 class BlowUpError(SpectralError):
-    """Solution magnitude exceeded the overflow guard during integration."""
+    """Solution magnitude exceeded its guard during integration.
+
+    The endpoint and norm sweeps raise it where a value overflows the float
+    range; the node traces (solve_ivp, phi, psi, y_values_batch) past
+    odesolve.BLOWUP_BOUND.
+    """
 
 
 class BracketError(SpectralError):

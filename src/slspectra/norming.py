@@ -30,6 +30,13 @@ other potentials take 2048 panels.  ``norming_records`` forms the model
 values and remainders of a batch as arrays, by the scalar functions'
 operations, so each field is theirs bit for bit.
 
+``norming_records`` reads a_n and b_n from one forward norm product, each
+at the end where the eigenfunction is large, and relates the other by
+a_n = c_n^2 b_n (``_eigen_norms``): a norm read where its solution is
+exponentially small, under a tall barrier or in a boundary layer, cancels
+entries of the product's size.  ``norming_a_batch`` and ``norming_b_batch``
+give the one-sided norms of the solutions at any mu.
+
 Remainder extraction divides the measured defect by the active bracket
 weight.  When sin(alpha) and cos(alpha) are both nonzero the two bracket
 remainders cannot be separated from a_n alone; extraction then reports the
@@ -157,6 +164,29 @@ def extract_remainders(a_value: float, ae: float, delta, bc: BoundaryParams, n: 
     return _extract(defect, bc.sin_alpha, bc.cos_alpha, nu)
 
 
+def _eigen_norms(product, bc: BoundaryParams):
+    """a_n and b_n at eigenvalues from norm_product's (M, dM), each at its well-conditioned end.
+
+    At an eigenvalue phi_n = c_n psi_n, so a_n = c_n^2 b_n.  A norm read at
+    the end where its solution is exponentially small cancels entries of
+    size |M|, so only one end is read.  Where the forward state at pi is
+    large, |c_n| >= 1 with c_n = phi(pi) sin beta - phi'(pi) cos beta, a_n
+    comes from the forward identity and b_n = a_n / c_n^2; elsewhere b_n
+    comes from the adjugate values at 0, with
+    1 / c_n = psi(0) sin alpha - psi'(0) cos alpha, and a_n = b_n c_n^2.
+    """
+    y, yp, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
+    u, up, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)
+    c = y * bc.sin_beta - yp * bc.cos_beta
+    inv_c = u * bc.sin_alpha - up * bc.cos_alpha
+    forward = np.abs(c) >= 1.0
+    # the end not read may have lost its value entirely: 1/c_n rounds to 0
+    # under a barrier of height 240
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return (np.where(forward, a_vals, b_vals / inv_c / inv_c),
+                np.where(forward, a_vals / c / c, b_vals))
+
+
 def norming_record(q: Potential, bc: BoundaryParams, pair: Eigenpair,
                    grid_size: int = DEFAULT_GRID_SIZE) -> NormingRecord:
     """Assemble the full measured-versus-model record for one eigenpair."""
@@ -174,9 +204,7 @@ def norming_records(q: Potential, bc: BoundaryParams, pairs,
         pairs = pairs.pairs
     pairs = list(pairs)
     mus = np.array([p.mu for p in pairs])
-    product = norm_product(build_mesh(q, grid_size), mus)
-    _, _, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
-    _, _, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)
+    a_vals, b_vals = _eigen_norms(norm_product(build_mesh(q, grid_size), mus), bc)
     ns = np.array([p.n for p in pairs], dtype=int)
     deltas = np.array([p.delta.value for p in pairs], dtype=float)
     late = ns >= 2

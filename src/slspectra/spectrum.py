@@ -36,8 +36,10 @@ no sweep evaluates an end again.  Each step is one Phi sweep, and G_n
 comes from the same state (y, y') at pi.  The first point is the
 asymptotic root c_n^2 (nu_n^2 + [q] for n = 0, 1) where it lies inside the
 counted bracket; brackets below q(pi), where G_n turns within ulps of a
-bound state, finish on Phi itself.  The node-sign count of
-count_interior_zeros is independent of the search and checks it.
+bound state, start at their midpoint and finish on Phi itself.  Phi is
+swept as it is, unscaled: only a value beyond the float range raises.
+The node-sign count of count_interior_zeros is independent of the search
+and checks it.
 """
 
 from __future__ import annotations
@@ -79,10 +81,12 @@ class Eigenpair:
     the sign of (-1)^(n + 1) Phi, so Phi changes sign across it too, up to
     rounding.  Its converged end often has |Phi| near rounding, and the
     rounding of a Phi sweep depends on the batch size, so char_function at
-    that end alone may show the other sign.  char_residual is the
-    characteristic-function magnitude at the returned mu.  zeros is K at the lower end of the counted bracket,
-    the number of eigenvalues below it (equal to n): by Sturm oscillation,
-    the interior zero count of the eigenfunction.
+    that end alone may show the other sign.  char_residual is |Phi| at the
+    returned mu, an absolute magnitude: Phi scales with the solution at pi,
+    so under a tall barrier it is large however near mu lies (4.1e12 for a
+    step of height 586 over [0, 2.5]).  zeros is K at the lower end of the
+    counted bracket, the number of eigenvalues below it (equal to n): by
+    Sturm oscillation, the interior zero count of the eigenfunction.
     """
 
     n: int
@@ -128,11 +132,6 @@ class _CharEngine:
         self.y0 = bc.sin_alpha
         self.yp0 = -bc.cos_alpha
 
-    def phi_batch(self, mus) -> np.ndarray:
-        y, yp = endpoint_values(self.mesh, np.asarray(mus, dtype=float),
-                                self.y0, self.yp0, forward=True)
-        return y * self.bc.cos_beta + yp * self.bc.sin_beta
-
     def angle_scale(self, mus: np.ndarray) -> np.ndarray:
         """The scale nu = sqrt(max(mu - [q], 1)) of the angle gap, for gaps and _counts."""
         return np.sqrt(np.maximum(mus - self.mesh.mean, 1.0))
@@ -156,9 +155,13 @@ class _CharEngine:
 
 def char_function(q: Potential, bc: BoundaryParams, mu: float,
                   grid_size: int = DEFAULT_GRID_SIZE) -> float:
-    """Boundary defect at x = pi of the left-normalized solution."""
-    engine = _CharEngine(q, bc, grid_size)
-    return float(engine.phi_batch([mu])[0])
+    """Boundary defect at x = pi of the left-normalized solution.
+
+    Raises BlowUpError only where the sweep overflows the float range.
+    """
+    mesh = build_mesh(q, grid_size)
+    y, yp = endpoint_values(mesh, [mu], bc.sin_alpha, -bc.cos_alpha, forward=True)
+    return float(y[0] * bc.cos_beta + yp[0] * bc.sin_beta)
 
 
 def char_function_right(q: Potential, bc: BoundaryParams, mu: float,
@@ -167,7 +170,8 @@ def char_function_right(q: Potential, bc: BoundaryParams, mu: float,
 
     Constancy of the Wronskian of phi and psi gives
         Phi(mu) = -[psi(0) cos(alpha) + psi'(0) sin(alpha)],
-    so this equals char_function up to solver tolerance.
+    so this equals char_function up to solver tolerance.  Raises
+    BlowUpError only where the sweep overflows the float range.
     """
     mesh = build_mesh(q, grid_size)
     y, yp = endpoint_values(mesh, [mu], bc.sin_beta, -bc.cos_beta, forward=False)
@@ -410,10 +414,12 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
     both of its ends have been swept, restarting from true values, and
     stays on it.  The first step takes the column's entry of first, an
     asymptotic estimate of the root, where it lies more than tol/2 inside
-    the bracket.  Otherwise a step takes the regula falsi point of the
-    ends' values, kept tol/2 inside, or the midpoint where that point is
-    not inside or the bracket did not halve over the last three steps (so
-    at most four times the cost of bisection).  A first point counts as an
+    the bracket, or the midpoint of a bracket whose upper end lies at or
+    below q(pi), where that estimate crowds the upper end.  Otherwise a
+    step takes the regula falsi point of the ends' values, kept tol/2
+    inside, or the midpoint where that point is not inside or the bracket
+    did not halve over the last three steps (so at most four times the cost
+    of bisection).  A first point counts as an
     interpolated one.  When an interpolated point replaces the same end as
     the previous one, the value at the other end is scaled by
     1 - f_new / f_replaced, or halved when that is not positive (Anderson &
@@ -423,7 +429,7 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
     with the smaller |value| and residual the true |Phi| there, from the
     sweep that evaluated it; an end that no step replaced (a bracket
     narrower than tol from the start, or a root within tol of a counted
-    end) takes one more Phi sweep for its residual.
+    end) takes one more Phi sweep (_CharEngine.gaps) for its residual.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = np.array(glo, dtype=float), np.array(ghi, dtype=float)
@@ -440,6 +446,7 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
     state = np.array((lo, hi, flo, fhi, flo, fhi, nan, nan, np.zeros(lo.shape), inf, inf, inf,
                       np.where(np.asarray(ns) % 2 == 0, -1.0, 1.0), np.zeros(lo.shape)))
     edge = engine.mesh.q[-1]  # q at pi: below it the state at pi is in a forbidden zone
+    first = np.where(hi <= edge, 0.5 * (lo + hi), first)
     while True:
         lo, hi = state[0], state[1]
         mid = 0.5 * (lo + hi)
@@ -483,7 +490,7 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
     mus, residual = np.where(pick_lo, lo, hi), np.abs(np.where(pick_lo, phi_lo, phi_hi))
     unswept = np.flatnonzero(np.isnan(residual))
     if unswept.size:
-        residual[unswept] = np.abs(engine.phi_batch(mus[unswept]))
+        residual[unswept] = np.abs(engine.gaps(mus[unswept], state[12, unswept])[1])
     return mus, residual, lo, hi
 
 

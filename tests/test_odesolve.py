@@ -491,6 +491,23 @@ class TestBlockedKernel:
         assert out.shape == (len(mesh.nodes), 301)
         assert peak <= 1.5 * out.nbytes
 
+    def test_large_finite_values_come_back(self, q_zero):
+        # values far above 1e12 are the run product's, exactly; on the
+        # zero potential y(pi) = cosh(k pi) + 0.5 sinh(k pi) / k, k^2 = -mu
+        mesh = build_mesh(q_zero, 512)
+        mus = np.array([-400.0, -1e4, 3.0])
+        for forward in (True, False):
+            y, yp = endpoint_values(mesh, mus, 1.0, 0.5, forward=forward)
+            M = _product(mesh, mus, forward, _transfer, _mul).reshape(4, -1)
+            assert np.array_equal(y, M[0] + M[1] * 0.5) and np.array_equal(yp, M[2] + M[3] * 0.5)
+            assert np.all(np.abs(y[:2]) > 1e12) and np.all(np.isfinite(y))
+        k = np.sqrt(-mus[:2])
+        y, _ = endpoint_values(mesh, mus[:2], 1.0, 0.5)
+        assert np.max(np.abs(y / (np.cosh(k * PI) + 0.5 * np.sinh(k * PI) / k) - 1.0)) <= 1e-12
+        # the norm int y^2 ~ y(pi)^2 / (2k) stays finite too
+        _, _, acc = propagate_with_norm(mesh, [-400.0], 1.0, 0.0)
+        assert acc[0] == pytest.approx((PI / 2 + math.sinh(40.0 * PI) / 80.0), rel=1e-12)
+
     def test_blow_up_raises_without_warnings(self, q_zero):
         mesh = build_mesh(q_zero, 512)
         with warnings.catch_warnings():
@@ -501,6 +518,9 @@ class TestBlockedKernel:
                 endpoint_values(mesh, [-1e6], 1.0, 0.0)
             with pytest.raises(BlowUpError):
                 y_values_batch(mesh, [-1e6], 1.0, 0.0)
+            for char in (spectrum.char_function, spectrum.char_function_right):
+                with pytest.raises(BlowUpError):
+                    char(q_zero, BoundaryParams(PI / 2, PI / 2), -1e6)
             with pytest.raises(BlowUpError):
                 solve_ivp(q_zero, -4000.0, True, 1.0, 0.0, 512)
 

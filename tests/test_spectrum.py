@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,13 @@ class TestCharFunction:
     def test_neumann_closed_form(self, q_zero, bc_nn):
         # Phi(mu) = -sqrt(mu) sin(sqrt(mu) pi) at mu = 2.25
         assert char_function(q_zero, bc_nn, 2.25, 512) == pytest.approx(1.5, abs=1e-12)
+
+    def test_large_values_come_back(self, q_zero, bc_nn):
+        # only the float range bounds Phi: Phi(-400) = 20 sinh(20 pi) = 1.9e28
+        assert char_function(q_zero, bc_nn, -400.0) == pytest.approx(
+            20.0 * math.sinh(20.0 * PI), rel=1e-12)
+        assert char_function_right(q_zero, bc_nn, -400.0) == pytest.approx(
+            20.0 * math.sinh(20.0 * PI), rel=1e-12)
 
     @given(mu=st.floats(min_value=-3.0, max_value=120.0),
            alpha=st.floats(min_value=0.4, max_value=PI),
@@ -391,20 +400,30 @@ class TestSearchBudget:
         assert len(batches["phi"]) <= 15
         assert np.max(np.abs(s.mus - _free_eigenvalues(bc, 10))) <= 1e-9
 
-    @pytest.mark.parametrize("bc", [BoundaryParams(PI, 0.0), BoundaryParams(PI / 2, PI / 2),
-                                    BoundaryParams(2.3, 0.6)], ids=["DD", "NN", "generic"])
+    WELL_ANGLES = [BoundaryParams(PI, 0.0), BoundaryParams(PI / 2, PI / 2),
+                   BoundaryParams(2.3, 0.6)]
+
+    @pytest.mark.parametrize("bc", WELL_ANGLES, ids=["DD", "NN", "generic"])
     def test_interior_well_finishes_on_phi(self, bc, monkeypatch):
         # mu_0 = -12.87 of a -40 dip at pi/2 lies below q(pi) = 0 but its
         # counted bracket reaches up to the 0|1 separator above [q]: with the
         # switch to Phi fixed by that first bracket the search took 43, 28
-        # and 31 sweeps
+        # and 31 sweeps, and 13, 18 and 16 from the asymptotic first point
+        self._interior_well(-40.0, bc, 15, (-13.0, -12.8), monkeypatch)
+
+    @pytest.mark.parametrize("bc", WELL_ANGLES, ids=["DD", "NN", "generic"])
+    def test_deep_interior_well_finishes_on_phi(self, bc, monkeypatch):
+        # mu_0 = -47.25: 21, 14 and 19 sweeps from the asymptotic first point
+        self._interior_well(-100.0, bc, 17, (-47.3, -47.2), monkeypatch)
+
+    def _interior_well(self, depth, bc, sweeps, mu_range, monkeypatch):
         xs = PI * np.arange(13) / 12
-        q = Potential.from_grid(xs, np.where(np.arange(13) == 6, -40.0, 0.0))
+        q = Potential.from_grid(xs, np.where(np.arange(13) == 6, depth, 0.0))
         batches = self._record(monkeypatch)
         s = find_spectrum(q, bc, 10)
-        assert len(batches["phi"]) <= 20
+        assert len(batches["phi"]) <= sweeps
         mu0 = s.mus[0]
-        assert -13.0 < mu0 < -12.8
+        assert mu_range[0] < mu0 < mu_range[1]
         # Phi changes sign across mu_0 on a mesh eight times finer
         below, above = (char_function(q, bc, mu0 + d, grid_size=4096) for d in (-1e-9, 1e-9))
         assert below * above < 0.0
@@ -680,3 +699,41 @@ class TestFormerFailures:
         s = find_spectrum(q_zero, bc, 10)
         assert s.mus[0] == pytest.approx(-24.336, abs=1e-3)
         assert np.max(np.abs(s.mus - _free_eigenvalues(bc, 10))) <= 1e-8
+
+    # inputs whose Phi sweeps pass 1e12 but stay inside the float range:
+    # the search sweeps them as they are
+    @pytest.mark.parametrize("spec,angles,n_max", [
+        ({"family": "step", "params": [600.0, 2.8]}, (PI, 0.0), 10),
+        ({"family": "step", "params": [-400.0, 1.0]}, (PI, 0.0), 1),
+        ({"family": "zero"}, (0.05, 3.0), 10),
+    ], ids=["tall-step-DD", "deep-step-DD", "deep-robin"])
+    def test_large_sweeps_against_the_reference(self, spec, angles, n_max):
+        reference = _perfbench_reference()
+        q = Potential.zero() if spec["family"] == "zero" else Potential.step(*spec["params"])
+        s = find_spectrum(q, BoundaryParams(*angles), n_max)
+        want = reference.eigenvalues_piecewise_constant(
+            reference.QModel.from_spec(spec), *angles, n_max)
+        assert np.max(np.abs(s.mus - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
+        assert all(p.zeros == p.n for p in s.pairs)
+
+    def test_deep_robin_state_closed_form(self, q_zero):
+        # mu_0 = -399: the solution grows like e^(20 x), and Phi reaches 7e22 at
+        # the bracket end
+        bc = BoundaryParams(0.05, 3.0)
+        s = find_spectrum(q_zero, bc, 10)
+        want = _free_eigenvalues(bc, 10)
+        assert np.max(np.abs(s.mus - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
+
+    def test_deep_step_keeps_its_regime_contract(self):
+        # mu_2 = -319.7 of step(-400, 1) DD lies below 0
+        with pytest.raises(UnsupportedRegimeError):
+            find_spectrum(Potential.step(-400.0, 1.0), BoundaryParams(PI, 0.0), 2)
+
+
+def _perfbench_reference():
+    """perfbench/reference.py, loaded by path as it stands."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
