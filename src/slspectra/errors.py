@@ -19,11 +19,11 @@ class QuadratureError(SpectralError):
 
 
 class BlowUpError(SpectralError):
-    """Solution magnitude exceeded its guard during integration.
+    """A propagated solution overflowed the float range.
 
-    The endpoint and norm sweeps raise it where a value overflows the float
-    range; the node traces (solve_ivp, phi, psi, y_values_batch) past
-    odesolve.BLOWUP_BOUND.
+    Every sweep (endpoint values, norms and the node traces of solve_ivp,
+    phi, psi and y_values_batch) raises it where a value is non-finite, and
+    only there: a finite value comes back however large.
     """
 
 

@@ -133,8 +133,7 @@ def _whole(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def series_coefficients(q: Potential, bc: BoundaryParams, N: int,
-                        cumulative: CumulativeIntegrals | None = None):
+def series_coefficients(q: Potential, bc: BoundaryParams, N: int):
     """Per-term data for indices 2..N.
 
     Returns (nus, k_coefs, k1_coefs, k2_coefs) where the term of each series
@@ -142,11 +141,11 @@ def series_coefficients(q: Potential, bc: BoundaryParams, N: int,
     k_coef = k1_coef + k2_coef holds per term to about 2e-13 of the largest
     |k_coef| at N = 400.
     """
-    return _coefficients(q, bc, N, cumulative)[0]
+    return _coefficients(q, bc, N, sigma_functions(q))[0]
 
 
-def _coefficients(q: Potential, bc: BoundaryParams, N: int,
-                  cumulative: CumulativeIntegrals | None, harmonics=()):
+def _coefficients(q: Potential, bc: BoundaryParams, N: int, ci: CumulativeIntegrals,
+                  harmonics=()):
     """series_coefficients, and int_0^pi sigma(t) cos(w t) dt at the extra frequencies harmonics.
 
     The shifts come from one array solve and all moments from one call of
@@ -157,7 +156,6 @@ def _coefficients(q: Potential, bc: BoundaryParams, N: int,
     N = _whole(N, "truncation")
     if not (2 <= N <= TRUNCATION_CAP):
         raise ValueError(f"truncation must lie in [2, {TRUNCATION_CAP}], got {N}")
-    ci = cumulative if cumulative is not None else sigma_functions(q)
     ns = np.arange(2, N + 1)
     deltas = _shifts(ns, bc)[0]
     nus = ns + deltas
@@ -265,8 +263,7 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, points: int = DEFAUL
     )
 
 
-def k2_closed_form_dd(q: Potential, grid=None,
-                      cumulative: CumulativeIntegrals | None = None) -> np.ndarray:
+def k2_closed_form_dd(q: Potential, grid=None) -> np.ndarray:
     """Closed form of k2 in the Dirichlet-Dirichlet case.
 
     pi/2 times the even part of the Fourier series of sigma_tilde,
@@ -276,7 +273,7 @@ def k2_closed_form_dd(q: Potential, grid=None,
     is (2/pi) int_0^pi sigma(s) cos(2 m s) ds.
     """
     grid = _default_grid(grid)
-    ci = cumulative if cumulative is not None else sigma_functions(q)
+    ci = sigma_functions(q)
     moments = fourier_moments(ci.sigma, _HARMONICS, q.breakpoints, cubic=q.piecewise_linear)[0]
     return _closed_form(ci, grid, moments)
 

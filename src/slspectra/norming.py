@@ -164,22 +164,36 @@ def extract_remainders(a_value: float, ae: float, delta, bc: BoundaryParams, n: 
     return _extract(defect, bc.sin_alpha, bc.cos_alpha, nu)
 
 
+def _large_end(bc: BoundaryParams, y, yp, u, up):
+    """c_n, 1 / c_n, and where the forward end is the large one, |c_n| >= |1 / c_n|.
+
+    With phi_n = c_n psi_n, c_n = phi(pi) sin beta - phi'(pi) cos beta comes
+    from the forward values (y, yp) at pi and 1 / c_n = psi(0) sin alpha -
+    psi'(0) cos alpha from the backward values (u, up) at 0.
+    """
+    c = y * bc.sin_beta - yp * bc.cos_beta
+    inv_c = u * bc.sin_alpha - up * bc.cos_alpha
+    return c, inv_c, np.abs(c) >= np.abs(inv_c)
+
+
 def _eigen_norms(product, bc: BoundaryParams):
     """a_n and b_n at eigenvalues from norm_product's (M, dM), each at its well-conditioned end.
 
     At an eigenvalue phi_n = c_n psi_n, so a_n = c_n^2 b_n.  A norm read at
     the end where its solution is exponentially small cancels entries of
-    size |M|, so only one end is read.  Where the forward state at pi is
-    large, |c_n| >= 1 with c_n = phi(pi) sin beta - phi'(pi) cos beta, a_n
-    comes from the forward identity and b_n = a_n / c_n^2; elsewhere b_n
-    comes from the adjugate values at 0, with
-    1 / c_n = psi(0) sin alpha - psi'(0) cos alpha, and a_n = b_n c_n^2.
+    size |M|, so only one end is read, the large one, judged from both
+    (_large_end, with the adjugate values at 0).  Where |c_n| >= |1 / c_n|,
+    a_n comes from the forward identity and b_n = a_n / c_n^2; elsewhere
+    b_n comes from the adjugate identity and a_n = b_n c_n^2.  The value
+    read at the small end carries the root window times the solution's
+    growth, so it can be far from its exact size, but it stays below the
+    accurate one read at the large end: under barriers of height 330-586 on
+    the right, c_n reads up to 4e13 where it is exponentially small, so a
+    fixed threshold on |c_n| alone would pick the small end.
     """
     y, yp, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
     u, up, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)
-    c = y * bc.sin_beta - yp * bc.cos_beta
-    inv_c = u * bc.sin_alpha - up * bc.cos_alpha
-    forward = np.abs(c) >= 1.0
+    c, inv_c, forward = _large_end(bc, y, yp, u, up)
     # the end not read may have lost its value entirely: 1/c_n rounds to 0
     # under a barrier of height 240
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

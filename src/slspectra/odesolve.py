@@ -60,7 +60,8 @@ turns each block of L interval propagators into their prefix products by
 a doubling scan, log2 L vectorised passes instead of L steps at the price
 of L log2 L products, and applies them to the block's start state.  The
 transient arrays of a block stay near 2 MB whatever the batch or mesh
-size, and short batches still run few, long vectorised passes.
+size, and short batches still run few, long vectorised passes.  Every
+sweep raises BlowUpError where a value is non-finite, and only there.
 
 The norm sweep runs forward only.  Every run propagator has determinant
 1, so the backward propagator is the adjugate of the forward one, and one
@@ -84,9 +85,6 @@ from .errors import BlowUpError
 from .potential import PI, Potential, _snapped_sincos, _unique, integrate
 
 DEFAULT_GRID_SIZE = 512
-# the node traces raise BlowUpError past this magnitude; the endpoint and
-# norm sweeps raise only where they overflow the float range
-BLOWUP_BOUND = 1e12
 
 # the outer Gauss points of an interval sit at x_m -+ _GAUSS3 h
 _GAUSS3 = math.sqrt(15.0) / 10.0
@@ -100,8 +98,8 @@ _DS_SERIES_Z = 0.1
 _BLOCK_MUS = 64
 _BLOCK_ELEMS = 256 * _BLOCK_MUS
 
-# Deep hyperbolic sweeps overflow to inf and nan; the overflow guards turn
-# that into BlowUpError, so numpy's floating-point warnings stay silent.
+# Deep hyperbolic sweeps overflow to inf and nan; every sweep turns that
+# into BlowUpError, so numpy's floating-point warnings stay silent.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -536,9 +534,9 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
 def _trace(mesh: Mesh, mu: float, y0: float, yp0: float, forward: bool) -> SolutionTrace:
     Y, YP = _nodes(mesh, np.array([float(mu)]), y0, yp0, forward)
     y, yp = Y[:, 0], YP[:, 0]
-    bad = ~((np.abs(y) <= BLOWUP_BOUND) & (np.abs(yp) <= BLOWUP_BOUND))
+    bad = ~(np.isfinite(y) & np.isfinite(yp))
     if bad.any():
-        # report the first node past the bound in propagation order
+        # report the first non-finite node in propagation order
         i = np.flatnonzero(bad)[0 if forward else -1]
         raise BlowUpError(f"solution blew up at x = {mesh.nodes[i]:.6f} for mu = {mu}")
     return SolutionTrace(grid=mesh.nodes.copy(), y=y, yprime=yp, mu=float(mu))
@@ -547,16 +545,24 @@ def _trace(mesh: Mesh, mu: float, y0: float, yp0: float, forward: bool) -> Solut
 def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
     """Forward solution values at every node for a batch of mu, shape (nodes, mus).
 
-    Used for oscillation counting across a whole spectrum in one sweep: the
-    oscillation-certificate check counts the interior node signs of every
-    eigenfunction of a spectrum from one call.
+    Used for oscillation counting across a whole spectrum in one sweep.
+    Raises BlowUpError where a value is non-finite.
+    """
+    return _node_values(mesh, mus, y0, yp0, True)[0]
+
+
+def _node_values(mesh: Mesh, mus, y0: float, yp0: float, forward: bool):
+    """y at every node, shape (nodes, mus), and y' at the last node in propagation order.
+
+    Raises BlowUpError where a value is non-finite.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    out, _ = _nodes(mesh, mus, y0, yp0, True, with_yprime=False)
+    out, yp = _nodes(mesh, mus, y0, yp0, forward, with_yprime=False)
     # reductions only, no full-size temporary; a NaN fails the comparison too
-    if not max(out.max(initial=0.0), -out.min(initial=0.0)) <= BLOWUP_BOUND:
-        raise BlowUpError("solution exceeded the overflow guard in batched trace")
-    return out
+    if not (max(out.max(initial=0.0), -out.min(initial=0.0)) < math.inf
+            and np.all(np.isfinite(yp))):
+        raise BlowUpError("solution overflowed the float range in batched trace")
+    return out, yp
 
 
 def solve_ivp(q: Potential, mu: float, at_left: bool, y0: float, yp0: float,
@@ -566,7 +572,8 @@ def solve_ivp(q: Potential, mu: float, at_left: bool, y0: float, yp0: float,
     Integration runs left to right when at_left, right to left otherwise;
     the returned trace always lists the grid in increasing order.  mu may be
     negative (hyperbolic regime); no square root of mu is ever taken.
-    Raises ValueError if mu, y0 or yp0 is not finite.
+    Raises ValueError if mu, y0 or yp0 is not finite, and BlowUpError
+    where a node value overflows the float range.
     """
     if not all(map(math.isfinite, (mu, y0, yp0))):
         raise ValueError(f"mu, y0 and yp0 must be finite, got {mu}, {y0}, {yp0}")

@@ -179,7 +179,20 @@ def char_function_right(q: Potential, bc: BoundaryParams, mu: float,
 
 
 def count_interior_zeros(trace: SolutionTrace) -> int:
-    """Sign changes of the trace strictly inside (0, pi)."""
+    """Sign changes of the trace's node values strictly inside (0, pi).
+
+    Two limits hold for an eigenfunction's count:
+
+    - Count on the trace that runs towards the end where the eigenfunction
+      is large, so that it grows along the trace.  A trace towards an end
+      where the eigenfunction is exponentially small gains spurious sign
+      changes: the phi traces of step(-100, pi - 2).shifted(100) at Neumann
+      ends count 1, 1, 2, 3, 4, 5 zeros for n = 0..5, and the psi traces of
+      step(440, 2) at (pi/2, 0) count 1, 30, 5, 3, 4, 6.
+    - Node signs resolve only about N/2 zeros on N uniform intervals: on the
+      zero potential the first miscounts come at n = 32-33, 64-65 and
+      128-129 on 64, 128 and 256 intervals (at n = N - 1 for Dirichlet ends).
+    """
     return int(_zero_counts(trace.y[:, None])[0])
 
 

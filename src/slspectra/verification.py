@@ -19,14 +19,14 @@ import numpy as np
 from .delta import _shifts, delta_asymptotic
 from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
-from .norming import ae_n, model_a, norming_a_batch, norming_b_batch
+from .norming import _large_end, ae_n, model_a, norming_a_batch, norming_b_batch
 from .odesolve import (
     _picard_tail,
+    _node_values,
     build_mesh,
     kernel_A,
     picard_y2,
     solve_ivp,
-    y_values_batch,
 )
 from .potential import DEFAULT_QUAD_TOL, PI, BoundaryParams, Potential, mean_q
 from .spectrum import DEFAULT_ROOT_TOL, Spectrum, _zero_counts, find_spectrum
@@ -47,6 +47,9 @@ _POTENTIALS = {
     "step+3": lambda: Potential.step(2.0, PI / 2).shifted(3.0),
     "cos": lambda: Potential.smooth_test([1.0]),
     "cos-sum": lambda: Potential.smooth_test([1.0, -0.5]),
+    # a barrier of height 100 on the right: its low eigenfunctions are
+    # exponentially small at pi
+    "mirror-barrier": lambda: Potential.step(-100.0, PI - 2.0).shifted(100.0),
 }
 
 
@@ -289,20 +292,40 @@ def _criterion_11(ctx: VerificationContext):
                 f"tv stability {report.tv_stability:.4f} (tol {tv_tol})")
 
 
+def _eigen_zero_counts(mesh, spec: Spectrum) -> np.ndarray:
+    """Interior node-sign counts of a spectrum's eigenfunctions, each traced towards its large end.
+
+    Node sweeps trace every eigenfunction forward from alpha and backward
+    from beta, and the forward trace counts where the norms are read
+    forward (norming._large_end, from the traces' far ends); a trace
+    towards the end where the eigenfunction is exponentially small gains
+    spurious sign changes (see spectrum.count_interior_zeros).
+    """
+    bc = spec.bc
+    ys, yp = _node_values(mesh, spec.mus, bc.sin_alpha, -bc.cos_alpha, True)
+    us, up = _node_values(mesh, spec.mus, bc.sin_beta, -bc.cos_beta, False)
+    forward = _large_end(bc, ys[-1], yp, us[0], up)[2]
+    return _zero_counts(np.where(forward, ys, us))
+
+
 def _criterion_12(ctx: VerificationContext):
     """Every cached eigenpair recertified by an independent zero count.
 
-    One node sweep per spectrum traces every left-normalized eigenfunction
-    on the full mesh, and the interior node signs are counted apart from
-    the phase count the search bracketed with.
+    Each eigenfunction's interior node signs on the full mesh, counted on
+    the trace towards its large end (_eigen_zero_counts), are checked apart
+    from the phase count the search bracketed with.  Node signs resolve only
+    about N/2 zeros on N intervals, far above these spectra on the default
+    mesh.  A barrier of height 100 on the right, whose forward traces count
+    1, 1, 2, ... zeros, is recertified on every run, so the choice of end
+    stays checked.
     """
     if not ctx.all_cached_spectra():
         ctx.spectrum("step", "nn", 20)
+    ctx.spectrum("mirror-barrier", "nn", 20)
     checked = 0
     for (qname, bc_key, _n), spec in ctx.all_cached_spectra():
         mesh = build_mesh(ctx.potential(qname))
-        values = y_values_batch(mesh, spec.mus, spec.bc.sin_alpha, -spec.bc.cos_alpha)
-        for p, zeros in zip(spec.pairs, _zero_counts(values)):
+        for p, zeros in zip(spec.pairs, _eigen_zero_counts(mesh, spec)):
             if zeros != p.n or p.zeros != p.n:
                 return False, f"index {p.n} of ({qname}, {bc_key}) miscounted"
             checked += 1

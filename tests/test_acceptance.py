@@ -49,12 +49,13 @@ def test_oscillation_certificate_reports_miscount(tamper):
 
 
 def test_oscillation_certificate_on_an_empty_cache():
-    # run alone, criterion 12 computes a spectrum of its own to recertify
+    # run alone, criterion 12 computes a spectrum of its own to recertify,
+    # and always the barrier on the right, whose forward traces miscount
     ctx = VerificationContext()
     result = run_criterion(ctx, 12)
     assert result.passed
-    assert result.detail == "21 eigenpairs recertified"
-    assert list(ctx._spectra) == [("step", "nn", 20)]
+    assert result.detail == "42 eigenpairs recertified"
+    assert list(ctx._spectra) == [("step", "nn", 20), ("mirror-barrier", "nn", 20)]
 
 
 def test_unknown_criterion_number():

@@ -23,6 +23,7 @@ from slspectra.odesolve import (
     _BLOCK_MUS,
     _dS_dw,
     _mul,
+    _node_values,
     _nodes,
     _product,
     _step_coeffs,
@@ -68,8 +69,15 @@ class TestSolveIvp:
         assert np.all(np.diff(tr.grid) > 0)
 
     def test_blow_up_guard(self, q_zero):
+        # a trace raises only where it leaves the float range; below that,
+        # values far beyond any fixed bound come back: cosh(sqrt(4000) x)
+        # reaches 9.8e85 at pi
         with pytest.raises(BlowUpError):
-            solve_ivp(q_zero, -4000.0, True, 1.0, 0.0, 512)
+            solve_ivp(q_zero, -1e6, True, 1.0, 0.0, 512)
+        tr = solve_ivp(q_zero, -4000.0, True, 1.0, 0.0, 512)
+        ref = np.cosh(math.sqrt(4000.0) * tr.grid)
+        assert ref[-1] > 1e85
+        assert np.max(np.abs(tr.y / ref - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("mu, y0, yp0", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
                                              (1.0, math.nan, 0.0), (1.0, 1.0, math.inf)],
@@ -417,8 +425,20 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("mu", [-400.0, -4000.0, -1e5, -1e6])
     def test_blow_up_at_sequential_first_node(self, mesh, forward, mu):
-        Yr, YPr = _sequential_nodes(mesh, np.array([mu]), 1.0, 0.5, forward)
-        bad = ~((np.abs(Yr[:, 0]) <= 1e12) & (np.abs(YPr[:, 0]) <= 1e12))
+        # a trace raises exactly where the sequential steps leave the float
+        # range, naming the same first node in propagation order; where they
+        # stay finite, however large, the trace is theirs to rounding
+        with np.errstate(over="ignore", invalid="ignore"):
+            Yr, YPr = _sequential_nodes(mesh, np.array([mu]), 1.0, 0.5, forward)
+        yr, ypr = Yr[:, 0], YPr[:, 0]
+        bad = ~(np.isfinite(yr) & np.isfinite(ypr))
+        assert bad.any() == (mu <= -1e5)
+        if not bad.any():
+            tr = _trace(mesh, mu, 1.0, 0.5, forward)
+            size = np.hypot(yr, ypr)
+            assert np.max(np.abs(tr.y - yr) / size) <= 1e-12
+            assert np.max(np.abs(tr.yprime - ypr) / size) <= 1e-12
+            return
         i = np.flatnonzero(bad)[0 if forward else -1]
         with pytest.raises(BlowUpError) as err:
             _trace(mesh, mu, 1.0, 0.5, forward)
@@ -521,8 +541,17 @@ class TestBlockedKernel:
             for char in (spectrum.char_function, spectrum.char_function_right):
                 with pytest.raises(BlowUpError):
                     char(q_zero, BoundaryParams(PI / 2, PI / 2), -1e6)
+            for at_left in (True, False):
+                with pytest.raises(BlowUpError):
+                    solve_ivp(q_zero, -1e6, at_left, 1.0, 0.0, 512)
+                with pytest.raises(BlowUpError):
+                    endpoint_values(mesh, [-1e6], 1.0, 0.0, forward=at_left)
+                with pytest.raises(BlowUpError):
+                    _node_values(mesh, [-1e6], 1.0, 0.0, at_left)
             with pytest.raises(BlowUpError):
-                solve_ivp(q_zero, -4000.0, True, 1.0, 0.0, 512)
+                phi(q_zero, -1e6, PI / 2)
+            with pytest.raises(BlowUpError):
+                psi(q_zero, -1e6, PI / 2)
 
 
 def _two_piece_norm(c, x0, mu, y0, yp0, forward):

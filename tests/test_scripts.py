@@ -16,6 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
      "q = constant(1.0), boundary case dirichlet-dirichlet"),
     ("search_budget.py", ["--seed", "9001"],
      f"{'call':44s} n_max    grid   count  sweeps  points"),
+    ("known_defects.py", ["--seeds", "9001"],
+     f"{'call':16s} {'potential':28s}  alpha   beta n_max  grid  {'outcome':22s}   min norm"
+     "  certificate"),
 ])
 def test_script_runs(script, args, first_line):
     env = dict(os.environ)

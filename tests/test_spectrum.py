@@ -28,8 +28,9 @@ from slspectra import (
     psi,
 )
 from slspectra import potential, spectrum
-from slspectra.odesolve import DEFAULT_GRID_SIZE, SolutionTrace, _step_coeffs
+from slspectra.odesolve import DEFAULT_GRID_SIZE, SolutionTrace, _step_coeffs, build_mesh, y_values_batch
 from slspectra.spectrum import MAX_INDEX, _zero_counts
+from slspectra.verification import _eigen_zero_counts
 
 PI = math.pi
 
@@ -728,6 +729,49 @@ class TestFormerFailures:
         # mu_2 = -319.7 of step(-400, 1) DD lies below 0
         with pytest.raises(UnsupportedRegimeError):
             find_spectrum(Potential.step(-400.0, 1.0), BoundaryParams(PI, 0.0), 2)
+
+
+# barriers of height 330-586 on the left, (q, alpha, beta): their
+# eigenfunction traces grow far past 1e12 across the barrier and stay inside
+# the float range; the mirrors put the barrier on the right
+TALL_BARRIERS = [(Potential.step(586.0, 2.5), 2.47, 0.64),
+                 (Potential.step(440.0, 2.0), PI / 2, 0.0),
+                 (Potential.step(330.0, 1.7), PI / 2, PI / 2)]
+TALL_IDS = ["step586", "step440", "step330"]
+
+
+def _mirror(q, alpha, beta):
+    """The reflected problem q(pi - x) with angles (pi - beta, pi - alpha), for a step."""
+    height, x0 = q.params
+    return Potential.step(-height, PI - x0).shifted(height), PI - beta, PI - alpha
+
+
+class TestTallBarrierTraces:
+    """The node traces reach every spectrum the search returns, and count n zeros."""
+
+    @pytest.mark.parametrize("q,alpha,beta", TALL_BARRIERS, ids=TALL_IDS)
+    def test_node_sweep_counts_n(self, q, alpha, beta):
+        bc = BoundaryParams(alpha, beta)
+        s = find_spectrum(q, bc, 5)
+        values = y_values_batch(build_mesh(q), s.mus, bc.sin_alpha, -bc.cos_alpha)
+        assert np.max(np.abs(values)) > 1e12
+        assert _zero_counts(values).tolist() == list(range(6))
+
+    @pytest.mark.parametrize("q,alpha,beta", TALL_BARRIERS, ids=TALL_IDS)
+    def test_phi_traces_count_n(self, q, alpha, beta):
+        for p in find_spectrum(q, BoundaryParams(alpha, beta), 5).pairs:
+            assert count_interior_zeros(phi(q, p.mu, alpha)) == p.n
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("q,alpha,beta", TALL_BARRIERS, ids=TALL_IDS)
+    def test_certificate_counts_n_towards_the_large_end(self, q, alpha, beta, mirrored):
+        # the forward traces of the mirrors and the backward ones of the
+        # barriers on the left grow towards the end where the eigenfunction
+        # is exponentially small, and gain spurious sign changes
+        if mirrored:
+            q, alpha, beta = _mirror(q, alpha, beta)
+        s = find_spectrum(q, BoundaryParams(alpha, beta), 5)
+        assert _eigen_zero_counts(build_mesh(q), s).tolist() == list(range(6))
 
 
 def _perfbench_reference():
