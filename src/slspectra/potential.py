@@ -53,14 +53,13 @@ _TABLE_POINTS = 2048
 _NAMED_POTENTIALS = ("zero", "constant", "step", "smooth-test")
 _DOMAIN_SLACK = 1e-12
 
-# Moment rule: _MOMENT_PANELS panels unless f is cubic between breakpoints
-# (a piece's count is rounded up after a relative _PANEL_SLACK, so the
-# rounding of evenly spaced cuts adds no panel); pieces of fewer than
-# _MOMENT_ROW_MIN panels skip the phase factorisation; a block of
-# _MOMENT_ELEMS (frequency, phase) entries keeps its transients near 1 MB.
+# Moment rule: one panel per piece when f is cubic between breakpoints,
+# else _MOMENT_PANELS equal panels, whose phases are factorised over rows of
+# _MOMENT_SIDE x _MOMENT_SIDE panels (2048 = 2 x 32 x 32: no row is padded);
+# a block of _MOMENT_ELEMS (frequency, phase or Bessel) entries keeps its
+# transients near 1 MB.
 _MOMENT_PANELS = 2048
-_PANEL_SLACK = 1e-9
-_MOMENT_ROW_MIN = 16
+_MOMENT_SIDE = 32
 _MOMENT_ELEMS = 8192
 # Four-point Gauss-Legendre nodes s_j and weights w_j in closed form; the
 # matrix (k + 1/2) w_j P_k(s_j) maps node values to Legendre coefficients.
@@ -225,14 +224,15 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
                     cubic: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """int_0^pi f(t) cos(w t) dt and int_0^pi f(t) sin(w t) dt for each w in omegas.
 
-    The frequencies must be finite (ValueError otherwise).  Each piece
-    between breakpoints gets equal panels of half-width r, its share of
-    2048 panels over [0, pi] rounded up; with ``cubic=True``, which says
-    that f is a polynomial of degree <= 3 between breakpoints, each piece is
-    one panel.  On a panel of centre c, f is replaced by the cubic
-    sum_k a_k P_k((t - c) / r) through its four (interior) Gauss-Legendre
-    nodes, whose moment is
-    exactly r exp(i w c) sum_k a_k 2 i^k j_k(w r); j_k is evaluated once per
+    The frequencies must be finite (ValueError otherwise).  The panels take
+    one of two layouts.  With ``cubic=True``, which says that f is a
+    polynomial of degree <= 3 between breakpoints, each piece between
+    breakpoints is one panel.  Otherwise f is taken on 2048 equal panels
+    over [0, pi], and interior breakpoints raise ValueError, since those
+    panels would straddle them.  On a panel of centre c and half-width r,
+    f is replaced by the cubic sum_k a_k P_k((t - c) / r) through its four
+    (interior) Gauss-Legendre nodes, whose moment is exactly
+    r exp(i w c) sum_k a_k 2 i^k j_k(w r); j_k is evaluated once per
     distinct r, by its ten-term series where |w r| <= 1 and in closed form
     elsewhere (``_bessel_weights``).  That runs once per table of whole
     frequency blocks, size x max(1, _MOMENT_ELEMS // (4 x size x radii))
@@ -241,29 +241,26 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     elementwise, so a value does not depend on how the frequencies are cut
     into tables.
 
-    The phases are factorised.  A piece of n >= 16 panels is cut into rows
-    of B x B panels, B = 2^floor(log4 n), the last row zero-padded; panel
-    p = B^2 j + B h + l of a piece starting at x has exp(i w c_p) =
-    exp(i w (x + r (1 + 2 (B^2 j + B h)))) exp(i w 2 r l).  Each frequency
-    thus takes B low phases per piece and B high phases per row, at most
-    4 sqrt(n) phases for the piece instead of n.  The low phases,
-    times the Bessel weights, are contracted with a row's coefficients by
-    one matrix product per (frequency, row), and the high phases with the
-    result by one product per frequency.  Pieces sharing B form one group,
-    so the padding stays below the panel count.  A smaller piece keeps one
-    phase per panel, and those products are summed per distinct r.  No
-    frequency's value depends on the others in the call.
+    Whole pieces take one phase per panel, and their products with the
+    Bessel weights are summed per distinct r.  The 2048 panels' phases are
+    factorised: they form 2 rows of 32 x 32 panels, and panel
+    p = 1024 j + 32 h + l has exp(i w c_p) = exp(i w c_(1024 j + 32 h))
+    exp(i w 2 r l).  Each frequency thus takes 32 low phases and 64 high
+    ones instead of 2048.  The low phases, times the Bessel weights, are
+    contracted with a row's coefficients by one matrix product per
+    (frequency, row), and the high phases with the result by one product
+    per frequency.  No frequency's value depends on the others in the call.
 
     f may return stacked integrands: values of shape lead + t.shape, with
     lead the same at every call.  f is then evaluated once, each integrand
-    gets its own Legendre fit, and the Bessel weights and both phase tables
-    of a frequency block are formed once and contracted with each
-    integrand's coefficients in turn, by the same operations a call with
-    that integrand alone would take, so every value is bit for bit the
-    single-integrand one.  The frequency budget of a block is divided by
-    the number of integrands, which keeps the transients within the
-    single-integrand budget.  Returns (cosine, sine), shaped lead +
-    omegas.shape.
+    gets its own Legendre fit, and the Bessel weights and the phases of a
+    frequency block are formed once and contracted with each integrand's
+    coefficients in turn, by the same operations a call with that
+    integrand alone would take, so every value is bit for bit the
+    single-integrand one.  A block holds _MOMENT_ELEMS // integrands
+    entries of the larger of its phase array and its Bessel table, which
+    keeps the transients within the single-integrand budget.  Returns
+    (cosine, sine), shaped lead + omegas.shape.
     """
     omegas = np.asarray(omegas, dtype=float)
     w = omegas.ravel()
@@ -271,46 +268,35 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
         raise ValueError("moment frequencies must be finite")
     cuts = np.array([0.0, *sorted(b for b in breakpoints if 0.0 < b < PI), PI])
     if cubic:
-        counts = np.ones(cuts.size - 1, dtype=int)
+        # the Bessel weights are taken once per distinct radius
+        radius, piece_radius = _unique(np.diff(cuts) / 2, return_inverse=True)
+        radii = radius[piece_radius]
+        centres = cuts[:-1] + radii
+    elif cuts.size > 2:
+        raise ValueError("interior breakpoints need cubic=True")
     else:
-        counts = np.maximum(1, np.ceil(_MOMENT_PANELS * np.diff(cuts) / PI
-                                       * (1.0 - _PANEL_SLACK))).astype(int)
-    # the Bessel weights are taken once per distinct radius
-    radius, piece_radius = _unique(np.diff(cuts) / (2 * counts), return_inverse=True)
-    radii = radius[piece_radius]
-    piece = np.repeat(np.arange(counts.size), counts)
-    local = np.arange(piece.size) - (np.cumsum(counts) - counts)[piece]
-    centres = cuts[piece] + radii[piece] * (2 * local + 1)
-    legendre = np.asarray(f(centres[:, None] + radii[piece, None] * _GL4_NODES))
+        radius = radii = np.array([PI / (2 * _MOMENT_PANELS)])
+        centres = radius * (2 * np.arange(_MOMENT_PANELS) + 1)
+    legendre = np.asarray(f(centres[:, None] + radii[:, None] * _GL4_NODES))
     lead = legendre.shape[:-2]
-    legendre = [v @ _GL4_LEGENDRE for v in legendre.reshape(-1, piece.size, 4)]
-    widths = np.where(counts < _MOMENT_ROW_MIN, 1, 2 ** ((np.frexp(counts)[1] - 1) // 2))
-    # panels of small pieces, sorted by radius: one phase each, summed per radius
-    small = np.flatnonzero(widths[piece] == 1)
-    small = small[np.argsort(piece_radius[piece[small]], kind="stable")]
-    small_radius, small_starts = _unique(piece_radius[piece[small]], return_index=True)
-    groups = []
-    for n_low in sorted(set(widths[widths > 1].tolist())):
-        mine = np.flatnonzero(widths == n_low)
-        rows = -(-counts[mine] // n_low ** 2)
-        row_piece = np.repeat(np.arange(mine.size), rows)
-        first_row = np.cumsum(rows) - rows
-        at = np.flatnonzero(widths[piece] == n_low)
-        p = local[at]
-        slots = (first_row[np.searchsorted(mine, piece[at])] + p // n_low ** 2,
-                 p // n_low % n_low, slice(None), p % n_low)
-        coefs = np.zeros((len(legendre), row_piece.size, n_low, 4, n_low))
-        for own, fit in zip(coefs, legendre):
-            own[slots] = fit[at]
-        high = n_low * (n_low * (np.arange(row_piece.size) - first_row[row_piece])[:, None]
-                        + np.arange(n_low))
-        groups.append((piece_radius[mine], row_piece, 2.0 * radii[mine, None] * np.arange(n_low),
-                       cuts[mine[row_piece], None] + radii[mine[row_piece], None] * (1 + 2 * high),
-                       coefs.reshape(len(legendre), row_piece.size, n_low, 4 * n_low)))
+    fits = [v @ _GL4_LEGENDRE for v in legendre.reshape(-1, centres.size, 4)]
+    if cubic:
+        # panels sorted by radius, so each radius sums a run of them
+        order = np.argsort(piece_radius, kind="stable")
+        starts = _unique(piece_radius[order], return_index=True)[1]
+        centres = centres[order]
+        coefs = [fit[order].T for fit in fits]
+        phases = centres.size
+    else:
+        low = 2.0 * radius * np.arange(_MOMENT_SIDE)
+        high = centres[::_MOMENT_SIDE]
+        # row j, entry (h, 32 k + l): a_k of panel 1024 j + 32 h + l
+        coefs = [fit.reshape(-1, _MOMENT_SIDE, _MOMENT_SIDE, 4).transpose(0, 1, 3, 2)
+                 .reshape(-1, _MOMENT_SIDE, 4 * _MOMENT_SIDE) for fit in fits]
+        phases = high.size
 
-    out = np.zeros((len(legendre), w.size), dtype=complex)
-    size = max(1, _MOMENT_ELEMS // len(legendre)
-               // (small.size + sum(group[3].size for group in groups)))
+    out = np.zeros((len(fits), w.size), dtype=complex)
+    size = max(1, _MOMENT_ELEMS // len(fits) // max(phases, 4 * radius.size))
     # the Bessel weights of whole blocks at a time, each of the four orders
     # an entry of the budget, so the table's transients stay near 1 MB too
     table = size * max(1, _MOMENT_ELEMS // (4 * size * radius.size))
@@ -320,25 +306,25 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
                                             radius[:, None])
         wb = w[lo:lo + size, None, None]
         weights = table_weights[lo % table:lo % table + size]
-        if small.size:
-            arg = wb[:, 0] * centres[small]
+        if cubic:
+            arg = wb[:, 0] * centres
             # the phases go out of scope before the weights are applied, as
             # with one integrand, so the block's transients do not grow
             sums = np.stack([np.cos(arg), np.sin(arg)], axis=1)[:, :, None]
-            sums = [np.add.reduceat(sums * fit[small].T, small_starts, axis=-1) for fit in legendre]
+            sums = [np.add.reduceat(sums * own, starts, axis=-1) for own in coefs]
             for acc, own in zip(out, sums):
-                own = weights[:, small_radius] * (own[:, 0] + 1j * own[:, 1]).transpose(0, 2, 1)
+                own = weights * (own[:, 0] + 1j * own[:, 1]).transpose(0, 2, 1)
                 acc[lo:lo + size] += np.sum(own.reshape(len(wb), -1), axis=-1)
-        for own_radius, row_piece, low_offsets, high_centres, coefs in groups:
-            arg = wb * low_offsets
-            # rows (k, l) of each piece's weights x low phases, as (real, imaginary) columns
-            sums = weights[:, own_radius, :, None] * (np.cos(arg) + 1j * np.sin(arg))[:, :, None]
-            sums = sums.view(float).reshape(*sums.shape[:2], -1, 2)[:, row_piece]
-            sums = [(own @ sums).view(complex).reshape(len(wb), -1, 1) for own in coefs]
-            arg = (wb * high_centres).reshape(len(wb), 1, -1)
-            high = np.cos(arg) + 1j * np.sin(arg)
-            for acc, own in zip(out, sums):
-                acc[lo:lo + size] += (high @ own)[:, 0, 0]
+            continue
+        arg = wb * low
+        # rows (k, l) of the weights x low phases, as (real, imaginary) columns
+        sums = weights[..., None] * (np.cos(arg) + 1j * np.sin(arg))[:, :, None]
+        sums = sums.view(float).reshape(len(wb), 1, -1, 2)
+        sums = [(own @ sums).view(complex).reshape(len(wb), -1, 1) for own in coefs]
+        arg = wb * high
+        phase = np.cos(arg) + 1j * np.sin(arg)
+        for acc, own in zip(out, sums):
+            acc[lo:lo + size] += (phase @ own)[:, 0, 0]
     shape = lead + omegas.shape
     return out.real.reshape(shape), out.imag.reshape(shape)
 

@@ -163,7 +163,7 @@ class TestFourierMoments:
     OMEGAS = np.array([2.37, 80.9, 5000.3])
 
     def _check(self, f, breakpoints, pieces, omegas=OMEGAS):
-        cos_m, sin_m = fourier_moments(f, np.concatenate([[0.0], omegas]), breakpoints)
+        cos_m, sin_m = fourier_moments(f, np.concatenate([[0.0], omegas]), breakpoints, cubic=True)
         assert cos_m[0] == pytest.approx(sum(p.integ()(b) - p.integ()(a) for a, b, p in pieces),
                                          abs=1e-12)
         assert sin_m[0] == 0.0
@@ -228,9 +228,9 @@ class TestFourierMoments:
         q = make()
         omegas = np.concatenate([[0.0, 1.0, -3.3],
                                  np.random.default_rng(6).uniform(0.0, 1300.0, 300)])
-        cos_m, sin_m = fourier_moments(q, omegas, q.breakpoints)
+        cos_m, sin_m = fourier_moments(q, omegas, q.breakpoints, cubic=q.piecewise_linear)
         for i, w in enumerate(omegas):
-            alone = fourier_moments(q, w, q.breakpoints)
+            alone = fourier_moments(q, w, q.breakpoints, cubic=q.piecewise_linear)
             assert alone[0] == cos_m[i] and alone[1] == sin_m[i]
 
     @pytest.mark.parametrize("make", [
@@ -240,7 +240,7 @@ class TestFourierMoments:
         lambda: Potential.smooth_test([1.0, -0.5, 0.3]),
     ], ids=["step", "grid64", "packed", "smooth"])
     # the ids name the panel counts before the closed-form Bessel weights;
-    # every call now takes 2048 panels, and 2e4 reaches |w r| = 15
+    # 2e4 reaches |w r| = 15 on the 2048 panels and 3e4 on whole pieces
     @pytest.mark.parametrize("top", [1300.0, 2e4], ids=["2048-panels", "31417-panels"])
     def test_stacked_integrands(self, make, top):
         # two integrands in one call share the phases and the Bessel weights,
@@ -249,16 +249,18 @@ class TestFourierMoments:
         omegas = np.concatenate([[0.0, 1.0, -3.3],
                                  np.random.default_rng(6).uniform(0.0, 1300.0, 300), [top]])
         first = lambda t: (PI - t) * q(t)
-        both = fourier_moments(lambda t: np.stack([q(t), first(t)]), omegas, q.breakpoints)
+        cubic = q.piecewise_linear
+        both = fourier_moments(lambda t: np.stack([q(t), first(t)]), omegas, q.breakpoints,
+                               cubic=cubic)
         for i, f in enumerate((q, first)):
-            alone = fourier_moments(f, omegas, q.breakpoints)
+            alone = fourier_moments(f, omegas, q.breakpoints, cubic=cubic)
             assert np.array_equal(both[0][i], alone[0]) and np.array_equal(both[1][i], alone[1])
 
-    # as above, "7855-panels" is the count before the closed form, now 2048
+    # the ids name the panel counts of an earlier rule; each piece is now one panel
     @pytest.mark.parametrize("omegas", [OMEGAS[:2], OMEGAS], ids=["2048-panels", "7855-panels"])
     def test_uneven_pieces(self, omegas):
         P = np.polynomial.Polynomial
-        # on 2048 panels: a one-panel piece next to a 2048-panel one
+        # a piece of width 1e-3 next to one 3000 times as wide
         q = Potential.step(2.0, 1e-3)
         self._check(q, q.breakpoints, [(0.0, 1e-3, P([2.0])), (1e-3, PI, P([0.0]))], omegas)
         xs, qs = self._uneven_grid(8)
@@ -270,16 +272,16 @@ class TestFourierMoments:
         self._check(lambda t: (PI - t) * q(t), q.breakpoints, pieces, omegas)
 
     def test_step_at_high_frequency(self):
-        # 2048 panels, |w r| up to 15; int_0^x0 c e^{i w t} dt = c (sin(w x0) + i (1 - cos(w x0))) / w
+        # whole pieces, |w r| up to 2.1e4; int_0^x0 c e^{i w t} dt = c (sin(w x0) + i (1 - cos(w x0))) / w
         c, x0 = 3.0, 1.0
         omegas = np.array([2e4, 2e4 + 0.37])
-        cos_m, sin_m = fourier_moments(Potential.step(c, x0), omegas, (x0,))
+        cos_m, sin_m = fourier_moments(Potential.step(c, x0), omegas, (x0,), cubic=True)
         assert np.max(np.abs(cos_m - c * np.sin(omegas * x0) / omegas)) <= 1e-14
         assert np.max(np.abs(sin_m - c * (1.0 - np.cos(omegas * x0)) / omegas)) <= 1e-14
 
     @staticmethod
     def _packed_grid():
-        # 198 one-panel pieces on [0, 0.2] next to one piece of 1918 panels
+        # 198 short pieces on [0, 0.2] next to one long piece
         xs = np.append(np.linspace(0.0, 0.2, 199), PI)
         return xs, np.cos(xs)
 
@@ -287,13 +289,14 @@ class TestFourierMoments:
                                       lambda: TestFourierMoments._packed_grid()],
                              ids=["grid64", "packed"])
     def test_memory_peak(self, grid):
-        # one integrand, and two stacked ones
+        # whole pieces, one integrand and two stacked ones: the Bessel table
+        # holds four entries per distinct radius, one radius per piece on grid64
         q = Potential.from_grid(*grid())
         omegas = 2.0 * (np.arange(2, 401) + 0.37)
         for f in (q, lambda t: np.stack([q(t), (PI - t) * q(t)])):
             tracemalloc.start()
             try:
-                fourier_moments(f, omegas, q.breakpoints)
+                fourier_moments(f, omegas, q.breakpoints, cubic=q.piecewise_linear)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -313,32 +316,34 @@ class TestFourierMoments:
         f = lambda t: np.stack([q(t), (PI - t) * q(t)])
         omegas = 2.0 * (np.arange(2, 402) + 0.37)
         harmonics = [0.0, 2.0, 4.0]
-        want = fourier_moments(f, omegas, q.breakpoints)
-        alone = fourier_moments(f, harmonics, q.breakpoints)
-        both = fourier_moments(f, np.append(omegas, harmonics), q.breakpoints)
+        moments = lambda w: fourier_moments(f, w, q.breakpoints, cubic=q.piecewise_linear)
+        want, alone, both = moments(omegas), moments(harmonics), moments(np.append(omegas, harmonics))
         for got, ref, other in zip(both, want, alone):
             assert np.array_equal(got[:, :omegas.size], ref)
             assert np.array_equal(got[:, omegas.size:], other)
         for elems in (512, 65536):
             monkeypatch.setattr(potential, "_MOMENT_ELEMS", elems)
-            for got, ref in zip(fourier_moments(f, omegas, q.breakpoints), want):
+            for got, ref in zip(moments(omegas), want):
                 assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("make, most", [
-        (lambda: Potential.step(2.0, 1.0), 200),
-        (lambda: Potential.from_grid(*TestFourierMoments._packed_grid()), 400),
-    ], ids=["step", "packed"])
+        (lambda: Potential.step(2.0, 1.0), 4),
+        (lambda: Potential.from_grid(*TestFourierMoments._packed_grid()), 398),
+        (lambda: Potential.smooth_test([1.0, -0.5, 0.3]), 96),
+    ], ids=["step", "packed", "smooth"])
     def test_phases_per_frequency(self, make, most, monkeypatch):
-        # 2048 and 2116 panels: the factorised phases need at most `most`
-        # cosines per frequency, where one per panel would take all of them;
-        # two stacked integrands share them, so they stay within that bound
+        # whole pieces take one phase per piece and at most one Bessel sine
+        # per piece; the 2048 panels' factorised phases take 32 low and 64
+        # high ones, where one per panel would take 2048.  Two stacked
+        # integrands share them, so they stay within that bound.  Sines are
+        # counted, each with its cosine, since q's own values take cosines
         q = make()
-        cos = np.cos
+        sin = np.sin
         omegas = 2.0 * (np.arange(2, 101) + 0.37)
         for f in (q, lambda t: np.stack([q(t), (PI - t) * q(t)])):
             seen = []
-            monkeypatch.setattr(potential.np, "cos", lambda x: seen.append(np.size(x)) or cos(x))
-            fourier_moments(f, omegas, q.breakpoints)
+            monkeypatch.setattr(potential.np, "sin", lambda x: seen.append(np.size(x)) or sin(x))
+            fourier_moments(f, omegas, q.breakpoints, cubic=q.piecewise_linear)
             assert 0 < sum(seen) <= most * omegas.size
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -349,13 +354,16 @@ class TestFourierMoments:
     @pytest.mark.parametrize("pieces", [64, 256, 1024])
     def test_uniform_grid_panel_counts(self, pieces):
         # the panels are read off the shape of f's argument, (panels, 4):
-        # the cuts of a linspace grid must not round a piece up to one more
+        # 2048 without breakpoints, one per piece with cubic=True, and
+        # breakpoints without cubic=True are refused before f is called
         xs = np.linspace(0.0, PI, pieces + 1)
         q = Potential.from_grid(xs, np.cos(xs))
         shapes = []
         f = lambda t: shapes.append(t.shape) or q(t)
-        fourier_moments(f, [1.0, 2e4], q.breakpoints)
+        fourier_moments(f, [1.0, 2e4])
         fourier_moments(f, [1.0, 2e4], q.breakpoints, cubic=True)
+        with pytest.raises(ValueError, match="interior breakpoints need cubic=True"):
+            fourier_moments(f, [1.0, 2e4], q.breakpoints)
         assert shapes == [(2048, 4), (pieces, 4)]
 
     def test_smooth_at_high_frequency(self):
