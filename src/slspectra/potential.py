@@ -16,14 +16,13 @@ the supplied frequency hint before refinement starts.
 Oscillatory moments, int_0^pi f(t) exp(i w t) dt for an array of w, come
 from a panel-moment (Filon) rule instead: exact up to rounding when f is a
 cubic between breakpoints, fourth order in the panel width otherwise,
-whatever the frequency.  A caller that knows f is a cubic between
-breakpoints (``cubic=True``; the moment integrands of a ``piecewise_linear``
-potential are) gets one panel per piece.  Otherwise the 2048 panels'
-phases are factorised: the evenly spaced panels of a piece of n >= 16
-panels are laid out in rows of about sqrt(n) by sqrt(n), so each frequency
-takes one phase per row position and one per column instead of a sine and
-a cosine per panel, and the panel sums become small matrix products.
-Smaller pieces keep one phase per panel.
+whatever the frequency.  The rule has two layouts.  A caller that knows f
+is a cubic between breakpoints (``cubic=True``; the moment integrands of a
+``piecewise_linear`` potential are) gets one panel per piece.  Otherwise f
+takes 2048 equal panels over [0, pi] and may have no interior breakpoints;
+their phases are factorised over 2 rows of 32 x 32 panels, so each
+frequency takes 96 phases instead of a sine and a cosine per panel, and
+the panel sums become small matrix products.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -575,7 +574,8 @@ class Potential:
 
         Then (pi - t) q(t) and sigma are cubics there, which the moment rule
         integrates exactly on one panel per piece (``fourier_moments(...,
-        cubic=True)``).
+        cubic=True)``).  The moment rule takes the breakpoints only then:
+        the other potentials have none, and their moments take 2048 panels.
         """
         return self.kind == "grid" or self.name != "smooth-test"
 
