@@ -26,7 +26,7 @@ step(2, 1), Neumann at both ends, n^2 (b_n - model_b) reads 0.72, 1.31 and
 ae_n comes from the moment rule ``potential.fourier_moments``, one call for
 a whole batch of indices.  For zero, constant, step and grid potentials
 (``Potential.piecewise_linear``) it is exact and takes one panel per piece;
-other potentials take 2048 panels.  ``norming_records`` forms the model
+other potentials have no breakpoints and take 2048 equal panels.  ``norming_records`` forms the model
 values and remainders of a batch as arrays, by the scalar functions'
 operations, so each field is theirs bit for bit.
 
@@ -34,8 +34,9 @@ operations, so each field is theirs bit for bit.
 at the end where the eigenfunction is large, and relates the other by
 a_n = c_n^2 b_n (``_eigen_norms``): a norm read where its solution is
 exponentially small, under a tall barrier or in a boundary layer, cancels
-entries of the product's size.  ``norming_a_batch`` and ``norming_b_batch``
-give the one-sided norms of the solutions at any mu.
+entries of the product's size.  The acceptance criteria read the norms
+through the same ``_eigen_norms``.  ``norming_a_batch`` and
+``norming_b_batch`` give the one-sided norms of the solutions at any mu.
 
 Remainder extraction divides the measured defect by the active bracket
 weight.  When sin(alpha) and cos(alpha) are both nonzero the two bracket
@@ -176,8 +177,8 @@ def _large_end(bc: BoundaryParams, y, yp, u, up):
     return c, inv_c, np.abs(c) >= np.abs(inv_c)
 
 
-def _eigen_norms(product, bc: BoundaryParams):
-    """a_n and b_n at eigenvalues from norm_product's (M, dM), each at its well-conditioned end.
+def _eigen_norms(q: Potential, bc: BoundaryParams, mus, grid_size: int = DEFAULT_GRID_SIZE):
+    """a_n and b_n at eigenvalues mus from one norm product, each at its well-conditioned end.
 
     At an eigenvalue phi_n = c_n psi_n, so a_n = c_n^2 b_n.  A norm read at
     the end where its solution is exponentially small cancels entries of
@@ -191,6 +192,7 @@ def _eigen_norms(product, bc: BoundaryParams):
     the right, c_n reads up to 4e13 where it is exponentially small, so a
     fixed threshold on |c_n| alone would pick the small end.
     """
+    product = norm_product(build_mesh(q, grid_size), mus)
     y, yp, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
     u, up, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)
     c, inv_c, forward = _large_end(bc, y, yp, u, up)
@@ -218,7 +220,7 @@ def norming_records(q: Potential, bc: BoundaryParams, pairs,
         pairs = pairs.pairs
     pairs = list(pairs)
     mus = np.array([p.mu for p in pairs])
-    a_vals, b_vals = _eigen_norms(norm_product(build_mesh(q, grid_size), mus), bc)
+    a_vals, b_vals = _eigen_norms(q, bc, mus, grid_size)
     ns = np.array([p.n for p in pairs], dtype=int)
     deltas = np.array([p.delta.value for p in pairs], dtype=float)
     late = ns >= 2

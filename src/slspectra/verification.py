@@ -19,7 +19,7 @@ import numpy as np
 from .delta import _shifts, delta_asymptotic
 from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
-from .norming import _large_end, ae_n, model_a, norming_a_batch, norming_b_batch
+from .norming import _eigen_norms, _large_end, ae_n, model_a
 from .odesolve import (
     _picard_tail,
     _node_values,
@@ -109,8 +109,8 @@ def _criterion_02(ctx: VerificationContext):
     s_dd = ctx.spectrum("zero", "dd", 30)
     s_nn = ctx.spectrum("zero", "nn", 30)
     q = ctx.potential("zero")
-    a_dd = norming_a_batch(q, s_dd.bc, s_dd.mus)
-    a_nn = norming_a_batch(q, s_nn.bc, s_nn.mus)
+    a_dd = _eigen_norms(q, s_dd.bc, s_dd.mus)[0]
+    a_nn = _eigen_norms(q, s_nn.bc, s_nn.mus)[0]
     rel_err = max(abs(a / (PI / (2.0 * (p.n + 1) ** 2)) - 1.0)
                   for p, a in zip(s_dd.pairs, a_dd))
     abs_err = max(abs(a - PI / 2.0) for p, a in zip(s_nn.pairs, a_nn) if p.n >= 1)
@@ -125,8 +125,8 @@ def _criterion_03(ctx: VerificationContext):
     s0 = ctx.spectrum("step", "nn", 30)
     s3 = ctx.spectrum("step+3", "nn", 30)
     mu_dev = max(abs((b.mu - a.mu) - 3.0) for a, b in zip(s0.pairs, s3.pairs))
-    a0 = norming_a_batch(ctx.potential("step"), s0.bc, s0.mus)
-    a3 = norming_a_batch(ctx.potential("step+3"), s3.bc, s3.mus)
+    a0 = _eigen_norms(ctx.potential("step"), s0.bc, s0.mus)[0]
+    a3 = _eigen_norms(ctx.potential("step+3"), s3.bc, s3.mus)[0]
     a_dev = float(np.max(np.abs(a3 - a0)))
     ok = mu_dev <= tol and a_dev <= tol
     return ok, f"max |mu shift - 3| {mu_dev:.2e}, max |a_n change| {a_dev:.2e} (tol {tol:.0e})"
@@ -154,7 +154,7 @@ def _criterion_05(ctx: VerificationContext):
     slope_max = -1.8
     s = ctx.spectrum("cos", "nn", 60)
     q = ctx.potential("cos")
-    a_vals = norming_a_batch(q, s.bc, s.mus)
+    a_vals = _eigen_norms(q, s.bc, s.mus)[0]
     ns = np.arange(10, 61)
     defects = [abs(a_vals[n] - PI / 2.0) for n in ns]
     slope = fit_loglog_slope(ns, defects, floor=10 * DEFAULT_QUAD_TOL)
@@ -175,7 +175,7 @@ def _criterion_06(ctx: VerificationContext):
     factor = 2.0
     s = ctx.spectrum("step", "nn", 60)
     q = ctx.potential("step")
-    a_vals = norming_a_batch(q, s.bc, s.mus)
+    a_vals = _eigen_norms(q, s.bc, s.mus)[0]
     ns = np.arange(10, 61)
     deltas = [s.pair(int(n)).delta for n in ns]
     aes = ae_n(q, [d.value for d in deltas], ns)
@@ -342,6 +342,10 @@ def _criterion_13(ctx: VerificationContext):
     without a shared code path.  Each mu lies within DEFAULT_ROOT_TOL of a
     sign change of the discrete Phi, so a central difference of step eps is
     off by at most DEFAULT_ROOT_TOL / eps, plus an O(eps^2) truncation term.
+    The norms are those norming_records returns, each read at the
+    eigenfunction's large end; the barrier of height 100 on the right,
+    whose low eigenfunctions are exponentially small at pi, checks that
+    choice.
     """
     eps = 1e-5
     tol = DEFAULT_ROOT_TOL / eps
@@ -350,12 +354,11 @@ def _criterion_13(ctx: VerificationContext):
         return find_spectrum(q, BoundaryParams(alpha, beta), 20).mus
 
     worst_a = worst_b = 0.0
-    for qname in ("step", "cos-sum"):
+    for qname in ("step", "cos-sum", "mirror-barrier"):
         q = ctx.potential(qname)
         for alpha, beta in ((0.7, 2.3), (2.0, 1.1), (2.8, 0.4)):
             bc, base = BoundaryParams(alpha, beta), mus(q, alpha, beta)
-            a_n = norming_a_batch(q, bc, base)
-            b_n = norming_b_batch(q, bc, base)
+            a_n, b_n = _eigen_norms(q, bc, base)
             d_alpha = (mus(q, alpha + eps, beta) - mus(q, alpha - eps, beta)) / (2.0 * eps)
             d_beta = (mus(q, alpha, beta + eps) - mus(q, alpha, beta - eps)) / (2.0 * eps)
             worst_a = max(worst_a, float(np.max(np.abs(d_alpha - 1.0 / a_n))))
