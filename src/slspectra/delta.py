@@ -31,6 +31,7 @@ is reported for bookkeeping only and never used as ground truth.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,29 @@ class DeltaValue:
     extrapolated: bool = False
 
 
+def _whole(value, what: str) -> int:
+    """value as an int, or ValueError when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def sin_two_pi(x: float) -> float:
     """sin(2 pi x) with exact period reduction, so integer x gives exactly 0."""
-    m = x - round(x)
-    if m == 0.5 or m == -0.5:
-        return 0.0
-    return math.sin(2.0 * PI * m)
+    return float(_sin_two_pi(np.array([x]))[0])
+
+
+def _sin_two_pi(xs: np.ndarray) -> np.ndarray:
+    """sin_two_pi of each entry of a 1-d array.
+
+    x - round(x) is exact (ties round to even), math.sin takes 2 pi times
+    it, and half-integers give exactly 0 rather than sin(pi).
+    """
+    m = xs - np.round(xs)
+    sines = np.fromiter(map(math.sin, (2.0 * PI * m).tolist()), float, m.size)
+    sines[np.abs(m) == 0.5] = 0.0
+    return sines
 
 
 def _rhs(d: np.ndarray, ns: np.ndarray, s: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:

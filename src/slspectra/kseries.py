@@ -39,8 +39,9 @@ the others in the call, so each value is the one a separate call returns;
 ``k2_closed_form_dd`` called on its own still makes its own call.  The rule
 is exact for zero, constant, step and grid potentials, whose integrands
 (pi - t) q(t) and sigma are cubics between breakpoints; for them every
-piece is one panel (``Potential.piecewise_linear``), other potentials take
-2048 panels.
+piece is one panel (``Potential.piecewise_linear``), other potentials have
+no breakpoints and take 2048 equal panels.  sin(2 pi delta_n) in the k1
+coefficients is delta's exactly reduced ``sin_two_pi``, on the array.
 
 The partial sums live on the uniform grid x_j = 2 pi j / P, P = points - 1.
 There the integer part of nu x_j P / (2 pi) is reduced modulo P exactly in
@@ -51,12 +52,11 @@ tables, and the sums over n are real matrix products (``_partial_rows``).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import _shifts
+from .delta import _shifts, _sin_two_pi, _whole
 from .delta import solve_delta  # noqa: F401  (binding kept for perfbench tracing)
 from .errors import CaseError
 from .potential import (
@@ -125,14 +125,6 @@ def case_tag(bc: BoundaryParams) -> str:
         f"got alpha = {bc.alpha}, beta = {bc.beta}")
 
 
-def _whole(value, what: str) -> int:
-    """value as an int, or ValueError when it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 def series_coefficients(q: Potential, bc: BoundaryParams, N: int):
     """Per-term data for indices 2..N.
 
@@ -165,11 +157,7 @@ def _coefficients(q: Potential, bc: BoundaryParams, N: int, ci: CumulativeIntegr
     cos_m, sin_m = fourier_moments(lambda t: np.stack([ci.sigma(t), (PI - t) * q(t)]),
                                    np.append(2.0 * nus, harmonics), q.breakpoints,
                                    cubic=q.piecewise_linear)
-    # sin(2 pi delta) as delta.sin_two_pi, whose round() also breaks ties to even
-    m = deltas - np.round(deltas)
-    sines = np.fromiter(map(math.sin, (2.0 * PI * m).tolist()), float, m.size)
-    sines[np.abs(m) == 0.5] = 0.0
-    k1_coefs = -ci.sigma(PI) * sines / (2.0 * nus)
+    k1_coefs = -ci.sigma(PI) * _sin_two_pi(deltas) / (2.0 * nus)
     coefs = (nus, -0.5 * sin_m[1, :nus.size] / nus, k1_coefs, cos_m[0, :nus.size])
     return coefs, cos_m[0, nus.size:]
 

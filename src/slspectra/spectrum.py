@@ -45,11 +45,11 @@ and checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .delta import DeltaValue, _delta_values, _shifts, delta_for_index
+from .delta import DeltaValue, _delta_values, _shifts, _whole, delta_for_index
 from .errors import BracketError, UnsupportedRegimeError
 from .odesolve import (
     DEFAULT_GRID_SIZE,
@@ -157,8 +157,11 @@ def char_function(q: Potential, bc: BoundaryParams, mu: float,
                   grid_size: int = DEFAULT_GRID_SIZE) -> float:
     """Boundary defect at x = pi of the left-normalized solution.
 
-    Raises BlowUpError only where the sweep overflows the float range.
+    Raises ValueError if mu is not finite, and BlowUpError only where the
+    sweep overflows the float range.
     """
+    if not isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     mesh = build_mesh(q, grid_size)
     y, yp = endpoint_values(mesh, [mu], bc.sin_alpha, -bc.cos_alpha, forward=True)
     return float(y[0] * bc.cos_beta + yp[0] * bc.sin_beta)
@@ -170,9 +173,12 @@ def char_function_right(q: Potential, bc: BoundaryParams, mu: float,
 
     Constancy of the Wronskian of phi and psi gives
         Phi(mu) = -[psi(0) cos(alpha) + psi'(0) sin(alpha)],
-    so this equals char_function up to solver tolerance.  Raises
-    BlowUpError only where the sweep overflows the float range.
+    so this equals char_function up to solver tolerance.  Raises ValueError
+    if mu is not finite, and BlowUpError only where the sweep overflows the
+    float range.
     """
+    if not isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     mesh = build_mesh(q, grid_size)
     y, yp = endpoint_values(mesh, [mu], bc.sin_beta, -bc.cos_beta, forward=False)
     return float(-(y[0] * bc.cos_alpha + yp[0] * bc.sin_alpha))
@@ -531,8 +537,10 @@ def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
     """Locate and certify the n-th eigenvalue.
 
     The root is isolated in a counted bracket, below whose ends lie n and
-    n + 1 eigenvalues, and refined to a mu window of width tol.
+    n + 1 eigenvalues, and refined to a mu window of width tol.  n must be
+    an integer (ValueError otherwise).
     """
+    n = _whole(n, "index")
     if not (0 <= n <= MAX_INDEX):
         raise ValueError(f"index must lie in [0, {MAX_INDEX}], got {n}")
     if not 0.0 < tol < inf:
@@ -552,8 +560,9 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
     """All certified eigenpairs for indices 0 through n_max.
 
     Counts, brackets and refinement sweeps all run as batches over the
-    index range.
+    index range.  n_max must be an integer (ValueError otherwise).
     """
+    n_max = _whole(n_max, "n_max")
     if not (0 <= n_max <= MAX_INDEX):
         raise ValueError(f"n_max must lie in [0, {MAX_INDEX}], got {n_max}")
     if not 0.0 < tol < inf:

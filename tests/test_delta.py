@@ -227,6 +227,16 @@ class TestStructuralProperties:
         assert sin_two_pi(0.25) == pytest.approx(1.0)
         assert sin_two_pi(0.5 + 1e-3) == pytest.approx(-math.sin(2 * PI * 1e-3), abs=1e-15)
 
+    def test_array_form_is_the_scalar_reduction(self):
+        # one reduction x - round(x) (ties to even), then math.sin, with
+        # half-integers exactly 0; the scalar function is the array one
+        xs = np.concatenate([[0.5, -0.5, 1.5, 2.5, -1.5, 0.25, -0.75, 1e-17, 0.0, 1.0, 3.0],
+                             np.random.default_rng(8).uniform(-3.0, 3.0, 200)])
+        want = [0.0 if abs(x - round(x)) == 0.5 else math.sin(2.0 * PI * (x - round(x)))
+                for x in xs.tolist()]
+        assert np.array_equal(delta._sin_two_pi(xs), want)
+        assert [sin_two_pi(x) for x in xs.tolist()] == want
+
     def test_sin_two_pi_delta_decays(self):
         # n |sin(2 pi delta_n)| stays bounded in all four archetypes
         for bc in CASES:

@@ -62,6 +62,13 @@ class TestCharFunction:
         assert char_function_right(q_zero, bc_nn, -400.0) == pytest.approx(
             20.0 * math.sinh(20.0 * PI), rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_mu(self, q_zero, bc_nn, mu):
+        # refused before the sweep, as solve_ivp refuses it, not reported as an overflow
+        for fn in (char_function, char_function_right):
+            with pytest.raises(ValueError, match="^mu must be finite, got"):
+                fn(q_zero, bc_nn, mu)
+
     @given(mu=st.floats(min_value=-3.0, max_value=120.0),
            alpha=st.floats(min_value=0.4, max_value=PI),
            beta=st.floats(min_value=0.0, max_value=PI - 0.4))
@@ -169,6 +176,21 @@ class TestFindEigenvalue:
             find_eigenvalue(q_zero, bc_dd, -1)
         with pytest.raises(ValueError):
             find_eigenvalue(q_zero, bc_dd, 301)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"], ids=["fraction", "float", "string"])
+    def test_index_must_be_an_integer(self, q_zero, bc_nn, n):
+        # 2.5 once reached the bracket search, 3.0 came back as Eigenpair.n == 3.0,
+        # and a non-integer n_max raised TypeError
+        with pytest.raises(ValueError, match="^index must be an integer, got"):
+            find_eigenvalue(q_zero, bc_nn, n)
+        with pytest.raises(ValueError, match="^n_max must be an integer, got"):
+            find_spectrum(q_zero, bc_nn, n)
+
+    def test_numpy_integers_are_indices(self, q_zero, bc_nn):
+        p = find_eigenvalue(q_zero, bc_nn, np.int64(3))
+        assert p.n == 3 and type(p.n) is int and p.mu == pytest.approx(9.0, abs=1e-8)
+        spec = find_spectrum(q_zero, bc_nn, np.int64(3))
+        assert [pair.n for pair in spec.pairs] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
     def test_root_window_must_be_finite_and_positive(self, q_zero, bc_dd, q_step, bc_nn, tol):
