@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("known_defects.py", ["--seeds", "9001"],
      f"{'call':16s} {'potential':28s}  alpha   beta n_max  grid  {'outcome':22s}   min norm"
      "  certificate"),
+    ("code_lines.py", [], f"{'module':16s} {'lines':>6s} {'code':>6s}"),
 ])
 def test_script_runs(script, args, first_line):
     env = dict(os.environ)
