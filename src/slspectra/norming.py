@@ -26,9 +26,10 @@ step(2, 1), Neumann at both ends, n^2 (b_n - model_b) reads 0.72, 1.31 and
 ae_n comes from the moment rule ``potential.fourier_moments``, one call for
 a whole batch of indices.  For zero, constant, step and grid potentials
 (``Potential.piecewise_linear``) it is exact and takes one panel per piece;
-other potentials have no breakpoints and take 2048 equal panels.  ``norming_records`` forms the model
-values and remainders of a batch as arrays, by the scalar functions'
-operations, so each field is theirs bit for bit.
+other potentials have no breakpoints and take 2048 equal panels.
+``norming_records`` forms the model values and remainders of a batch as
+arrays, by the scalar functions' operations, so each field is theirs bit
+for bit.
 
 ``norming_records`` reads a_n and b_n from one forward norm product, each
 at the end where the eigenfunction is large, and relates the other by

@@ -314,16 +314,16 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
             for acc, own in zip(out, sums):
                 own = weights * (own[:, 0] + 1j * own[:, 1]).transpose(0, 2, 1)
                 acc[lo:lo + size] += np.sum(own.reshape(len(wb), -1), axis=-1)
-            continue
-        arg = wb * low
-        # rows (k, l) of the weights x low phases, as (real, imaginary) columns
-        sums = weights[..., None] * (np.cos(arg) + 1j * np.sin(arg))[:, :, None]
-        sums = sums.view(float).reshape(len(wb), 1, -1, 2)
-        sums = [(own @ sums).view(complex).reshape(len(wb), -1, 1) for own in coefs]
-        arg = wb * high
-        phase = np.cos(arg) + 1j * np.sin(arg)
-        for acc, own in zip(out, sums):
-            acc[lo:lo + size] += (phase @ own)[:, 0, 0]
+        else:
+            arg = wb * low
+            # rows (k, l) of the weights x low phases, as (real, imaginary) columns
+            sums = weights[..., None] * (np.cos(arg) + 1j * np.sin(arg))[:, :, None]
+            sums = sums.view(float).reshape(len(wb), 1, -1, 2)
+            sums = [(own @ sums).view(complex).reshape(len(wb), -1, 1) for own in coefs]
+            arg = wb * high
+            phase = np.cos(arg) + 1j * np.sin(arg)
+            for acc, own in zip(out, sums):
+                acc[lo:lo + size] += (phase @ own)[:, 0, 0]
     shape = lead + omegas.shape
     return out.real.reshape(shape), out.imag.reshape(shape)
 
