@@ -240,7 +240,7 @@ class TestFourierMoments:
         lambda: Potential.smooth_test([1.0, -0.5, 0.3]),
     ], ids=["step", "grid64", "packed", "smooth"])
     # the ids name the panel counts before the closed-form Bessel weights;
-    # 2e4 reaches |w r| = 15 on the 2048 panels and 3e4 on whole pieces
+    # 2e4 reaches |w r| = 15 on the 2048 panels and up to 2.9e4 on whole pieces
     @pytest.mark.parametrize("top", [1300.0, 2e4], ids=["2048-panels", "31417-panels"])
     def test_stacked_integrands(self, make, top):
         # two integrands in one call share the phases and the Bessel weights,
