@@ -13,11 +13,15 @@ the pairwise run product of the Phi sweep: each run matrix carries its
 whole half-turns floor(sqrt(w_eff) h / pi), a product adds those of its
 factors and a carry read from signs, and every product is rescaled, so
 the count never overflows, however deep mu lies, and holds no node array
-(Pruess & Fulton, ACM TOMS 19, 1993).  The first count batch takes
-min(q) - 1 and a separator between each pair of neighbouring indices: the
-squared midpoint of the asymptotic frequencies c_m = nu_m + [q] / (2 nu_m),
-nu_m = m + delta_m, for m >= 2, and ((nu_m + nu_{m+1}) / 2)^2 + [q] for
-0|1 and 1|2, where the shifts are extrapolated.  On most problems this one
+(Pruess & Fulton, ACM TOMS 19, 1993).  find_eigenvalue and find_spectrum
+run one search over a contiguous index range (find_eigenvalue's is [n, n]),
+which solves the shifts of the range and its neighbours in one fixed point
+(delta._shifts).  The first count batch takes min(q) - 1 and a separator
+between each pair of neighbouring indices: the squared midpoint of the
+asymptotic frequencies c_m = nu_m + [q] / (2 nu_m), nu_m = m + delta_m, for
+m >= 2, and ((nu_m + nu_{m+1}) / 2)^2 + [q] for 0|1 and 1|2, where the
+shifts are extrapolated; one array of nu and c gives these separators and
+the first refinement points (_estimates).  On most problems this one
 batch gives K(lo) = n and K(hi) = n + 1 for every index; bisection on K,
 every unresolved index in one batch per round, and a walk down from
 min(q) - 1 or up settle the rest.  Then [lo, hi] holds exactly the n-th
@@ -49,7 +53,8 @@ from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .delta import DeltaValue, _delta_values, _shifts, _whole, delta_for_index
+from .delta import DeltaValue, _delta_values, _whole
+from .delta import delta_for_index  # noqa: F401  (binding kept for perfbench tracing)
 from .errors import BracketError, UnsupportedRegimeError
 from .odesolve import (
     DEFAULT_GRID_SIZE,
@@ -316,43 +321,39 @@ def _lifted_mul(B, A, out):
     return out
 
 
-def _asymptotic_center(n: int, delta_value: float, meanq: float) -> float:
-    nu = n + delta_value
-    return nu + meanq / (2.0 * nu)
+def _estimates(ns: range, bc: BoundaryParams, meanq: float):
+    """Shift records, first points and separators of the contiguous indices ns.
 
-
-def _separator(m: int, shifts: dict, meanq: float) -> float:
-    """A count point between the asymptotic positions of mu_m and mu_{m+1}.
-
-    ((c_m + c_{m+1}) / 2)^2 with c the asymptotic frequency for m >= 2, and
-    ((nu_m + nu_{m+1}) / 2)^2 + [q], nu_m = m + delta_m, for m = 0, 1, whose
-    shifts are extrapolated and where nu_0 may be 0.
+    One _delta_values call solves the shifts of m = max(ns[0] - 1, 0) to
+    ns[-1] + 1.  With nu_m = m + delta_m and the asymptotic frequency
+    c_m = nu_m + [q] / (2 nu_m), the first point of n, an estimate of
+    mu_n, is c_n^2, or nu_n^2 + [q] for n = 0, 1, whose shifts are
+    extrapolated and where nu_0 may be 0.  The separator m|m+1, a count
+    point between the asymptotic positions of mu_m and mu_{m+1}, is
+    ((c_m + c_{m+1}) / 2)^2, or ((nu_m + nu_{m+1}) / 2)^2 + [q] for
+    m = 0, 1.  Returns the DeltaValue records and first points of ns, and
+    the separators of m = max(ns[0] - 1, 0) to ns[-1].
     """
-    if m < 2:
-        return (0.5 * (m + shifts[m] + (m + 1 + shifts[m + 1]))) ** 2 + meanq
-    return (0.5 * (_asymptotic_center(m, shifts[m], meanq)
-                   + _asymptotic_center(m + 1, shifts[m + 1], meanq))) ** 2
-
-
-def _first_points(ns, deltas, meanq: float) -> np.ndarray:
-    """Asymptotic eigenvalue estimates of the indices ns, one per index.
-
-    c_n^2 with c_n = nu + [q] / (2 nu), nu = n + delta_n, for n >= 2, and
-    nu^2 + [q] for n = 0, 1.
-    """
-    ns = np.asarray(ns)
-    nu = ns + np.array([d.value for d in deltas], dtype=float)
-    low = ns < 2
+    start = max(ns[0] - 1, 0)
+    ms = np.arange(start, ns[-1] + 2)
+    records = _delta_values(ms, bc)
+    nu = ms + np.array([d.value for d in records])
+    low = ms < 2
     c = nu + meanq / (2.0 * np.where(low, 1.0, nu))
-    return np.where(low, nu * nu + meanq, c * c)
+    first = np.where(low, nu * nu + meanq, c * c)
+    # float_power squares by pow, as Python's ** does; an array's ** multiplies,
+    # which differs from it in the last bit on some values
+    seps = np.float_power(0.5 * np.where(low[:-1], nu[:-1] + nu[1:], c[:-1] + c[1:]), 2.0)
+    k = ns[0] - start
+    return records[k:-1], first[k:-1], np.where(low[:-1], seps + meanq, seps)
 
 
-def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
-    """Counted brackets of the ascending indices ns: lo, hi with K(lo) = n, K(hi) = n + 1.
+def _brackets(engine: _CharEngine, ns, seps: np.ndarray):
+    """Counted brackets of the contiguous indices ns: lo, hi with K(lo) = n, K(hi) = n + 1.
 
-    K is _counts.  The first batch counts at min(q) - 1 and at the
-    separators m|m+1 (_separator) on both sides of each index, 0|1 and 1|2
-    among them, so that on most problems this one round brackets every
+    K is _counts.  The first batch counts at min(q) - 1 and at seps, the
+    separators m|m+1 on both sides of each index (see _estimates), 0|1 and
+    1|2 among them, so that on most problems this one round brackets every
     index.  Each further round counts one batch: the midpoint of every
     index's tightest counted bracket that still holds more than one
     eigenvalue, a point below the lowest when some index has no count <= n
@@ -362,13 +363,8 @@ def _brackets(engine: _CharEngine, ns: list[int], deltas, meanq: float):
     G_n at lo and at hi (see _counts), so the refinement starts from the
     counted ends without sweeping them.
     """
-    bc, qmin = engine.bc, float(engine.mesh.run_q.min())
-    seps = sorted({m for n in ns for m in (n - 1, n) if m >= 0})
-    needed = set(seps) | {m + 1 for m in seps}
-    shifts = {n: d.value for n, d in zip(ns, deltas)}
-    extra = sorted(needed - shifts.keys())
-    shifts.update(zip(extra, _shifts(extra, bc)[0].tolist()))
-    points = [qmin - 1.0] + [_separator(m, shifts, meanq) for m in seps]
+    qmin = float(engine.mesh.run_q.min())
+    points = [qmin - 1.0] + seps.tolist()
     ns = np.asarray(ns)
     mus, ks, gaps = np.empty(0), np.empty(0, dtype=int), np.empty(0)
     walks = 0
@@ -518,12 +514,19 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
 # ---------------------------------------------------------------------------
 
 
-def _certified_pairs(engine: _CharEngine, ns: list[int], deltas, meanq: float,
-                     tol: float) -> list[Eigenpair]:
-    """Counted, refined eigenpairs for the ascending indices ns, as one batch."""
-    lo, hi, zeros, glo, ghi = _brackets(engine, ns, deltas, meanq)
-    mus, residuals, lo, hi = _refine_batch(engine, ns, lo, hi, glo, ghi, tol,
-                                           _first_points(ns, deltas, meanq))
+def _search(q: Potential, bc: BoundaryParams, ns: range, tol: float,
+            grid_size: int) -> list[Eigenpair]:
+    """Counted, refined eigenpairs of the contiguous indices ns, as one batch.
+
+    The shifts, first points and separators come from one _estimates call;
+    counts, brackets and refinement sweeps all run as batches over ns.
+    """
+    if not 0.0 < tol < inf:
+        raise ValueError("tol must be finite and positive")
+    engine = _CharEngine(q, bc, grid_size)
+    deltas, first, seps = _estimates(ns, bc, engine.mesh.mean)
+    lo, hi, zeros, glo, ghi = _brackets(engine, ns, seps)
+    mus, residuals, lo, hi = _refine_batch(engine, ns, lo, hi, glo, ghi, tol, first)
     rows = zip(ns, mus.tolist(), residuals.tolist(), lo.tolist(), hi.tolist(), deltas,
                zeros.tolist())
     return [Eigenpair(n=n, mu=mu, lam=sqrt(abs(mu)), mu_negative=mu < 0.0, delta=d,
@@ -534,7 +537,7 @@ def _certified_pairs(engine: _CharEngine, ns: list[int], deltas, meanq: float,
 def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
                     tol: float = DEFAULT_ROOT_TOL,
                     grid_size: int = DEFAULT_GRID_SIZE) -> Eigenpair:
-    """Locate and certify the n-th eigenvalue.
+    """Locate and certify the n-th eigenvalue: the search of find_spectrum on [n, n].
 
     The root is isolated in a counted bracket, below whose ends lie n and
     n + 1 eigenvalues, and refined to a mu window of width tol.  n must be
@@ -543,10 +546,7 @@ def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
     n = _whole(n, "index")
     if not (0 <= n <= MAX_INDEX):
         raise ValueError(f"index must lie in [0, {MAX_INDEX}], got {n}")
-    if not 0.0 < tol < inf:
-        raise ValueError("tol must be finite and positive")
-    engine = _CharEngine(q, bc, grid_size)
-    [pair] = _certified_pairs(engine, [n], [delta_for_index(n, bc)], engine.mesh.mean, tol)
+    [pair] = _search(q, bc, range(n, n + 1), tol, grid_size)
     if n >= 2 and pair.mu <= 0.0:
         raise UnsupportedRegimeError(
             f"mu_{n} = {pair.mu:.6f} <= 0; asymptotic indexing assumes positive "
@@ -565,11 +565,7 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
     n_max = _whole(n_max, "n_max")
     if not (0 <= n_max <= MAX_INDEX):
         raise ValueError(f"n_max must lie in [0, {MAX_INDEX}], got {n_max}")
-    if not 0.0 < tol < inf:
-        raise ValueError("tol must be finite and positive")
-    engine = _CharEngine(q, bc, grid_size)
-    deltas = _delta_values(range(n_max + 1), bc)
-    pairs = _certified_pairs(engine, list(range(n_max + 1)), deltas, engine.mesh.mean, tol)
+    pairs = _search(q, bc, range(n_max + 1), tol, grid_size)
     if n_max >= 2 and pairs[2].mu <= 0.0:
         raise UnsupportedRegimeError(
             f"mu_2 = {pairs[2].mu:.6f} <= 0; potential outside the supported regime")

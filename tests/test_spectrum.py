@@ -27,7 +27,7 @@ from slspectra import (
     phi,
     psi,
 )
-from slspectra import potential, spectrum
+from slspectra import delta, potential, spectrum
 from slspectra.odesolve import DEFAULT_GRID_SIZE, SolutionTrace, _step_coeffs, build_mesh, y_values_batch
 from slspectra.spectrum import MAX_INDEX, _zero_counts
 from slspectra.verification import _eigen_zero_counts
@@ -38,7 +38,9 @@ PI = math.pi
 def _bracket(q, bc, n, grid_size):
     """The counted bracket of index n: n eigenvalues below lo, n + 1 below hi."""
     engine = spectrum._CharEngine(q, bc, grid_size)
-    lo, hi = spectrum._brackets(engine, [n], [delta_for_index(n, bc)], mean_q(q))[:2]
+    ns = range(n, n + 1)
+    seps = spectrum._estimates(ns, bc, engine.mesh.mean)[2]
+    lo, hi = spectrum._brackets(engine, ns, seps)[:2]
     return float(lo[0]), float(hi[0])
 
 
@@ -111,9 +113,15 @@ class TestBracketing:
             assert lo < (n + 1) ** 2 < hi
 
     def test_walks_up_from_low_centres(self, q_zero, bc_dd, monkeypatch):
-        # centres at 0 leave index 3 (mu = 16) above every first count; the
+        # estimates at 0 leave index 3 (mu = 16) above every first count; the
         # height above min(q) doubles until a count exceeds 3
-        monkeypatch.setattr(spectrum, "_asymptotic_center", lambda n, d, meanq: 0.0)
+        estimates = spectrum._estimates
+
+        def at_zero(ns, bc, meanq):
+            deltas, first, seps = estimates(ns, bc, meanq)
+            return deltas, np.zeros_like(first), np.zeros_like(seps)
+
+        monkeypatch.setattr(spectrum, "_estimates", at_zero)
         lo, hi = _bracket(q_zero, bc_dd, 3, 512)
         assert lo <= 16.0 < hi
         assert find_eigenvalue(q_zero, bc_dd, 3).mu == pytest.approx(16.0, abs=1e-8)
@@ -144,6 +152,39 @@ class TestBracketing:
         monkeypatch.setattr(spectrum, "_counts", recording)
         find_spectrum(q_step, bc_nn, 4, grid_size=1024)
         assert 0 < len(counted) == len(set(counted))
+
+
+class TestSearchPath:
+    @pytest.mark.parametrize("search,arg", [(find_spectrum, 0), (find_spectrum, 12),
+                                            (find_eigenvalue, 0), (find_eigenvalue, 1),
+                                            (find_eigenvalue, 7)])
+    def test_one_shift_solve_per_call(self, q_step, search, arg, monkeypatch):
+        # the shifts of the indices and of their neighbours come from one fixed point
+        calls = []
+        for module in (delta, spectrum):
+            if hasattr(module, "_shifts"):
+                solve = getattr(module, "_shifts")
+                monkeypatch.setattr(module, "_shifts",
+                                    lambda ns, bc, solve=solve: calls.append(1) or solve(ns, bc))
+        search(q_step, BoundaryParams(2.3, 0.6), arg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bc", [BoundaryParams(PI, 0.0), BoundaryParams(2.3, 0.6)],
+                             ids=["dd", "robin"])
+    @pytest.mark.parametrize("ns", [range(0, 1), range(1, 2), range(2, 3), range(7, 8),
+                                    range(0, 301)], ids=["0", "1", "2", "7", "0-300"])
+    @pytest.mark.parametrize("meanq", [0.0, 1.7, -0.3721956483])
+    def test_estimates_are_the_scalar_formulas(self, bc, ns, meanq):
+        # nu_m = m + delta_m and c_m = nu_m + [q] / (2 nu_m); below m = 2 the
+        # shifts are extrapolated and nu_0 may be 0
+        deltas, first, seps = spectrum._estimates(ns, bc, meanq)
+        assert deltas == [delta_for_index(n, bc) for n in ns]
+        nu = {m: m + delta_for_index(m, bc).value for m in range(max(ns[0] - 1, 0), ns[-1] + 2)}
+        c = {m: v + meanq / (2.0 * v) for m, v in nu.items() if m >= 2}
+        assert first.tolist() == [nu[n] * nu[n] + meanq if n < 2 else c[n] * c[n] for n in ns]
+        assert seps.tolist() == [(0.5 * (nu[m] + nu[m + 1])) ** 2 + meanq if m < 2
+                                 else (0.5 * (c[m] + c[m + 1])) ** 2
+                                 for m in range(max(ns[0] - 1, 0), ns[-1] + 1)]
 
 
 class TestFindEigenvalue:
