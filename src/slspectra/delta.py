@@ -19,9 +19,9 @@ do; the arccos is ``math.acos`` mapped over the ratios.  The last few open
 indices (at most _FLOAT_TAIL) iterate in Python floats by the same
 operations, since an array step costs 10-20 µs of dispatch whatever
 its size and n = 0, 1 may need 20-34 steps.  solve_delta and
-delta_for_index are one-index calls of it; find_spectrum, the k-series
-coefficients, the CLI table and the verification criteria pass all their
-indices at once.
+delta_for_index are one-index calls of it; the eigenvalue search, the
+k-series coefficients, the CLI table and the verification criteria pass
+all their indices at once.
 
 For n in {0, 1} the equation is outside its stated range; the same map can
 still be iterated formally and the result is flagged as extrapolated.  It
@@ -181,15 +181,19 @@ def _shifts(ns, bc: BoundaryParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _delta_values(ns, bc: BoundaryParams) -> list[DeltaValue]:
-    """DeltaValue records of the shifts at the integer indices ns >= 0, by _shifts."""
-    ns = [int(n) for n in ns]
+    """DeltaValue records of the shifts at the integer indices ns >= 0, by _shifts.
+
+    A non-integer index raises ValueError.
+    """
+    ns = [_whole(n, "index") for n in ns]
     values, iterations, residuals = _shifts(ns, bc)
     return [DeltaValue(n=n, value=v, iterations=it, residual=r, extrapolated=n < 2)
             for n, v, it, r in zip(ns, values.tolist(), iterations.tolist(), residuals.tolist())]
 
 
 def solve_delta(n: int, bc: BoundaryParams) -> DeltaValue:
-    """Solve the fixed-point equation for the index shift, n >= 2."""
+    """Solve the fixed-point equation for the index shift, n >= 2 an integer."""
+    n = _whole(n, "index")
     if n < 2:
         raise ValueError(
             f"the fixed-point equation is stated for n >= 2, got {n}; "
@@ -202,7 +206,9 @@ def delta_for_index(n: int, bc: BoundaryParams) -> DeltaValue:
 
     solve_delta for n >= 2.  At n in {0, 1} the fixed-point map is iterated
     formally; the result is flagged extrapolated and informational only.
+    A non-integer n raises ValueError.
     """
+    n = _whole(n, "index")
     if n >= 2:
         return solve_delta(n, bc)
     if n < 0:

@@ -157,11 +157,17 @@ def integrate(
     ``breakpoints`` are abscissae where f is allowed to jump or kink; they
     are forced to be panel edges.
 
-    Raises QuadratureError when panels fail to converge within the
-    refinement budget, carrying the last estimate and its error bound.
+    Raises ValueError for bounds that are not finite or a freq that is not
+    finite and >= 0, and QuadratureError when panels fail to converge
+    within the refinement budget, or as soon as a panel estimate is not
+    finite, carrying the last estimate and its error bound.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"integration bounds must be finite, got [{u}, {v}]")
+    if not 0.0 <= freq < math.inf:
+        raise ValueError(f"freq must be finite and >= 0, got {freq}")
     if u > v:
         raise ValueError(f"integration bounds out of order: [{u}, {v}]")
     if u == v:
@@ -196,6 +202,9 @@ def integrate(
         # a discontinuity can make one Richardson gap vanish by accident;
         # demanding two consecutive levels agree closes that hole
         err = np.maximum(np.abs(fine - coarse), np.abs(finer - fine)) / 15.0
+        if not np.isfinite(err).all():  # a NaN would fail the budget at every level
+            raise QuadratureError(f"non-finite panel estimate on [{u}, {v}]",
+                                  estimate=total + float(np.sum(finer)), error_bound=math.inf)
         budget = tol * (b - a) / width
         done = err <= budget
         if np.any(done):
@@ -426,8 +435,8 @@ class Potential:
     spectral-shift experiments keep the exact structure of the base
     potential.
 
-    Evaluation outside [0, pi] raises ValueError.  Instances are immutable
-    by convention; do not mutate fields after construction.
+    Evaluation outside [0, pi], or at NaN, raises ValueError.  Instances are
+    immutable by convention; do not mutate fields after construction.
     """
 
     kind: str
@@ -537,9 +546,9 @@ class Potential:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > PI + _DOMAIN_SLACK):
-            bad = arr[(arr < -_DOMAIN_SLACK) | (arr > PI + _DOMAIN_SLACK)]
-            raise ValueError(f"potential evaluated outside [0, pi]: {bad[:3]!r}")
+        inside = (arr >= -_DOMAIN_SLACK) & (arr <= PI + _DOMAIN_SLACK)  # False at NaN
+        if not inside.all():
+            raise ValueError(f"potential evaluated outside [0, pi]: {arr[~inside][:3]!r}")
         arr = np.clip(arr, 0.0, PI)
         if self.kind == "grid":
             vals = np.interp(arr, self.xs, self.qs)
@@ -619,7 +628,7 @@ class CumulativeIntegrals:
 
     def sigma(self, x):
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > PI + _DOMAIN_SLACK):
+        if not ((arr >= -_DOMAIN_SLACK) & (arr <= PI + _DOMAIN_SLACK)).all():
             raise ValueError("cumulative integral evaluated outside [0, pi]")
         arr = np.clip(arr, 0.0, PI)
         i = np.clip(np.searchsorted(self.nodes, arr, side="right") - 1,
@@ -632,7 +641,7 @@ class CumulativeIntegrals:
 
     def sigma_tilde(self, x):
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > 2.0 * PI + 2.0 * _DOMAIN_SLACK):
+        if not ((arr >= -_DOMAIN_SLACK) & (arr <= 2.0 * PI + 2.0 * _DOMAIN_SLACK)).all():
             raise ValueError("sigma_tilde evaluated outside [0, 2 pi]")
         return self.sigma(np.clip(arr, 0.0, 2.0 * PI) / 2.0)
 

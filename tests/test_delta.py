@@ -186,6 +186,21 @@ class TestSolveDelta:
         with pytest.raises(ValueError):
             delta_for_index(-1, BoundaryParams(PI, 0.0))
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"], ids=["fraction", "float", "string"])
+    def test_index_must_be_an_integer(self, n):
+        # 2.5 once came back as the record of n = 2, 3.0 as that of n = 3, and
+        # "3" escaped as TypeError
+        bc = BoundaryParams(2.3, 0.6)
+        for solve in (solve_delta, delta_for_index, lambda n, bc: delta._delta_values([n], bc)):
+            with pytest.raises(ValueError, match="^index must be an integer, got"):
+                solve(n, bc)
+
+    def test_numpy_integers_are_indices(self):
+        bc = BoundaryParams(2.3, 0.6)
+        for solve in (solve_delta, delta_for_index):
+            dv = solve(np.int64(3), bc)
+            assert dv == solve(3, bc) and type(dv.n) is int
+
     @given(n=st.integers(min_value=2, max_value=200),
            alpha=st.floats(min_value=0.2, max_value=PI),
            beta=st.floats(min_value=0.0, max_value=PI - 0.2))

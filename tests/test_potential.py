@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,41 @@ class TestIntegrate:
             integrate(lambda t: t, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(lambda t: t, 0.0, 1.0, tol=0.0)
+
+    @pytest.mark.parametrize("freq", [math.nan, math.inf, -1.0])
+    def test_freq_must_be_finite_and_non_negative(self, freq):
+        with pytest.raises(ValueError, match="^freq must be finite and >= 0"):
+            integrate(lambda t: t, 0.0, 1.0, freq=freq)
+
+    # each call once halved its NaN panels at every level until memory ran
+    # out, so they run in a child process under an address-space cap
+    @pytest.mark.parametrize("call,error", [
+        ("integrate(lambda t: t, 0.0, math.nan)", "ValueError"),
+        ("integrate(lambda t: t, -math.inf, 1.0)", "ValueError"),
+        ("integrate(lambda t: t, 0.0, math.inf)", "ValueError"),
+        ("integrate(lambda t: np.where(t < 0.5, np.nan, t), 0.0, 1.0)", "QuadratureError"),
+        ("kernel_A(Potential.step(2.0, math.pi / 2), 5.0, math.nan)", "ValueError"),
+    ], ids=["nan-bound", "-inf-bound", "inf-bound", "nan-panel", "kernel"])
+    def test_non_finite_input_fails_fast(self, call, error):
+        code = (
+            "import math, resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from slspectra import Potential, integrate, kernel_A\n"
+            "start = time.process_time()\n"
+            "try:\n"
+            f"    {call}\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, time.process_time() - start)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        name, seconds = proc.stdout.split()
+        assert name == error and float(seconds) < 5.0
 
     def test_jump_at_breakpoint_is_exact(self):
         q = Potential.step(2.0, PI / 2)
@@ -531,6 +570,10 @@ class TestPotential:
             Potential.zero()(PI + 0.1)
         with pytest.raises(ValueError):
             Potential.zero()(-0.1)
+        # NaN once evaluated to q's value on the last piece
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="^potential evaluated outside"):
+                Potential.step(2.0, PI / 2)(x)
 
     @pytest.mark.parametrize("bad", [
         dict(kind="named", name="nope"),
@@ -666,9 +709,11 @@ class TestCumulativeIntegrals:
         ci = sigma_functions(q_step)
         with pytest.raises(ValueError, match="cumulative integral evaluated outside"):
             ci.sigma(PI + 0.1)
-        for x in (-0.1, 2 * PI + 0.1):
+        for x in (-0.1, 2 * PI + 0.1, math.nan):
             with pytest.raises(ValueError, match="sigma_tilde evaluated outside"):
                 ci.sigma_tilde(x)
+        with pytest.raises(ValueError, match="cumulative integral evaluated outside"):
+            ci.sigma(np.array([1.0, math.nan]))
 
     def test_sigma_tilde_is_half_argument(self, q_step):
         ci = sigma_functions(q_step)
