@@ -76,7 +76,9 @@ class TestIntegrate:
             "try:\n"
             f"    {call}\n"
             "except Exception as exc:\n"
-            "    print(type(exc).__name__, time.process_time() - start)\n")
+            "    print(type(exc).__name__, time.process_time() - start)\n"
+            "else:\n"
+            "    print('returned', time.process_time() - start)\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(Path(__file__).resolve().parent.parent / "src"),
