@@ -23,7 +23,9 @@ class BlowUpError(SpectralError):
 
     Every sweep (endpoint values, norms and the node traces of solve_ivp,
     phi, psi and y_values_batch) raises it where a value is non-finite, and
-    only there: a finite value comes back however large.
+    only there: a finite value comes back however large.  The node traces
+    stop at the first non-finite node in propagation order and name its x
+    and mu.
     """
 
 

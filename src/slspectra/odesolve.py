@@ -61,7 +61,9 @@ a doubling scan, log2 L vectorised passes instead of L steps at the price
 of L log2 L products, and applies them to the block's start state.  The
 transient arrays of a block stay near 2 MB whatever the batch or mesh
 size, and short batches still run few, long vectorised passes.  Every
-sweep raises BlowUpError where a value is non-finite, and only there.
+sweep raises BlowUpError where a value is non-finite, and only there; the
+node sweep checks each block as it writes it and stops at the first
+non-finite node, which it names.
 
 The norm sweep runs forward only.  Every run propagator has determinant
 1, so the backward propagator is the adjugate of the forward one, and one
@@ -495,8 +497,7 @@ def norm_end(product, y0: float, yp0: float, *, forward: bool = True):
 
 
 @_quiet
-def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
-           with_yprime: bool = True):
+def _nodes(mesh: Mesh, mus, y0: float, yp0: float, forward: bool, with_yprime: bool = True):
     """y and y' at every node for a batch of mu, each of shape (nodes, mus).
 
     Steps from x = 0 when forward and from x = pi otherwise.  Each block of
@@ -506,10 +507,18 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
     product of rows 0..i.  Applied to the block's start state, these give
     the block's node values, and the last one carries into the next block.
     Rows come back in increasing node order either way.  Without
-    with_yprime, only the last y' in propagation order comes back, as one
-    array of shape (mus,).  Solution traces and the oscillation
-    certificate read it; eigenvalue counts take the run product instead.
+    with_yprime, no y' rows are formed: only the last y' in propagation
+    order comes back, as one array of shape (mus,).  Solution traces and
+    the oscillation certificate read it; eigenvalue counts take the run
+    product instead.
+
+    Each block's values are checked as they are written.  At the first
+    non-finite one in propagation order (the y and y' rows, and without
+    with_yprime the carried y'), over all columns, the sweep raises
+    BlowUpError naming that node's x and its column's mu, and forms no
+    later block.  Every finite value comes back, however large.
     """
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
     Y = np.empty((len(mesh.h) + 1, mus.size))
     YP = np.empty_like(Y) if with_yprime else None
     y, yp = np.full(mus.size, float(y0)), np.full(mus.size, float(yp0))
@@ -524,45 +533,29 @@ def _nodes(mesh: Mesh, mus: np.ndarray, y0: float, yp0: float, forward: bool,
             _mul(P[:, :, k:], P[:, :, :-k], Q[:, :, k:])
             P, Q, k = Q, P, 2 * k
         Y[lo:hi] = P[0, 0] * y + P[0, 1] * yp
+        ok = np.isfinite(Y[lo:hi])
         if with_yprime:
             YP[lo:hi] = P[1, 0] * y + P[1, 1] * yp
-        y, yp, lo = Y[hi - 1], P[1, 0, -1] * y + P[1, 1, -1] * yp, hi
+            ok &= np.isfinite(YP[lo:hi])
+        y, yp = Y[hi - 1], P[1, 0, -1] * y + P[1, 1, -1] * yp
+        ok[-1] &= np.isfinite(yp)
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            x = mesh.nodes[lo + i if forward else len(mesh.h) - lo - i]
+            raise BlowUpError(f"solution blew up at x = {x:.6f} for mu = {mus[j]}")
+        lo = hi
     flip = slice(None, None, 1 if forward else -1)
     return Y[flip], (YP[flip] if with_yprime else yp)
-
-
-def _trace(mesh: Mesh, mu: float, y0: float, yp0: float, forward: bool) -> SolutionTrace:
-    Y, YP = _nodes(mesh, np.array([float(mu)]), y0, yp0, forward)
-    y, yp = Y[:, 0], YP[:, 0]
-    bad = ~(np.isfinite(y) & np.isfinite(yp))
-    if bad.any():
-        # report the first non-finite node in propagation order
-        i = np.flatnonzero(bad)[0 if forward else -1]
-        raise BlowUpError(f"solution blew up at x = {mesh.nodes[i]:.6f} for mu = {mu}")
-    return SolutionTrace(grid=mesh.nodes.copy(), y=y, yprime=yp, mu=float(mu))
 
 
 def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
     """Forward solution values at every node for a batch of mu, shape (nodes, mus).
 
-    Used for oscillation counting across a whole spectrum in one sweep.
-    Raises BlowUpError where a value is non-finite.
+    Used for oscillation counting across a whole spectrum in one sweep; no
+    y' rows are formed.  Raises BlowUpError at the first non-finite node
+    value, naming its x and mu (see _nodes).
     """
-    return _node_values(mesh, mus, y0, yp0, True)[0]
-
-
-def _node_values(mesh: Mesh, mus, y0: float, yp0: float, forward: bool):
-    """y at every node, shape (nodes, mus), and y' at the last node in propagation order.
-
-    Raises BlowUpError where a value is non-finite.
-    """
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    out, yp = _nodes(mesh, mus, y0, yp0, forward, with_yprime=False)
-    # reductions only, no full-size temporary; a NaN fails the comparison too
-    if not (max(out.max(initial=0.0), -out.min(initial=0.0)) < math.inf
-            and np.all(np.isfinite(yp))):
-        raise BlowUpError("solution overflowed the float range in batched trace")
-    return out, yp
+    return _nodes(mesh, mus, y0, yp0, True, with_yprime=False)[0]
 
 
 def solve_ivp(q: Potential, mu: float, at_left: bool, y0: float, yp0: float,
@@ -578,7 +571,8 @@ def solve_ivp(q: Potential, mu: float, at_left: bool, y0: float, yp0: float,
     if not all(map(math.isfinite, (mu, y0, yp0))):
         raise ValueError(f"mu, y0 and yp0 must be finite, got {mu}, {y0}, {yp0}")
     mesh = build_mesh(q, grid_size)
-    return _trace(mesh, float(mu), float(y0), float(yp0), forward=at_left)
+    Y, YP = _nodes(mesh, [mu], y0, yp0, at_left)
+    return SolutionTrace(grid=mesh.nodes.copy(), y=Y[:, 0], yprime=YP[:, 0], mu=float(mu))
 
 
 def phi(q: Potential, mu: float, alpha: float, grid_size: int = DEFAULT_GRID_SIZE) -> SolutionTrace:

@@ -21,8 +21,8 @@ from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import _eigen_norms, _large_end, ae_n, model_a
 from .odesolve import (
+    _nodes,
     _picard_tail,
-    _node_values,
     build_mesh,
     kernel_A,
     picard_y2,
@@ -302,8 +302,8 @@ def _eigen_zero_counts(mesh, spec: Spectrum) -> np.ndarray:
     spurious sign changes (see spectrum.count_interior_zeros).
     """
     bc = spec.bc
-    ys, yp = _node_values(mesh, spec.mus, bc.sin_alpha, -bc.cos_alpha, True)
-    us, up = _node_values(mesh, spec.mus, bc.sin_beta, -bc.cos_beta, False)
+    ys, yp = _nodes(mesh, spec.mus, bc.sin_alpha, -bc.cos_alpha, True, with_yprime=False)
+    us, up = _nodes(mesh, spec.mus, bc.sin_beta, -bc.cos_beta, False, with_yprime=False)
     forward = _large_end(bc, ys[-1], yp, us[0], up)[2]
     return _zero_counts(np.where(forward, ys, us))
 

@@ -18,16 +18,15 @@ from slspectra import (
     psi,
     solve_ivp,
 )
-from slspectra import spectrum
+from slspectra import odesolve, spectrum
 from slspectra.odesolve import (
+    _BLOCK_ELEMS,
     _BLOCK_MUS,
     _dS_dw,
     _mul,
-    _node_values,
     _nodes,
     _product,
     _step_coeffs,
-    _trace,
     _transfer,
     build_mesh,
     endpoint_values,
@@ -434,15 +433,65 @@ class TestBlockedKernel:
         bad = ~(np.isfinite(yr) & np.isfinite(ypr))
         assert bad.any() == (mu <= -1e5)
         if not bad.any():
-            tr = _trace(mesh, mu, 1.0, 0.5, forward)
+            Y, YP = _nodes(mesh, np.array([mu]), 1.0, 0.5, forward)
             size = np.hypot(yr, ypr)
-            assert np.max(np.abs(tr.y - yr) / size) <= 1e-12
-            assert np.max(np.abs(tr.yprime - ypr) / size) <= 1e-12
+            assert np.max(np.abs(Y[:, 0] - yr) / size) <= 1e-12
+            assert np.max(np.abs(YP[:, 0] - ypr) / size) <= 1e-12
             return
         i = np.flatnonzero(bad)[0 if forward else -1]
         with pytest.raises(BlowUpError) as err:
-            _trace(mesh, mu, 1.0, 0.5, forward)
+            _nodes(mesh, np.array([mu]), 1.0, 0.5, forward)
         assert str(err.value) == f"solution blew up at x = {mesh.nodes[i]:.6f} for mu = {mu}"
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_batch_blow_up_names_first_node_over_all_columns(self, mesh, forward):
+        # the columns overflow at different nodes, the earliest in
+        # propagation order neither first nor last in the batch; the sweep
+        # names that node and its column's mu.  The sequential steps from a
+        # start scaled by 2^-600, exactly, stay finite well past the nodes
+        # where the unscaled values leave the float range, and so give each
+        # of those nodes: unscaled, a y' overflow spoils the next sequential
+        # y, which the prefix products never read.  Without y' rows only
+        # each block's last y' is formed and checked
+        mus = np.array([-1e5, 3.0, -4e5, -2e6, -1e6, 900.0])
+        Yr, YPr = _sequential_nodes(mesh, mus, 2.0 ** -600, 0.5 * 2.0 ** -600, forward)
+        flip = slice(None, None, 1 if forward else -1)
+        with np.errstate(over="ignore"):
+            bad_y, bad_yp = (~np.isfinite(2.0 ** 600 * V[flip]) for V in (Yr, YPr))
+        assert bad_y.any() and not (bad_y | bad_yp)[:, [1, 5]].any()
+        size = _BLOCK_ELEMS // mus.size
+        carried = np.zeros(len(mesh.nodes), dtype=bool)
+        carried[size::size] = carried[-1] = True
+        for with_yprime, bad in ((True, bad_y | bad_yp), (False, bad_y | bad_yp & carried[:, None])):
+            r, j = np.argwhere(bad)[0]
+            x = mesh.nodes[r if forward else len(mesh.h) - r]
+            with pytest.raises(BlowUpError) as err:
+                _nodes(mesh, mus, 1.0, 0.5, forward, with_yprime)
+            assert str(err.value) == f"solution blew up at x = {x:.6f} for mu = {mus[j]}"
+            assert mus[j] == -2e6
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_blow_up_forms_no_later_block(self, monkeypatch, forward):
+        # 301 mu put 54 intervals in a block, 76 blocks on 4097 intervals;
+        # mu = -1e9 overflows within 0.03 of the start, inside the first
+        mesh = build_mesh(Potential.step(2.0, 1.3), 4096)
+        assert len(mesh.h) == 4097
+        blocks = []
+
+        def counted(*args, **kwargs):
+            blocks.append(args[0].shape[0])
+            return _transfer(*args, **kwargs)
+
+        monkeypatch.setattr(odesolve, "_transfer", counted)
+        mus = (np.arange(301) + 0.5) ** 2
+        _nodes(mesh, mus, 1.0, 0.5, forward, with_yprime=False)
+        assert len(blocks) == 76 and sum(blocks) == 4097
+        mus[150] = -1e9
+        for with_yprime in (True, False):
+            blocks.clear()
+            with pytest.raises(BlowUpError, match="for mu = -1000000000.0$"):
+                _nodes(mesh, mus, 1.0, 0.5, forward, with_yprime)
+            assert blocks == [54]
 
     def test_certificate_counts_match_sequential_steps(self, q_step, bc_nn, step_nn_spectrum60):
         mesh = build_mesh(q_step)
@@ -547,7 +596,7 @@ class TestBlockedKernel:
                 with pytest.raises(BlowUpError):
                     endpoint_values(mesh, [-1e6], 1.0, 0.0, forward=at_left)
                 with pytest.raises(BlowUpError):
-                    _node_values(mesh, [-1e6], 1.0, 0.0, at_left)
+                    _nodes(mesh, [-1e6], 1.0, 0.0, at_left, with_yprime=False)
             with pytest.raises(BlowUpError):
                 phi(q_zero, -1e6, PI / 2)
             with pytest.raises(BlowUpError):
