@@ -227,10 +227,11 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, points: int = DEFAUL
                   truncations=None) -> KSeriesResult:
     """Partial sums of k, its split pieces, and the closed-form oracle.
 
-    The grid is linspace(0, 2 pi, points), points >= 2.  The default
+    The grid is linspace(0, 2 pi, points), points an integer >= 2.  The default
     truncation ladder is {N/4, N/2, N}.
     """
     tag = case_tag(bc)
+    points = _whole(points, "points")
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
     N = _whole(N, "truncation")

@@ -83,6 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .delta import _whole
 from .errors import BlowUpError
 from .potential import PI, Potential, _snapped_sincos, _unique, integrate
 
@@ -160,12 +161,13 @@ class Mesh:
 def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
     """Uniform mesh on [0, pi] with the potential's breakpoints inserted.
 
-    q is evaluated once, at the three Gauss points of every interval, and
-    the generator coefficients of each step are folded here, so the sweeps
-    take no division per (step, mu) entry.  Where the three samples agree,
+    grid_size is an integer >= 64 (ValueError otherwise).  q is evaluated
+    once, at the three Gauss points of every interval, and the generator
+    coefficients of each step are folded here, so the sweeps take no
+    division per (step, mu) entry.  Where the three samples agree,
     s2 = s3 = 0 and the step is the exact propagator at w = mu - q.
     """
-    if grid_size < 64:
+    if _whole(grid_size, "grid_size") < 64:
         raise ValueError(f"grid_size must be >= 64, got {grid_size}")
     nodes = np.linspace(0.0, PI, grid_size + 1)
     bps = [b for b in q.breakpoints if 0.0 < b < PI]
@@ -678,15 +680,16 @@ def picard_y2(q: Potential, lam: float, K: int, grid_size: int = 8192) -> Picard
     The zeroth term is sin(lam x) / lam; each further term is the Volterra
     integral of the previous one against sin(lam (x - t)) q(t) / lam,
     evaluated through its sin/cos split so only cumulative integrals are
-    needed.  Requires lam >= 1.  The certificate bounds the omitted tail by
+    needed.  Requires 1 <= lam < inf, and K >= 1 and grid_size integers
+    (ValueError otherwise).  The certificate bounds the omitted tail by
     sum over k > K of sigma0^k / (lam^(k+1) k!), sigma0 = q.norm1().
     """
-    if lam < 1.0:
-        raise ValueError(f"series construction requires lam >= 1, got {lam}")
-    if K < 1:
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"series construction requires 1 <= lam < inf, got {lam}")
+    if _whole(K, "K") < 1:
         raise ValueError(f"K must be >= 1, got {K}")
 
-    nodes, segments = _picard_grid(q, grid_size)
+    nodes, segments = _picard_grid(q, _whole(grid_size, "grid_size"))
     sin_l = np.sin(lam * nodes)
     cos_l = np.cos(lam * nodes)
 
@@ -735,8 +738,8 @@ def kernel_A(q: Potential, lam: float, x: float) -> float:
     A(x, lam) = sin(lam x) * int_0^x q + int_0^x q(t) sin(lam (x - 2t)) dt.
     2 lam (y1 - cos(lam x)) - A is O(1/lam) uniformly on [0, pi].
     """
-    if lam < 1.0:
-        raise ValueError(f"kernel is defined for lam >= 1, got {lam}")
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"kernel is defined for 1 <= lam < inf, got {lam}")
     bps = q.breakpoints
     i1 = integrate(q, 0.0, x, breakpoints=bps)
     i2 = integrate(lambda t: q(t) * np.sin(lam * (x - 2.0 * t)), 0.0, x,

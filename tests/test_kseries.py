@@ -240,6 +240,13 @@ class TestPartialRows:
         with pytest.raises(ValueError):
             k_partial_sum(q_step, bc_dd, 10, points=points)
 
+    def test_points_must_be_an_integer(self, q_step, bc_dd):
+        # 64.5 once escaped as TypeError
+        with pytest.raises(ValueError, match="^points must be an integer, got 64.5"):
+            k_partial_sum(q_step, bc_dd, 10, points=64.5)
+        got = k_partial_sum(q_step, bc_dd, 10, points=np.int64(65))
+        assert np.array_equal(got.k_partial, k_partial_sum(q_step, bc_dd, 10, points=65).k_partial)
+
 
 class TestACDiagnostic:
     def test_zero_potential_variation(self, q_zero, bc_dd):

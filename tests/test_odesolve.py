@@ -94,6 +94,22 @@ class TestSolveIvp:
         with pytest.raises(ValueError):
             solve_ivp(q_zero, 1.0, True, 1.0, 0.0, 32)
 
+    @pytest.mark.parametrize("grid_size", [100.5, np.float64(512.0), "512"],
+                             ids=["fraction", "float64", "string"])
+    def test_grid_size_must_be_an_integer(self, q_step, grid_size):
+        # each once escaped as TypeError
+        calls = (lambda: build_mesh(q_step, grid_size),
+                 lambda: solve_ivp(q_step, 1.0, True, 1.0, 0.0, grid_size),
+                 lambda: phi(q_step, 1.0, PI / 2, grid_size),
+                 lambda: find_spectrum(q_step, BoundaryParams(PI, 0.0), 3, grid_size=grid_size))
+        for call in calls:
+            with pytest.raises(ValueError, match="^grid_size must be an integer, got"):
+                call()
+
+    def test_numpy_integer_grid_size(self, q_step):
+        mesh, ref = build_mesh(q_step, np.int64(512)), build_mesh(q_step, 512)
+        assert np.array_equal(mesh.nodes, ref.nodes) and np.array_equal(mesh.gen, ref.gen)
+
     def test_mesh_includes_breakpoints(self, q_step):
         mesh = build_mesh(q_step, 100)
         assert np.any(np.isclose(mesh.nodes, PI / 2, atol=1e-14))
@@ -955,6 +971,22 @@ class TestPicardSeries:
         with pytest.raises(ValueError):
             picard_y2(q_one, 5.0, 0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lam(self, q_one, lam):
+        # once an all-NaN trace with tail_bound 0.0
+        with pytest.raises(ValueError, match="requires 1 <= lam < inf"):
+            picard_y2(q_one, lam, 3)
+
+    def test_counts_must_be_integers(self, q_one):
+        # a fractional K once escaped as TypeError, a fractional grid_size
+        # was taken as it came
+        with pytest.raises(ValueError, match="^K must be an integer, got 2.5"):
+            picard_y2(q_one, 5.0, 2.5)
+        with pytest.raises(ValueError, match="^grid_size must be an integer, got 1000.5"):
+            picard_y2(q_one, 5.0, 3, 1000.5)
+        got, want = picard_y2(q_one, 5.0, np.int64(3), np.int64(512)), picard_y2(q_one, 5.0, 3, 512)
+        assert np.array_equal(got.trace.y, want.trace.y) and got.tail_bound == want.tail_bound
+
 
 class TestAsymptoticKernels:
     def test_zero_potential(self, q_zero):
@@ -983,3 +1015,9 @@ class TestAsymptoticKernels:
     def test_lam_validation(self, q_one):
         with pytest.raises(ValueError):
             kernel_A(q_one, 0.5, 1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lam(self, q_one, lam):
+        # once refused by the quadrature, as a bad freq
+        with pytest.raises(ValueError, match="defined for 1 <= lam < inf"):
+            kernel_A(q_one, lam, 1.0)
