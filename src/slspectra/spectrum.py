@@ -200,9 +200,13 @@ def count_interior_zeros(trace: SolutionTrace) -> int:
       changes: the phi traces of step(-100, pi - 2).shifted(100) at Neumann
       ends count 1, 1, 2, 3, 4, 5 zeros for n = 0..5, and the psi traces of
       step(440, 2) at (pi/2, 0) count 1, 30, 5, 3, 4, 6.
-    - Node signs resolve only about N/2 zeros on N uniform intervals: on the
-      zero potential the first miscounts come at n = 32-33, 64-65 and
-      128-129 on 64, 128 and 256 intervals (at n = N - 1 for Dirichlet ends).
+    - Interior node signs miss a zero in the first or last interval: for
+      cos(nu x) the first zero lies in (0, h) once nu > N/2.  On the zero
+      potential the first miscounts come at n = 32-33, 64-65 and 128-129 on
+      64, 128 and 256 intervals (at n = N - 1 for Dirichlet ends).  A trace
+      carries no boundary data, so this count keeps to the interior nodes;
+      criterion 12 (verification._eigen_zero_counts) adds the end signs
+      and is right through n = N.
     """
     return int(_zero_counts(trace.y[:, None])[0])
 

@@ -293,31 +293,40 @@ def _criterion_11(ctx: VerificationContext):
 
 
 def _eigen_zero_counts(mesh, spec: Spectrum) -> np.ndarray:
-    """Interior node-sign counts of a spectrum's eigenfunctions, each traced towards its large end.
+    """Node-sign counts of a spectrum's eigenfunctions, each traced towards its large end.
 
     Node sweeps trace every eigenfunction forward from alpha and backward
     from beta, and the forward trace counts where the norms are read
     forward (norming._large_end, from the traces' far ends); a trace
     towards the end where the eigenfunction is exponentially small gains
-    spurious sign changes (see spectrum.count_interior_zeros).
+    spurious sign changes (see spectrum.count_interior_zeros).  The signs
+    at the ends join the interior node signs, so a zero in the first or
+    last interval counts: y(0) and y(pi), or at a Dirichlet end, decided
+    from bc alone, the side limits y'(0) and -y'(pi).  A traced value at a
+    Dirichlet far end is rounding noise of either sign.
     """
     bc = spec.bc
     ys, yp = _nodes(mesh, spec.mus, bc.sin_alpha, -bc.cos_alpha, True, with_yprime=False)
     us, up = _nodes(mesh, spec.mus, bc.sin_beta, -bc.cos_beta, False, with_yprime=False)
     forward = _large_end(bc, ys[-1], yp, us[0], up)[2]
-    return _zero_counts(np.where(forward, ys, us))
+    left = np.where(forward, *((-bc.cos_alpha, up) if bc.dirichlet_left else (bc.sin_alpha, us[0])))
+    right = np.where(forward, *((-yp, bc.cos_beta) if bc.dirichlet_right else (ys[-1], bc.sin_beta)))
+    # _zero_counts reads every row but the first and the last
+    return _zero_counts(np.vstack((left, left, np.where(forward, ys, us)[1:-1], right, right)))
 
 
 def _criterion_12(ctx: VerificationContext):
     """Every cached eigenpair recertified by an independent zero count.
 
-    Each eigenfunction's interior node signs on the full mesh, counted on
-    the trace towards its large end (_eigen_zero_counts), are checked apart
-    from the phase count the search bracketed with.  Node signs resolve only
-    about N/2 zeros on N intervals, far above these spectra on the default
-    mesh.  A barrier of height 100 on the right, whose forward traces count
-    1, 1, 2, ... zeros, is recertified on every run, so the choice of end
-    stays checked.
+    Each eigenfunction's node signs on the full mesh, the end signs
+    included, counted on the trace towards its large end
+    (_eigen_zero_counts), are checked apart from the phase count the
+    search bracketed with.  On the zero potential the count is right
+    through n = N on N intervals (n = N - 2 at Dirichlet-Dirichlet ends,
+    where from n = N - 1 on every zero sits on a node), far above these
+    spectra on the default mesh.  A barrier of height 100 on the right,
+    whose forward traces count 1, 1, 2, ... zeros, is recertified on every
+    run, so the choice of end stays checked.
     """
     if not ctx.all_cached_spectra():
         ctx.spectrum("step", "nn", 20)

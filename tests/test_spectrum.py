@@ -837,6 +837,25 @@ class TestTallBarrierTraces:
         assert _eigen_zero_counts(build_mesh(q), s).tolist() == list(range(6))
 
 
+class TestNodeCertificateEnds:
+    """Criterion 12's count reads the end signs too, so the end intervals count."""
+
+    @pytest.mark.parametrize("grid", [64, 128])
+    @pytest.mark.parametrize("alpha,beta", [(PI / 2, PI / 2), (PI, PI / 2), (PI / 2, 0.0),
+                                            (2.3, 0.6), (PI, 0.0)],
+                             ids=["NN", "DN", "ND", "robin", "DD"])
+    def test_zero_potential_through_n_equals_grid(self, q_zero, alpha, beta, grid):
+        # on the zero potential the interior nodes alone first missed a zero
+        # at n = N/2 (N - 1 at DD): the first zero of cos(nu x) lies in
+        # (0, h) once nu > N/2.  With the ends the count holds until nu h
+        # first reaches pi, at n = N (N - 1 at DD, where the zeros sit on nodes)
+        dd = alpha == PI and beta == 0.0
+        last = grid - 2 if dd else grid
+        s = find_spectrum(q_zero, BoundaryParams(alpha, beta), last, grid_size=grid)
+        counts = _eigen_zero_counts(build_mesh(q_zero, grid), s)
+        assert counts.tolist() == list(range(last + 1))
+
+
 def _perfbench_reference():
     """perfbench/reference.py, loaded by path as it stands."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
