@@ -231,8 +231,7 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, points: int = DEFAUL
     truncation ladder is {N/4, N/2, N}.
     """
     tag = case_tag(bc)
-    points = _whole(points, "points")
-    if points < 2:
+    if _whole(points, "points") < 2:
         raise ValueError(f"points must be at least 2, got {points}")
     N = _whole(N, "truncation")
     grid = np.linspace(0.0, 2.0 * PI, points)
