@@ -40,9 +40,9 @@ class Budget:
         self.counts, self.phi = [], []
         count, sweep = spectrum._counts, spectrum.endpoint_values
 
-        def counting(engine, mus):
+        def counting(mesh, bc, mus):
             self.counts.append(int(np.size(mus)))
-            return count(engine, mus)
+            return count(mesh, bc, mus)
 
         def sweeping(mesh, mus, *args, **kwargs):
             self.phi.append(int(np.size(mus)))

@@ -50,12 +50,14 @@ default mesh for up to 32 mu.  A block's step matrices are one stacked
 array, rows and columns on the two leading axes and (steps, mus) on the
 last two, and every product of two stacks is _mul's three numpy calls,
 B[:, 0:1] A[0:1] + B[:, 1:2] A[1:2], elementwise in the order
-m_ij = b_i0 a_0j + b_i1 a_1j.  The characteristic-function and norm
-sweeps and the count contract each block's run propagators by one
-pairwise tree, _product, and compose the block products in order; the
-norm stacks (T, dT/dmu) on one more leading axis, and the count carries
-each scaled propagator with its whole half-turns (see spectrum._counts).
-The node sweep, for solution traces and the oscillation certificate only,
+m_ij = b_i0 a_0j + b_i1 a_1j.  Three sweeps contract each block's run
+propagators by one pairwise tree, _product, and compose the block
+products in order: the characteristic-function sweep (endpoint_values),
+the norm sweep (norm_product), which stacks (T, dT/dmu) on one more
+leading axis, and the count sweep (count_product), which carries each
+propagator, rescaled, with its whole half-turns; spectrum._counts reads
+the eigenvalue count K and the angle gap from it.  The node sweep
+(_nodes), for solution traces and the oscillation certificate only,
 turns each block of L interval propagators into their prefix products by
 a doubling scan, log2 L vectorised passes instead of L steps at the price
 of L log2 L products, and applies them to the block's start state.  The
@@ -392,7 +394,7 @@ def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
     Returns one element, the step axis dropped: (2, 2, mus) for _transfer,
     (2, 2, 2, mus) for _transfer_dmu (the product, then its
     mu-derivative), and (5, mus) for the count's lifted pairs (m00, m01,
-    m10, m11, n), see spectrum._counts.
+    m10, m11, n), see count_product.
     """
     M = None
     for E in _blocks(mesh, True, mus, forward, entries):
@@ -420,7 +422,7 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
     Raises BlowUpError if any final value is non-finite, that is, where the
     product left the float range; every finite value comes back, however
     large.  Counting, which needs no magnitudes, takes the same run product
-    rescaled at every step (see spectrum._counts).
+    rescaled at every step (see count_product).
 
     Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
     so the transient arrays of one block stay near 2 MB whatever the batch
@@ -496,6 +498,79 @@ def norm_end(product, y0: float, yp0: float, *, forward: bool = True):
     if not all(np.all(np.isfinite(v)) for v in (y, yp, acc)):
         raise BlowUpError("solution overflowed the float range in norm propagation")
     return y, yp, acc
+
+
+@_quiet
+def count_product(mesh: Mesh, mus):
+    """The whole-mesh propagator from 0 to pi, rescaled, and its whole half-turns.
+
+    The count's lifted pair for a batch of mu: a propagator P, scaled by
+    any positive factor, and n = floor(F_P(0) / pi), the whole half-turns
+    of the lifted angle F of the state (y, y2) = r (sin F, cos F) that
+    starts at F = 0.  These pairs multiply on the pairwise tree of
+    _product (see _lifted_steps and _lifted_mul), each product divided by
+    its largest entry, so no entry overflows, however deep mu lies, and
+    no node array is held.  spectrum._counts reads K and the angle gap
+    from them.  Returns the rows m00, m01, m10, m11 and n of one array of
+    shape (5, mus).
+    """
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    return _product(mesh, mus, True, _lifted_steps, _lifted_mul)
+
+
+def _lifted_steps(h, gen, weff, C, S, sign):
+    """Forward run propagators, scaled, and the whole half-turns of F from 0.
+
+    Inside a run y solves y'' = -w_eff y exactly, w_eff = -(d^2 + b c),
+    which is mu - q on piecewise constant q.  A run with w_eff < 0 turns F
+    by less than pi; its propagator is divided by cosh(r h),
+    r = sqrt(-w_eff), with C = 1 and S = tanh(r h)/r, which never
+    overflow.  Otherwise F turns from 0 to th = sqrt(w_eff) h, so
+    n = floor(th / pi), and the sign of m01 = y(h) is (-1)^n.  Near an
+    exact half-turn rounding may give m01 the other sign; n then moves by
+    one towards the nearer integer of th / pi, so that it agrees with the
+    matrix.  Returns the rows m00, m01, m10, m11 and n of one array.
+    """
+    hyp = weff < 0.0
+    if hyp.any():
+        r = np.sqrt(-weff[hyp])
+        C[hyp], S[hyp] = 1.0, np.tanh(r * np.broadcast_to(h, weff.shape)[hyp]) / r
+    L = np.empty((5,) + weff.shape)
+    _transfer(h, gen, weff, C, S, sign, _square(L))
+    # th is monotone in w_eff and h; below 3 < pi every m01 > 0 and n = 0
+    if np.sqrt(weff.max(initial=0.0)) * h.max() < 3.0:
+        L[4] = 0.0
+        return L
+    turns = np.sqrt(np.maximum(weff * h * h, 0.0)) / PI
+    n = np.floor(turns)
+    wrong = np.signbit(L[1]) != (n % 2.0 == 1.0)
+    n[wrong] += np.where(turns[wrong] - n[wrong] > 0.5, 1.0, -1.0)
+    L[4] = n
+    return L
+
+
+def _square(L):
+    """The rows m00, m01, m10, m11 of a lifted stack as a (2, 2, ...) view."""
+    return L[:4].reshape((2, 2) + L.shape[1:])
+
+
+def _lifted_mul(B, A, out):
+    """The lifted pair of BA from those of B and A, into out, elementwise over stacks.
+
+    BA is divided by its largest entry.  n_BA = n_A + n_B + carry, where
+    the carry says that B's preimage of y = 0, an angle in (0, pi], is at
+    most the angle of A (0, 1) folded into [0, pi).  That holds when
+    b01 != 0 and sign(b01) s (BA)01 <= 0, with s the sign that folds
+    A (0, 1) into y >= 0: the sign of a01, or of a11 where a01 = 0.
+    """
+    _mul(_square(B), _square(A), _square(out))
+    scale = np.abs(out[:4]).max(axis=0)
+    s = np.where(A[1] != 0.0, np.signbit(A[1]), np.signbit(A[3]))
+    carry = (B[1] != 0.0) & ((np.signbit(B[1]) ^ s ^ np.signbit(out[1])) | (out[1] == 0.0))
+    out[:4] /= scale
+    np.add(A[4], B[4], out=out[4])
+    out[4] += carry
+    return out
 
 
 @_quiet

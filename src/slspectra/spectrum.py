@@ -60,11 +60,8 @@ from .odesolve import (
     DEFAULT_GRID_SIZE,
     Mesh,
     SolutionTrace,
-    _mul,
-    _product,
-    _quiet,
-    _transfer,
     build_mesh,
+    count_product,
     endpoint_values,
 )
 from .odesolve import y_values_batch  # noqa: F401  (binding kept for perfbench tracing)
@@ -126,36 +123,6 @@ class Spectrum:
 
     def pair(self, n: int) -> Eigenpair:
         return self.pairs[n]
-
-
-class _CharEngine:
-    """Prepared mesh and boundary data for batched Phi evaluations."""
-
-    def __init__(self, q: Potential, bc: BoundaryParams, grid_size: int):
-        self.bc = bc
-        self.mesh: Mesh = build_mesh(q, grid_size)
-        self.y0 = bc.sin_alpha
-        self.yp0 = -bc.cos_alpha
-
-    def angle_scale(self, mus: np.ndarray) -> np.ndarray:
-        """The scale nu = sqrt(max(mu - [q], 1)) of the angle gap, for gaps and _counts."""
-        return np.sqrt(np.maximum(mus - self.mesh.mean, 1.0))
-
-    def gaps(self, mus: np.ndarray, sign: np.ndarray):
-        """Angle gaps G_n and Phi at mus, from one Phi sweep; sign = (-1)^(n + 1).
-
-        With nu = sqrt(max(mu - [q], 1)), the scaled angle Theta of
-        (nu y, y2) at pi and beta_s = atan2(nu sin beta, cos beta) put the
-        n-th eigenvalue where Theta + beta_s = (n + 1) pi.  The sine and
-        cosine of Theta + beta_s are proportional to nu Phi and
-        y2 cos beta - nu^2 y sin beta, so inside the counted bracket, where
-        |G_n| < pi, G_n = atan2(s nu Phi, s (y2 cos beta - nu^2 y sin beta)).
-        """
-        y, yp = endpoint_values(self.mesh, mus, self.y0, self.yp0, forward=True)
-        cb, sb = self.bc.cos_beta, self.bc.sin_beta
-        phi = y * cb + yp * sb
-        nu = self.angle_scale(mus)
-        return np.arctan2(sign * nu * phi, sign * (yp * cb - nu * (nu * y) * sb)), phi
 
 
 def char_function(q: Potential, bc: BoundaryParams, mu: float,
@@ -229,100 +196,63 @@ def _zero_counts(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@_quiet
-def _counts(engine: _CharEngine, mus):
+def _angle_scale(mesh: Mesh, mus: np.ndarray) -> np.ndarray:
+    """The scale nu = sqrt(max(mu - [q], 1)) of the angle gap, for _gaps and _counts."""
+    return np.sqrt(np.maximum(mus - mesh.mean, 1.0))
+
+
+def _gaps(mesh: Mesh, bc: BoundaryParams, mus: np.ndarray, sign: np.ndarray):
+    """Angle gaps G_n and Phi at mus, from one Phi sweep; sign = (-1)^(n + 1).
+
+    With nu = sqrt(max(mu - [q], 1)), the scaled angle Theta of
+    (nu y, y2) at pi and beta_s = atan2(nu sin beta, cos beta) put the
+    n-th eigenvalue where Theta + beta_s = (n + 1) pi.  The sine and
+    cosine of Theta + beta_s are proportional to nu Phi and
+    y2 cos beta - nu^2 y sin beta, so inside the counted bracket, where
+    |G_n| < pi, G_n = atan2(s nu Phi, s (y2 cos beta - nu^2 y sin beta)).
+    """
+    y, yp = endpoint_values(mesh, mus, bc.sin_alpha, -bc.cos_alpha, forward=True)
+    cb, sb = bc.cos_beta, bc.sin_beta
+    phi = y * cb + yp * sb
+    nu = _angle_scale(mesh, mus)
+    return np.arctan2(sign * nu * phi, sign * (yp * cb - nu * (nu * y) * sb)), phi
+
+
+def _counts(mesh: Mesh, bc: BoundaryParams, mus):
     """Eigenvalue counts K and angle gaps G_K at each mu, from one product over the runs.
 
     K is the number of eigenvalues strictly below mu, counted by the lifted
     angle F of the state, (y, y2) = r (sin F, cos F), so y = 0 exactly
-    where F is a multiple of pi.  A propagator P, scaled by any positive
-    factor, and n = floor(F_P(0) / pi), the whole half-turns of the state
-    that starts at F = 0, fix the lifted map F_P, since the angle of
-    P (0, 1) gives F_P(0) - n pi.  These pairs multiply on the pairwise
-    tree of odesolve._product (see _lifted_steps and _lifted_mul), so a
-    batch of mu takes one pass over the runs with the block transients of
-    the Phi sweep and no node array.  At pi, F of the start direction
-    (sin alpha, -cos alpha), whose angle pi - alpha lies in [0, pi), holds
-    N whole half-turns (the carry rule with that direction for A (0, 1))
-    and a fragment phi in [0, pi), the angle of (y, y2)(pi) folded into
-    y >= 0.  The eigenvalues below mu are those with (k + 1) pi - beta < F:
-    N of them, one more where phi > pi - beta, and one fewer where
-    phi = beta = 0.
+    where F is a multiple of pi.  odesolve.count_product gives, for the
+    batch, the whole-mesh propagator rescaled and the whole half-turns n of
+    the state that starts at F = 0, in one pass over the runs with the
+    block transients of the Phi sweep and no node array.  At pi, F of the
+    start direction (sin alpha, -cos alpha), whose angle pi - alpha lies
+    in [0, pi), holds N whole half-turns (the carry rule of
+    odesolve._lifted_mul with that direction for A (0, 1)) and a fragment
+    phi in [0, pi), the angle of (y, y2)(pi) folded into y >= 0.  The
+    eigenvalues below mu are those with (k + 1) pi - beta < F: N of them,
+    one more where phi > pi - beta, and one fewer where phi = beta = 0.
 
-    The gap is that of the scaled angle (see _CharEngine.gaps), with
+    The gap is that of the scaled angle (see _gaps), with
     nu = sqrt(max(mu - [q], 1)): G_K = N pi + atan2(nu |y|, +-y2) +
     atan2(nu sin beta, cos beta) - (K + 1) pi, with +-y2 the folded y2,
     held in [-pi, 0] so that its sign agrees with K.  The n-th eigenvalue
     is the zero of G_n = G_K + (K - n) pi.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    m00, m01, m10, m11, n = _product(engine.mesh, mus, True, _lifted_steps, _lifted_mul)
-    y, y2 = m00 * engine.y0 + m01 * engine.yp0, m10 * engine.y0 + m11 * engine.yp0
+    m00, m01, m10, m11, n = count_product(mesh, mus)
+    y0, yp0 = bc.sin_alpha, -bc.cos_alpha
+    y, y2 = m00 * y0 + m01 * yp0, m10 * y0 + m11 * yp0
     n += (m01 != 0.0) & ((np.signbit(m01) ^ np.signbit(y)) | (y == 0.0))
     flip = np.where(y != 0.0, np.signbit(y), np.signbit(y2))
     folded = np.where(flip, -y2, y2)
     phi = np.arctan2(np.abs(y), folded)
     # an exact zero of y at pi under a Dirichlet end is mu itself, not below it
-    k = n + (phi > PI - engine.bc.beta) - ((y == 0.0) & (engine.bc.beta == 0.0))
-    nu = engine.angle_scale(mus)
-    turn = np.arctan2(nu * np.abs(y), folded) + np.arctan2(nu * engine.bc.sin_beta,
-                                                          engine.bc.cos_beta)
+    k = n + (phi > PI - bc.beta) - ((y == 0.0) & (bc.beta == 0.0))
+    nu = _angle_scale(mesh, mus)
+    turn = np.arctan2(nu * np.abs(y), folded) + np.arctan2(nu * bc.sin_beta, bc.cos_beta)
     return k.astype(int), np.clip((n - k - 1.0) * PI + turn, -PI, 0.0)
-
-
-def _lifted_steps(h, gen, weff, C, S, sign):
-    """Forward run propagators, scaled, and the whole half-turns of F from 0.
-
-    Inside a run y solves y'' = -w_eff y exactly, w_eff = -(d^2 + b c)
-    (see odesolve), which is mu - q on piecewise constant q.  A run with
-    w_eff < 0 turns F by less than pi; its propagator is divided by
-    cosh(r h), r = sqrt(-w_eff), with C = 1 and S = tanh(r h)/r, which
-    never overflow.  Otherwise F turns from 0 to th = sqrt(w_eff) h, so
-    n = floor(th / pi), and the sign of m01 = y(h) is (-1)^n.  Near an
-    exact half-turn rounding may give m01 the other sign; n then moves by
-    one towards the nearer integer of th / pi, so that it agrees with the
-    matrix.  Returns the rows m00, m01, m10, m11 and n of one array.
-    """
-    hyp = weff < 0.0
-    if hyp.any():
-        r = np.sqrt(-weff[hyp])
-        C[hyp], S[hyp] = 1.0, np.tanh(r * np.broadcast_to(h, weff.shape)[hyp]) / r
-    L = np.empty((5,) + weff.shape)
-    _transfer(h, gen, weff, C, S, sign, _square(L))
-    # th is monotone in w_eff and h; below 3 < pi every m01 > 0 and n = 0
-    if np.sqrt(weff.max(initial=0.0)) * h.max() < 3.0:
-        L[4] = 0.0
-        return L
-    turns = np.sqrt(np.maximum(weff * h * h, 0.0)) / PI
-    n = np.floor(turns)
-    wrong = np.signbit(L[1]) != (n % 2.0 == 1.0)
-    n[wrong] += np.where(turns[wrong] - n[wrong] > 0.5, 1.0, -1.0)
-    L[4] = n
-    return L
-
-
-def _square(L):
-    """The rows m00, m01, m10, m11 of a lifted stack as a (2, 2, ...) view."""
-    return L[:4].reshape((2, 2) + L.shape[1:])
-
-
-def _lifted_mul(B, A, out):
-    """The lifted pair of BA from those of B and A, into out, elementwise over stacks.
-
-    BA is divided by its largest entry.  n_BA = n_A + n_B + carry, where
-    the carry says that B's preimage of y = 0, an angle in (0, pi], is at
-    most the angle of A (0, 1) folded into [0, pi).  That holds when
-    b01 != 0 and sign(b01) s (BA)01 <= 0, with s the sign that folds
-    A (0, 1) into y >= 0: the sign of a01, or of a11 where a01 = 0.
-    """
-    _mul(_square(B), _square(A), _square(out))
-    scale = np.abs(out[:4]).max(axis=0)
-    s = np.where(A[1] != 0.0, np.signbit(A[1]), np.signbit(A[3]))
-    carry = (B[1] != 0.0) & ((np.signbit(B[1]) ^ s ^ np.signbit(out[1])) | (out[1] == 0.0))
-    out[:4] /= scale
-    np.add(A[4], B[4], out=out[4])
-    out[4] += carry
-    return out
 
 
 def _estimates(ns: range, bc: BoundaryParams, meanq: float):
@@ -352,7 +282,7 @@ def _estimates(ns: range, bc: BoundaryParams, meanq: float):
     return records[k:-1], first[k:-1], np.where(low[:-1], seps + meanq, seps)
 
 
-def _brackets(engine: _CharEngine, ns, seps: np.ndarray):
+def _brackets(mesh: Mesh, bc: BoundaryParams, ns, seps: np.ndarray):
     """Counted brackets of the contiguous indices ns: lo, hi with K(lo) = n, K(hi) = n + 1.
 
     K is _counts.  The first batch counts at min(q) - 1 and at seps, the
@@ -367,7 +297,7 @@ def _brackets(engine: _CharEngine, ns, seps: np.ndarray):
     G_n at lo and at hi (see _counts), so the refinement starts from the
     counted ends without sweeping them.
     """
-    qmin = float(engine.mesh.run_q.min())
+    qmin = float(mesh.run_q.min())
     points = [qmin - 1.0] + seps.tolist()
     ns = np.asarray(ns)
     mus, ks, gaps = np.empty(0), np.empty(0, dtype=int), np.empty(0)
@@ -376,7 +306,7 @@ def _brackets(engine: _CharEngine, ns, seps: np.ndarray):
         new = _unique(points)
         if mus.size:  # mus is sorted: drop the points already counted
             new = new[mus[np.searchsorted(mus, new).clip(max=mus.size - 1)] != new]
-        k_new, gap_new = _counts(engine, new)
+        k_new, gap_new = _counts(mesh, bc, new)
         mus, ks = np.concatenate((mus, new)), np.concatenate((ks, k_new))
         gaps = np.concatenate((gaps, gap_new))
         order = np.argsort(mus)
@@ -416,14 +346,14 @@ def _brackets(engine: _CharEngine, ns, seps: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
+def _refine_batch(mesh: Mesh, bc: BoundaryParams, ns, lo, hi, glo, ghi, tol: float, first):
     """Bracketed Anderson-Bjorck iteration per column on the angle gap, bisection as fallback.
 
     [lo, hi] is the counted bracket of index ns[i], and glo, ghi the gap
     G_n there from the count (see _counts), so no sweep evaluates an end.
     Each step sweeps Phi in one batch at one point inside every bracket
     still wider than tol with a float inside it, and reads G_n there from
-    the same state (_CharEngine.gaps): G_n is nearly linear in mu where the
+    the same state (_gaps): G_n is nearly linear in mu where the
     solution oscillates at pi.  Below q(pi) it is not: x = pi lies in a
     forbidden zone, where a bound state's angle turns by pi within a few
     ulps of mu, while Phi stays linear in the coefficient of the growing
@@ -448,7 +378,7 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
     with the smaller |value| and residual the true |Phi| there, from the
     sweep that evaluated it; an end that no step replaced (a bracket
     narrower than tol from the start, or a root within tol of a counted
-    end) takes one more Phi sweep (_CharEngine.gaps) for its residual.
+    end) takes one more Phi sweep (_gaps) for its residual.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = np.array(glo, dtype=float), np.array(ghi, dtype=float)
@@ -464,7 +394,7 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
     # 0, and 1 once the column iterates on s Phi
     state = np.array((lo, hi, flo, fhi, flo, fhi, nan, nan, np.zeros(lo.shape), inf, inf, inf,
                       np.where(np.asarray(ns) % 2 == 0, -1.0, 1.0), np.zeros(lo.shape)))
-    edge = engine.mesh.q[-1]  # q at pi: below it the state at pi is in a forbidden zone
+    edge = mesh.q[-1]  # q at pi: below it the state at pi is in a forbidden zone
     first = np.where(hi <= edge, 0.5 * (lo + hi), first)
     while True:
         lo, hi = state[0], state[1]
@@ -480,7 +410,7 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
             x = np.where((a + 0.5 * tol < f) & (f < b - 0.5 * tol), f, x)
         bisect = ~((a < x) & (x < b)) | (width > 0.5 * back0)
         x = np.where(bisect, 0.5 * (a + b), x)
-        fx, px = engine.gaps(x, sign)
+        fx, px = _gaps(mesh, bc, x, sign)
         if on_phi.any():
             fx = np.where(on_phi == 1.0, sign * px, fx)
 
@@ -509,7 +439,7 @@ def _refine_batch(engine: _CharEngine, ns, lo, hi, glo, ghi, tol: float, first):
     mus, residual = np.where(pick_lo, lo, hi), np.abs(np.where(pick_lo, phi_lo, phi_hi))
     unswept = np.flatnonzero(np.isnan(residual))
     if unswept.size:
-        residual[unswept] = np.abs(engine.gaps(mus[unswept], state[12, unswept])[1])
+        residual[unswept] = np.abs(_gaps(mesh, bc, mus[unswept], state[12, unswept])[1])
     return mus, residual, lo, hi
 
 
@@ -527,10 +457,10 @@ def _search(q: Potential, bc: BoundaryParams, ns: range, tol: float,
     """
     if not 0.0 < tol < inf:
         raise ValueError("tol must be finite and positive")
-    engine = _CharEngine(q, bc, grid_size)
-    deltas, first, seps = _estimates(ns, bc, engine.mesh.mean)
-    lo, hi, zeros, glo, ghi = _brackets(engine, ns, seps)
-    mus, residuals, lo, hi = _refine_batch(engine, ns, lo, hi, glo, ghi, tol, first)
+    mesh = build_mesh(q, grid_size)
+    deltas, first, seps = _estimates(ns, bc, mesh.mean)
+    lo, hi, zeros, glo, ghi = _brackets(mesh, bc, ns, seps)
+    mus, residuals, lo, hi = _refine_batch(mesh, bc, ns, lo, hi, glo, ghi, tol, first)
     rows = zip(ns, mus.tolist(), residuals.tolist(), lo.tolist(), hi.tolist(), deltas,
                zeros.tolist())
     return [Eigenpair(n=n, mu=mu, lam=sqrt(abs(mu)), mu_negative=mu < 0.0, delta=d,

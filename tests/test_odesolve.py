@@ -29,6 +29,7 @@ from slspectra.odesolve import (
     _step_coeffs,
     _transfer,
     build_mesh,
+    count_product,
     endpoint_values,
     norm_product,
     propagate_with_norm,
@@ -796,8 +797,7 @@ class TestPiecewiseConstantSteps:
         mus = np.concatenate((self.mus, self.deep))
         for bc in (BoundaryParams(PI, 0.0), BoundaryParams(PI / 2, PI / 2),
                    BoundaryParams(2.0, 0.9), BoundaryParams(0.2, 2.9)):
-            engine = spectrum._CharEngine(q, bc, len(mesh.nodes) - 1)
-            assert np.array_equal(spectrum._counts(engine, mus)[0],
+            assert np.array_equal(spectrum._counts(mesh, bc, mus)[0],
                                   _exact_run_counts(mesh, bc, mus))
 
 
@@ -822,7 +822,7 @@ class TestStackedTree:
     @pytest.mark.parametrize("size", [1, 37, 300])
     @pytest.mark.parametrize("grid", [64, 512, 1000])
     @pytest.mark.parametrize("name", sorted(POTENTIALS))
-    def test_sweeps_equal_the_tuple_tree(self, name, grid, size, monkeypatch):
+    def test_sweeps_equal_the_tuple_tree(self, name, grid, size):
         q = self.POTENTIALS[name]()
         mesh = build_mesh(q, grid)
         mus = np.random.default_rng(size).uniform(-30.0, 9e4, size)
@@ -837,12 +837,8 @@ class TestStackedTree:
             assert np.array_equal(Y, want_y) and np.array_equal(YP, want_yp)
         want = tuple_tree.product(mesh, mus, True, tuple_tree.transfer_dmu, tuple_tree.compose)
         assert np.array_equal(norm_product(mesh, mus), np.array(want))
-        engine = spectrum._CharEngine(q, BoundaryParams(2.3, 0.6), grid)
-        k, gap = spectrum._counts(engine, mus)
-        monkeypatch.setattr(spectrum, "_product", lambda mesh, mus, forward, entries, mul: np.array(
-            tuple_tree.product(mesh, mus, forward, tuple_tree.lifted_steps, tuple_tree.lifted_mul)))
-        want_k, want_gap = spectrum._counts(engine, mus)
-        assert np.array_equal(k, want_k) and np.array_equal(gap, want_gap)
+        want = tuple_tree.product(mesh, mus, True, tuple_tree.lifted_steps, tuple_tree.lifted_mul)
+        assert np.array_equal(count_product(mesh, mus), np.array(want))
 
 
 class TestBoundaryNormalizedSolutions:

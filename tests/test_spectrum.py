@@ -37,10 +37,10 @@ PI = math.pi
 
 def _bracket(q, bc, n, grid_size):
     """The counted bracket of index n: n eigenvalues below lo, n + 1 below hi."""
-    engine = spectrum._CharEngine(q, bc, grid_size)
+    mesh = build_mesh(q, grid_size)
     ns = range(n, n + 1)
-    seps = spectrum._estimates(ns, bc, engine.mesh.mean)[2]
-    lo, hi = spectrum._brackets(engine, ns, seps)[:2]
+    seps = spectrum._estimates(ns, bc, mesh.mean)[2]
+    lo, hi = spectrum._brackets(mesh, bc, ns, seps)[:2]
     return float(lo[0]), float(hi[0])
 
 
@@ -135,7 +135,7 @@ class TestBracketing:
     ], ids=["decreasing", "cluster", "unbounded"])
     def test_bracket_errors(self, q_zero, bc_dd, monkeypatch, counts, message):
         # _counts returns K and the angle gap; these cases fail on K alone
-        monkeypatch.setattr(spectrum, "_counts", lambda engine, mus: (
+        monkeypatch.setattr(spectrum, "_counts", lambda mesh, bc, mus: (
             counts(np.asarray(mus)), np.zeros(np.size(mus))))
         with pytest.raises(BracketError, match=re.escape(message)):
             _bracket(q_zero, bc_dd, 0, 512)
@@ -145,9 +145,9 @@ class TestBracketing:
         counted = []
         count = spectrum._counts
 
-        def recording(engine, mus):
+        def recording(mesh, bc, mus):
             counted.extend(np.atleast_1d(mus).tolist())
-            return count(engine, mus)
+            return count(mesh, bc, mus)
 
         monkeypatch.setattr(spectrum, "_counts", recording)
         find_spectrum(q_step, bc_nn, 4, grid_size=1024)
@@ -409,10 +409,10 @@ class TestSearchBudget:
         batches = {"counts": [], "phi": [], "counted": [], "swept": []}
         count, sweep = spectrum._counts, spectrum.endpoint_values
 
-        def counting(engine, mus):
+        def counting(mesh, bc, mus):
             batches["counts"].append(np.size(mus))
             batches["counted"].extend(np.atleast_1d(mus).tolist())
-            return count(engine, mus)
+            return count(mesh, bc, mus)
 
         def sweeping(mesh, mus, *args, **kwargs):
             batches["phi"].append(np.size(mus))
@@ -440,7 +440,7 @@ class TestSearchBudget:
         q, bc, n_max = self.CASES[case]
         batches = self._record(monkeypatch)
         find_spectrum(q, bc, n_max)
-        assert sum(batches["phi"]) <= limit
+        assert 0 < sum(batches["phi"]) <= limit
 
     @pytest.mark.parametrize("case,sweeps,points", [
         ("cos-NN-20", 9, 115), ("step-NN-60", 9, 300), ("smooth-pi-0.7-60", 9, 300)])
@@ -452,7 +452,7 @@ class TestSearchBudget:
         batches = self._record(monkeypatch)
         find_spectrum(q, bc, n_max)
         assert not set(batches["counted"]) & set(batches["swept"])
-        assert len(batches["phi"]) <= sweeps and sum(batches["phi"]) <= points
+        assert 0 < len(batches["phi"]) <= sweeps and sum(batches["phi"]) <= points
 
     def test_deep_bound_states_finish_on_phi(self, monkeypatch):
         # mu_0 = -24.3 of these angles lies far below q(pi) = 0, where the angle
@@ -495,11 +495,11 @@ class TestSearchBudget:
     def test_count_gap_matches_the_sweep(self):
         # G_K from the lifted count equals G_K read from a Phi sweep's state
         q, bc = Potential.smooth_test([1.0, -0.5]), BoundaryParams(2.3, 0.6)
-        engine = spectrum._CharEngine(q, bc, DEFAULT_GRID_SIZE)
+        mesh = build_mesh(q, DEFAULT_GRID_SIZE)
         mus = np.linspace(-3.0, 2500.0, 997)
-        k, gap = spectrum._counts(engine, mus)
+        k, gap = spectrum._counts(mesh, bc, mus)
         assert np.all((-PI <= gap) & (gap <= 0.0))
-        swept, _ = engine.gaps(mus, np.where(k % 2 == 0, -1.0, 1.0))
+        swept, _ = spectrum._gaps(mesh, bc, mus, np.where(k % 2 == 0, -1.0, 1.0))
         inside = gap > -PI + 1e-6  # away from the wrap of the principal value
         assert np.max(np.abs(swept - gap)[inside]) <= 1e-13
 
@@ -547,7 +547,7 @@ def _free_eigenvalues(bc, n_max):
     return lo * np.abs(lo)
 
 
-def _node_sign_walk(engine, mu):
+def _node_sign_walk(mesh, bc, mu):
     """Number of eigenvalues below mu from y's sign changes at every mesh node.
 
     Each interval takes the Magnus step (C + d S, b S, c S, C - d S) with
@@ -555,7 +555,6 @@ def _node_sign_walk(engine, mu):
     w_eff = -(d^2 + b c); intervals with w_eff < 0 step by it divided by
     cosh, so that deep mu does not overflow.
     """
-    mesh = engine.mesh
     d0, e, b, gamma, c0 = mesh.gen
     w = mu - mesh.q
     d, c = d0 - e * w, c0 - gamma * w
@@ -565,7 +564,7 @@ def _node_sign_walk(engine, mu):
     C, S = np.ones_like(w), np.tanh(r * mesh.h) / np.where(hyp, r, 1.0)
     C[~hyp], S[~hyp] = _step_coeffs(weff[~hyp], mesh.h[~hyp])
     dS = d * S
-    y, yp = engine.y0, engine.yp0
+    y, yp = bc.sin_alpha, -bc.cos_alpha
     zeros, prev = 0, np.sign(y)
     for m00, m01, m10, m11 in zip((C + dS).tolist(), (b * S).tolist(), (c * S).tolist(),
                                   (C - dS).tolist()):
@@ -578,13 +577,13 @@ def _node_sign_walk(engine, mu):
             prev = np.sign(y)
     angle = math.atan2(y, yp)
     angle += PI if angle <= 0.0 else 0.0
-    return zeros + int(angle > PI - engine.bc.beta)
+    return zeros + int(angle > PI - bc.beta)
 
 
-def _both_counts(engine, mus):
+def _both_counts(mesh, bc, mus):
     """_counts of each mu on its own and of all of them in one batch; they must agree."""
-    single = [int(spectrum._counts(engine, [mu])[0][0]) for mu in mus]
-    assert spectrum._counts(engine, mus)[0].tolist() == single
+    single = [int(spectrum._counts(mesh, bc, [mu])[0][0]) for mu in mus]
+    assert spectrum._counts(mesh, bc, mus)[0].tolist() == single
     return single
 
 
@@ -604,9 +603,9 @@ class TestOscillationIndex:
         # constant potentials shift the zero potential's closed-form spectrum
         bc = self.BCS[bc_name]
         mus = _free_eigenvalues(bc, 100) + c
-        engine = spectrum._CharEngine(Potential.constant(c), bc, grid)
+        mesh = build_mesh(Potential.constant(c), grid)
         probes = np.concatenate(([mus[0] - 1.0], 0.5 * (mus[:-1] + mus[1:])))
-        assert _both_counts(engine, probes) == list(range(101))
+        assert _both_counts(mesh, bc, probes) == list(range(101))
 
     @pytest.mark.parametrize("q,bc", [(Potential.step(2.0, PI / 2), BoundaryParams(PI / 2, PI / 2)),
                                       (Potential.step(2.0, 1.3), BoundaryParams(1.1, 2.0)),
@@ -614,16 +613,16 @@ class TestOscillationIndex:
                                       (Potential.step(40.0, 0.2), BoundaryParams(2.3, 0.7))],
                              ids=["step-NN", "step-generic", "step-DD", "thin-tall"])
     def test_step_counts_equal_node_sign_walk(self, q, bc):
-        engine = spectrum._CharEngine(q, bc, 4096)
+        mesh = build_mesh(q, 4096)
         mus = np.concatenate(([_old_floor(q), -3.0, 0.0, 2.0], np.linspace(-1.0, 3600.0, 97)))
-        assert _both_counts(engine, mus) == [_node_sign_walk(engine, mu) for mu in mus]
+        assert _both_counts(mesh, bc, mus) == [_node_sign_walk(mesh, bc, mu) for mu in mus]
 
     def test_no_warning_where_a_merged_cosh_overflows(self, bc_nn):
         q = Potential.constant(100.0)
-        engine = spectrum._CharEngine(q, bc_nn, 4096)
+        mesh = build_mesh(q, 4096)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _both_counts(engine, [_old_floor(q)]) == [0]
+            assert _both_counts(mesh, bc_nn, [_old_floor(q)]) == [0]
             p = find_eigenvalue(q, bc_nn, 0)
         assert p.mu == pytest.approx(100.0, abs=1e-8)
 
@@ -635,11 +634,11 @@ class TestOscillationIndex:
     def test_deep_counts_equal_node_sign_walk(self, q, bc):
         # the old a-priori floor lies far below every run's q; the count
         # scales its hyperbolic runs and divides every product by its largest entry
-        engine = spectrum._CharEngine(q, bc, 4096)
+        mesh = build_mesh(q, 4096)
         mus = np.array([_old_floor(q), -2e5 - 1.0, -1e4, 0.0, 3e4, 1e5, 4e5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _both_counts(engine, mus) == [_node_sign_walk(engine, mu) for mu in mus]
+            assert _both_counts(mesh, bc, mus) == [_node_sign_walk(mesh, bc, mu) for mu in mus]
 
     @pytest.mark.parametrize("grid", [512, 64])
     @pytest.mark.parametrize("bc", [BoundaryParams(PI / 2, PI / 2), BoundaryParams(2.0, 0.9),
@@ -655,18 +654,17 @@ class TestOscillationIndex:
         mus = c + np.arange(101.0) ** 2
         gap = np.min(np.abs(mus[:, None] - exact), axis=1)
         probes = mus[gap > 1e-9 * np.maximum(1.0, np.abs(mus))]
-        engine = spectrum._CharEngine(Potential.constant(c), bc, grid)
-        assert _both_counts(engine, probes) == np.searchsorted(exact, probes).tolist()
+        mesh = build_mesh(Potential.constant(c), grid)
+        assert _both_counts(mesh, bc, probes) == np.searchsorted(exact, probes).tolist()
 
     def test_count_memory_does_not_grow_with_the_mesh(self):
         # the lifted product holds one block's transients, about 1.5 MB here,
         # where a node array of 513 x 3001 floats alone takes 12 MB
-        engine = spectrum._CharEngine(Potential.smooth_test([1.0, -0.5]),
-                                      BoundaryParams(PI, 0.7), 512)
+        mesh = build_mesh(Potential.smooth_test([1.0, -0.5]), 512)
         mus = np.linspace(-600.0, 9.5e4, 3001)
         tracemalloc.start()
         try:
-            spectrum._counts(engine, mus)
+            spectrum._counts(mesh, BoundaryParams(PI, 0.7), mus)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
