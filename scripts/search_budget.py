@@ -4,8 +4,10 @@ Wraps spectrum._counts and spectrum.endpoint_values, the two sweeps the
 eigenvalue search calls, and prints one row per find_spectrum call.  The
 rows are the ROADMAP's find_spectrum rows, then the calls of cycle 0 of
 the benchmark's `spectrum` workload for --seed (from perfbench/workloads.py
-of this checkout), then the cycle's totals.  The counts do not depend on the
-machine.
+of this checkout), then the cycle's totals.  The last column, tail, lists
+the indices that the Phi sweeps of at most two columns refine (or "-"),
+read from spectrum._gaps, which makes every refinement sweep.  The counts
+do not depend on the machine.
 
     PYTHONPATH=src python scripts/search_budget.py --seed 9001
 """
@@ -34,11 +36,11 @@ ROWS = [
 
 
 class Budget:
-    """Batch sizes of every count and every Phi sweep while installed."""
+    """Batch sizes of every count and every Phi sweep, and the refined points, while installed."""
 
     def __init__(self):
-        self.counts, self.phi = [], []
-        count, sweep = spectrum._counts, spectrum.endpoint_values
+        self.counts, self.phi, self.refined = [], [], []
+        count, sweep, gaps = spectrum._counts, spectrum.endpoint_values, spectrum._gaps
 
         def counting(mesh, bc, mus):
             self.counts.append(int(np.size(mus)))
@@ -48,23 +50,44 @@ class Budget:
             self.phi.append(int(np.size(mus)))
             return sweep(mesh, mus, *args, **kwargs)
 
+        def refining(mesh, bc, mus, sign):
+            self.refined.append((np.atleast_1d(mus), np.atleast_1d(sign)))
+            return gaps(mesh, bc, mus, sign)
+
         spectrum._counts, spectrum.endpoint_values = counting, sweeping
+        spectrum._gaps = refining
 
     def measure(self, q, bc, n_max, grid_size):
-        """(count points, Phi sweeps, Phi points) of one call, or the error it raised."""
+        """(count points, Phi sweeps, Phi points, tail) of one call, or the error it raised."""
         self.counts.clear()
         self.phi.clear()
+        self.refined.clear()
         kw = {} if grid_size is None else {"grid_size": grid_size}
         try:
-            spectrum.find_spectrum(q, bc, n_max, **kw)
+            mus = spectrum.find_spectrum(q, bc, n_max, **kw).mus
         except Exception as exc:  # the row reports it and the run goes on
             return type(exc).__name__
-        return sum(self.counts), len(self.phi), sum(self.phi)
+        return sum(self.counts), len(self.phi), sum(self.phi), self._tail(mus)
+
+    def _tail(self, mus):
+        """Indices refined by the sweeps of at most two columns, matched to the eigenvalues mus.
+
+        A point of index n lies inside n's counted bracket, so between
+        mu_{n-1} and mu_{n+1}: with k of mus below it, n is k - 1 or k,
+        the one whose parity the sweep's sign (-1)^(n + 1) gives.
+        """
+        tail = set()
+        for x, sign in self.refined:
+            if x.size <= 2:
+                k = np.searchsorted(mus, x)
+                tail.update(np.where(k % 2 == (sign > 0.0), k, k - 1).tolist())
+        return ",".join(map(str, sorted(tail))) or "-"
 
 
 def _print_row(label, n_max, grid_size, result):
     grid = "default" if grid_size is None else str(grid_size)
-    cells = result if isinstance(result, str) else "  ".join(f"{v:6d}" for v in result)
+    cells = result if isinstance(result, str) else "  ".join(
+        f"{v:6d}" for v in result[:3]) + f"  {result[3]}"
     print(f"{label:44s} {n_max:5d} {grid:>7s}  {cells}")
 
 
@@ -77,7 +100,8 @@ def main() -> int:
     import workloads
 
     budget = Budget()
-    print(f"{'call':44s} {'n_max':>5s} {'grid':>7s}  {'count':>6s}  {'sweeps':>6s}  {'points':>6s}")
+    print(f"{'call':44s} {'n_max':>5s} {'grid':>7s}  {'count':>6s}  {'sweeps':>6s}  {'points':>6s}"
+          "  tail")
     for label, q, bc, n_max, grid_size in ROWS:
         _print_row(label, n_max, grid_size, budget.measure(q, bc, n_max, grid_size))
     totals = np.zeros(3, dtype=int)
@@ -88,7 +112,7 @@ def main() -> int:
         label = f"{call['id']} {pot['family']} {tuple(round(a, 3) for a in call['bc'])}"
         _print_row(label, call["n_max"], call["grid_size"], result)
         if not isinstance(result, str):
-            totals += result
+            totals += result[:3]
     print(f"{'cycle 0 total, seed ' + str(args.seed):58s}  "
           + "  ".join(f"{v:6d}" for v in totals))
     return 0

@@ -191,8 +191,13 @@ def _eigen_norms(q: Potential, bc: BoundaryParams, mus, grid_size: int = DEFAULT
     growth, so it can be far from its exact size, but it stays below the
     accurate one read at the large end: under barriers of height 330-586 on
     the right, c_n reads up to 4e13 where it is exponentially small, so a
-    fixed threshold on |c_n| alone would pick the small end.
+    fixed threshold on |c_n| alone would pick the small end.  A
+    non-finite mu raises ValueError.
     """
+    mus = np.asarray(mus, dtype=float)
+    bad = mus[~np.isfinite(mus)]
+    if bad.size:
+        raise ValueError(f"mu must be finite, got {bad[0]}")
     product = norm_product(build_mesh(q, grid_size), mus)
     y, yp, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
     u, up, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)
@@ -216,6 +221,7 @@ def norming_records(q: Potential, bc: BoundaryParams, pairs,
 
     Indices below 2 get the measured norms with the model fields set to
     NaN, since the correction integral and model are asymptotic objects.
+    A pair with a non-finite mu raises ValueError.
     """
     if isinstance(pairs, Spectrum):
         pairs = pairs.pairs

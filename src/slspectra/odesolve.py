@@ -589,13 +589,18 @@ def _nodes(mesh: Mesh, mus, y0: float, yp0: float, forward: bool, with_yprime: b
     the oscillation certificate read it; eigenvalue counts take the run
     product instead.
 
-    Each block's values are checked as they are written.  At the first
-    non-finite one in propagation order (the y and y' rows, and without
-    with_yprime the carried y'), over all columns, the sweep raises
-    BlowUpError naming that node's x and its column's mu, and forms no
-    later block.  Every finite value comes back, however large.
+    A non-finite mu, y0 or yp0 raises ValueError before any block is
+    formed.  Each block's values are checked as they are written.  At the
+    first non-finite one in propagation order (the y and y' rows, and
+    without with_yprime the carried y'), over all columns, the sweep
+    raises BlowUpError naming that node's x and its column's mu, and forms
+    no later block.  Every finite value comes back, however large.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    bad = mus[~np.isfinite(mus)]
+    if bad.size or not (math.isfinite(y0) and math.isfinite(yp0)):
+        mu = bad[0] if bad.size else mus[0] if mus.size else math.nan
+        raise ValueError(f"mu, y0 and yp0 must be finite, got {mu}, {y0}, {yp0}")
     Y = np.empty((len(mesh.h) + 1, mus.size))
     YP = np.empty_like(Y) if with_yprime else None
     y, yp = np.full(mus.size, float(y0)), np.full(mus.size, float(yp0))
@@ -629,8 +634,9 @@ def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
     """Forward solution values at every node for a batch of mu, shape (nodes, mus).
 
     Used for oscillation counting across a whole spectrum in one sweep; no
-    y' rows are formed.  Raises BlowUpError at the first non-finite node
-    value, naming its x and mu (see _nodes).
+    y' rows are formed.  Raises ValueError if a mu, y0 or yp0 is not
+    finite, and BlowUpError at the first non-finite node value, naming its
+    x and mu (see _nodes).
     """
     return _nodes(mesh, mus, y0, yp0, True, with_yprime=False)[0]
 
@@ -643,10 +649,8 @@ def solve_ivp(q: Potential, mu: float, at_left: bool, y0: float, yp0: float,
     the returned trace always lists the grid in increasing order.  mu may be
     negative (hyperbolic regime); no square root of mu is ever taken.
     Raises ValueError if mu, y0 or yp0 is not finite, and BlowUpError
-    where a node value overflows the float range.
+    where a node value overflows the float range (see _nodes).
     """
-    if not all(map(math.isfinite, (mu, y0, yp0))):
-        raise ValueError(f"mu, y0 and yp0 must be finite, got {mu}, {y0}, {yp0}")
     mesh = build_mesh(q, grid_size)
     Y, YP = _nodes(mesh, [mu], y0, yp0, at_left)
     return SolutionTrace(grid=mesh.nodes.copy(), y=Y[:, 0], yprime=YP[:, 0], mu=float(mu))

@@ -9,14 +9,16 @@ whose zeros are the eigenvalues mu_0 < mu_1 < ... of the problem.  Every
 index is bracketed by counting: the interior zeros of the shooting solution
 plus its terminal phase fragment equal the number K(mu) of eigenvalues
 below mu.  A whole batch of mu is counted by the lifted Prufer angle on
-the pairwise run product of the Phi sweep: each run matrix carries its
-whole half-turns floor(sqrt(w_eff) h / pi), a product adds those of its
-factors and a carry read from signs, and every product is rescaled, so
-the count never overflows, however deep mu lies, and holds no node array
-(Pruess & Fulton, ACM TOMS 19, 1993).  find_eigenvalue and find_spectrum
-run one search over a contiguous index range (find_eigenvalue's is [n, n]),
-which solves the shifts of the range and its neighbours in one fixed point
-(delta._shifts).  The first count batch takes min(q) - 1 and a separator
+the pairwise run product of the Phi sweep (odesolve.count_product): each
+run matrix carries its whole half-turns floor(sqrt(w_eff) h / pi), a
+product adds those of its factors and a carry read from signs, and every
+product is rescaled, so the count never overflows, however deep mu lies,
+and holds no node array (Pruess & Fulton, ACM TOMS 19, 1993); _counts
+reads K and the angle gap from that product.  find_eigenvalue and
+find_spectrum run one search over a contiguous index range
+(find_eigenvalue's is [n, n]), which builds the mesh once, passes it with
+the boundary data to every count and sweep, and solves the shifts of the
+range and its neighbours in one fixed point (delta._shifts).  The first count batch takes min(q) - 1 and a separator
 between each pair of neighbouring indices: the squared midpoint of the
 asymptotic frequencies c_m = nu_m + [q] / (2 nu_m), nu_m = m + delta_m, for
 m >= 2, and ((nu_m + nu_{m+1}) / 2)^2 + [q] for 0|1 and 1|2, where the
@@ -36,8 +38,8 @@ the zero of G_n = Theta + beta_s - (n + 1) pi, which the counted bracket
 holds with G_n <= 0 at lo and G_n > 0 at hi.  G_n is nearly linear in mu,
 so the refinement runs bracketed Anderson-Bjorck regula falsi steps on it,
 vectorized over whole index ranges, from the counted ends and their gaps:
-no sweep evaluates an end again.  Each step is one Phi sweep, and G_n
-comes from the same state (y, y') at pi.  The first point is the
+no sweep evaluates an end again.  Each step is one Phi sweep (_gaps), and
+G_n comes from the same state (y, y') at pi.  The first point is the
 asymptotic root c_n^2 (nu_n^2 + [q] for n = 0, 1) where it lies inside the
 counted bracket; brackets below q(pi), where G_n turns within ulps of a
 bound state, start at their midpoint and finish on Phi itself.  Phi is

@@ -268,6 +268,17 @@ class TestACDiagnostic:
         rep = ac_diagnostic(res.grid, res.k_partial, res.N_list, 0.5, 2 * PI - 0.5)
         assert rep.tv_stability <= 0.05
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_input_refused(self, q_step, bc_dd, value):
+        # NaN partial sums used to read as an unstable series (tv_stability = inf)
+        res = k_partial_sum(q_step, bc_dd, 20)
+        partials, grid = res.k_partial.copy(), res.grid.copy()
+        partials[-1, 3] = value
+        grid[5] = value
+        for args in ((res.grid, partials), (grid, res.k_partial)):
+            with pytest.raises(ValueError, match="^grid and partials must be finite$"):
+                ac_diagnostic(*args, res.N_list, 1.0, 5.0)
+
     def test_segment_validation(self, q_zero, bc_dd):
         res = k_partial_sum(q_zero, bc_dd, 8)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -486,6 +487,19 @@ class TestRecords:
 
     def test_empty_batch(self, q_step, bc_nn):
         assert norming_records(q_step, bc_nn, []) == []
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_eigenvalue_refused(self, q_step, bc_nn, step_nn_spectrum60, mu):
+        # every reader of _eigen_norms, the verify criteria among them
+        pairs = step_nn_spectrum60.pairs[:4]
+        bad = dataclasses.replace(pairs[2], mu=mu)
+        message = f"^mu must be finite, got {mu}$"
+        with pytest.raises(ValueError, match=message):
+            norming_records(q_step, bc_nn, pairs[:2] + [bad])
+        with pytest.raises(ValueError, match=message):
+            norming_record(q_step, bc_nn, bad)
+        with pytest.raises(ValueError, match=message):
+            norming_module._eigen_norms(q_step, bc_nn, np.array([p.mu for p in pairs] + [mu]))
 
     def test_single_record_is_the_batch_one(self, q_step, bc_nn, step_nn_spectrum60):
         pair = step_nn_spectrum60.pair(3)

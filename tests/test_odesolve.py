@@ -510,6 +510,30 @@ class TestBlockedKernel:
                 _nodes(mesh, mus, 1.0, 0.5, forward, with_yprime)
             assert blocks == [54]
 
+    @pytest.mark.parametrize("mu, y0, yp0, shown", [
+        (math.nan, 1.0, 0.0, "nan, 1.0, 0.0"), (-math.inf, 1.0, 0.0, "-inf, 1.0, 0.0"),
+        (1.0, math.nan, 0.0, "4.0, nan, 0.0"), (1.0, 1.0, math.inf, "4.0, 1.0, inf")],
+        ids=["nan-mu", "inf-mu", "nan-y0", "inf-yp0"])
+    def test_non_finite_start_data_form_no_block(self, monkeypatch, mu, y0, yp0, shown):
+        # the start data are refused as solve_ivp refuses them, before any
+        # block; the message names the first non-finite mu, else the first mu
+        mesh = build_mesh(Potential.step(2.0, PI / 2))
+        blocks = []
+
+        def counted(*args, **kwargs):
+            blocks.append(args[0].shape[0])
+            return _transfer(*args, **kwargs)
+
+        monkeypatch.setattr(odesolve, "_transfer", counted)
+        mus = [4.0, mu, 9.0]
+        message = f"^mu, y0 and yp0 must be finite, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            y_values_batch(mesh, mus, y0, yp0)
+        for forward in (True, False):
+            with pytest.raises(ValueError, match=message):
+                _nodes(mesh, mus, y0, yp0, forward)
+        assert blocks == []
+
     def test_certificate_counts_match_sequential_steps(self, q_step, bc_nn, step_nn_spectrum60):
         mesh = build_mesh(q_step)
         mus = np.array([p.mu for p in step_nn_spectrum60.pairs])

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("kseries_closed_form.py", ["--N", "40"],
      "q = constant(1.0), boundary case dirichlet-dirichlet"),
     ("search_budget.py", ["--seed", "9001"],
-     f"{'call':44s} n_max    grid   count  sweeps  points"),
+     f"{'call':44s} n_max    grid   count  sweeps  points  tail"),
     ("known_defects.py", ["--seeds", "9001"],
      f"{'call':16s} {'potential':28s}  alpha   beta n_max  grid  {'outcome':22s}   min norm"
      "  certificate"),
