@@ -191,13 +191,11 @@ def _eigen_norms(q: Potential, bc: BoundaryParams, mus, grid_size: int = DEFAULT
     growth, so it can be far from its exact size, but it stays below the
     accurate one read at the large end: under barriers of height 330-586 on
     the right, c_n reads up to 4e13 where it is exponentially small, so a
-    fixed threshold on |c_n| alone would pick the small end.  A
-    non-finite mu raises ValueError.
+    fixed threshold on |c_n| alone would pick the small end.  mus is an
+    array; a non-finite entry raises ValueError.
     """
-    mus = np.asarray(mus, dtype=float)
-    bad = mus[~np.isfinite(mus)]
-    if bad.size:
-        raise ValueError(f"mu must be finite, got {bad[0]}")
+    if not np.isfinite(mus).all():
+        raise ValueError(f"mu must be finite, got {mus[~np.isfinite(mus)][0]}")
     product = norm_product(build_mesh(q, grid_size), mus)
     y, yp, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
     u, up, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)

@@ -507,12 +507,13 @@ def count_product(mesh: Mesh, mus):
     The count's lifted pair for a batch of mu: a propagator P, scaled by
     any positive factor, and n = floor(F_P(0) / pi), the whole half-turns
     of the lifted angle F of the state (y, y2) = r (sin F, cos F) that
-    starts at F = 0.  These pairs multiply on the pairwise tree of
-    _product (see _lifted_steps and _lifted_mul), each product divided by
-    its largest entry, so no entry overflows, however deep mu lies, and
-    no node array is held.  spectrum._counts reads K and the angle gap
-    from them.  Returns the rows m00, m01, m10, m11 and n of one array of
-    shape (5, mus).
+    starts at F = 0.  The pair fixes the lifted map F_P, since the angle
+    of P (0, 1) gives F_P(0) - n pi.  These pairs multiply on the pairwise
+    tree of _product (see _lifted_steps and _lifted_mul), each product
+    divided by its largest entry, so no entry overflows, however deep mu
+    lies, and no node array is held.  spectrum._counts reads K and the
+    angle gap from them.  Returns the rows m00, m01, m10, m11 and n of one
+    array of shape (5, mus).
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     return _product(mesh, mus, True, _lifted_steps, _lifted_mul)

@@ -18,8 +18,9 @@ reads K and the angle gap from that product.  find_eigenvalue and
 find_spectrum run one search over a contiguous index range
 (find_eigenvalue's is [n, n]), which builds the mesh once, passes it with
 the boundary data to every count and sweep, and solves the shifts of the
-range and its neighbours in one fixed point (delta._shifts).  The first count batch takes min(q) - 1 and a separator
-between each pair of neighbouring indices: the squared midpoint of the
+range and its neighbours in one fixed point (delta._shifts).  The first
+count batch takes min(q) - 1 and a separator between each pair of
+neighbouring indices: the squared midpoint of the
 asymptotic frequencies c_m = nu_m + [q] / (2 nu_m), nu_m = m + delta_m, for
 m >= 2, and ((nu_m + nu_{m+1}) / 2)^2 + [q] for 0|1 and 1|2, where the
 shifts are extrapolated; one array of nu and c gives these separators and
