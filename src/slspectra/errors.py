@@ -21,11 +21,9 @@ class QuadratureError(SpectralError):
 class BlowUpError(SpectralError):
     """A propagated solution overflowed the float range.
 
-    Every sweep (endpoint values, norms and the node traces of solve_ivp,
-    phi, psi and y_values_batch) raises it where a value is non-finite, and
-    only there: a finite value comes back however large.  The node traces
-    stop at the first non-finite node in propagation order and name its x
-    and mu.
+    Every sweep raises it by the overflow rule of the odesolve module
+    docstring: where a value is non-finite, and only there.  Non-finite
+    input is a ValueError instead, by the input rule beside it.
     """
 
 

@@ -94,11 +94,24 @@ def _norms(mesh, mus, sin_v: float, cos_v: float, forward: bool) -> np.ndarray:
 
 def norming_a_batch(q: Potential, bc: BoundaryParams, mus,
                     grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """int_0^pi phi^2 at each mu, phi the left-normalized solution, from the forward sweep.
+
+    The one-sided norm at any mu, the discrete integral of
+    propagate_with_norm.  At an eigenvalue it is a_n read at x = pi, which
+    under a tall barrier can be the small end; norming_records reads each
+    norm at the large one.  Input and overflow follow the norm sweep's
+    rules (see odesolve).
+    """
     return _norms(build_mesh(q, grid_size), mus, bc.sin_alpha, bc.cos_alpha, True)
 
 
 def norming_b_batch(q: Potential, bc: BoundaryParams, mus,
                     grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """int_0^pi psi^2 at each mu, psi the right-normalized solution, from the adjugate.
+
+    The mirror of norming_a_batch: b_n read at x = 0 at an eigenvalue.
+    Input and overflow follow the norm sweep's rules (see odesolve).
+    """
     return _norms(build_mesh(q, grid_size), mus, bc.sin_beta, bc.cos_beta, False)
 
 
@@ -191,11 +204,9 @@ def _eigen_norms(q: Potential, bc: BoundaryParams, mus, grid_size: int = DEFAULT
     growth, so it can be far from its exact size, but it stays below the
     accurate one read at the large end: under barriers of height 330-586 on
     the right, c_n reads up to 4e13 where it is exponentially small, so a
-    fixed threshold on |c_n| alone would pick the small end.  mus is an
-    array; a non-finite entry raises ValueError.
+    fixed threshold on |c_n| alone would pick the small end.  Input and
+    overflow follow the norm sweep's rules (see odesolve).
     """
-    if not np.isfinite(mus).all():
-        raise ValueError(f"mu must be finite, got {mus[~np.isfinite(mus)][0]}")
     product = norm_product(build_mesh(q, grid_size), mus)
     y, yp, a_vals = norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)
     u, up, b_vals = norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)

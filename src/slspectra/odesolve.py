@@ -62,9 +62,14 @@ turns each block of L interval propagators into their prefix products by
 a doubling scan, log2 L vectorised passes instead of L steps at the price
 of L log2 L products, and applies them to the block's start state.  The
 transient arrays of a block stay near 2 MB whatever the batch or mesh
-size, and short batches still run few, long vectorised passes.  Every
-sweep raises BlowUpError where a value is non-finite, and only there; the
-node sweep checks each block as it writes it and stops at the first
+size, and short batches still run few, long vectorised passes.
+
+Every sweep keeps two rules.  The input rule (_batch): a non-finite mu,
+y0 or yp0 raises ValueError, naming the offending values, before any
+block is formed.  The overflow rule: BlowUpError where a computed value
+is non-finite, and only there; a finite value comes back however large.
+The end-value sweeps check their results at once (_finite_end); the node
+sweep checks each block as it writes it and stops at the first
 non-finite node, which it names.
 
 The norm sweep runs forward only.  Every run propagator has determinant
@@ -385,7 +390,7 @@ def _compose(B, A, out):
 def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
     """Whole-mesh product of the run matrices, the run axis contracted.
 
-    One step per run: entries builds one block's tree elements (see
+    mus is a batch from _batch.  One step per run: entries builds one block's tree elements (see
     _blocks) as one array whose second-to-last axis runs over the steps
     and whose last over mus, and mul(B, A, out) multiplies two such stacks
     into out.  Each block is contracted by a pairwise tree, an odd level
@@ -408,6 +413,27 @@ def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
     return M[..., 0, :]
 
 
+def _batch(mus, y0: float = 0.0, yp0: float = 0.0) -> np.ndarray:
+    """mus as a sweep's float batch, after the input rule (see the module docstring).
+
+    Raises ValueError where a mu, y0 or yp0 is not finite, naming the
+    first non-finite mu and each non-finite start value.
+    """
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    if not (np.isfinite(mus).all() and math.isfinite(y0) and math.isfinite(yp0)):
+        bad = [f"mu = {mu}" for mu in mus[~np.isfinite(mus)][:1]]
+        bad += [f"{name} = {v}" for name, v in (("y0", y0), ("yp0", yp0)) if not math.isfinite(v)]
+        raise ValueError(f"mu, y0 and yp0 must be finite, got {', '.join(bad)}")
+    return mus
+
+
+def _finite_end(*values):
+    """The end values of a sweep, or BlowUpError where one left the float range."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise BlowUpError("solution overflowed the float range")
+    return values
+
+
 def _apply(M, y0: float, yp0: float):
     """Rows of the 2x2 matrices M applied to (y0, yp0): (y, y'), then (y_mu, y_mu')."""
     return [M[i] * y0 + M[i + 1] * yp0 for i in range(0, len(M), 2)]
@@ -419,23 +445,16 @@ def endpoint_values(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = T
 
     Returns (y, y') at x = pi when forward, at x = 0 otherwise; the backward
     values come from a sweep of the inverse run propagators from x = pi.
-    Raises BlowUpError if any final value is non-finite, that is, where the
-    product left the float range; every finite value comes back, however
-    large.  Counting, which needs no magnitudes, takes the same run product
-    rescaled at every step (see count_product).
+    Input and overflow follow the module's two rules.  Counting, which
+    needs no magnitudes, takes the same run product rescaled at every step
+    (see count_product).
 
     Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
     so the transient arrays of one block stay near 2 MB whatever the batch
     or mesh size.
     """
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    ys, yps = _apply(_product(mesh, mus, forward, _transfer, _mul).reshape(4, -1), y0, yp0)
-    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(yps))):
-        raise BlowUpError(
-            "solution overflowed the float range; spectral parameter far outside "
-            "the admissible range"
-        )
-    return ys, yps
+    M = _product(mesh, _batch(mus, y0, yp0), forward, _transfer, _mul)
+    return _finite_end(*_apply(M.reshape(4, -1), y0, yp0))
 
 
 def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool = True):
@@ -457,10 +476,11 @@ def propagate_with_norm(mesh: Mesh, mus, y0: float, yp0: float, *, forward: bool
     adj is linear, so the backward product is adj(M) and its mu-derivative
     adj(dM), exactly: no reversed sweep is needed.
 
-    Returns (y, y', acc) at x = pi when forward, at x = 0 otherwise.  Raises
-    BlowUpError if any returned value is non-finite.
+    Returns (y, y', acc) at x = pi when forward, at x = 0 otherwise.  Input
+    and overflow follow the module's two rules: the start data are checked
+    with mus, before the product is formed.
     """
-    return norm_end(norm_product(mesh, mus), y0, yp0, forward=forward)
+    return norm_end(norm_product(mesh, _batch(mus, y0, yp0)), y0, yp0, forward=forward)
 
 
 @_quiet
@@ -471,14 +491,13 @@ def norm_product(mesh: Mesh, mus):
     pairs are contracted by a pairwise tree, (B, dB)(A, dA) =
     (BA, dB A + B dA), block by block, and the block products compose in
     order.  Returns the 8 entries of (M, dM) as the rows of one array of
-    shape (8, mus).
+    shape (8, mus).  A non-finite mu raises ValueError (see _batch).
 
     Memory: the runs go in blocks of about _BLOCK_ELEMS (run, mu) entries,
     so the transient arrays of one block stay near 2 MB whatever the batch
     or mesh size.
     """
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    return _product(mesh, mus, True, _transfer_dmu, _compose).reshape(8, -1)
+    return _product(mesh, _batch(mus), True, _transfer_dmu, _compose).reshape(8, -1)
 
 
 @_quiet
@@ -487,17 +506,14 @@ def norm_end(product, y0: float, yp0: float, *, forward: bool = True):
 
     Forward, (y0, yp0) is the data at x = 0 and the values are at pi;
     backward, the data are at pi, the values at 0, and the product is
-    adj(M), adj(dM).  Raises BlowUpError if any returned value is non-finite,
-    that is, where the product left the float range.
+    adj(M), adj(dM).  Input and overflow follow the module's two rules.
     """
+    _batch((), y0, yp0)
     if not forward:
         a, b, c, d, da, db, dc, dd = product
         product = (d, -b, -c, a, dd, -db, -dc, da)
     y, yp, dy, dyp = _apply(product, y0, yp0)
-    acc = (yp * dy - y * dyp) if forward else (y * dyp - yp * dy)
-    if not all(np.all(np.isfinite(v)) for v in (y, yp, acc)):
-        raise BlowUpError("solution overflowed the float range in norm propagation")
-    return y, yp, acc
+    return _finite_end(y, yp, (yp * dy - y * dyp) if forward else (y * dyp - yp * dy))
 
 
 @_quiet
@@ -513,10 +529,10 @@ def count_product(mesh: Mesh, mus):
     divided by its largest entry, so no entry overflows, however deep mu
     lies, and no node array is held.  spectrum._counts reads K and the
     angle gap from them.  Returns the rows m00, m01, m10, m11 and n of one
-    array of shape (5, mus).
+    array of shape (5, mus).  A non-finite mu raises ValueError (see
+    _batch).
     """
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    return _product(mesh, mus, True, _lifted_steps, _lifted_mul)
+    return _product(mesh, _batch(mus), True, _lifted_steps, _lifted_mul)
 
 
 def _lifted_steps(h, gen, weff, C, S, sign):
@@ -590,18 +606,14 @@ def _nodes(mesh: Mesh, mus, y0: float, yp0: float, forward: bool, with_yprime: b
     the oscillation certificate read it; eigenvalue counts take the run
     product instead.
 
-    A non-finite mu, y0 or yp0 raises ValueError before any block is
-    formed.  Each block's values are checked as they are written.  At the
+    Input follows the module's rule (_batch).  Each block's values are
+    checked as they are written.  At the
     first non-finite one in propagation order (the y and y' rows, and
     without with_yprime the carried y'), over all columns, the sweep
     raises BlowUpError naming that node's x and its column's mu, and forms
     no later block.  Every finite value comes back, however large.
     """
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    bad = mus[~np.isfinite(mus)]
-    if bad.size or not (math.isfinite(y0) and math.isfinite(yp0)):
-        mu = bad[0] if bad.size else mus[0] if mus.size else math.nan
-        raise ValueError(f"mu, y0 and yp0 must be finite, got {mu}, {y0}, {yp0}")
+    mus = _batch(mus, y0, yp0)
     Y = np.empty((len(mesh.h) + 1, mus.size))
     YP = np.empty_like(Y) if with_yprime else None
     y, yp = np.full(mus.size, float(y0)), np.full(mus.size, float(yp0))
@@ -635,9 +647,7 @@ def y_values_batch(mesh: Mesh, mus, y0: float, yp0: float) -> np.ndarray:
     """Forward solution values at every node for a batch of mu, shape (nodes, mus).
 
     Used for oscillation counting across a whole spectrum in one sweep; no
-    y' rows are formed.  Raises ValueError if a mu, y0 or yp0 is not
-    finite, and BlowUpError at the first non-finite node value, naming its
-    x and mu (see _nodes).
+    y' rows are formed.  Input and overflow follow _nodes.
     """
     return _nodes(mesh, mus, y0, yp0, True, with_yprime=False)[0]
 
@@ -649,8 +659,7 @@ def solve_ivp(q: Potential, mu: float, at_left: bool, y0: float, yp0: float,
     Integration runs left to right when at_left, right to left otherwise;
     the returned trace always lists the grid in increasing order.  mu may be
     negative (hyperbolic regime); no square root of mu is ever taken.
-    Raises ValueError if mu, y0 or yp0 is not finite, and BlowUpError
-    where a node value overflows the float range (see _nodes).
+    Input and overflow follow _nodes.
     """
     mesh = build_mesh(q, grid_size)
     Y, YP = _nodes(mesh, [mu], y0, yp0, at_left)

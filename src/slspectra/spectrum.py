@@ -52,7 +52,7 @@ and checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -132,11 +132,8 @@ def char_function(q: Potential, bc: BoundaryParams, mu: float,
                   grid_size: int = DEFAULT_GRID_SIZE) -> float:
     """Boundary defect at x = pi of the left-normalized solution.
 
-    Raises ValueError if mu is not finite, and BlowUpError only where the
-    sweep overflows the float range.
+    Input and overflow follow the sweep's rules (see odesolve).
     """
-    if not isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
     mesh = build_mesh(q, grid_size)
     y, yp = endpoint_values(mesh, [mu], bc.sin_alpha, -bc.cos_alpha, forward=True)
     return float(y[0] * bc.cos_beta + yp[0] * bc.sin_beta)
@@ -148,12 +145,9 @@ def char_function_right(q: Potential, bc: BoundaryParams, mu: float,
 
     Constancy of the Wronskian of phi and psi gives
         Phi(mu) = -[psi(0) cos(alpha) + psi'(0) sin(alpha)],
-    so this equals char_function up to solver tolerance.  Raises ValueError
-    if mu is not finite, and BlowUpError only where the sweep overflows the
-    float range.
+    so this equals char_function up to solver tolerance.  Input and
+    overflow follow the sweep's rules (see odesolve).
     """
-    if not isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
     mesh = build_mesh(q, grid_size)
     y, yp = endpoint_values(mesh, [mu], bc.sin_beta, -bc.cos_beta, forward=False)
     return float(-(y[0] * bc.cos_alpha + yp[0] * bc.sin_alpha))

@@ -493,7 +493,7 @@ class TestRecords:
         # every reader of _eigen_norms, the verify criteria among them
         pairs = step_nn_spectrum60.pairs[:4]
         bad = dataclasses.replace(pairs[2], mu=mu)
-        message = f"^mu must be finite, got {mu}$"
+        message = f"^mu, y0 and yp0 must be finite, got mu = {mu}$"
         with pytest.raises(ValueError, match=message):
             norming_records(q_step, bc_nn, pairs[:2] + [bad])
         with pytest.raises(ValueError, match=message):

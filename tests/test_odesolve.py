@@ -511,12 +511,13 @@ class TestBlockedKernel:
             assert blocks == [54]
 
     @pytest.mark.parametrize("mu, y0, yp0, shown", [
-        (math.nan, 1.0, 0.0, "nan, 1.0, 0.0"), (-math.inf, 1.0, 0.0, "-inf, 1.0, 0.0"),
-        (1.0, math.nan, 0.0, "4.0, nan, 0.0"), (1.0, 1.0, math.inf, "4.0, 1.0, inf")],
+        (math.nan, 1.0, 0.0, "mu = nan"), (-math.inf, 1.0, 0.0, "mu = -inf"),
+        (1.0, math.nan, 0.0, "y0 = nan"), (1.0, 1.0, math.inf, "yp0 = inf")],
         ids=["nan-mu", "inf-mu", "nan-y0", "inf-yp0"])
     def test_non_finite_start_data_form_no_block(self, monkeypatch, mu, y0, yp0, shown):
         # the start data are refused as solve_ivp refuses them, before any
-        # block; the message names the first non-finite mu, else the first mu
+        # block; the message names the first non-finite mu and each
+        # non-finite start value
         mesh = build_mesh(Potential.step(2.0, PI / 2))
         blocks = []
 

@@ -68,7 +68,7 @@ class TestCharFunction:
     def test_non_finite_mu(self, q_zero, bc_nn, mu):
         # refused before the sweep, as solve_ivp refuses it, not reported as an overflow
         for fn in (char_function, char_function_right):
-            with pytest.raises(ValueError, match="^mu must be finite, got"):
+            with pytest.raises(ValueError, match=f"^mu, y0 and yp0 must be finite, got mu = {mu}$"):
                 fn(q_zero, bc_nn, mu)
 
     @given(mu=st.floats(min_value=-3.0, max_value=120.0),
