@@ -188,7 +188,7 @@ def _cmd_kseries(args) -> int:
 
 def _cmd_verify(args) -> int:
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         known = {num for num, _, _ in CRITERIA}
         numbers = []
         for tok in args.criteria.split(","):

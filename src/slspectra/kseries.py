@@ -278,13 +278,17 @@ def ac_diagnostic(grid, partials, N_list, a: float, b: float) -> ACReport:
     """Total-variation evidence of absolute continuity on [a, b].
 
     partials has one row per truncation in N_list (a KSeriesResult row
-    block, or any stack of grid functions on the same grid).  A non-finite
-    grid or partials entry raises ValueError.
+    block, or any stack of grid functions on the same grid), and N_list at
+    least one entry.  Another row count, or a non-finite grid or partials
+    entry, raises ValueError.
     """
     if not (0.0 < a < b < 2.0 * PI):
         raise ValueError(f"segment must satisfy 0 < a < b < 2 pi, got [{a}, {b}]")
     grid = np.asarray(grid, dtype=float)
     partials = np.atleast_2d(np.asarray(partials, dtype=float))
+    if not 0 < len(partials) == len(N_list):
+        raise ValueError(f"partials must have one row per entry of N_list, at least one, "
+                         f"got {len(partials)} rows for {len(N_list)} entries")
     if not (np.isfinite(grid).all() and np.isfinite(partials).all()):
         raise ValueError("grid and partials must be finite")
     mask = (grid >= a) & (grid <= b)

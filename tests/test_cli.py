@@ -250,6 +250,13 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "configuration error: criteria must be integers, got 'x'\n"
 
+    @pytest.mark.parametrize("criteria", ["", ","], ids=["empty", "comma"])
+    def test_empty_criteria_refused(self, capsys, criteria):
+        # an empty list is not an absent flag: it used to run all 13 criteria
+        code, out, err = run_cli(["verify", "--criteria", criteria], capsys)
+        assert (code, out) == (2, "")
+        assert err == "configuration error: criteria must be integers, got ''\n"
+
     def test_perturbed_correction_fails_criterion_07(self, capsys, monkeypatch):
         # criterion 07 holds ae_n to 1e-8 of its closed form: an error of
         # 1e-7 in the correction integral must turn it red

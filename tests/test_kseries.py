@@ -279,6 +279,17 @@ class TestACDiagnostic:
             with pytest.raises(ValueError, match="^grid and partials must be finite$"):
                 ac_diagnostic(*args, res.N_list, 1.0, 5.0)
 
+    @pytest.mark.parametrize("rows", [0, 2], ids=["no-row", "two-rows"])
+    def test_one_row_per_truncation(self, q_step, bc_dd, rows):
+        # two rows for three truncations used to give a three-truncation
+        # report with two variations, and no row an IndexError
+        res = k_partial_sum(q_step, bc_dd, 30, truncations=(10, 20, 30))
+        with pytest.raises(ValueError, match=f"^partials must have one row per entry of N_list, "
+                                             f"at least one, got {rows} rows for 3 entries$"):
+            ac_diagnostic(res.grid, res.k_partial[:rows], res.N_list, 1.0, 5.0)
+        with pytest.raises(ValueError, match="^partials must have one row per entry of N_list"):
+            ac_diagnostic(res.grid, res.k_partial[:0], (), 1.0, 5.0)
+
     def test_segment_validation(self, q_zero, bc_dd):
         res = k_partial_sum(q_zero, bc_dd, 8)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The experiment scripts under scripts/ run to completion on small inputs."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -43,6 +44,33 @@ def test_cli_audit_names_a_changed_table(tmp_path):
     proc = _run("cli_audit.py", "diff", str(before), str(after))
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[0] == "zero.dd.spectrum.csv: differs"
+
+
+def test_bench_pairs_statuses(tmp_path):
+    # three pairs of one workload; each metric shows one status
+    parent = {"setup_s": [1.0, 1.0, 1.0], "items_per_s": [100.0, 100.0, 100.0],
+              "call_p50_s": [1.0, 2.0, 3.0], "call_tail_s": [1.0, 1.0, 1.0],
+              "peak_rss_mb": [10.0, 10.0, 10.0]}
+    change = {"setup_s": [1.0, 1.0, 1.0], "items_per_s": [50.0, 50.0, 50.0],
+              "call_p50_s": [2.0, 2.0, 2.0], "call_tail_s": [0.9, 0.9, 1.1],
+              "peak_rss_mb": [10.5, 10.5, 10.5]}
+    runs = [{"workload": "spectrum", "pair": i + 1, "side": side, "correct": True,
+             "failed": int(side == "change" and i == 0),
+             "metrics": {name: values[i] for name, values in metrics.items()}}
+            for i in range(3) for side, metrics in (("parent", parent), ("change", change))]
+    bench = tmp_path / "BENCH_synthetic.json"
+    bench.write_text(json.dumps({"runs": runs}))
+    proc = _run("bench_pairs.py", str(bench))
+    assert proc.returncode == 0, proc.stderr
+    # set, workload, metric, parent median [q1, q3], change median, won, status
+    rows = [line.split(None, 8) for line in proc.stdout.splitlines()[1:6]]
+    assert [(row[2], row[7], row[8]) for row in rows] == [
+        ("setup_s", "0/3", "within bound"), ("items_per_s", "0/3", "worse than bound"),
+        ("call_p50_s", "1/3", "unresolved"), ("call_tail_s", "2/3", "within bound"),
+        ("peak_rss_mb", "0/3", "within bound")]
+    assert rows[2][3:7] == ["2", "[1.5,", "2.5]", "2"]
+    assert proc.stdout.splitlines()[-1] == (
+        "set 1 spectrum: 3 parent and 3 change runs; failed calls 0, 1; incorrect runs 0, 0")
 
 
 def _run(script, *args):
