@@ -390,10 +390,10 @@ def _compose(B, A, out):
 def _product(mesh: Mesh, mus: np.ndarray, forward: bool, entries, mul):
     """Whole-mesh product of the run matrices, the run axis contracted.
 
-    mus is a batch from _batch.  One step per run: entries builds one block's tree elements (see
-    _blocks) as one array whose second-to-last axis runs over the steps
-    and whose last over mus, and mul(B, A, out) multiplies two such stacks
-    into out.  Each block is contracted by a pairwise tree, an odd level
+    mus is a batch from _batch.  One step per run: entries builds one
+    block's tree elements (see _blocks) as one array whose second-to-last
+    axis runs over the steps and whose last over mus, and mul(B, A, out)
+    multiplies two such stacks into out.  Each block is contracted by a pairwise tree, an odd level
     carrying its last element up unpaired, into one preallocated array
     per level, and the block products compose in propagation order.
     Returns one element, the step axis dropped: (2, 2, mus) for _transfer,
@@ -607,11 +607,11 @@ def _nodes(mesh: Mesh, mus, y0: float, yp0: float, forward: bool, with_yprime: b
     product instead.
 
     Input follows the module's rule (_batch).  Each block's values are
-    checked as they are written.  At the
-    first non-finite one in propagation order (the y and y' rows, and
-    without with_yprime the carried y'), over all columns, the sweep
-    raises BlowUpError naming that node's x and its column's mu, and forms
-    no later block.  Every finite value comes back, however large.
+    checked as they are written.  At the first non-finite one in
+    propagation order (the y and y' rows, and without with_yprime the
+    carried y'), over all columns, the sweep raises BlowUpError naming
+    that node's x and its column's mu, and forms no later block.  Every
+    finite value comes back, however large.
     """
     mus = _batch(mus, y0, yp0)
     Y = np.empty((len(mesh.h) + 1, mus.size))

@@ -7,11 +7,11 @@ step coefficients is formed (see the odesolve module docstring).
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from slspectra import BoundaryParams, Potential, odesolve, spectrum
+from slspectra import odesolve, spectrum
 from slspectra.norming import norming_a_batch, norming_b_batch, norming_records
 from slspectra.odesolve import (
     _nodes,
@@ -74,19 +74,11 @@ ENTRIES = {
 }
 
 
-@dataclasses.dataclass
-class _Env:
-    q: Potential
-    bc: BoundaryParams
-    mesh: odesolve.Mesh
-    product: np.ndarray
-    pairs: list
-
-
 @pytest.fixture(scope="module")
 def env(q_step, bc_nn, step_nn_spectrum60):
     mesh = build_mesh(q_step)
-    return _Env(q_step, bc_nn, mesh, norm_product(mesh, FINITE), step_nn_spectrum60.pairs[:3])
+    return SimpleNamespace(q=q_step, bc=bc_nn, mesh=mesh, product=norm_product(mesh, FINITE),
+                           pairs=step_nn_spectrum60.pairs[:3])
 
 
 @pytest.mark.parametrize("entry, case", [
