@@ -4,7 +4,11 @@ The audit set runs `spectrum` and `norming` at n_max 120 and `kseries` at
 N 400, in CSV and JSON, on 7 potentials at NN, DD, (2.3, 0.6) and
 (0.7, 2.9): 168 tables.  `write` runs them in-process through
 slspectra.cli.main and keeps each run's stdout as one file, and its exit
-code and stderr as one line of status.txt.  `diff` names every file that
+code and stderr as one line of status.txt.  It also runs the CLI's 7
+error paths (an index, grid size, truncation or index range out of range,
+a bad --segment, a repeated verify criterion and an unwritable --out) and
+keeps each run's exit code, stdout and stderr, or the exception that
+escaped main, as one error.*.txt file.  `diff` names every file that
 differs between two such directories or is missing from one, and exits 1
 if there is one.  A change that should leave the CLI output alone writes
 the set on both checkouts and diffs them:
@@ -39,6 +43,21 @@ ANGLES = {"nn": ("pi/2", "pi/2"), "dd": ("pi", "0"), "robin": ("2.3", "0.6"),
 COMMANDS = {"spectrum": ["--n-max", "120"], "norming": ["--n-max", "120"],
             "kseries": ["--N", "400"]}
 STATUS = "status.txt"
+ZERO = json.dumps(POTENTIALS["zero"])
+# file name: argv of each error-path run; "--out ." names a directory
+ERROR_RUNS = {
+    "error.n-max-301.txt": ["spectrum", "--potential", ZERO, "--alpha", "pi/2", "--beta", "pi/2",
+                            "--n-max", "301"],
+    "error.grid-size-32.txt": ["spectrum", "--potential", ZERO, "--alpha", "pi/2",
+                               "--beta", "pi/2", "--grid-size", "32"],
+    "error.N-1.txt": ["kseries", "--potential", ZERO, "--alpha", "pi", "--beta", "0", "--N", "1"],
+    "error.n-min-above-n-max.txt": ["spectrum", "--potential", ZERO, "--alpha", "pi/2",
+                                    "--beta", "pi/2", "--n-min", "5", "--n-max", "3"],
+    "error.segment.txt": ["kseries", "--potential", ZERO, "--alpha", "pi", "--beta", "0",
+                          "--segment", "1"],
+    "error.criteria-7-7.txt": ["verify", "--criteria", "7,7"],
+    "error.out-unwritable.txt": ["delta", "--alpha", "pi/2", "--beta", "pi/2", "--out", "."],
+}
 
 
 def runs(names):
@@ -53,18 +72,35 @@ def runs(names):
                             *extra, "--format", fmt])
 
 
-def write(out: Path, names) -> int:
+def run(argv):
+    """Exit code, stdout and stderr of one in-process CLI run.
+
+    An exception that escapes main is recorded as the exit code, by its
+    type and message, so that the other runs still go ahead.
+    """
     from slspectra import cli  # only writing needs the library
 
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def write(out: Path, names) -> int:
     out.mkdir(parents=True, exist_ok=True)
     status = []
     for filename, argv in runs(names):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-        (out / filename).write_text(stdout.getvalue(), encoding="utf-8")
-        status.append(f"{filename} exit={code} stderr={stderr.getvalue()!r}\n")
+        code, stdout, stderr = run(argv)
+        (out / filename).write_text(stdout, encoding="utf-8")
+        status.append(f"{filename} exit={code} stderr={stderr!r}\n")
     (out / STATUS).write_text("".join(status), encoding="utf-8")
+    for filename, argv in ERROR_RUNS.items():
+        code, stdout, stderr = run(argv)
+        (out / filename).write_text(f"exit={code}\nstdout={stdout!r}\nstderr={stderr!r}\n",
+                                    encoding="utf-8")
     return 0
 
 

@@ -15,7 +15,8 @@ emitted in index order, so identical configurations produce byte-identical
 output; JSON output round-trips exactly.
 
 Exit codes: 0 success, 1 computational failure (one diagnostic line naming
-the failing operation), 2 configuration errors.
+the failing operation), 2 configuration errors, an invalid value or an
+--out path that cannot be written among them.
 """
 
 from __future__ import annotations
@@ -74,10 +75,7 @@ def load_potential(spec: str) -> Potential:
 
 
 def _boundary(args) -> BoundaryParams:
-    try:
-        return BoundaryParams(parse_angle(args.alpha), parse_angle(args.beta))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return BoundaryParams(parse_angle(args.alpha), parse_angle(args.beta))
 
 
 def _fmt(value) -> str:
@@ -198,7 +196,8 @@ def _cmd_verify(args) -> int:
                 raise ConfigError(f"criteria must be integers, got {tok!r}") from exc
             if n not in known:
                 raise ConfigError(f"no criterion numbered {n}")
-            numbers.append(n)
+            if n not in numbers:
+                numbers.append(n)
     results = run_verification(numbers=numbers)
     return 0 if all(r.passed for r in results) else 1
 
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--criteria", default=None,
-                   help="comma-separated criterion numbers (default: all)")
+                   help="comma-separated criterion numbers, each run once (default: all)")
     p.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -270,10 +269,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SpectralError as exc:

@@ -31,13 +31,12 @@ is reported for bookkeeping only and never used as ground truth.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .potential import PI, BoundaryParams
+from .potential import PI, BoundaryParams, _whole
 
 FIXED_POINT_TOL = 1e-13
 MAX_ITERATIONS = 200
@@ -56,14 +55,6 @@ class DeltaValue:
     iterations: int
     residual: float
     extrapolated: bool = False
-
-
-def _whole(value, what: str) -> int:
-    """value as an int, or ValueError when it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def sin_two_pi(x: float) -> float:
@@ -115,10 +106,9 @@ def delta_asymptotic(n: int, bc: BoundaryParams) -> float:
     Dirichlet left only: 1/2 + cot(b) / (pi (n + 1/2)).
     Dirichlet right only: 1/2 - cot(a) / (pi (n + 1/2)).
     Dirichlet both: exactly 1.
+    n is an integer >= 1 (ValueError otherwise).
     """
-    if n < 1:
-        raise ValueError(f"asymptotic form needs n >= 1, got {n}")
-    return _leading(n, bc)
+    return _leading(_whole(n, "index", 1), bc)
 
 
 def _shifts(ns, bc: BoundaryParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,22 +173,20 @@ def _shifts(ns, bc: BoundaryParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _delta_values(ns, bc: BoundaryParams) -> list[DeltaValue]:
     """DeltaValue records of the shifts at the integer indices ns >= 0, by _shifts.
 
-    A non-integer index raises ValueError.
+    The callers have checked ns.
     """
-    ns = [_whole(n, "index") for n in ns]
     values, iterations, residuals = _shifts(ns, bc)
     return [DeltaValue(n=n, value=v, iterations=it, residual=r, extrapolated=n < 2)
-            for n, v, it, r in zip(ns, values.tolist(), iterations.tolist(), residuals.tolist())]
+            for n, v, it, r in zip(np.asarray(ns).tolist(), values.tolist(), iterations.tolist(),
+                                   residuals.tolist())]
 
 
 def solve_delta(n: int, bc: BoundaryParams) -> DeltaValue:
-    """Solve the fixed-point equation for the index shift, n >= 2 an integer."""
-    n = _whole(n, "index")
-    if n < 2:
-        raise ValueError(
-            f"the fixed-point equation is stated for n >= 2, got {n}; "
-            "use delta_for_index for smaller indices")
-    return _delta_values([n], bc)[0]
+    """Solve the fixed-point equation for the index shift, n >= 2 an integer.
+
+    Any other n raises ValueError; delta_for_index takes n = 0, 1 too.
+    """
+    return _delta_values([_whole(n, "index", 2)], bc)[0]
 
 
 def delta_for_index(n: int, bc: BoundaryParams) -> DeltaValue:
@@ -206,11 +194,9 @@ def delta_for_index(n: int, bc: BoundaryParams) -> DeltaValue:
 
     solve_delta for n >= 2.  At n in {0, 1} the fixed-point map is iterated
     formally; the result is flagged extrapolated and informational only.
-    A non-integer n raises ValueError.
+    n is an integer >= 0 (ValueError otherwise).
     """
-    n = _whole(n, "index")
+    n = _whole(n, "index", 0)
     if n >= 2:
         return solve_delta(n, bc)
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
     return _delta_values([n], bc)[0]

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import _shifts, _sin_two_pi, _whole
+from .delta import _shifts, _sin_two_pi
 from .delta import solve_delta  # noqa: F401  (binding kept for perfbench tracing)
 from .errors import CaseError
 from .potential import (
@@ -64,6 +64,7 @@ from .potential import (
     BoundaryParams,
     CumulativeIntegrals,
     Potential,
+    _whole,
     fourier_moments,
     sigma_functions,
 )
@@ -126,7 +127,7 @@ def case_tag(bc: BoundaryParams) -> str:
 
 
 def series_coefficients(q: Potential, bc: BoundaryParams, N: int):
-    """Per-term data for indices 2..N.
+    """Per-term data for indices 2..N, N an integer in [2, TRUNCATION_CAP].
 
     Returns (nus, k_coefs, k1_coefs, k2_coefs) where the term of each series
     at index n is coef * cos(nu x).  The integration-by-parts identity
@@ -145,10 +146,7 @@ def _coefficients(q: Potential, bc: BoundaryParams, N: int, ci: CumulativeIntegr
     moment does not depend on the others in the call.
     """
     case_tag(bc)
-    N = _whole(N, "truncation")
-    if not (2 <= N <= TRUNCATION_CAP):
-        raise ValueError(f"truncation must lie in [2, {TRUNCATION_CAP}], got {N}")
-    ns = np.arange(2, N + 1)
+    ns = np.arange(2, _whole(N, "truncation", 2, TRUNCATION_CAP) + 1)
     deltas = _shifts(ns, bc)[0]
     nus = ns + deltas
     # the half from substituting t -> t/2 in the sigma_tilde integral
@@ -172,11 +170,9 @@ def _truncation_ladder(N: int, truncations):
     if truncations is None:
         ladder = sorted({max(2, N // 4), max(2, N // 2), N})
     else:
-        ladder = sorted({_whole(t, "each truncation") for t in truncations})
+        ladder = sorted({_whole(t, "each truncation", 2, N) for t in truncations})
         if not ladder:
             raise ValueError("truncations must not be empty")
-        if any(t < 2 or t > N for t in ladder):
-            raise ValueError(f"truncations must lie in [2, {N}]")
     return tuple(ladder)
 
 
@@ -227,18 +223,18 @@ def k_partial_sum(q: Potential, bc: BoundaryParams, N: int, points: int = DEFAUL
                   truncations=None) -> KSeriesResult:
     """Partial sums of k, its split pieces, and the closed-form oracle.
 
-    The grid is linspace(0, 2 pi, points), points an integer >= 2.  The default
-    truncation ladder is {N/4, N/2, N}.
+    The grid is linspace(0, 2 pi, points), points an integer >= 2.  N is an
+    integer in [2, TRUNCATION_CAP], and each truncation one in [2, N].  The
+    default truncation ladder is {N/4, N/2, N}.
     """
     tag = case_tag(bc)
-    if _whole(points, "points") < 2:
-        raise ValueError(f"points must be at least 2, got {points}")
-    N = _whole(N, "truncation")
+    points = _whole(points, "points", 2)
     grid = np.linspace(0.0, 2.0 * PI, points)
-    ladder = _truncation_ladder(N, truncations)
     ci = sigma_functions(q)
     dd = tag == CASE_DIRICHLET_DIRICHLET
     (nus, *coefs), moments = _coefficients(q, bc, N, ci, _HARMONICS if dd else ())
+    # nus holds the terms of the indices 2..N
+    ladder = _truncation_ladder(nus.size + 1, truncations)
     k_rows, k1_rows, k2_rows = _partial_rows(nus, coefs, points, ladder)
     return KSeriesResult(
         case_tag=tag,

@@ -54,7 +54,7 @@ import numpy as np
 
 from .delta import DeltaValue
 from .odesolve import DEFAULT_GRID_SIZE, build_mesh, norm_end, norm_product, propagate_with_norm
-from .potential import PI, BoundaryParams, Potential, fourier_moments
+from .potential import PI, BoundaryParams, Potential, _whole, fourier_moments
 from .potential import integrate  # noqa: F401  (binding kept for perfbench tracing)
 from .spectrum import Eigenpair, Spectrum
 
@@ -137,21 +137,21 @@ def _model(sin_v: float, cos_v: float, delta, ae: float, n: int) -> float:
 
 
 def model_a(bc: BoundaryParams, delta, ae: float, n: int) -> float:
-    """Model value of a_n with both remainders set to zero."""
-    if n < 2:
-        raise ValueError(f"model is defined for n >= 2, got {n}")
-    return _model(bc.sin_alpha, bc.cos_alpha, delta, ae, n)
+    """Model value of a_n with both remainders set to zero.
+
+    n is an integer >= 2 (ValueError otherwise).
+    """
+    return _model(bc.sin_alpha, bc.cos_alpha, delta, ae, _whole(n, "index", 2))
 
 
 def model_b(bc: BoundaryParams, delta, ae: float, n: int) -> float:
     """Model value of b_n with both remainders set to zero.
 
     It takes ae_n, not the reflected integral b_n needs when q is not
-    symmetric about pi/2 (see the module docstring).
+    symmetric about pi/2 (see the module docstring).  n is an integer >= 2
+    (ValueError otherwise).
     """
-    if n < 2:
-        raise ValueError(f"model is defined for n >= 2, got {n}")
-    return _model(bc.sin_beta, bc.cos_beta, delta, ae, n)
+    return _model(bc.sin_beta, bc.cos_beta, delta, ae, _whole(n, "index", 2))
 
 
 def _extract(defect: float, sin_v: float, cos_v: float, nu: float):
@@ -170,12 +170,12 @@ def extract_remainders(a_value: float, ae: float, delta, bc: BoundaryParams, n: 
     cosine-bracket weight pi / (2 nu^2) in the Dirichlet case.  mode is
     "combined" when both brackets are active and the split is not
     identifiable; plugging the reported remainder back into its bracket
-    reproduces a_n exactly either way.
+    reproduces a_n exactly either way.  n is an integer >= 2 (ValueError
+    otherwise).
     """
-    if n < 2:
-        raise ValueError(f"extraction is defined for n >= 2, got {n}")
+    n = _whole(n, "index", 2)
     nu = n + _delta_value(delta)
-    defect = a_value - model_a(bc, delta, ae, n)
+    defect = a_value - _model(bc.sin_alpha, bc.cos_alpha, delta, ae, n)
     return _extract(defect, bc.sin_alpha, bc.cos_alpha, nu)
 
 

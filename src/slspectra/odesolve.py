@@ -90,9 +90,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import _whole
 from .errors import BlowUpError
-from .potential import PI, Potential, _snapped_sincos, _unique, integrate
+from .potential import PI, Potential, _snapped_sincos, _unique, _whole, integrate
 
 DEFAULT_GRID_SIZE = 512
 
@@ -174,9 +173,7 @@ def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
     division per (step, mu) entry.  Where the three samples agree,
     s2 = s3 = 0 and the step is the exact propagator at w = mu - q.
     """
-    if _whole(grid_size, "grid_size") < 64:
-        raise ValueError(f"grid_size must be >= 64, got {grid_size}")
-    nodes = np.linspace(0.0, PI, grid_size + 1)
+    nodes = np.linspace(0.0, PI, _whole(grid_size, "grid_size", 64) + 1)
     bps = [b for b in q.breakpoints if 0.0 < b < PI]
     if bps:
         extra = [b for b in bps if np.min(np.abs(nodes - b)) > 1e-12]
@@ -769,16 +766,14 @@ def picard_y2(q: Potential, lam: float, K: int, grid_size: int = 8192) -> Picard
     The zeroth term is sin(lam x) / lam; each further term is the Volterra
     integral of the previous one against sin(lam (x - t)) q(t) / lam,
     evaluated through its sin/cos split so only cumulative integrals are
-    needed.  Requires 1 <= lam < inf, and K >= 1 and grid_size integers
+    needed.  Requires 1 <= lam < inf, and integers K >= 1 and grid_size >= 64
     (ValueError otherwise).  The certificate bounds the omitted tail by
     sum over k > K of sigma0^k / (lam^(k+1) k!), sigma0 = q.norm1().
     """
     if not 1.0 <= lam < math.inf:
         raise ValueError(f"series construction requires 1 <= lam < inf, got {lam}")
-    if _whole(K, "K") < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-
-    nodes, segments = _picard_grid(q, _whole(grid_size, "grid_size"))
+    K = _whole(K, "K", 1)
+    nodes, segments = _picard_grid(q, _whole(grid_size, "grid_size", 64))
     sin_l = np.sin(lam * nodes)
     cos_l = np.cos(lam * nodes)
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -352,6 +353,23 @@ def _snapped_sincos(angle: float) -> tuple[float, float]:
         c = 0.0
         s = 1.0 if s > 0 else -1.0
     return s, c
+
+
+def _whole(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int, or ValueError when it is not an integer or lies outside [lo, hi].
+
+    An integer is any value with __index__ (Python and numpy integers).  A
+    bound left as None is not checked; hi is given only with lo.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= n <= hi:
+        raise ValueError(f"{what} must lie in [{lo}, {hi}], got {n}")
+    if lo is not None and n < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {n}")
+    return n
 
 
 def _json_number(value, what: str) -> float:

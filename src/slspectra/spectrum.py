@@ -56,7 +56,7 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .delta import DeltaValue, _delta_values, _whole
+from .delta import DeltaValue, _delta_values
 from .delta import delta_for_index  # noqa: F401  (binding kept for perfbench tracing)
 from .errors import BracketError, UnsupportedRegimeError
 from .odesolve import (
@@ -68,7 +68,7 @@ from .odesolve import (
     endpoint_values,
 )
 from .odesolve import y_values_batch  # noqa: F401  (binding kept for perfbench tracing)
-from .potential import PI, BoundaryParams, Potential, _unique
+from .potential import PI, BoundaryParams, Potential, _unique, _whole
 from .potential import mean_q  # noqa: F401  (binding kept for perfbench tracing)
 
 DEFAULT_ROOT_TOL = 1e-10
@@ -125,7 +125,8 @@ class Spectrum:
         return np.array([p.mu for p in self.pairs])
 
     def pair(self, n: int) -> Eigenpair:
-        return self.pairs[n]
+        """The eigenpair of index n, an integer in [0, len(pairs) - 1] (ValueError otherwise)."""
+        return self.pairs[_whole(n, "index", 0, len(self.pairs) - 1)]
 
 
 def char_function(q: Potential, bc: BoundaryParams, mu: float,
@@ -472,11 +473,9 @@ def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
 
     The root is isolated in a counted bracket, below whose ends lie n and
     n + 1 eigenvalues, and refined to a mu window of width tol.  n must be
-    an integer (ValueError otherwise).
+    an integer in [0, MAX_INDEX] (ValueError otherwise).
     """
-    n = _whole(n, "index")
-    if not (0 <= n <= MAX_INDEX):
-        raise ValueError(f"index must lie in [0, {MAX_INDEX}], got {n}")
+    n = _whole(n, "index", 0, MAX_INDEX)
     [pair] = _search(q, bc, range(n, n + 1), tol, grid_size)
     if n >= 2 and pair.mu <= 0.0:
         raise UnsupportedRegimeError(
@@ -491,11 +490,10 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
     """All certified eigenpairs for indices 0 through n_max.
 
     Counts, brackets and refinement sweeps all run as batches over the
-    index range.  n_max must be an integer (ValueError otherwise).
+    index range.  n_max must be an integer in [0, MAX_INDEX] (ValueError
+    otherwise).
     """
-    n_max = _whole(n_max, "n_max")
-    if not (0 <= n_max <= MAX_INDEX):
-        raise ValueError(f"n_max must lie in [0, {MAX_INDEX}], got {n_max}")
+    n_max = _whole(n_max, "n_max", 0, MAX_INDEX)
     pairs = _search(q, bc, range(n_max + 1), tol, grid_size)
     if n_max >= 2 and pairs[2].mu <= 0.0:
         raise UnsupportedRegimeError(

@@ -146,6 +146,17 @@ class TestDeltaCommand:
             assert float(r["delta_fixed_point"]) == 1.0
             assert float(r["difference"]) == 0.0
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_configuration_error(self, capsys, tmp_path, target):
+        # open's OSError used to escape main as a traceback with exit 1
+        path = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        code, out, err = run_cli([
+            "delta", "--alpha", "pi/2", "--beta", "pi/2", "--n-max", "3", "--out", str(path)],
+            capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("configuration error: [Errno ") and err.endswith(f"'{path}'\n")
+        assert err.count("\n") == 1
+
     def test_needs_no_potential(self, capsys):
         code, out, _ = run_cli(["delta", "--alpha", "pi/4", "--beta", "pi/2",
                                 "--n-min", "5", "--n-max", "5"], capsys)
@@ -240,6 +251,13 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--criteria", "7"], capsys)
         assert code == 0
         assert "PASS criterion 07" in out
+
+    def test_repeated_criterion_runs_once(self, capsys):
+        # a repeated number used to run its criterion again and count twice
+        code, out, _ = run_cli(["verify", "--criteria", "7,4,7"], capsys)
+        assert code == 0
+        assert [line[:19] for line in out.splitlines()] == [
+            "PASS criterion 07 c", "PASS criterion 04 i", "done: 2 criteria, 0"]
 
     def test_unknown_criterion(self, capsys):
         code, _, err = run_cli(["verify", "--criteria", "99"], capsys)

@@ -189,9 +189,10 @@ class TestSolveDelta:
     @pytest.mark.parametrize("n", [2.5, 3.0, "3"], ids=["fraction", "float", "string"])
     def test_index_must_be_an_integer(self, n):
         # 2.5 once came back as the record of n = 2, 3.0 as that of n = 3, and
-        # "3" escaped as TypeError
+        # "3" escaped as TypeError; the private _delta_values leaves the check
+        # to these entries
         bc = BoundaryParams(2.3, 0.6)
-        for solve in (solve_delta, delta_for_index, lambda n, bc: delta._delta_values([n], bc)):
+        for solve in (solve_delta, delta_for_index, delta_asymptotic):
             with pytest.raises(ValueError, match="^index must be an integer, got"):
                 solve(n, bc)
 
@@ -224,7 +225,7 @@ class TestAsymptoticForms:
         assert delta_asymptotic(10, bc) == pytest.approx(0.5 + 1.0 / (PI * 10.5), abs=1e-15)
 
     def test_index_zero_rejected(self):
-        with pytest.raises(ValueError, match="asymptotic form needs n >= 1, got 0"):
+        with pytest.raises(ValueError, match="^index must be >= 1, got 0$"):
             delta_asymptotic(0, BoundaryParams(PI / 2, PI / 2))
 
     def test_convergence_rate(self):

@@ -1,18 +1,34 @@
-"""The sweeps' one input rule, entry by entry.
+"""The library's two input rules, entry by entry.
 
-A non-finite mu, y0 or yp0 raises ValueError with one message, naming the
-first non-finite mu and each non-finite start value, before any block of
-step coefficients is formed (see the odesolve module docstring).
+The sweeps' rule: a non-finite mu, y0 or yp0 raises ValueError with one
+message, naming the first non-finite mu and each non-finite start value,
+before any block of step coefficients is formed (see the odesolve module
+docstring).
+
+The integer rule: every integer argument goes through potential._whole at
+its public entry, so a non-integer raises "... must be an integer, got ..."
+and a value outside the entry's range "... must lie in [lo, hi], got n" or
+"... must be >= lo, got n"; numpy integers are integers.
 """
 
 import dataclasses
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from slspectra import odesolve, spectrum
-from slspectra.norming import norming_a_batch, norming_b_batch, norming_records
+from slspectra.delta import delta_asymptotic, delta_for_index, solve_delta
+from slspectra.kseries import TRUNCATION_CAP, k_partial_sum, series_coefficients
+from slspectra.norming import (
+    extract_remainders,
+    model_a,
+    model_b,
+    norming_a_batch,
+    norming_b_batch,
+    norming_records,
+)
 from slspectra.odesolve import (
     _nodes,
     build_mesh,
@@ -20,11 +36,18 @@ from slspectra.odesolve import (
     endpoint_values,
     norm_end,
     norm_product,
+    picard_y2,
     propagate_with_norm,
     solve_ivp,
     y_values_batch,
 )
-from slspectra.spectrum import char_function, char_function_right
+from slspectra.spectrum import (
+    MAX_INDEX,
+    char_function,
+    char_function_right,
+    find_eigenvalue,
+    find_spectrum,
+)
 
 FINITE = [4.0, 1.0, 9.0]
 
@@ -102,3 +125,63 @@ def test_non_finite_input_forms_no_block(env, monkeypatch, entry, case):
     # the count sees every block: the same entry at finite input forms some
     call(env, FINITE, 1.0, 0.0)
     assert blocks or entry == "norm_end"
+
+
+# entry: (call(env, value), what the message calls the value, lo, hi or None
+# where the range is open above); env is as above, with the zero potential
+# in q0 and Dirichlet conditions in dd
+INTEGER_ENTRIES = {
+    "find_eigenvalue": (lambda env, n: find_eigenvalue(env.q0, env.bc, n), "index", 0, MAX_INDEX),
+    "find_spectrum": (lambda env, n: find_spectrum(env.q0, env.bc, n), "n_max", 0, MAX_INDEX),
+    "solve_delta": (lambda env, n: solve_delta(n, env.bc), "index", 2, None),
+    "delta_for_index": (lambda env, n: delta_for_index(n, env.bc), "index", 0, None),
+    "delta_asymptotic": (lambda env, n: delta_asymptotic(n, env.bc), "index", 1, None),
+    "model_a": (lambda env, n: model_a(env.bc, 0.1, 0.0, n), "index", 2, None),
+    "model_b": (lambda env, n: model_b(env.bc, 0.1, 0.0, n), "index", 2, None),
+    "extract_remainders": (
+        lambda env, n: extract_remainders(1.6, 0.0, 0.1, env.bc, n), "index", 2, None),
+    "Spectrum.pair": (lambda env, n: env.spectrum.pair(n), "index", 0, 60),
+    "build_mesh": (lambda env, n: build_mesh(env.q, n), "grid_size", 64, None),
+    "picard_y2-grid_size": (lambda env, n: picard_y2(env.q, 5.0, 2, n), "grid_size", 64, None),
+    "picard_y2-K": (lambda env, n: picard_y2(env.q, 5.0, n, 64), "K", 1, None),
+    "k_partial_sum-points": (
+        lambda env, n: k_partial_sum(env.q, env.dd, 10, points=n), "points", 2, None),
+    "k_partial_sum-N": (
+        lambda env, n: k_partial_sum(env.q, env.dd, n), "truncation", 2, TRUNCATION_CAP),
+    "series_coefficients": (
+        lambda env, n: series_coefficients(env.q, env.dd, n), "truncation", 2, TRUNCATION_CAP),
+    "k_partial_sum-truncations": (
+        lambda env, n: k_partial_sum(env.q, env.dd, 20, truncations=(n, 20)),
+        "each truncation", 2, 20),
+}
+
+# case: (the value passed, given the entry's lo and hi, and the message's
+# tail, or None where the value is accepted)
+INTEGER_CASES = {
+    "fraction": (lambda lo, hi: 2.5, lambda lo, hi: "must be an integer, got 2.5"),
+    "string": (lambda lo, hi: "3", lambda lo, hi: "must be an integer, got '3'"),
+    "below": (lambda lo, hi: lo - 1, lambda lo, hi: (
+        f"must be >= {lo}, got {lo - 1}" if hi is None else
+        f"must lie in [{lo}, {hi}], got {lo - 1}")),
+    "above": (lambda lo, hi: hi + 1, lambda lo, hi: f"must lie in [{lo}, {hi}], got {hi + 1}"),
+    "numpy": (lambda lo, hi: np.int64(lo), lambda lo, hi: None),
+}
+
+
+@pytest.fixture(scope="module")
+def integer_env(q_zero, q_step, bc_nn, bc_dd, step_nn_spectrum60):
+    return SimpleNamespace(q=q_step, q0=q_zero, bc=bc_nn, dd=bc_dd, spectrum=step_nn_spectrum60)
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry, (*_, hi) in INTEGER_ENTRIES.items() for case in INTEGER_CASES
+    if case != "above" or hi is not None])
+def test_integer_rule(integer_env, entry, case):
+    call, what, lo, hi = INTEGER_ENTRIES[entry]
+    value, message = (f(lo, hi) for f in INTEGER_CASES[case])
+    if message is None:
+        call(integer_env, value)
+        return
+    with pytest.raises(ValueError) as err:
+        call(integer_env, value)
+    assert str(err.value) == f"{what} {message}"

@@ -372,7 +372,7 @@ class TestModelValues:
     def test_validation(self, bc_nn):
         with pytest.raises(ValueError):
             model_a(bc_nn, 0.0, 0.0, 1)
-        with pytest.raises(ValueError, match="model is defined for n >= 2, got 1"):
+        with pytest.raises(ValueError, match="^index must be >= 2, got 1$"):
             model_b(bc_nn, 0.0, 0.0, 1)
 
 
@@ -405,7 +405,7 @@ class TestRemainderExtraction:
         assert rebuilt == pytest.approx(a, rel=1e-12)
 
     def test_validation(self, bc_nn):
-        with pytest.raises(ValueError, match="extraction is defined for n >= 2, got 1"):
+        with pytest.raises(ValueError, match="^index must be >= 2, got 1$"):
             extract_remainders(PI / 2, 0.0, 0.0, bc_nn, 1)
 
     def test_step_remainder_bounded(self, q_step, bc_nn, step_nn_spectrum60):

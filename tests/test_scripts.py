@@ -34,8 +34,11 @@ def test_cli_audit_names_a_changed_table(tmp_path):
     proc = _run("cli_audit.py", "write", str(before), "--potential", "zero")
     assert proc.returncode == 0, proc.stderr
     tables = sorted(p.name for p in before.iterdir())
-    # 4 angle pairs x spectrum, norming and kseries x CSV and JSON, and status.txt
-    assert len(tables) == 25 and "zero.robin.norming.json" in tables
+    # 4 angle pairs x spectrum, norming and kseries x CSV and JSON, status.txt
+    # and the 7 error-path files
+    assert len(tables) == 32 and "zero.robin.norming.json" in tables
+    assert (before / "error.out-unwritable.txt").read_text() == (
+        "exit=2\nstdout=''\nstderr=\"configuration error: [Errno 21] Is a directory: '.'\\n\"\n")
     assert _run("cli_audit.py", "diff", str(before), str(before)).returncode == 0
     shutil.copytree(before, after)
     changed = after / "zero.dd.spectrum.csv"
