@@ -4,9 +4,10 @@ The audit set runs `spectrum` and `norming` at n_max 120 and `kseries` at
 N 400, in CSV and JSON, on 7 potentials at NN, DD, (2.3, 0.6) and
 (0.7, 2.9): 168 tables.  `write` runs them in-process through
 slspectra.cli.main and keeps each run's stdout as one file, and its exit
-code and stderr as one line of status.txt.  It also runs the CLI's 7
-error paths (an index, grid size, truncation or index range out of range,
-a bad --segment, a repeated verify criterion and an unwritable --out) and
+code and stderr as one line of status.txt.  It also runs the CLI's 8
+error paths (an index of `spectrum` or `delta`, a grid size, truncation
+or index range out of range, a bad --segment, a repeated verify
+criterion and an unwritable --out) and
 keeps each run's exit code, stdout and stderr, or the exception that
 escaped main, as one error.*.txt file.  `diff` names every file that
 differs between two such directories or is missing from one, and exits 1
@@ -57,6 +58,7 @@ ERROR_RUNS = {
                           "--segment", "1"],
     "error.criteria-7-7.txt": ["verify", "--criteria", "7,7"],
     "error.out-unwritable.txt": ["delta", "--alpha", "pi/2", "--beta", "pi/2", "--out", "."],
+    "error.delta-n-max-301.txt": ["delta", "--alpha", "pi/2", "--beta", "pi/3", "--n-max", "301"],
 }
 
 

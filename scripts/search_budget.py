@@ -1,13 +1,15 @@
-"""Sweep budget of find_spectrum: count points, Phi sweeps and Phi points per call.
+"""Sweep budget of find_spectrum: count points, Phi sweeps, Phi points and count rounds per call.
 
 Wraps spectrum._counts and spectrum.endpoint_values, the two sweeps the
 eigenvalue search calls, and prints one row per find_spectrum call.  The
 rows are the ROADMAP's find_spectrum rows, then the calls of cycle 0 of
 the benchmark's `spectrum` workload for --seed (from perfbench/workloads.py
-of this checkout), then the cycle's totals.  The last column, tail, lists
-the indices that the Phi sweeps of at most two columns refine (or "-"),
-read from spectrum._gaps, which makes every refinement sweep.  The counts
-do not depend on the machine.
+of this checkout), then the cycle's totals.  The column rounds counts the
+_counts batches, one per round of spectrum._brackets: 1 where the first
+batch brackets every index.  The last column, tail, lists the indices
+that the Phi sweeps of at most two columns refine (or "-"), read from
+spectrum._gaps, which makes every refinement sweep.  The counts do not
+depend on the machine.
 
     PYTHONPATH=src python scripts/search_budget.py --seed 9001
 """
@@ -58,7 +60,7 @@ class Budget:
         spectrum._gaps = refining
 
     def measure(self, q, bc, n_max, grid_size):
-        """(count points, Phi sweeps, Phi points, tail) of one call, or the error it raised."""
+        """(count points, Phi sweeps, Phi points, count rounds, tail) of one call, or its error."""
         self.counts.clear()
         self.phi.clear()
         self.refined.clear()
@@ -67,7 +69,8 @@ class Budget:
             mus = spectrum.find_spectrum(q, bc, n_max, **kw).mus
         except Exception as exc:  # the row reports it and the run goes on
             return type(exc).__name__
-        return sum(self.counts), len(self.phi), sum(self.phi), self._tail(mus)
+        return (sum(self.counts), len(self.phi), sum(self.phi), len(self.counts),
+                self._tail(mus))
 
     def _tail(self, mus):
         """Indices refined by the sweeps of at most two columns, matched to the eigenvalues mus.
@@ -87,7 +90,7 @@ class Budget:
 def _print_row(label, n_max, grid_size, result):
     grid = "default" if grid_size is None else str(grid_size)
     cells = result if isinstance(result, str) else "  ".join(
-        f"{v:6d}" for v in result[:3]) + f"  {result[3]}"
+        f"{v:6d}" for v in result[:4]) + f"  {result[4]}"
     print(f"{label:44s} {n_max:5d} {grid:>7s}  {cells}")
 
 
@@ -101,10 +104,10 @@ def main() -> int:
 
     budget = Budget()
     print(f"{'call':44s} {'n_max':>5s} {'grid':>7s}  {'count':>6s}  {'sweeps':>6s}  {'points':>6s}"
-          "  tail")
+          f"  {'rounds':>6s}  tail")
     for label, q, bc, n_max, grid_size in ROWS:
         _print_row(label, n_max, grid_size, budget.measure(q, bc, n_max, grid_size))
-    totals = np.zeros(3, dtype=int)
+    totals = np.zeros(4, dtype=int)
     for call in workloads.cycle("spectrum", args.seed, 0):
         spec = workloads.build(slspectra, call)
         result = budget.measure(spec["q"], spec["bc"], call["n_max"], call["grid_size"])
@@ -112,7 +115,7 @@ def main() -> int:
         label = f"{call['id']} {pot['family']} {tuple(round(a, 3) for a in call['bc'])}"
         _print_row(label, call["n_max"], call["grid_size"], result)
         if not isinstance(result, str):
-            totals += result[:3]
+            totals += result[:4]
     print(f"{'cycle 0 total, seed ' + str(args.seed):58s}  "
           + "  ".join(f"{v:6d}" for v in totals))
     return 0

@@ -64,7 +64,6 @@ from .spectrum import (
     Spectrum,
     char_function,
     char_function_right,
-    count_interior_zeros,
     find_eigenvalue,
     find_spectrum,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "case_tag",
     "char_function",
     "char_function_right",
-    "count_interior_zeros",
     "delta_asymptotic",
     "delta_for_index",
     "extract_remainders",

@@ -32,8 +32,8 @@ from .errors import SpectralError
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import norming_records
 from .odesolve import DEFAULT_GRID_SIZE
-from .potential import BoundaryParams, Potential, mean_q
-from .spectrum import DEFAULT_ROOT_TOL, find_spectrum
+from .potential import BoundaryParams, Potential, _whole, mean_q
+from .spectrum import DEFAULT_ROOT_TOL, MAX_INDEX, find_spectrum
 from .verification import CRITERIA, run_verification
 
 _PI_LITERAL = re.compile(r"^(\d*)\s*pi\s*(?:/\s*(\d+))?$")
@@ -146,7 +146,7 @@ def _cmd_delta(args) -> int:
     bc = _boundary(args)
     _check_range(args)
     columns = ["n", "delta_fixed_point", "delta_asymptotic", "difference"]
-    ns = range(args.n_min, args.n_max + 1)
+    ns = range(args.n_min, _whole(args.n_max, "n_max", 0, MAX_INDEX) + 1)
     rows = []
     for n, value in zip(ns, _shifts(ns, bc)[0].tolist()):
         asym = delta_asymptotic(max(n, 1), bc)

@@ -116,10 +116,15 @@ def norming_b_batch(q: Potential, bc: BoundaryParams, mus,
 
 
 def ae_n(q: Potential, delta, n):
-    """Correction integral at 2 (n + delta_n); n and delta (plain floats) may be arrays."""
+    """Correction integral at 2 (n + delta_n); n and delta (plain floats) may be arrays.
+
+    Each index, a scalar or an array entry, is an integer >= 2 (ValueError
+    otherwise, naming the first entry that is not).
+    """
     n = np.asarray(n)
-    if np.any(n < 2):
-        raise ValueError(f"correction integral is defined for n >= 2, got {n}")
+    if n.dtype.kind not in "iu" or np.any(n < 2):
+        for k in n.ravel().tolist():
+            _whole(k, "index", 2)
     return ae_tilde_n(q, n + _delta_value(delta))
 
 

@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError
-from .potential import PI, Potential, _snapped_sincos, _unique, _whole, integrate
+from .potential import PI, BoundaryParams, Potential, _unique, _whole, integrate
 
 DEFAULT_GRID_SIZE = 512
 
@@ -174,11 +174,9 @@ def build_mesh(q: Potential, grid_size: int = DEFAULT_GRID_SIZE) -> Mesh:
     s2 = s3 = 0 and the step is the exact propagator at w = mu - q.
     """
     nodes = np.linspace(0.0, PI, _whole(grid_size, "grid_size", 64) + 1)
-    bps = [b for b in q.breakpoints if 0.0 < b < PI]
-    if bps:
-        extra = [b for b in bps if np.min(np.abs(nodes - b)) > 1e-12]
-        if extra:
-            nodes = _unique(np.concatenate([nodes, np.asarray(extra)]))
+    extra = [b for b in q.breakpoints if np.min(np.abs(nodes - b)) > 1e-12]
+    if extra:
+        nodes = _unique(np.concatenate([nodes, np.asarray(extra)]))
     h = np.diff(nodes)
     mid, off = (nodes[:-1] + nodes[1:]) / 2.0, h * _GAUSS3
     q1, q2, q3 = np.asarray(q(np.concatenate((mid - off, mid, mid + off))),
@@ -664,19 +662,21 @@ def solve_ivp(q: Potential, mu: float, at_left: bool, y0: float, yp0: float,
 
 
 def phi(q: Potential, mu: float, alpha: float, grid_size: int = DEFAULT_GRID_SIZE) -> SolutionTrace:
-    """Left-normalized solution: phi(0) = sin(alpha), phi'(0) = -cos(alpha)."""
-    if not (0.0 < alpha <= PI):
-        raise ValueError(f"alpha must lie in (0, pi], got {alpha}")
-    s, c = _snapped_sincos(alpha)
-    return solve_ivp(q, mu, True, s, -c, grid_size)
+    """Left-normalized solution: phi(0) = sin(alpha), phi'(0) = -cos(alpha).
+
+    alpha and its snapped sine and cosine follow BoundaryParams.
+    """
+    bc = BoundaryParams(alpha, 0.0)
+    return solve_ivp(q, mu, True, bc.sin_alpha, -bc.cos_alpha, grid_size)
 
 
 def psi(q: Potential, mu: float, beta: float, grid_size: int = DEFAULT_GRID_SIZE) -> SolutionTrace:
-    """Right-normalized solution: psi(pi) = sin(beta), psi'(pi) = -cos(beta)."""
-    if not (0.0 <= beta < PI):
-        raise ValueError(f"beta must lie in [0, pi), got {beta}")
-    s, c = _snapped_sincos(beta)
-    return solve_ivp(q, mu, False, s, -c, grid_size)
+    """Right-normalized solution: psi(pi) = sin(beta), psi'(pi) = -cos(beta).
+
+    beta and its snapped sine and cosine follow BoundaryParams.
+    """
+    bc = BoundaryParams(PI, beta)
+    return solve_ivp(q, mu, False, bc.sin_beta, -bc.cos_beta, grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +720,7 @@ def _picard_grid(q: Potential, grid_size: int):
     covering that segment's nodes).  q is evaluated one ulp inside the
     segment at shared edges so both sides of a jump see their own limit.
     """
-    jumps = sorted(j for j in q.jump_points if 0.0 < j < PI)
-    cuts = [0.0] + jumps + [PI]
+    cuts = [0.0, *q.jump_points, PI]
     parts = []
     segments = []
     start = 0

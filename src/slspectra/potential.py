@@ -396,38 +396,26 @@ class BoundaryParams:
     The condition at x=0 is y(0) cos(alpha) + y'(0) sin(alpha) = 0 and at
     x=pi it is y(pi) cos(beta) + y'(pi) sin(beta) = 0.  alpha = pi is the
     Dirichlet condition on the left, beta = 0 the Dirichlet condition on
-    the right.
+    the right.  sin_alpha, cos_alpha, sin_beta and cos_beta are the
+    angles' sines and cosines, snapped to exact values at multiples of
+    pi/2 (_snapped_sincos) and computed once.
     """
 
     alpha: float
     beta: float
-    # snapped (sin, cos) of each angle, computed once
-    _alpha_sincos: tuple[float, float] = field(init=False, repr=False, compare=False)
-    _beta_sincos: tuple[float, float] = field(init=False, repr=False, compare=False)
+    sin_alpha: float = field(init=False, repr=False, compare=False)
+    cos_alpha: float = field(init=False, repr=False, compare=False)
+    sin_beta: float = field(init=False, repr=False, compare=False)
+    cos_beta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= PI):
             raise ValueError(f"alpha must lie in (0, pi], got {self.alpha}")
         if not (0.0 <= self.beta < PI):
             raise ValueError(f"beta must lie in [0, pi), got {self.beta}")
-        object.__setattr__(self, "_alpha_sincos", _snapped_sincos(self.alpha))
-        object.__setattr__(self, "_beta_sincos", _snapped_sincos(self.beta))
-
-    @property
-    def sin_alpha(self) -> float:
-        return self._alpha_sincos[0]
-
-    @property
-    def cos_alpha(self) -> float:
-        return self._alpha_sincos[1]
-
-    @property
-    def sin_beta(self) -> float:
-        return self._beta_sincos[0]
-
-    @property
-    def cos_beta(self) -> float:
-        return self._beta_sincos[1]
+        snapped = _snapped_sincos(self.alpha) + _snapped_sincos(self.beta)
+        for name, value in zip(("sin_alpha", "cos_alpha", "sin_beta", "cos_beta"), snapped):
+            object.__setattr__(self, name, value)
 
     @property
     def dirichlet_left(self) -> bool:
@@ -667,7 +655,7 @@ class CumulativeIntegrals:
 def sigma_functions(q: Potential) -> CumulativeIntegrals:
     """Build the cumulative integrals of q on a shared node table."""
     nodes = np.linspace(0.0, PI, _TABLE_POINTS + 1)
-    bps = [b for b in q.breakpoints if 0.0 < b < PI]
+    bps = q.breakpoints
     if bps:
         nodes = _unique(np.concatenate([nodes, np.asarray(bps, dtype=float)]))
     panels = _gauss2(lambda t: (PI - t) * q(t), nodes[:-1], nodes[1:])

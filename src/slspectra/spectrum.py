@@ -45,8 +45,8 @@ asymptotic root c_n^2 (nu_n^2 + [q] for n = 0, 1) where it lies inside the
 counted bracket; brackets below q(pi), where G_n turns within ulps of a
 bound state, start at their midpoint and finish on Phi itself.  Phi is
 swept as it is, unscaled: only a value beyond the float range raises.
-The node-sign count of count_interior_zeros is independent of the search
-and checks it.
+Criterion 12's node-sign count (verification._eigen_zero_counts) is
+independent of the search and checks it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .errors import BracketError, UnsupportedRegimeError
 from .odesolve import (
     DEFAULT_GRID_SIZE,
     Mesh,
-    SolutionTrace,
     build_mesh,
     count_product,
     endpoint_values,
@@ -152,28 +151,6 @@ def char_function_right(q: Potential, bc: BoundaryParams, mu: float,
     mesh = build_mesh(q, grid_size)
     y, yp = endpoint_values(mesh, [mu], bc.sin_beta, -bc.cos_beta, forward=False)
     return float(-(y[0] * bc.cos_alpha + yp[0] * bc.sin_alpha))
-
-
-def count_interior_zeros(trace: SolutionTrace) -> int:
-    """Sign changes of the trace's node values strictly inside (0, pi).
-
-    Two limits hold for an eigenfunction's count:
-
-    - Count on the trace that runs towards the end where the eigenfunction
-      is large, so that it grows along the trace.  A trace towards an end
-      where the eigenfunction is exponentially small gains spurious sign
-      changes: the phi traces of step(-100, pi - 2).shifted(100) at Neumann
-      ends count 1, 1, 2, 3, 4, 5 zeros for n = 0..5, and the psi traces of
-      step(440, 2) at (pi/2, 0) count 1, 30, 5, 3, 4, 6.
-    - Interior node signs miss a zero in the first or last interval: for
-      cos(nu x) the first zero lies in (0, h) once nu > N/2.  On the zero
-      potential the first miscounts come at n = 32-33, 64-65 and 128-129 on
-      64, 128 and 256 intervals (at n = N - 1 for Dirichlet ends).  A trace
-      carries no boundary data, so this count keeps to the interior nodes;
-      criterion 12 (verification._eigen_zero_counts) adds the end signs
-      and is right through n = N.
-    """
-    return int(_zero_counts(trace.y[:, None])[0])
 
 
 def _zero_counts(values: np.ndarray) -> np.ndarray:
@@ -291,9 +268,11 @@ def _brackets(mesh: Mesh, bc: BoundaryParams, ns, seps: np.ndarray):
     eigenvalue, a point below the lowest when some index has no count <= n
     (the depth below min(q) doubles), and a point above the highest when
     some index has no count > n (the height above min(q) doubles).  No mu
-    is counted twice.  Returns the arrays lo, hi, K(lo) and the angle gap
-    G_n at lo and at hi (see _counts), so the refinement starts from the
-    counted ends without sweeping them.
+    is counted twice: a midpoint lies strictly between two adjacent counted
+    points, and a walk point strictly outside all of them.  Returns the
+    arrays lo, hi, K(lo) and the angle gap G_n at lo and at hi (see
+    _counts), so the refinement starts from the counted ends without
+    sweeping them.
     """
     qmin = float(mesh.run_q.min())
     points = [qmin - 1.0] + seps.tolist()
@@ -302,8 +281,6 @@ def _brackets(mesh: Mesh, bc: BoundaryParams, ns, seps: np.ndarray):
     walks = 0
     while True:
         new = _unique(points)
-        if mus.size:  # mus is sorted: drop the points already counted
-            new = new[mus[np.searchsorted(mus, new).clip(max=mus.size - 1)] != new]
         k_new, gap_new = _counts(mesh, bc, new)
         mus, ks = np.concatenate((mus, new)), np.concatenate((ks, k_new))
         gaps = np.concatenate((gaps, gap_new))

@@ -297,13 +297,18 @@ def _eigen_zero_counts(mesh, spec: Spectrum) -> np.ndarray:
 
     Node sweeps trace every eigenfunction forward from alpha and backward
     from beta, and the forward trace counts where the norms are read
-    forward (norming._large_end, from the traces' far ends); a trace
+    forward (norming._large_end, from the traces' far ends).  A trace
     towards the end where the eigenfunction is exponentially small gains
-    spurious sign changes (see spectrum.count_interior_zeros).  The signs
-    at the ends join the interior node signs, so a zero in the first or
-    last interval counts: y(0) and y(pi), or at a Dirichlet end, decided
-    from bc alone, the side limits y'(0) and -y'(pi).  A traced value at a
-    Dirichlet far end is rounding noise of either sign.
+    spurious sign changes: the forward traces of
+    step(-100, pi - 2).shifted(100) at Neumann ends count 1, 1, 2, 3, 4, 5
+    zeros for n = 0..5, and the backward ones of step(440, 2) at
+    (pi/2, 0) count 1, 30, 5, 3, 4, 6.  The signs at the ends join the
+    interior node signs, so a zero in the first or last interval counts:
+    y(0) and y(pi), or at a Dirichlet end, decided from bc alone, the side
+    limits y'(0) and -y'(pi).  Interior node signs alone miss such a zero
+    once nu > N/2: on the zero potential from n = 32-33, 64-65 and 128-129
+    on 64, 128 and 256 intervals (n = N - 1 at Dirichlet ends).  A traced
+    value at a Dirichlet far end is rounding noise of either sign.
     """
     bc = spec.bc
     ys, yp = _nodes(mesh, spec.mus, bc.sin_alpha, -bc.cos_alpha, True, with_yprime=False)

@@ -157,6 +157,15 @@ class TestDeltaCommand:
         assert err.startswith("configuration error: [Errno ") and err.endswith(f"'{path}'\n")
         assert err.count("\n") == 1
 
+    def test_index_range_is_a_configuration_error(self, capsys):
+        code, out, err = run_cli(["delta", "--alpha", "pi/2", "--beta", "pi/3",
+                                  "--n-max", "301"], capsys)
+        assert code == 2 and out == ""
+        assert err == "configuration error: n_max must lie in [0, 300], got 301\n"
+        code, out, _ = run_cli(["delta", "--alpha", "pi/2", "--beta", "pi/3",
+                                "--n-min", "300", "--n-max", "300"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("300,")
+
     def test_needs_no_potential(self, capsys):
         code, out, _ = run_cli(["delta", "--alpha", "pi/4", "--beta", "pi/2",
                                 "--n-min", "5", "--n-max", "5"], capsys)
@@ -377,7 +386,7 @@ def test_public_surface():
         "KSeriesResult", "NormingRecord", "PicardResult", "Potential", "QuadratureError",
         "SolutionTrace", "SpectralError", "Spectrum", "UnsupportedRegimeError",
         "ac_diagnostic", "ae_n", "ae_tilde_n", "case_tag", "char_function",
-        "char_function_right", "count_interior_zeros", "delta_asymptotic", "delta_for_index",
+        "char_function_right", "delta_asymptotic", "delta_for_index",
         "extract_remainders", "find_eigenvalue", "find_spectrum", "integrate",
         "k2_closed_form_dd", "k_partial_sum", "kernel_A", "mean_q", "model_a", "model_b",
         "norming_record", "norming_records", "phi", "picard_y2", "psi",

@@ -22,6 +22,7 @@ from slspectra import odesolve, spectrum
 from slspectra.delta import delta_asymptotic, delta_for_index, solve_delta
 from slspectra.kseries import TRUNCATION_CAP, k_partial_sum, series_coefficients
 from slspectra.norming import (
+    ae_n,
     extract_remainders,
     model_a,
     model_b,
@@ -140,6 +141,9 @@ INTEGER_ENTRIES = {
     "model_b": (lambda env, n: model_b(env.bc, 0.1, 0.0, n), "index", 2, None),
     "extract_remainders": (
         lambda env, n: extract_remainders(1.6, 0.0, 0.1, env.bc, n), "index", 2, None),
+    "ae_n": (lambda env, n: ae_n(env.q, 0.1, n), "index", 2, None),
+    # an array entry: the value first, then a valid index
+    "ae_n-array": (lambda env, n: ae_n(env.q, [0.1, 0.2], [n, 3]), "index", 2, None),
     "Spectrum.pair": (lambda env, n: env.spectrum.pair(n), "index", 0, 60),
     "build_mesh": (lambda env, n: build_mesh(env.q, n), "grid_size", 64, None),
     "picard_y2-grid_size": (lambda env, n: picard_y2(env.q, 5.0, 2, n), "grid_size", 64, None),

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("kseries_closed_form.py", ["--N", "40"],
      "q = constant(1.0), boundary case dirichlet-dirichlet"),
     ("search_budget.py", ["--seed", "9001"],
-     f"{'call':44s} n_max    grid   count  sweeps  points  tail"),
+     f"{'call':44s} n_max    grid   count  sweeps  points  rounds  tail"),
     ("known_defects.py", ["--seeds", "9001"],
      f"{'call':16s} {'potential':28s}  alpha   beta n_max  grid  {'outcome':22s}   min norm"
      "  certificate"),
@@ -29,14 +29,27 @@ def test_script_runs(script, args, first_line):
     assert proc.stdout.lstrip("\n").splitlines()[0] == first_line
 
 
+def test_search_budget_counts_rounds():
+    # rounds: the _counts batches of each call, at least the first; the
+    # total sums those of the workload rows
+    lines = _run("search_budget.py", "--seed", "9001").stdout.splitlines()
+    rows = [line[58:].split() for line in lines[1:-1]]
+    rounds = [int(cells[3]) for cells in rows]
+    assert min(rounds) >= 1 and rounds[0] == 1
+    assert int(lines[-1].split()[-1]) == sum(rounds[4:])
+
+
 def test_cli_audit_names_a_changed_table(tmp_path):
     before, after = tmp_path / "before", tmp_path / "after"
     proc = _run("cli_audit.py", "write", str(before), "--potential", "zero")
     assert proc.returncode == 0, proc.stderr
     tables = sorted(p.name for p in before.iterdir())
     # 4 angle pairs x spectrum, norming and kseries x CSV and JSON, status.txt
-    # and the 7 error-path files
-    assert len(tables) == 32 and "zero.robin.norming.json" in tables
+    # and the 8 error-path files
+    assert len(tables) == 33 and "zero.robin.norming.json" in tables
+    assert (before / "error.delta-n-max-301.txt").read_text() == (
+        "exit=2\nstdout=''\nstderr='configuration error: n_max must lie in [0, 300], "
+        "got 301\\n'\n")
     assert (before / "error.out-unwritable.txt").read_text() == (
         "exit=2\nstdout=''\nstderr=\"configuration error: [Errno 21] Is a directory: '.'\\n\"\n")
     assert _run("cli_audit.py", "diff", str(before), str(before)).returncode == 0

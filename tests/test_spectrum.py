@@ -19,7 +19,6 @@ from slspectra import (
     UnsupportedRegimeError,
     char_function,
     char_function_right,
-    count_interior_zeros,
     delta_for_index,
     find_eigenvalue,
     find_spectrum,
@@ -28,7 +27,7 @@ from slspectra import (
     psi,
 )
 from slspectra import delta, potential, spectrum
-from slspectra.odesolve import DEFAULT_GRID_SIZE, SolutionTrace, _step_coeffs, build_mesh, y_values_batch
+from slspectra.odesolve import DEFAULT_GRID_SIZE, _step_coeffs, build_mesh, y_values_batch
 from slspectra.spectrum import MAX_INDEX, _zero_counts
 from slspectra.verification import _eigen_zero_counts
 
@@ -257,7 +256,7 @@ class TestEigenfunctions:
         for n in range(11):
             p = find_eigenvalue(q_step, bc_nn, n, grid_size=1024)
             tr = phi(q_step, p.mu, bc_nn.alpha, 1024)
-            assert count_interior_zeros(tr) == n == p.zeros
+            assert _zero_counts(tr.y[:, None]).tolist() == [n] == [p.zeros]
 
     def test_zero_counts_skip_exact_zeros(self):
         # reference: drop the exact zeros of each column, count sign flips
@@ -271,9 +270,7 @@ class TestEigenfunctions:
             s = col[col != 0.0]
             expect.append(int(np.sum(s[:-1] * s[1:] < 0.0)) if s.size >= 2 else 0)
         assert _zero_counts(values).tolist() == expect
-        trace = SolutionTrace(grid=np.linspace(0, PI, 40), y=values[:, 5], yprime=values[:, 5],
-                              mu=1.0)
-        assert count_interior_zeros(trace) == expect[5]
+        assert _zero_counts(values[:, 5:6]).tolist() == expect[5:6]
 
     def test_right_eigenfunction_proportional(self, q_step):
         bc = BoundaryParams(PI / 3, PI / 4)
@@ -733,8 +730,9 @@ class TestSixthOrderStep:
 def _assert_counted_pairs(q, bc, n_max, grid_size=DEFAULT_GRID_SIZE):
     """Each eigenfunction has n interior zeros and Phi changes sign across its bracket."""
     s = find_spectrum(q, bc, n_max, grid_size=grid_size)
-    for p in s.pairs:
-        assert count_interior_zeros(phi(q, p.mu, bc.alpha, grid_size)) == p.n == p.zeros
+    zeros = _eigen_zero_counts(build_mesh(q, grid_size), s)
+    for p, k in zip(s.pairs, zeros.tolist()):
+        assert k == p.n == p.zeros
         lo, hi = _bracket(q, bc, p.n, grid_size)
         assert lo <= p.mu <= hi
         assert char_function(q, bc, lo, grid_size) * char_function(q, bc, hi, grid_size) < 0.0
@@ -821,7 +819,7 @@ class TestTallBarrierTraces:
     @pytest.mark.parametrize("q,alpha,beta", TALL_BARRIERS, ids=TALL_IDS)
     def test_phi_traces_count_n(self, q, alpha, beta):
         for p in find_spectrum(q, BoundaryParams(alpha, beta), 5).pairs:
-            assert count_interior_zeros(phi(q, p.mu, alpha)) == p.n
+            assert _zero_counts(phi(q, p.mu, alpha).y[:, None]).tolist() == [p.n]
 
     @pytest.mark.parametrize("mirrored", [False, True], ids=["left", "right"])
     @pytest.mark.parametrize("q,alpha,beta", TALL_BARRIERS, ids=TALL_IDS)
