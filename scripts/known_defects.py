@@ -10,7 +10,13 @@ right, and prints one row per find_spectrum call:
   where it is large (as criterion 12 does): "ok", or the first index whose count
   is not n; the grid column is the mesh size in intervals.
 
-A last line totals the calls.
+A line totals the calls.  Three more rows follow, the zero potential at
+(alpha, pi - alpha) for alpha = 0.1, 0.2 and 0.3, whose mu_0 and mu_1 are
+-s^2 of the even and odd states, s tanh(s pi/2) = cot alpha and
+s coth(s pi/2) = cot alpha (these agree with a 60-digit mpmath solve to
+2e-14): each prints find_spectrum's mu_0 and mu_1 and their errors against
+that closed form.  Both states are localised at both ends, and a sweep
+from one end loses them: the errors reach a few 1e-6 at alpha = 0.1.
 
     PYTHONPATH=src python scripts/known_defects.py --seeds 9001 9002
 """
@@ -38,6 +44,24 @@ MIRRORS = [
     {"id": "mirror-330", "mirror": (330.0, 1.7), "bc": [PI / 2, PI / 2]},
     {"id": "mirror-586", "mirror": (586.0, 2.5), "bc": [PI - 0.64, PI - 2.47]},
 ]
+
+
+# zero potential at (alpha, pi - alpha): states localised at both ends
+SYMMETRIC = [0.1, 0.2, 0.3]
+
+
+def symmetric_pair(alpha):
+    """mu_0 and mu_1 of the zero potential at (alpha, pi - alpha), from the closed form.
+
+    With h = cot alpha, s = h / tanh(s pi/2) (even state) and
+    s = h tanh(s pi/2) (odd state) are contractions with factor about
+    2 pi h e^(-pi h), so the fixed-point iterations converge to rounding.
+    """
+    h = 1.0 / math.tan(alpha)
+    even = odd = h
+    for _ in range(60):
+        even, odd = h / math.tanh(even * PI / 2.0), h * math.tanh(odd * PI / 2.0)
+    return -even * even, -odd * odd
 
 
 def _inputs(workloads, call):
@@ -101,6 +125,14 @@ def main() -> int:
     raised = "".join(f", {n} {name}" for name, n in sorted(tally.items()))
     print(f"{len(calls)} calls: {solved} solved, {positive} with every norm positive, "
           f"{certified} certified{raised}")
+    print(f"\n{'call':16s} {'alpha':>6s} {'beta':>6s}  {'mu_0':>16s} {'mu_1':>16s}"
+          f"  {'err mu_0':>9s} {'err mu_1':>9s}")
+    for alpha in SYMMETRIC:
+        bc = slspectra.BoundaryParams(alpha, PI - alpha)
+        mus = find_spectrum(slspectra.Potential.zero(), bc, 5).mus[:2]
+        errors = mus - np.array(symmetric_pair(alpha))
+        print(f"{'robin-pair-' + str(alpha):16s} {bc.alpha:6.3f} {bc.beta:6.3f}  {mus[0]:16.9f} "
+              f"{mus[1]:16.9f}  {errors[0]:9.1e} {errors[1]:9.1e}")
     return 0
 
 

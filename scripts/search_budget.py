@@ -5,11 +5,12 @@ eigenvalue search calls, and prints one row per find_spectrum call.  The
 rows are the ROADMAP's find_spectrum rows, then the calls of cycle 0 of
 the benchmark's `spectrum` workload for --seed (from perfbench/workloads.py
 of this checkout), then the cycle's totals.  The column rounds counts the
-_counts batches, one per round of spectrum._brackets: 1 where the first
-batch brackets every index.  The last column, tail, lists the indices
-that the Phi sweeps of at most two columns refine (or "-"), read from
-spectrum._gaps, which makes every refinement sweep.  The counts do not
-depend on the machine.
+_counts batches, one per round of spectrum._brackets and one more where
+the regime rule counts at 0 alone (spectrum._check_regime): 1 where the
+first batch brackets every index and decides the regime.  The last
+column, tail, lists the indices that the Phi sweeps of at most two
+columns refine (or "-"), read from spectrum._gaps, which makes every
+refinement sweep.  The counts do not depend on the machine.
 
     PYTHONPATH=src python scripts/search_budget.py --seed 9001
 """

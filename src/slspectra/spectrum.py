@@ -19,18 +19,24 @@ find_spectrum run one search over a contiguous index range
 (find_eigenvalue's is [n, n]), which builds the mesh once, passes it with
 the boundary data to every count and sweep, and solves the shifts of the
 range and its neighbours in one fixed point (delta._shifts).  The first
-count batch takes min(q) - 1 and a separator between each pair of
-neighbouring indices: the squared midpoint of the
-asymptotic frequencies c_m = nu_m + [q] / (2 nu_m), nu_m = m + delta_m, for
-m >= 2, and ((nu_m + nu_{m+1}) / 2)^2 + [q] for 0|1 and 1|2, where the
-shifts are extrapolated; one array of nu and c gives these separators and
-the first refinement points (_estimates).  On most problems this one
-batch gives K(lo) = n and K(hi) = n + 1 for every index; bisection on K,
-every unresolved index in one batch per round, and a walk down from
-min(q) - 1 or up settle the rest.  Then [lo, hi] holds exactly the n-th
-eigenvalue, and the counts are the certificate that the n-th
-eigenfunction has n interior zeros.  [q] is Mesh.mean, from the samples of
-q the mesh already holds.
+count batch takes the lower bound L of mu_0, from min(q) and the boundary
+angles, and a separator between each pair of neighbouring indices: the
+squared midpoint of the asymptotic frequencies
+c_m = nu_m + [q] / (2 nu_m), nu_m = m + delta_m, for m >= 2, and
+((nu_m + nu_{m+1}) / 2)^2 + [q] for 0|1 and 1|2, where the shifts are
+extrapolated; one array of nu and c gives these separators and the first
+refinement points (_estimates).  On most problems this one batch gives
+K(lo) = n and K(hi) = n + 1 for every index; bisection on K, every
+unresolved index in one batch per round, and at most one count at the
+upper bound U = (n_max + 1)^2 + max(q) + 1 settle the rest.  L and U
+follow from the min-max principle (_bounds), so a count that contradicts
+either is a solver fault, not a search state.  Then [lo, hi] holds
+exactly the n-th eigenvalue, and the counts are the certificate that the
+n-th eigenfunction has n interior zeros.  Both entry points refuse a
+range that reaches index 2 where K(0) >= 3, that is where mu_2 < 0: the
+counts on either side of 0 decide it, or a count at 0 itself, which a
+range above index 2 takes in its first batch.  [q] is Mesh.mean, from the
+samples of q the mesh already holds.
 
 The count also returns the angle gap at every counted point.  With
 nu = sqrt(max(mu - [q], 1)), the angle Theta of (nu y, y') at pi, lifted
@@ -208,6 +214,10 @@ def _counts(mesh: Mesh, bc: BoundaryParams, mus):
     phi in [0, pi), the angle of (y, y2)(pi) folded into y >= 0.  The
     eigenvalues below mu are those with (k + 1) pi - beta < F: N of them,
     one more where phi > pi - beta, and one fewer where phi = beta = 0.
+    pi - beta is atan2(sin beta, -cos beta), from the sine and cosine the
+    sweeps use: the float pi - beta is off by up to 1.2e-16, and near
+    beta = pi (cot beta = -1e8) that moves the count at the lower bound of
+    mu_0 (see _bounds).
 
     The gap is that of the scaled angle (see _gaps), with
     nu = sqrt(max(mu - [q], 1)): G_K = N pi + atan2(nu |y|, +-y2) +
@@ -224,7 +234,7 @@ def _counts(mesh: Mesh, bc: BoundaryParams, mus):
     folded = np.where(flip, -y2, y2)
     phi = np.arctan2(np.abs(y), folded)
     # an exact zero of y at pi under a Dirichlet end is mu itself, not below it
-    k = n + (phi > PI - bc.beta) - ((y == 0.0) & (bc.beta == 0.0))
+    k = n + (phi > np.arctan2(bc.sin_beta, -bc.cos_beta)) - ((y == 0.0) & (bc.beta == 0.0))
     nu = _angle_scale(mesh, mus)
     turn = np.arctan2(nu * np.abs(y), folded) + np.arctan2(nu * bc.sin_beta, bc.cos_beta)
     return k.astype(int), np.clip((n - k - 1.0) * PI + turn, -PI, 0.0)
@@ -257,45 +267,86 @@ def _estimates(ns: range, bc: BoundaryParams, meanq: float):
     return records[k:-1], first[k:-1], np.where(low[:-1], seps + meanq, seps)
 
 
+def _bounds(mesh: Mesh, bc: BoundaryParams, n: int):
+    """The lower bound L of mu_0 and the upper bound U of mu_n, from min-max.
+
+    With a = max(cot alpha, 0) and b = max(-cot beta, 0), 0 at a Dirichlet
+    end (sin 0, as BoundaryParams snaps it),
+
+        L = min(q) - 1 - max(a (a + 2/pi), b (b + 2/pi)),
+        U = (n + 1)^2 + max(q) + 1.
+
+    L: Green's identity puts -a y(0)^2 - b y(pi)^2 into the Rayleigh
+    quotient, and on [0, pi/2] a y(0)^2 <= a (a + 2/pi) int y^2 + int y'^2
+    (the trace inequality with epsilon = 1/a; the same at pi), so
+    mu_0 >= L + 1.  U: the Dirichlet problem at the constant max(q) has
+    mu_n = (n + 1)^2 + max(q), and min-max puts every mu_n at or below it.
+    Both are exact for piecewise-constant q, and the slack of 1 covers the
+    Magnus mesh; min(q) and max(q) are those of mesh.run_q.
+    """
+    # t (t + 2/pi) grows with t >= 0, so the larger of a and b gives the max
+    t = max(max(bc.cos_alpha, 0.0) / (bc.sin_alpha or inf),
+            max(-bc.cos_beta, 0.0) / (bc.sin_beta or inf))
+    return mesh.run_q.min() - 1.0 - t * (t + 2.0 / PI), (n + 1.0) ** 2 + mesh.run_q.max() + 1.0
+
+
+def _check_regime(mesh: Mesh, bc: BoundaryParams, mus: np.ndarray, ks: np.ndarray):
+    """UnsupportedRegimeError where K(0) >= 3, that is where mu_2 < 0.
+
+    K is monotone, so the counts ks at mus <= 0 bound K(0) from below and
+    those at mus >= 0 from above; where they leave it open between 2 and 3,
+    one more count at 0 decides.  A range above index 2 has counted at 0
+    in its first batch (see _brackets).  An eigenvalue at 0 itself is not
+    below 0.
+    """
+    k0 = ks[mus <= 0.0].max(initial=0)
+    if k0 < 3 <= ks[mus >= 0.0].min(initial=3):
+        k0 = _counts(mesh, bc, [0.0])[0][0]
+    if k0 >= 3:
+        raise UnsupportedRegimeError(
+            f"mu_2 < 0 (at least {k0} eigenvalues lie below 0); asymptotic indexing "
+            "assumes mu_n >= 0 from index 2 on")
+
+
 def _brackets(mesh: Mesh, bc: BoundaryParams, ns, seps: np.ndarray):
     """Counted brackets of the contiguous indices ns: lo, hi with K(lo) = n, K(hi) = n + 1.
 
-    K is _counts.  The first batch counts at min(q) - 1 and at seps, the
-    separators m|m+1 on both sides of each index (see _estimates), 0|1 and
-    1|2 among them, so that on most problems this one round brackets every
-    index.  Each further round counts one batch: the midpoint of every
-    index's tightest counted bracket that still holds more than one
-    eigenvalue, a point below the lowest when some index has no count <= n
-    (the depth below min(q) doubles), and a point above the highest when
-    some index has no count > n (the height above min(q) doubles).  No mu
-    is counted twice: a midpoint lies strictly between two adjacent counted
-    points, and a walk point strictly outside all of them.  Returns the
-    arrays lo, hi, K(lo) and the angle gap G_n at lo and at hi (see
-    _counts), so the refinement starts from the counted ends without
-    sweeping them.
+    K is _counts, and L and U are the bounds of mu_0 and mu_{ns[-1]}
+    (_bounds).  The first batch counts at L and at seps, the separators
+    m|m+1 on both sides of each index (see _estimates), 0|1 and 1|2 among
+    them, so that on most problems this one round brackets every index,
+    and at 0 when ns starts above index 2, for the regime rule.
+    Each further round counts one batch: the midpoint of every index's
+    tightest counted bracket that still holds more than one eigenvalue,
+    and U when some index has no count above it.  A count above 0 at or
+    below L, or at most ns[-1] at or above U, contradicts its bound and
+    raises BracketError.  No mu is counted twice: a midpoint lies strictly
+    between two adjacent counted points, and U is counted only while every
+    counted point lies below it.  Where ns reaches index 2, the counts
+    decide the regime (_check_regime).  Returns the arrays lo, hi, K(lo)
+    and the angle gap G_n at lo and at hi (see _counts), so the refinement
+    starts from the counted ends without sweeping them.
     """
-    qmin = float(mesh.run_q.min())
-    points = [qmin - 1.0] + seps.tolist()
+    lower, upper = _bounds(mesh, bc, ns[-1])
     ns = np.asarray(ns)
-    mus, ks, gaps = np.empty(0), np.empty(0, dtype=int), np.empty(0)
-    walks = 0
+    # a range above index 2 has no count near mu_2, so its first batch counts at 0
+    mus = _unique([lower] + seps.tolist() + ([0.0] if ns[0] > 2 else []))
+    ks, gaps = _counts(mesh, bc, mus)
     while True:
-        new = _unique(points)
-        k_new, gap_new = _counts(mesh, bc, new)
-        mus, ks = np.concatenate((mus, new)), np.concatenate((ks, k_new))
-        gaps = np.concatenate((gaps, gap_new))
-        order = np.argsort(mus)
-        mus, ks, gaps = mus[order], ks[order], gaps[order]
         drops = np.flatnonzero(np.diff(ks) < 0)
         if drops.size:
             raise BracketError(f"oscillation counts decrease above mu = {mus[drops[0]]:.9f}")
+        if ks[0] > 0:
+            raise BracketError(f"K = {ks[0]} at mu = {mus[0]:.9g} contradicts the lower "
+                               f"bound {lower:.9g} of mu_0")
         lo = np.searchsorted(ks, ns, side="right") - 1  # the last count <= n
         hi = lo + 1  # the first count > n
-        below, above = lo < 0, hi == mus.size
-        inner = ~below & ~above
-        a, b = mus[lo[inner]], mus[hi[inner]]
-        split = (ks[lo[inner]] < ns[inner]) | (ks[hi[inner]] > ns[inner] + 1)
-        if not (below.any() or above.any() or split.any()):
+        above = hi == mus.size
+        a, b = mus[lo[~above]], mus[hi[~above]]
+        split = (ks[lo[~above]] < ns[~above]) | (ks[hi[~above]] > ns[~above] + 1)
+        if not (above.any() or split.any()):
+            if ns[-1] >= 2:
+                _check_regime(mesh, bc, mus, ks)
             # K(lo) = n and K(hi) = n + 1: G_n is G_K at lo and G_K + pi at hi
             return a, b, ks[lo], gaps[lo], gaps[hi] + PI
         a, b = a[split], b[split]
@@ -304,16 +355,15 @@ def _brackets(mesh: Mesh, bc: BoundaryParams, ns, seps: np.ndarray):
         if stuck.any():
             raise BracketError(
                 f"eigenvalues cluster below resolution near mu = {a[stuck][0]:.9f}")
-        points = list(mid)
-        if below.any() or above.any():
-            if walks == 64:
-                raise BracketError(f"no count bounds indices {ns[below | above].tolist()} "
-                                   f"between mu = {mus[0]:.3g} and {mus[-1]:.3g}")
-            walks += 1
-        if below.any():
-            points.append(qmin - 2.0 * (qmin - mus[0]))
-        if above.any():
-            points.append(qmin + 2.0 * max(mus[-1] - qmin, 1.0))
+        if above.any() and mus[-1] >= upper:
+            raise BracketError(f"K = {ks[-1]} at mu = {mus[-1]:.9g} contradicts the upper "
+                               f"bound {upper:.9g} of mu_{ns[-1]}")
+        new = _unique(np.append(mid, upper) if above.any() else mid)
+        k_new, gap_new = _counts(mesh, bc, new)
+        mus, ks = np.concatenate((mus, new)), np.concatenate((ks, k_new))
+        gaps = np.concatenate((gaps, gap_new))
+        order = np.argsort(mus)
+        mus, ks, gaps = mus[order], ks[order], gaps[order]
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +500,11 @@ def find_eigenvalue(q: Potential, bc: BoundaryParams, n: int,
 
     The root is isolated in a counted bracket, below whose ends lie n and
     n + 1 eigenvalues, and refined to a mu window of width tol.  n must be
-    an integer in [0, MAX_INDEX] (ValueError otherwise).
+    an integer in [0, MAX_INDEX] (ValueError otherwise).  For n >= 2 it
+    raises UnsupportedRegimeError when mu_2 < 0, as find_spectrum does.
     """
     n = _whole(n, "index", 0, MAX_INDEX)
-    [pair] = _search(q, bc, range(n, n + 1), tol, grid_size)
-    if n >= 2 and pair.mu <= 0.0:
-        raise UnsupportedRegimeError(
-            f"mu_{n} = {pair.mu:.6f} <= 0; asymptotic indexing assumes positive "
-            "eigenvalues from index 2 on")
-    return pair
+    return _search(q, bc, range(n, n + 1), tol, grid_size)[0]
 
 
 def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
@@ -468,11 +514,8 @@ def find_spectrum(q: Potential, bc: BoundaryParams, n_max: int,
 
     Counts, brackets and refinement sweeps all run as batches over the
     index range.  n_max must be an integer in [0, MAX_INDEX] (ValueError
-    otherwise).
+    otherwise).  For n_max >= 2 it raises UnsupportedRegimeError when
+    mu_2 < 0, decided by the counts (see _check_regime).
     """
     n_max = _whole(n_max, "n_max", 0, MAX_INDEX)
-    pairs = _search(q, bc, range(n_max + 1), tol, grid_size)
-    if n_max >= 2 and pairs[2].mu <= 0.0:
-        raise UnsupportedRegimeError(
-            f"mu_2 = {pairs[2].mu:.6f} <= 0; potential outside the supported regime")
-    return Spectrum(q=q, bc=bc, pairs=pairs)
+    return Spectrum(q=q, bc=bc, pairs=_search(q, bc, range(n_max + 1), tol, grid_size))

@@ -12,16 +12,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# explicit ids, so that a change to a script's output does not rename its test
 @pytest.mark.parametrize("script,args,first_line", [
-    ("norming_decay.py", ["--n-max", "20", "--grid-size", "256"], "smooth q = cos x"),
-    ("kseries_closed_form.py", ["--N", "40"],
-     "q = constant(1.0), boundary case dirichlet-dirichlet"),
-    ("search_budget.py", ["--seed", "9001"],
-     f"{'call':44s} n_max    grid   count  sweeps  points  rounds  tail"),
-    ("known_defects.py", ["--seeds", "9001"],
-     f"{'call':16s} {'potential':28s}  alpha   beta n_max  grid  {'outcome':22s}   min norm"
-     "  certificate"),
-    ("code_lines.py", [], f"{'module':16s} {'lines':>6s} {'code':>6s}"),
+    pytest.param("norming_decay.py", ["--n-max", "20", "--grid-size", "256"],
+                 "smooth q = cos x", id="norming_decay"),
+    pytest.param("kseries_closed_form.py", ["--N", "40"],
+                 "q = constant(1.0), boundary case dirichlet-dirichlet", id="kseries_closed_form"),
+    pytest.param("search_budget.py", ["--seed", "9001"],
+                 f"{'call':44s} n_max    grid   count  sweeps  points  rounds  tail",
+                 id="search_budget"),
+    pytest.param("known_defects.py", ["--seeds", "9001"],
+                 f"{'call':16s} {'potential':28s}  alpha   beta n_max  grid  {'outcome':22s}"
+                 "   min norm  certificate", id="known_defects"),
+    pytest.param("code_lines.py", [], f"{'module':16s} {'lines':>6s} {'code':>6s}",
+                 id="code_lines"),
 ])
 def test_script_runs(script, args, first_line):
     proc = _run(script, *args)

@@ -81,6 +81,27 @@ class TestCharFunction:
         assert left == pytest.approx(right, abs=1e-7 * max(1.0, abs(left)))
 
 
+# the cases of the bound test: the free Dirichlet problem, where
+# mu_n = U - 1, deep Robin states at both ends (the deeper one on either side),
+# a tall barrier on either side, a deep interior well on a grid and a
+# smooth q
+BOUND_CASES = {
+    "zero-DD": (Potential.zero(), BoundaryParams(PI, 0.0)),
+    "zero-0.2-2.9": (Potential.zero(), BoundaryParams(0.2, 2.9)),
+    "zero-0.1-pi-0.1": (Potential.zero(), BoundaryParams(0.1, PI - 0.1)),
+    "zero-0.3-2.9": (Potential.zero(), BoundaryParams(0.3, 2.9)),
+    "constant3-0.05-3.09": (Potential.constant(3.0), BoundaryParams(0.05, 3.09)),
+    "constant-3-0.05-3.09": (Potential.constant(-3.0), BoundaryParams(0.05, 3.09)),
+    "step500-NN": (Potential.step(500.0, 1.0), BoundaryParams(PI / 2, PI / 2)),
+    "mirror100-NN": (Potential.step(-100.0, PI - 2.0).shifted(100.0),
+                     BoundaryParams(PI / 2, PI / 2)),
+    "well-100-DD": (Potential.from_grid(PI * np.arange(13) / 12,
+                                        np.where(np.arange(13) == 6, -100.0, 0.0)),
+                    BoundaryParams(PI, 0.0)),
+    "smooth-2.3-0.6": (Potential.smooth_test([1.0, -0.5]), BoundaryParams(2.3, 0.6)),
+}
+
+
 class TestBracketing:
     def test_contains_free_eigenvalue(self, q_zero, bc_dd):
         lo, hi = _bracket(q_zero, bc_dd, 3, 512)
@@ -112,32 +133,72 @@ class TestBracketing:
             assert lo < (n + 1) ** 2 < hi
 
     def test_walks_up_from_low_centres(self, q_zero, bc_dd, monkeypatch):
-        # estimates at 0 leave index 3 (mu = 16) above every first count; the
-        # height above min(q) doubles until a count exceeds 3
-        estimates = spectrum._estimates
+        # estimates at 0 leave index 3 (mu = 16) above every first count; one
+        # count at the upper bound U = (3 + 1)^2 + max(q) + 1 = 17 lies above it
+        estimates, count = spectrum._estimates, spectrum._counts
+        counted = []
 
         def at_zero(ns, bc, meanq):
             deltas, first, seps = estimates(ns, bc, meanq)
             return deltas, np.zeros_like(first), np.zeros_like(seps)
 
+        def recording(mesh, bc, mus):
+            counted.extend(np.atleast_1d(mus).tolist())
+            return count(mesh, bc, mus)
+
         monkeypatch.setattr(spectrum, "_estimates", at_zero)
+        monkeypatch.setattr(spectrum, "_counts", recording)
         lo, hi = _bracket(q_zero, bc_dd, 3, 512)
         assert lo <= 16.0 < hi
+        assert counted.count(17.0) == 1
         assert find_eigenvalue(q_zero, bc_dd, 3).mu == pytest.approx(16.0, abs=1e-8)
 
-    # the first batch for index 0 on zero DD counts at min(q) - 1 = -1 and at
-    # the 0|1 separator 2.25; a count that drops between them decreases
+    # the first batch for index 0 on zero DD counts at the lower bound
+    # L = min(q) - 1 = -1 and at the 0|1 separator 2.25, and the upper bound
+    # of mu_0 is U = 1 + max(q) + 1 = 2; a count that drops between them decreases
     @pytest.mark.parametrize("counts,message", [
         (lambda mus: np.where(mus < 2.0, 5, 0), "oscillation counts decrease above mu"),
-        (lambda mus: np.where(mus < 3.3, 0, 2), "eigenvalues cluster below resolution"),
-        (lambda mus: np.zeros(mus.size, dtype=int), "no count bounds indices [0]"),
-    ], ids=["decreasing", "cluster", "unbounded"])
+        (lambda mus: np.where(mus < 1.5, 0, 2), "eigenvalues cluster below resolution"),
+        (lambda mus: np.zeros(mus.size, dtype=int),
+         "K = 0 at mu = 2.25 contradicts the upper bound 2 of mu_0"),
+        (lambda mus: np.ones(mus.size, dtype=int),
+         "K = 1 at mu = -1 contradicts the lower bound -1 of mu_0"),
+    ], ids=["decreasing", "cluster", "unbounded", "below"])
     def test_bracket_errors(self, q_zero, bc_dd, monkeypatch, counts, message):
         # _counts returns K and the angle gap; these cases fail on K alone
         monkeypatch.setattr(spectrum, "_counts", lambda mesh, bc, mus: (
             counts(np.asarray(mus)), np.zeros(np.size(mus))))
         with pytest.raises(BracketError, match=re.escape(message)):
             _bracket(q_zero, bc_dd, 0, 512)
+
+    def test_upper_bound_is_counted_once(self, q_zero, bc_nn, monkeypatch):
+        # on zero NN the 0|1 separator 0.25 lies below U = 2: the second round
+        # counts U, and a count of 0 there contradicts it
+        counted = []
+
+        def zeros(mesh, bc, mus):
+            counted.extend(np.atleast_1d(mus).tolist())
+            return np.zeros(np.size(mus), dtype=int), np.zeros(np.size(mus))
+
+        monkeypatch.setattr(spectrum, "_counts", zeros)
+        with pytest.raises(BracketError, match=re.escape(
+                "K = 0 at mu = 2 contradicts the upper bound 2 of mu_0")):
+            _bracket(q_zero, bc_nn, 0, 512)
+        assert counted.count(2.0) == 1
+
+    @pytest.mark.parametrize("case", sorted(BOUND_CASES))
+    @pytest.mark.parametrize("grid_size,n_max", [
+        (64, 0), (64, 5), (64, 30), (DEFAULT_GRID_SIZE, 0), (DEFAULT_GRID_SIZE, 5),
+        (DEFAULT_GRID_SIZE, 30), (DEFAULT_GRID_SIZE, 60)])
+    def test_counts_respect_the_bounds(self, case, grid_size, n_max):
+        # no eigenvalue of the mesh's problem lies below L, and n_max + 1 lie below U
+        q, bc = BOUND_CASES[case]
+        mesh = build_mesh(q, grid_size)
+        lower, upper = spectrum._bounds(mesh, bc, n_max)
+        k = spectrum._counts(mesh, bc, [lower, upper])[0]
+        assert k[0] == 0 and k[1] >= n_max + 1
+        if mesh.exact:  # piecewise-constant q: mu_0 >= L + 1 holds without slack
+            assert spectrum._counts(mesh, bc, [lower + 1.0])[0][0] == 0
 
     def test_counts_are_never_repeated(self, q_step, bc_nn, monkeypatch):
         # every round of the index bisection reuses all earlier counts
@@ -210,6 +271,31 @@ class TestFindEigenvalue:
     def test_unsupported_regime(self, bc_nn):
         with pytest.raises(UnsupportedRegimeError):
             find_eigenvalue(Potential.constant(-30.0), bc_nn, 2, grid_size=512)
+
+    def test_one_regime_rule(self, bc_nn):
+        # mu_2 = -21.50 of step(-30, 2.5) NN lies below 0: find_spectrum refused
+        # it, while find_eigenvalue returned mu_5 = 4.475 and mu_6 = 12.44; both
+        # now refuse every range that reaches index 2, by K(0) >= 3 (it is 5)
+        q = Potential.step(-30.0, 2.5)
+        message = r"^mu_2 < 0 \(at least [345] eigenvalues lie below 0\); asymptotic indexing"
+        with pytest.raises(UnsupportedRegimeError, match=message):
+            find_spectrum(q, bc_nn, 10)
+        for n in (2, 3, 5, 6):
+            with pytest.raises(UnsupportedRegimeError, match=message):
+                find_eigenvalue(q, bc_nn, n)
+        assert find_eigenvalue(q, bc_nn, 1).mu == pytest.approx(
+            find_spectrum(q, bc_nn, 1).pairs[1].mu, abs=1e-9)
+
+    def test_mu_2_at_zero_is_supported(self, bc_dd):
+        # mu_n = (n + 1)^2 - 9: the eigenvalue at 0 is not below 0, so K(0) = 2
+        q = Potential.constant(-9.0)
+        assert find_spectrum(q, bc_dd, 4).pairs[2].mu == pytest.approx(0.0, abs=1e-9)
+        assert find_eigenvalue(q, bc_dd, 3).mu == pytest.approx(7.0, abs=1e-9)
+        # 0.5 lower, mu_2 = -0.5 and K(0) = 3: refused
+        message = "^" + re.escape("mu_2 < 0 (at least 3 eigenvalues lie below 0)")
+        for search, n in ((find_spectrum, 4), (find_eigenvalue, 3)):
+            with pytest.raises(UnsupportedRegimeError, match=message):
+                search(Potential.constant(-9.5), bc_dd, n)
 
     def test_index_validation(self, q_zero, bc_dd):
         with pytest.raises(ValueError):
@@ -451,6 +537,13 @@ class TestSearchBudget:
         assert not set(batches["counted"]) & set(batches["swept"])
         assert 0 < len(batches["phi"]) <= sweeps and sum(batches["phi"]) <= points
 
+    def test_eigenvalue_counts_zero_in_its_first_batch(self, monkeypatch):
+        # index 7 counts nowhere near mu_2, so the regime rule's count at 0
+        # rides in the first batch, and one count round brackets the index
+        batches = self._record(monkeypatch)
+        find_eigenvalue(Potential.step(2.0, PI / 2), BoundaryParams(PI / 2, PI / 2), 7)
+        assert len(batches["counts"]) == 1 and 0.0 in batches["counted"]
+
     def test_deep_bound_states_finish_on_phi(self, monkeypatch):
         # mu_0 = -24.3 of these angles lies far below q(pi) = 0, where the angle
         # gap turns by pi within a few ulps of mu: refined on the gap alone
@@ -459,6 +552,9 @@ class TestSearchBudget:
         batches = self._record(monkeypatch)
         s = find_spectrum(q, bc, 10)
         assert len(batches["phi"]) <= 15
+        # the first batch counts at the lower bound of mu_0; a walk down from
+        # min(q) - 1, doubling the depth, took 7 count batches
+        assert len(batches["counts"]) <= 3
         assert np.max(np.abs(s.mus - _free_eigenvalues(bc, 10))) <= 1e-9
 
     WELL_ANGLES = [BoundaryParams(PI, 0.0), BoundaryParams(PI / 2, PI / 2),
