@@ -6,8 +6,12 @@ A BENCH file holds a list `runs`, one entry per perfbench run, with its
 perfbench/run.py's last line (the layout of BENCH_one_owner.json).  For
 each set, workload and end-to-end metric of BENCHMARK.json, which it only
 reads, the script prints the parent's median with its quartiles, the
-change's median, the pairs the change won, and a status:
+change's median, the pairs the change won (a tie counts for neither
+side), and a status:
 
+- "gain": the change won at least 9 of 10 pairs, and its median is better
+  than the parent's by more than the parent's interquartile range, the
+  rule a claimed speedup is judged by;
 - "unresolved": the parent's interquartile range exceeds the metric's
   bound, relative to the parent's median, so the runs cannot resolve a
   change of that size;
@@ -46,7 +50,10 @@ def summary(runs, metric, bound, lower):
     pairs = sorted(parent.keys() & change.keys())
     won = sum((change[p] < parent[p]) if lower else (change[p] > parent[p]) for p in pairs)
     worse = (change_median / median - 1.0) if lower else (1.0 - change_median / median)
-    if q3 - q1 > bound * abs(median):
+    better = (median - change_median) if lower else (change_median - median)
+    if 10 * won >= 9 * len(pairs) and better > q3 - q1:
+        status = "gain"
+    elif q3 - q1 > bound * abs(median):
         status = "unresolved"
     else:
         status = "worse than bound" if worse > bound else "within bound"

@@ -37,7 +37,8 @@ a_n = c_n^2 b_n (``_eigen_norms``): a norm read where its solution is
 exponentially small, under a tall barrier or in a boundary layer, cancels
 entries of the product's size.  The acceptance criteria read the norms
 through the same ``_eigen_norms``.  ``norming_a_batch`` and
-``norming_b_batch`` give the one-sided norms of the solutions at any mu.
+``norming_b_batch`` give the one-sided norms of the solutions at any mu,
+each read from the same norm product at one end.
 
 Remainder extraction divides the measured defect by the active bracket
 weight.  When sin(alpha) and cos(alpha) are both nonzero the two bracket
@@ -53,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delta import DeltaValue
-from .odesolve import DEFAULT_GRID_SIZE, build_mesh, norm_end, norm_product, propagate_with_norm
+from .odesolve import DEFAULT_GRID_SIZE, build_mesh, norm_end, norm_product
+from .odesolve import propagate_with_norm  # noqa: F401  (binding kept for perfbench tracing)
 from .potential import PI, BoundaryParams, Potential, _whole, fourier_moments
 from .potential import integrate  # noqa: F401  (binding kept for perfbench tracing)
 from .spectrum import Eigenpair, Spectrum
@@ -87,32 +89,30 @@ class NormingRecord:
     extraction_b: str
 
 
-def _norms(mesh, mus, sin_v: float, cos_v: float, forward: bool) -> np.ndarray:
-    _, _, acc = propagate_with_norm(mesh, mus, sin_v, -cos_v, forward=forward)
-    return acc
-
-
 def norming_a_batch(q: Potential, bc: BoundaryParams, mus,
                     grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """int_0^pi phi^2 at each mu, phi the left-normalized solution, from the forward sweep.
 
-    The one-sided norm at any mu, the discrete integral of
-    propagate_with_norm.  At an eigenvalue it is a_n read at x = pi, which
-    under a tall barrier can be the small end; norming_records reads each
-    norm at the large one.  Input and overflow follow the norm sweep's
-    rules (see odesolve).
+    The one-sided norm at any mu: the discrete integral that norm_end reads
+    at x = pi from the norm product, as _eigen_norms does.  At an
+    eigenvalue it is a_n read at x = pi, which under a tall barrier can be
+    the small end; norming_records reads each norm at the large one.  Input
+    and overflow follow the norm sweep's rules (see odesolve).
     """
-    return _norms(build_mesh(q, grid_size), mus, bc.sin_alpha, bc.cos_alpha, True)
+    product = norm_product(build_mesh(q, grid_size), mus)
+    return norm_end(product, bc.sin_alpha, -bc.cos_alpha, forward=True)[2]
 
 
 def norming_b_batch(q: Potential, bc: BoundaryParams, mus,
                     grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """int_0^pi psi^2 at each mu, psi the right-normalized solution, from the adjugate.
 
-    The mirror of norming_a_batch: b_n read at x = 0 at an eigenvalue.
-    Input and overflow follow the norm sweep's rules (see odesolve).
+    The mirror of norming_a_batch: norm_end reads the adjugate of the same
+    norm product at x = 0, b_n at an eigenvalue.  Input and overflow
+    follow the norm sweep's rules (see odesolve).
     """
-    return _norms(build_mesh(q, grid_size), mus, bc.sin_beta, bc.cos_beta, False)
+    product = norm_product(build_mesh(q, grid_size), mus)
+    return norm_end(product, bc.sin_beta, -bc.cos_beta, forward=False)[2]
 
 
 def ae_n(q: Potential, delta, n):

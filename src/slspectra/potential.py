@@ -71,13 +71,11 @@ _GL4_LEGENDRE = (np.stack([np.ones(4), _GL4_NODES, (3.0 * _GL4_NODES ** 2 - 1.0)
                  * _GL4_WEIGHTS[:, None] * (np.arange(4) + 0.5))
 # Row m: the coefficient (-1)^m / (2^m m! (2k + 2m + 1)!!) of theta^(k + 2m)
 # in j_k(theta), k = 0..3.  j_k takes the series where |theta| <= the k-th
-# limit: ten rows reach rounding for |theta| <= 1, where the series of every
-# k has been taken; twelve for |theta| <= 2.5, which only j_2 and j_3 take,
-# since their closed forms cancel just above 1.
+# limit: 1 for every k, and 2.5 for j_2 and j_3, since their closed forms
+# cancel just above 1.  Twelve rows reach rounding up to 2.5.
 _BESSEL_SERIES = np.array([
     [(-1) ** m / (2 ** m * math.factorial(m) * math.prod(range(1, 2 * k + 2 * m + 2, 2)))
      for k in range(4)] for m in range(12)])
-_BESSEL_NEAR_ROWS = 10
 _BESSEL_LIMITS = np.array([1.0, 1.0, 2.5, 2.5])
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
@@ -85,10 +83,8 @@ _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 def _bessel_weights(theta, radius):
     """2 r i^k j_k(theta) for k = 0..3 on a last axis; theta = w r has a trailing axis of 1.
 
-    Where |theta| <= 1, the ten-term series; j_2 and j_3 keep the series,
-    with two more terms, up to |theta| = 2.5 (_BESSEL_LIMITS), and the
-    extra terms enter only above 1, so the entries at |theta| <= 1 are
-    those of the ten terms bit for bit.  Elsewhere the closed forms,
+    Where |theta| <= 1, and for j_2 and j_3 up to |theta| = 2.5
+    (_BESSEL_LIMITS), the twelve-term series.  Elsewhere the closed forms,
     sin(theta) and cos(theta) times polynomials in x = 1 / theta:
     j_0 = x s, j_1 = x (x s - c), j_2 = (3 x^2 - 1) x s - 3 x^2 c and
     j_3 = (15 x^2 - 6) x^2 s - (15 x^2 - 1) x c.  Just above 1 the last two
@@ -96,11 +92,9 @@ def _bessel_weights(theta, radius):
     """
     near = np.abs(theta) <= _BESSEL_LIMITS
     series = np.where(near, theta, 0.0)
-    # the rows past the tenth are zero at |theta| <= 1, where 0 s^2 + row is row
-    wide = np.abs(series) > 1.0
     bessel = 0.0
-    for m, row in reversed(list(enumerate(_BESSEL_SERIES))):
-        bessel = bessel * series * series + (row if m < _BESSEL_NEAR_ROWS else wide * row)
+    for row in _BESSEL_SERIES[::-1]:
+        bessel = bessel * series * series + row
     weights = 2.0 * radius * _I_POWERS * series ** np.arange(4) * bessel
     if near.all():
         return weights
@@ -242,11 +236,12 @@ def fourier_moments(f: Callable[[np.ndarray], np.ndarray], omegas,
     f is replaced by the cubic sum_k a_k P_k((t - c) / r) through its four
     (interior) Gauss-Legendre nodes, whose moment is exactly
     r exp(i w c) sum_k a_k 2 i^k j_k(w r); j_k is evaluated once per
-    distinct r, by its ten-term series where |w r| <= 1 and in closed form
-    elsewhere (``_bessel_weights``).  That runs once per table of whole
-    frequency blocks, size x max(1, _MOMENT_ELEMS // (4 x size x radii))
-    frequencies with size the block length below, so a call of a few
-    hundred frequencies on a few radii takes one table.  The weights are
+    distinct r, by its twelve-term series where |w r| <= 1 (2.5 for j_2
+    and j_3) and in closed form elsewhere (``_bessel_weights``).  That
+    runs once per table of whole frequency blocks, size x max(1,
+    _MOMENT_ELEMS // (4 x size x radii)) frequencies with size the block
+    length below, so a call of a few hundred frequencies on a few radii
+    takes one table.  The weights are
     elementwise, so a value does not depend on how the frequencies are cut
     into tables.
 
@@ -398,7 +393,13 @@ class BoundaryParams:
     Dirichlet condition on the left, beta = 0 the Dirichlet condition on
     the right.  sin_alpha, cos_alpha, sin_beta and cos_beta are the
     angles' sines and cosines, snapped to exact values at multiples of
-    pi/2 (_snapped_sincos) and computed once.
+    pi/2 (_snapped_sincos) and computed once.  Where the sine of alpha
+    snaps to 0, at pi and within 5e-16 of 0, alpha takes the direction of
+    alpha = pi (sin_alpha 0, cos_alpha -1), the one Dirichlet direction
+    of (0, pi]: the eigenvalue count needs the start angle pi - alpha in
+    [0, pi), and phi takes the sign it has at alpha = pi.  A beta within
+    5e-16 of 0 snaps to beta = 0; no beta below pi snaps towards pi (the
+    sine of the largest float below pi is 5.7e-16).
     """
 
     alpha: float
@@ -413,7 +414,8 @@ class BoundaryParams:
             raise ValueError(f"alpha must lie in (0, pi], got {self.alpha}")
         if not (0.0 <= self.beta < PI):
             raise ValueError(f"beta must lie in [0, pi), got {self.beta}")
-        snapped = _snapped_sincos(self.alpha) + _snapped_sincos(self.beta)
+        sin_a, cos_a = _snapped_sincos(self.alpha)
+        snapped = (sin_a, cos_a if sin_a else -1.0) + _snapped_sincos(self.beta)
         for name, value in zip(("sin_alpha", "cos_alpha", "sin_beta", "cos_beta"), snapped):
             object.__setattr__(self, name, value)
 
@@ -451,8 +453,6 @@ class Potential:
     xs: np.ndarray | None = None
     qs: np.ndarray | None = None
     offset: float = 0.0
-    _norm1: float | None = field(default=None, init=False, repr=False, compare=False)
-    _mean: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "named":
@@ -602,12 +602,8 @@ class Potential:
         return ()
 
     def norm1(self) -> float:
-        """L1 norm of q over [0, pi], cached after the first call."""
-        if self._norm1 is None:
-            value = integrate(lambda t: np.abs(self(t)), 0.0, PI,
-                              breakpoints=self.breakpoints)
-            object.__setattr__(self, "_norm1", value)
-        return self._norm1
+        """L1 norm of q over [0, pi], by adaptive quadrature on each call."""
+        return integrate(lambda t: np.abs(self(t)), 0.0, PI, breakpoints=self.breakpoints)
 
     def shifted(self, c: float) -> "Potential":
         """The potential q + c, sharing the base representation exactly."""
@@ -625,7 +621,7 @@ class CumulativeIntegrals:
     Built on a node table with two-point Gauss panels, so piecewise-linear
     potentials (and steps, whose jumps are table nodes) are integrated
     exactly up to rounding.  The L1 norm and the mean of q are
-    Potential.norm1 and mean_q.
+    Potential.norm1 and mean_q, which integrate on each call.
     """
 
     q: Potential
@@ -666,8 +662,6 @@ def sigma_functions(q: Potential) -> CumulativeIntegrals:
 def mean_q(q: Potential) -> float:
     """Mean value of the potential, (1 / pi) times its integral over [0, pi].
 
-    Cached on q after the first call, as Potential.norm1 is.
+    By adaptive quadrature on each call, as Potential.norm1.
     """
-    if q._mean is None:
-        object.__setattr__(q, "_mean", integrate(q, 0.0, PI, breakpoints=q.breakpoints) / PI)
-    return q._mean
+    return integrate(q, 0.0, PI, breakpoints=q.breakpoints) / PI

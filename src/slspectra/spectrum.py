@@ -209,11 +209,13 @@ def _counts(mesh: Mesh, bc: BoundaryParams, mus):
     the state that starts at F = 0, in one pass over the runs with the
     block transients of the Phi sweep and no node array.  At pi, F of the
     start direction (sin alpha, -cos alpha), whose angle pi - alpha lies
-    in [0, pi), holds N whole half-turns (the carry rule of
-    odesolve._lifted_mul with that direction for A (0, 1)) and a fragment
-    phi in [0, pi), the angle of (y, y2)(pi) folded into y >= 0.  The
+    in [0, pi) (BoundaryParams snaps an alpha near 0 to pi), holds N
+    whole half-turns (the carry rule of odesolve._lifted_mul with that
+    direction for A (0, 1)) and a fragment phi in [0, pi), the angle of
+    (y, y2)(pi) folded into y >= 0.  The
     eigenvalues below mu are those with (k + 1) pi - beta < F: N of them,
-    one more where phi > pi - beta, and one fewer where phi = beta = 0.
+    one more where phi > pi - beta, and one fewer where phi = 0 at a
+    Dirichlet right end (dirichlet_right, which a beta below 5e-16 takes).
     pi - beta is atan2(sin beta, -cos beta), from the sine and cosine the
     sweeps use: the float pi - beta is off by up to 1.2e-16, and near
     beta = pi (cot beta = -1e8) that moves the count at the lower bound of
@@ -234,7 +236,7 @@ def _counts(mesh: Mesh, bc: BoundaryParams, mus):
     folded = np.where(flip, -y2, y2)
     phi = np.arctan2(np.abs(y), folded)
     # an exact zero of y at pi under a Dirichlet end is mu itself, not below it
-    k = n + (phi > np.arctan2(bc.sin_beta, -bc.cos_beta)) - ((y == 0.0) & (bc.beta == 0.0))
+    k = n + (phi > np.arctan2(bc.sin_beta, -bc.cos_beta)) - ((y == 0.0) & bc.dirichlet_right)
     nu = _angle_scale(mesh, mus)
     turn = np.arctan2(nu * np.abs(y), folded) + np.arctan2(nu * bc.sin_beta, bc.cos_beta)
     return k.astype(int), np.clip((n - k - 1.0) * PI + turn, -PI, 0.0)

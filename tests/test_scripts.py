@@ -93,6 +93,31 @@ def test_bench_pairs_statuses(tmp_path):
         "set 1 spectrum: 3 parent and 3 change runs; failed calls 0, 1; incorrect runs 0, 0")
 
 
+def test_bench_pairs_gain(tmp_path):
+    # ten pairs: a gain needs 9 wins, ties counting for neither, and a median
+    # better than the parent's by more than the parent's interquartile range
+    ten = [float(i) for i in range(10)]
+    parent = {"setup_s": [1.0 + 0.1 * i for i in ten], "items_per_s": [100.0 + i for i in ten],
+              "call_p50_s": [1.0] * 10, "call_tail_s": [1.0] * 10, "peak_rss_mb": [10.0] * 10}
+    change = {"setup_s": [0.99 + 0.1 * i for i in ten],  # 10 wins, inside the IQR
+              "items_per_s": [100.0] + [110.0 + i for i in ten[1:]],  # 9 wins and a tie
+              "call_p50_s": [1.0] * 10,
+              "call_tail_s": [0.5] * 8 + [1.0] * 2,  # 8 wins and two ties
+              "peak_rss_mb": [10.0] * 10}
+    runs = [{"workload": "norming", "pair": i + 1, "side": side, "correct": True, "failed": 0,
+             "metrics": {name: values[i] for name, values in metrics.items()}}
+            for i in range(10) for side, metrics in (("parent", parent), ("change", change))]
+    bench = tmp_path / "BENCH_synthetic.json"
+    bench.write_text(json.dumps({"runs": runs}))
+    proc = _run("bench_pairs.py", str(bench))
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(None, 8) for line in proc.stdout.splitlines()[1:6]]
+    assert [(row[2], row[7], row[8]) for row in rows] == [
+        ("setup_s", "10/10", "unresolved"), ("items_per_s", "9/10", "gain"),
+        ("call_p50_s", "0/10", "within bound"), ("call_tail_s", "8/10", "within bound"),
+        ("peak_rss_mb", "0/10", "within bound")]
+
+
 def _run(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -23,6 +23,7 @@ from slspectra import (
     find_eigenvalue,
     find_spectrum,
     mean_q,
+    norming_records,
     phi,
     psi,
 )
@@ -32,6 +33,11 @@ from slspectra.spectrum import MAX_INDEX, _zero_counts
 from slspectra.verification import _eigen_zero_counts
 
 PI = math.pi
+
+
+def _fields(spec):
+    """Every Eigenpair field of a spectrum, for bit-for-bit comparison."""
+    return [dataclasses.astuple(p) for p in spec.pairs]
 
 
 def _bracket(q, bc, n, grid_size):
@@ -879,6 +885,27 @@ class TestFormerFailures:
         s = find_spectrum(q_zero, bc, 10)
         want = _free_eigenvalues(bc, 10)
         assert np.max(np.abs(s.mus - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
+
+    def test_alpha_near_zero_takes_the_direction_of_pi(self, q_zero):
+        # the sine of alpha = 1e-16 snaps to 0; the count needs the start
+        # direction of alpha = pi, not its opposite
+        bc, dirichlet = BoundaryParams(1e-16, PI / 2), BoundaryParams(PI, PI / 2)
+        assert (bc.sin_alpha, bc.cos_alpha) == (0.0, -1.0)
+        s = find_spectrum(q_zero, bc, 5)
+        assert s.mus.tolist() == [(n + 0.5) ** 2 for n in range(6)]
+        assert _fields(s) == _fields(find_spectrum(q_zero, dirichlet, 5))
+        q = Potential.step(2.0, 1.0)
+        records = [norming_records(q, b, find_spectrum(q, b, 10).pairs) for b in (bc, dirichlet)]
+        assert [dataclasses.astuple(r) for r in records[0]] == [
+            dataclasses.astuple(r) for r in records[1]]
+
+    @pytest.mark.parametrize("q", [Potential.zero(), Potential.step(2.0, 1.0),
+                                   Potential.smooth_test([1.0, -0.5])], ids=["zero", "step", "smooth"])
+    def test_beta_near_zero_counts_as_dirichlet(self, q):
+        # beta = 3e-16 snaps to the direction of beta = 0, in the count too
+        for alpha in (PI, 2.3):
+            assert _fields(find_spectrum(q, BoundaryParams(alpha, 3e-16), 20)) == _fields(
+                find_spectrum(q, BoundaryParams(alpha, 0.0), 20))
 
     def test_deep_step_keeps_its_regime_contract(self):
         # mu_2 = -319.7 of step(-400, 1) DD lies below 0
