@@ -29,8 +29,8 @@ continuity itself is not machine-decidable from finitely many terms, so
 the diagnostic reports total-variation stability across a truncation
 ladder instead.
 
-The shifts delta_n of all indices come from one array fixed-point solve
-(``delta._shifts``).  ae_n, int sigma cos(2 nu t) and, in the
+The shifts delta_n of all indices come from one call of the fixed-point
+loop (``delta._shifts``).  ae_n, int sigma cos(2 nu t) and, in the
 Dirichlet-Dirichlet case, the three harmonics of sigma that the closed form
 removes come from one call of the moment rule ``potential.fourier_moments``:
 both integrands stacked, the frequencies 0, 2 and 4 appended to the 2 nu, so
@@ -141,7 +141,7 @@ def _coefficients(q: Potential, bc: BoundaryParams, N: int, ci: CumulativeIntegr
                   harmonics=()):
     """series_coefficients, and int_0^pi sigma(t) cos(w t) dt at the extra frequencies harmonics.
 
-    The shifts come from one array solve and all moments from one call of
+    The shifts come from one _shifts call and all moments from one call of
     the moment rule, the harmonics appended to the 2 nu; a frequency's
     moment does not depend on the others in the call.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import _shifts, delta_asymptotic
+from .delta import _delta_values, _shifts, delta_asymptotic
 from .fitting import fit_loglog_slope, is_strictly_decreasing, window_max_ratio
 from .kseries import ac_diagnostic, k_partial_sum
 from .norming import _eigen_norms, _large_end, ae_n, model_a
@@ -133,10 +133,14 @@ def _criterion_03(ctx: VerificationContext):
 
 
 def _criterion_04(ctx: VerificationContext):
-    """Index-shift fixed point certified and near its closed form."""
+    """Index-shift fixed point certified and near its closed form.
+
+    The residuals are those of the DeltaValue records; the slopes read the
+    values alone.
+    """
     res_tol, slope_max = 1e-12, -1.8
-    worst_res = max(float(np.max(_shifts(np.arange(2, 201), ctx.bc(key))[2]))
-                    for key in ("quarter-half", "pi-third", "third-zero", "dd"))
+    worst_res = max(d.residual for key in ("quarter-half", "pi-third", "third-zero", "dd")
+                    for d in _delta_values(range(2, 201), ctx.bc(key)))
     slopes = {}
     ns = np.arange(10, 101)
     for key in ("quarter-half", "pi-third", "third-zero"):

@@ -51,7 +51,7 @@ def _oracle_bisect(n, alpha, beta, lo=-0.9, hi=1.9, iters=120):
 
 
 def _scalar_fixed_point(n, bc):
-    """The one-index fixed-point loop, in Python floats: the oracle of the array solve.
+    """The one-index fixed-point loop, in Python floats: the oracle of delta._shifts.
 
     Returns (value, iterations, residual, converged), read against the
     module's current FIXED_POINT_TOL and MAX_ITERATIONS.
@@ -85,7 +85,7 @@ def _assert_matches_oracle(dv, n, bc):
 
 
 class TestArraySolve:
-    """One iteration over all indices returns each index's scalar fixed point bit for bit."""
+    """One call over all indices returns each index's one-index fixed point bit for bit."""
 
     @pytest.mark.parametrize("bc", CASES + [BoundaryParams(PI / 2, PI / 2),
                                             BoundaryParams(2.3, 0.6)],
@@ -121,7 +121,8 @@ class TestArraySolve:
             delta._shifts(order, bc)
         assert (info.value.last_value, info.value.residual) == (value, residual)
         # extrapolated indices keep their last iterate instead
-        values, iterations, residuals = delta._shifts([0, 1], bc)
+        values, iterations = delta._shifts([0, 1], bc)
+        residuals = [dv.residual for dv in delta._delta_values([0, 1], bc)]
         for n in (0, 1):
             assert (values[n], iterations[n], residuals[n]) == _scalar_fixed_point(n, bc)[:3]
 
@@ -135,25 +136,6 @@ class TestArraySolve:
             delta._shifts(range(0, 10), bc)
         assert (info.value.last_value, info.value.residual) == (value, residual)
         assert delta_for_index(1, bc).value > 0.0
-
-    def test_few_open_indices_finish_in_floats(self, monkeypatch):
-        # n = 0 needs 33 iterations at these angles; the array iteration stops
-        # once at most delta._FLOAT_TAIL indices are open, and those finish
-        # in floats
-        calls = []
-        rhs = delta._rhs
-
-        def counting(d, *args):
-            calls.append(d.size)
-            return rhs(d, *args)
-
-        monkeypatch.setattr(delta, "_rhs", counting)
-        bc = BoundaryParams(2.3, 0.6)
-        values, iterations, residuals = delta._shifts(range(21), bc)
-        assert max(iterations) == 33
-        assert len(calls) <= 8 and calls[-1] == 21  # the last call is the residuals
-        for n in range(21):
-            assert (values[n], iterations[n], residuals[n]) == _scalar_fixed_point(n, bc)[:3]
 
 
 class TestSolveDelta:

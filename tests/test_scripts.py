@@ -66,6 +66,29 @@ def test_cli_audit_names_a_changed_table(tmp_path):
     assert proc.stdout.splitlines()[0] == "zero.dd.spectrum.csv: differs"
 
 
+def test_workload_outputs_names_a_changed_file(tmp_path):
+    # one seed: two runs of one tree write the same bytes, and cli_audit.py
+    # diff names a file changed by one character
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        proc = _run("workload_outputs.py", str(out), "--seeds", "9001")
+        assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in first.iterdir()) == [
+        "kseries.9001.txt", "norming.9001.txt", "spectrum.9001.txt"]
+    # cycles 0-2: 11 spectrum calls per cycle, 10 norming and 10 kseries calls
+    for name, calls in (("spectrum", 33), ("norming", 30), ("kseries", 30)):
+        lines = (first / f"{name}.9001.txt").read_text().splitlines()
+        ids = [line for line in lines if not line.startswith(" ")]
+        assert ids[0] == f"{name}-9001-0-0" and len(ids) == calls
+        assert not any("raised" in line for line in lines)
+    assert _run("cli_audit.py", "diff", str(first), str(second)).returncode == 0
+    changed = second / "norming.9001.txt"
+    changed.write_text(changed.read_text().replace(" a_n=", " a_n=-", 1))
+    proc = _run("cli_audit.py", "diff", str(first), str(second))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[0] == "norming.9001.txt: differs"
+
+
 def test_bench_pairs_statuses(tmp_path):
     # three pairs of one workload; each metric shows one status
     parent = {"setup_s": [1.0, 1.0, 1.0], "items_per_s": [100.0, 100.0, 100.0],
